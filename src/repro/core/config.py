@@ -142,8 +142,8 @@ class Config:
     # Service knobs (repro.service)
     # ------------------------------------------------------------------
     #: Byte budget (MiB) for the service's versioned result store; 0
-    #: disables the bound.  Entries are serialized vega-lite payloads, so
-    #: accounting is exact JSON bytes.
+    #: disables the bound.  Entries are the vega-lite payloads' JSON wire
+    #: bytes, so the budget bounds their resident memory exactly.
     service_store_budget_mb: int = 32
 
     #: Seconds the precompute engine waits after a mutation before

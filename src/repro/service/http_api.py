@@ -88,6 +88,7 @@ from ..core import telemetry
 from ..core.config import config
 from ..core.errors import LuxError
 from . import metrics as service_metrics
+from . import wire
 from .precompute import QueueSaturated
 from .session import SessionManager
 from .shard import (
@@ -251,7 +252,7 @@ class LocalBackend:
     ) -> dict[str, Any]:
         session = self.manager.get(session_id)
         try:
-            return session.recommendations(action=action, v1=v1)
+            return session.recommendations(action=action, v1=v1, raw=True)
         except KeyError:
             raise _ApiError(404, f"no such action: {action!r}") from None
 
@@ -312,6 +313,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ServiceServer"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: a response goes out as two sends (headers, then body),
+    # and with Nagle on the second waits for the client's delayed ACK
+    # (~40 ms) on every small keep-alive reply.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -334,13 +339,16 @@ class _Handler(BaseHTTPRequestHandler):
         # A str body is already-serialized JSON (shard mode forwards the
         # worker's bytes untouched — the router never parses payloads),
         # unless a handler overrides Content-Type (the /metrics
-        # exposition is plain text).
+        # exposition is plain text).  A dict body goes through the one
+        # wire writer, which splices stored payload bytes in verbatim.
         if isinstance(body, str):
             data = body.encode("utf-8")
         else:
-            data = json.dumps(body).encode("utf-8")
+            data = wire.dumps(body)
         self._status_sent = status
         extra = dict(headers or {})
+        if self.close_connection:
+            extra.setdefault("Connection", "close")
         successor = getattr(self, "_deprecated_successor", None)
         if successor is not None:
             # RFC 8594-style deprecation advertisement on the legacy
@@ -360,10 +368,25 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
     def _read_body_bytes(self) -> bytes:
-        """The raw request body, read exactly once per request."""
+        """The raw request body, read exactly once per request.
+
+        A malformed or negative ``Content-Length`` answers 400 and closes
+        the connection: the body's extent is unknown, so whatever follows
+        cannot be framed as the next request.
+        """
         cached = getattr(self, "_body_cache", None)
         if cached is None:
-            length = int(self.headers.get("Content-Length") or 0)
+            # Cached before validating, so the error response's own call
+            # here does not raise again.
+            self._body_cache = b""
+            declared = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(declared)
+            except ValueError:
+                length = -1
+            if length < 0:
+                self.close_connection = True
+                raise _ApiError(400, f"invalid Content-Length: {declared!r}")
             cached = self.rfile.read(length) if length else b""
             self._body_cache = cached
         return cached

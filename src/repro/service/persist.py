@@ -8,9 +8,9 @@ data-type overrides, the frozen config overrides, and the
 pass — into one directory per session::
 
     <root>/<session_id>/
-        frame-<data_version>.npz            # v::<col> / m::<col> arrays
-        results-<data_version>-<epoch>.json # manifest + per-action records
-        snapshot.json                       # the commit record, written last
+        frame-<data_version>.npz             # v::<col> / m::<col> arrays
+        results-<data_version>-<epoch>.jsonl # manifest + per-action records
+        snapshot.json                        # the commit record, written last
 
 Every file is version-stamped with the ``(data_version, intent_epoch)``
 pair it was captured at, and every write goes through a same-directory
@@ -20,6 +20,13 @@ exact content files it commits; anything else in the directory is a
 leftover and is pruned after the commit.  An intent-only change (data
 version unchanged) reuses the existing frame file instead of rewriting
 the column data.
+
+A results file is JSON lines: the first line holds the manifest and each
+action's provenance (origin, ``computed_at``, per-vis origins), and one
+line per action follows with that action's payload — the store's JSON
+bytes, written and read back verbatim, never decoded (``json.dumps``
+output contains no raw newline).  See :func:`write_results` and
+:func:`read_results`.
 
 Restores are *lazy about payloads*: :meth:`SnapshotStore.restore_session`
 rebuilds the frame and session eagerly (cheap — one ``np.load``) but only
@@ -59,7 +66,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from .session import Session
     from .store import ResultStore
 
-__all__ = ["SnapshotStore", "clause_to_payload", "clause_from_payload"]
+__all__ = [
+    "SnapshotStore",
+    "clause_from_payload",
+    "clause_to_payload",
+    "read_results",
+    "write_results",
+]
 
 #: The commit record's filename inside each session directory.
 SNAPSHOT_FILE = "snapshot.json"
@@ -173,6 +186,39 @@ def _rebuild_frame(meta: dict[str, Any], arrays: Mapping[str, np.ndarray]) -> Lu
     frame._data_version = int(dv)
     frame._intent_epoch = int(epoch)
     return frame
+
+
+# ----------------------------------------------------------------------
+# Results file: one header line, then one payload line per action
+# ----------------------------------------------------------------------
+def write_results(
+    records: Mapping[str, Mapping[str, Any]], manifest: "list[str] | None"
+) -> bytes:
+    """A stored pass's records as results-file bytes (payloads verbatim)."""
+    header = {
+        "manifest": manifest,
+        "records": {
+            name: {k: v for k, v in record.items() if k != "payload"}
+            for name, record in records.items()
+        },
+    }
+    lines = [json.dumps(header, separators=(",", ":")).encode("utf-8")]
+    lines.extend(record["payload"] for record in records.values())
+    return b"\n".join(lines)
+
+
+def read_results(path: "str | Path") -> "tuple[list[str] | None, dict[str, dict]]":
+    """``(manifest, records)`` from a results file; payloads stay bytes."""
+    header, *payloads = Path(path).read_bytes().split(b"\n")
+    meta = json.loads(header)
+    records = meta["records"]
+    if len(payloads) != len(records):
+        raise ValueError(
+            f"results file holds {len(payloads)} payloads for {len(records)} records"
+        )
+    for record, payload in zip(records.values(), payloads):
+        record["payload"] = payload
+    return meta["manifest"], records
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -292,14 +338,8 @@ class SnapshotStore:
 
         results_file = None
         if results is not None:
-            results_file = f"results-{dv}-{epoch}.json"
-            _atomic_write(
-                directory / results_file,
-                json.dumps(
-                    {"manifest": manifest, "records": dict(results)},
-                    separators=(",", ":"),
-                ).encode("utf-8"),
-            )
+            results_file = f"results-{dv}-{epoch}.jsonl"
+            _atomic_write(directory / results_file, write_results(results, manifest))
 
         if frame._metadata_cache is not None:
             type_overrides = dict(getattr(frame._metadata_cache, "_overrides", {}))

@@ -50,10 +50,13 @@ all degrade to coarser granularity — never to a wrong result.
 A completed pass lands in the :class:`~repro.service.store.ResultStore`
 keyed on the version it computed — *only* if that version is still
 current, so the store can never be populated with results for data that
-no longer exists.  The frame's own memoized recommendation cache is
-refreshed under the same guard (merging carried VisLists from the
-previous memoized set on incremental passes), making in-process prints
-free too.
+no longer exists.  Publishing is where each recomputed payload is
+encoded to its JSON wire bytes, once; the session's view of the pass
+(:meth:`~repro.service.session.Session.publish_view`, carried actions
+merged in from the previous view) and the frame's own memoized
+recommendation cache are refreshed under the same guard (the latter
+merging carried VisLists from the previous memoized set on incremental
+passes), making in-process reads and prints free too.
 
 Backpressure (``config.precompute_queue_limit``)
 ------------------------------------------------
@@ -87,6 +90,7 @@ bit-identical to an unloaded run — the property
 
 from __future__ import annotations
 
+import json
 import math
 import threading
 import time
@@ -708,7 +712,7 @@ class PrecomputeEngine:
                 session_id, prev_version, candidate_entry(name, e.vis_key)
             )
             if record is not None:
-                payload = record["payload"]
+                payload = json.loads(record["payload"])
                 approx = payload.get("approx")
                 score = payload.get("score")
             vis = prev_vis.get(e.vis_key)
@@ -868,6 +872,7 @@ class PrecomputeEngine:
             origins=origins or None,
             vis_origins=vis_origins or None,
         )
+        session.publish_view(version, payloads, carried=(plan.prev_version, plan.carried))
         # Per-candidate score records: fresh ones for every executed
         # action, carried ones for fully carried actions (best effort —
         # these are advisory, so misses are not counted or retried).

@@ -12,7 +12,11 @@ Reads go store-first: :meth:`Session.recommendations` returns straight
 from the :class:`~repro.service.store.ResultStore` when the background
 precompute engine already ran a pass at the current version (a dictionary
 lookup — zero executor work), and falls back to a synchronous foreground
-pass that back-fills the store otherwise.
+pass that back-fills the store otherwise.  The store holds each action's
+JSON bytes; wire readers take them as they are (``raw=True``), while
+in-process readers get dicts from the session's *view* — the decoded
+payloads of the pass it last published — and decode stored bytes only
+when no view matches.
 
 :class:`SessionManager` wires the three service pieces together (registry,
 store, precompute engine) and is what the HTTP API holds.
@@ -25,7 +29,6 @@ import threading
 import time
 import uuid
 import warnings
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
 from ..core import telemetry
@@ -34,8 +37,8 @@ from ..core.errors import LuxWarning
 from ..core.frame import LuxDataFrame
 from ..dataframe import DataFrame
 from ..vis.vegalite import spec_payload
+from .persist import read_results
 from .provenance import Provenance
-from .store import MANIFEST
 
 if TYPE_CHECKING:  # pragma: no cover
     from .persist import SnapshotStore
@@ -90,6 +93,10 @@ class Session:
         #: Lazily-rehydrated snapshot results: ``(path, version)`` set by
         #: a snapshot restore, consumed by the first read.
         self._pending_results: "tuple[Any, tuple[int, int]] | None" = None  # guarded-by: lock
+        #: ``(version, {action: payload dict})`` of the last published
+        #: pass: in-process store-hit reads at that version are dict
+        #: lookups instead of decoding the stored bytes.
+        self._view: "tuple[tuple[int, int], dict[str, Any]] | None" = None  # guarded-by: lock
 
     # ------------------------------------------------------------------
     @property
@@ -162,6 +169,7 @@ class Session:
         action: str | None = None,
         compute: bool = True,
         v1: bool = False,
+        raw: bool = False,
     ) -> dict[str, Any] | None:
         """Recommendations at the frame's current version, store-first.
 
@@ -174,37 +182,35 @@ class Session:
         exists for this frame); ``compute=False`` returns None on a store
         miss (the probe the benchmarks and tests use).  ``v1`` selects the
         typed ``provenance`` envelope instead of the legacy ``freshness``
-        dict — same payloads, richer (per-vis) provenance.
+        dict — same payloads, richer (per-vis) provenance.  ``raw`` leaves
+        each stored payload as its JSON bytes, for the wire writer
+        (:func:`repro.service.wire.dumps`) to splice in.
         """
         with telemetry.span("session.read", session=self.id) as read_span:
-            response = self._recommendations_inner(action, compute, v1)
+            response = self._recommendations_inner(action, compute, v1, raw)
             if response is not None:
                 envelope = response.get("provenance") or response["freshness"]
                 read_span.attrs["origin"] = envelope["origin"]
             return response
 
     def _recommendations_inner(
-        self, action: str | None, compute: bool, v1: bool = False
+        self, action: str | None, compute: bool, v1: bool, raw: bool
     ) -> dict[str, Any] | None:
         self._hydrate_results()
         version = self.version
-        if action is not None:
+        if action is not None and self.store is not None:
             # A completed pass knows its action set: reject unknown names
             # without burning a foreground recomputation per request.
-            manifest = (
-                self.store.get(self.id, version, MANIFEST)
-                if self.store is not None
-                else None
-            )
-            if manifest is not None and action not in manifest["payload"]:
+            names = self.store.manifest(self.id, version)
+            if names is not None and action not in names:
                 raise KeyError(f"no such action: {action!r}")
-        stored = self._read_store(version, action, v1)
+        stored = self._read_store(version, action, v1, raw)
         if stored is not None:
             return stored
         if not compute:
             return None
         self._compute_foreground(version)
-        stored = self._read_store(self.version, action, v1)
+        stored = self._read_store(self.version, action, v1, raw)
         if stored is not None:
             return stored
         # Store rejected the payload (budget) or the frame mutated while
@@ -235,10 +241,8 @@ class Session:
             if self.store is None or self.version != version:
                 return
             try:
-                saved = json.loads(Path(path).read_text("utf-8"))
-                self.store.restore_pass(
-                    self.id, version, saved["records"], saved.get("manifest")
-                )
+                manifest, records = read_results(path)
+                self.store.restore_pass(self.id, version, records, manifest)
             except Exception as exc:
                 telemetry.get_logger("session").warning(
                     "rehydration_failed", session=self.id, error=str(exc)
@@ -248,7 +252,7 @@ class Session:
                 )
 
     def _read_store(
-        self, version: tuple[int, int], action: str | None, v1: bool = False
+        self, version: tuple[int, int], action: str | None, v1: bool, raw: bool
     ) -> dict[str, Any] | None:
         if self.store is None:
             return None
@@ -267,7 +271,10 @@ class Session:
         # carried-forward ("carried") actions; the overall origin reports
         # "mixed" and the per-action map tells the two apart.
         origin = distinct.pop() if len(distinct) == 1 else "mixed"
-        payloads = {name: r["payload"] for name, r in records.items()}
+        if raw:
+            payloads = {name: r["payload"] for name, r in records.items()}
+        else:
+            payloads = self._decode(version, records)
         oldest = min(r["computed_at"] for r in records.values())
         vis_origins = {
             name: r["vis_origins"]
@@ -283,6 +290,40 @@ class Session:
             vis_origins=vis_origins or None,
             v1=v1,
         )
+
+    def _decode(
+        self, version: tuple[int, int], records: dict[str, dict[str, Any]]
+    ) -> dict[str, Any]:
+        """Stored records -> payload dicts, from the view where it matches."""
+        with self.lock:
+            view = self._view
+        known = view[1] if view is not None and view[0] == version else {}
+        return {
+            name: known[name] if name in known else json.loads(r["payload"])
+            for name, r in records.items()
+        }
+
+    def publish_view(
+        self,
+        version: tuple[int, int],
+        payloads: dict[str, Any],
+        carried: "tuple[tuple[int, int], list[str]] | None" = None,
+    ) -> None:
+        """Record the decoded payloads of the pass just stored at ``version``.
+
+        ``carried`` is ``(previous_version, names)`` for actions an
+        incremental pass carried instead of recomputing: their dicts come
+        from the previous view when it is at that version (otherwise they
+        are left out and decoded from the store on read).
+        """
+        with self.lock:
+            view = dict(payloads)
+            if carried is not None and self._view is not None:
+                prev_version, names = carried
+                if self._view[0] == prev_version:
+                    prev = self._view[1]
+                    view.update((n, prev[n]) for n in names if n in prev)
+            self._view = (version, view)
 
     def _respond(
         self,
@@ -330,6 +371,7 @@ class Session:
                 self.store.put_pass(
                     self.id, version, payloads, origin="foreground"
                 )
+                self.publish_view(version, payloads)
 
     def _serialize_current(self) -> dict[str, Any]:
         """Serialize the frame's memoized recommendation set per action."""

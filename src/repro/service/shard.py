@@ -33,11 +33,12 @@ vocabulary the single-process HTTP backend shares):
   (warm recovery), and serves until a ``shutdown`` request (which flushes
   snapshots) or pipe EOF (supervisor died).
 
-Recommendation payloads cross the pipe pre-serialized (``payload_json``):
-the supervisor forwards the bytes to the HTTP client without ever parsing
-the (potentially large) spec payloads, keeping the router thin enough
-that reads/s scale with worker count instead of saturating the parent's
-GIL.
+Recommendation payloads cross the pipe pre-serialized (``payload_json``,
+the stored payload bytes spliced into the response envelope by
+:func:`repro.service.wire.dumps`): the supervisor forwards the bytes to
+the HTTP client without ever parsing the (potentially large) spec
+payloads, keeping the router thin enough that reads/s scale with worker
+count instead of saturating the parent's GIL.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from ..core.errors import LuxError
 from ..core.executor.cache import computation_cache
 from ..dataframe.io import read_csv_string
 from . import metrics as service_metrics
+from . import wire
 from .precompute import QueueSaturated
 from .session import Session, SessionManager
 
@@ -377,13 +379,14 @@ class ShardService:
         action = params.get("action")
         try:
             response = session.recommendations(
-                action=action, v1=bool(params.get("v1"))
+                action=action, v1=bool(params.get("v1")), raw=True
             )
         except KeyError:
             raise RequestError(404, f"no such action: {action!r}") from None
-        # Pre-serialized passthrough: the supervisor forwards these bytes
+        # Pre-serialized passthrough: the stored payload bytes are spliced
+        # into the envelope here, and the supervisor forwards the result
         # to the HTTP client without parsing the payload structure.
-        return {"payload_json": json.dumps(response)}
+        return {"payload_json": wire.dumps(response)}
 
     def _healthz(self, _params: dict[str, Any]) -> dict[str, Any]:
         return {**healthz_payload(self.manager), "shard": self.shard_index}
@@ -428,25 +431,28 @@ _RAW_SEP = b"\x00"
 def encode_frame(response: dict[str, Any]) -> bytes:
     """Encode one response frame, hoisting a pre-serialized payload.
 
-    A result of exactly ``{"payload_json": "<json text>"}`` is framed as
-    ``envelope NUL payload`` instead of being embedded in the envelope.
-    Embedding would JSON-escape the (potentially megabytes-large) payload
-    string a second time and force the supervisor to parse it back out —
-    doubling the serialization cost of every recommendation read, the
-    tier's hottest path.
+    A result of exactly ``{"payload_json": <json text or bytes>}`` is
+    framed as ``envelope NUL payload`` instead of being embedded in the
+    envelope.  Embedding would JSON-escape the (potentially
+    megabytes-large) payload string a second time and force the
+    supervisor to parse it back out — doubling the serialization cost of
+    every recommendation read, the tier's hottest path.
     """
     result = response.get("result")
     if (
         isinstance(result, dict)
         and len(result) == 1
-        and isinstance(result.get("payload_json"), str)
+        and isinstance(result.get("payload_json"), (str, bytes))
     ):
         envelope = {k: v for k, v in response.items() if k != "result"}
         envelope["raw"] = "payload_json"
+        payload = result["payload_json"]
+        if isinstance(payload, str):
+            payload = payload.encode("utf-8")
         return (
             json.dumps(envelope, separators=(",", ":")).encode("utf-8")
             + _RAW_SEP
-            + result["payload_json"].encode("utf-8")
+            + payload
         )
     return json.dumps(response, separators=(",", ":")).encode("utf-8")
 

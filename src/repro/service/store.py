@@ -1,11 +1,22 @@
 """Versioned recommendation result store: the always-on read path.
 
-Holds serialized vega-lite payloads keyed on ``(session, version, action)``
-where ``version`` is the frame's ``(_data_version, _intent_epoch)`` pair.
-When the background precompute engine wins the race against the analyst's
-next look, a read is a dictionary lookup; when it loses (or an entry was
-evicted), the caller falls back to a foreground pass and back-fills the
+Holds each action's payload as its JSON wire bytes, keyed on
+``(session, version, action)`` where ``version`` is the frame's
+``(_data_version, _intent_epoch)`` pair.  A payload is encoded exactly
+once, when a pass publishes it (:meth:`ResultStore.put` runs
+:func:`repro.service.wire.encode`, the same ``json.dumps`` defaults the
+wire uses), and from then on the entry *is* the bytes: HTTP responses
+splice them into a small envelope (:func:`repro.service.wire.dumps`),
+shard RPC frames and snapshot results files carry them through
+untouched, and :meth:`ResultStore.get` hands them out as ``bytes``.
+In-process readers that want dicts get them from the session's view of
+its last published pass (see :mod:`repro.service.session`), not from the
 store.
+
+When the background precompute engine wins the race against the
+analyst's next look, a read is a dictionary lookup; when it loses (or an
+entry was evicted), the caller falls back to a foreground pass and
+back-fills the store.
 
 Staleness is impossible by construction, not by invalidation: readers key
 their lookup on the frame's *current* version, so entries recorded at any
@@ -15,14 +26,13 @@ instead of being chased by invalidation hooks; closing a session drops its
 entries eagerly.
 
 The store is byte-budgeted (``config.service_store_budget_mb``) with exact
-accounting — every payload is measured as its serialized JSON byte length
-at insertion (payloads are JSON-safe by contract; see
-``repro.vis.vegalite.spec_payload``).  Entries whose size alone exceeds
-the whole budget are rejected rather than stored: caching one would evict
-everything else and then be evicted itself.
+accounting: an entry's size is ``len()`` of its bytes, so the budget
+bounds the resident payload memory itself.  Entries whose size alone
+exceeds the whole budget are rejected rather than stored: caching one
+would evict everything else and then be evicted itself.
 
 A *pass* (all actions computed against one version) is stored atomically:
-per-action entries plus a manifest listing the action names, so a
+per-action entries plus a manifest (the JSON list of action names), so a
 whole-dashboard read can distinguish "pass complete" from "some actions
 evicted" and recompute only in the latter case.  Evicting a pass member
 also purges the pass's manifest (a manifest naming missing entries would
@@ -31,7 +41,7 @@ member it names is resident.
 
 Incremental recomputation adds a third provenance next to ``precompute``
 and ``foreground``: :meth:`ResultStore.carry` re-publishes an action's
-still-valid payload from the previous version under the new one with
+still-valid bytes from the previous version under the new one with
 ``origin == "carried"`` and the original ``computed_at``, so the engine's
 partial passes produce complete, manifest-backed versions without
 recomputing unaffected actions.  Candidate-level reruns go one step
@@ -44,13 +54,13 @@ lists and whose eviction never invalidates a pass.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import OrderedDict
 from typing import Any, Mapping, Sequence
 
 from ..core.config import config
+from .wire import encode
 
 __all__ = ["ResultStore", "candidate_entry"]
 
@@ -77,28 +87,37 @@ def candidate_entry(action: str, vis_key: str) -> str:
 
 
 class _Entry:
-    __slots__ = ("payload", "origin", "computed_at", "nbytes", "vis_origins")
+    __slots__ = ("payload", "origin", "computed_at", "vis_origins")
 
     def __init__(
         self,
-        payload: Any,
+        payload: bytes,
         origin: str,
-        nbytes: int,
         computed_at: float | None = None,
         vis_origins: "dict[str, str] | None" = None,
     ) -> None:
+        #: The JSON wire bytes; ``len(payload)`` is the entry's size.
         self.payload = payload
         self.origin = origin
         self.computed_at = time.time() if computed_at is None else computed_at
-        self.nbytes = nbytes
         #: Per-vis provenance for mixed-origin entries (candidate-level
         #: partial reruns): ``vis_key -> origin``.  None means every vis
         #: shares the entry's ``origin``.
         self.vis_origins = vis_origins
 
 
+class _Manifest(_Entry):
+    """A pass manifest: sized as its JSON bytes, read as the names."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, names: "list[str]", origin: str) -> None:
+        super().__init__(encode(names), origin)
+        self.names = tuple(names)
+
+
 class ResultStore:
-    """Byte-budgeted LRU over serialized recommendation payloads."""
+    """Byte-budgeted LRU over recommendation payloads' JSON bytes."""
 
     def __init__(self, budget_bytes: int | None = None) -> None:
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()  # guarded-by: _lock
@@ -132,29 +151,37 @@ class ResultStore:
         computed_at: float | None = None,
         vis_origins: "dict[str, str] | None" = None,
     ) -> bool:
-        """Insert one action's payload; False when it alone busts the budget."""
-        nbytes = len(json.dumps(payload, separators=(",", ":")))
+        """Encode one action's payload and insert its bytes.
+
+        This is the one place a payload is serialized.  False when the
+        bytes alone bust the budget.
+        """
         entry = _Entry(
-            payload, origin, nbytes, computed_at=computed_at, vis_origins=vis_origins
+            encode(payload), origin, computed_at=computed_at, vis_origins=vis_origins
         )
         return self._insert(self._key(session_id, version, action), entry)
 
     def _insert(self, key: tuple, entry: _Entry) -> bool:
-        """Insert a pre-sized entry and enforce the byte budget."""
+        """Insert an entry and enforce the byte budget."""
         budget = self.budget_bytes()
-        if budget and entry.nbytes > budget:
+        if budget and len(entry.payload) > budget:
             return False
         with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._nbytes -= old.nbytes
-            self._entries[key] = entry
-            self._nbytes += entry.nbytes
-            self._bytes_peak = max(self._bytes_peak, self._nbytes)
-            if budget:
-                while self._nbytes > budget and len(self._entries) > 1:
-                    self._evict_lru()
+            self._insert_locked(key, entry, budget)
         return True
+
+    def _insert_locked(  # requires-lock: _lock
+        self, key: tuple, entry: _Entry, budget: int
+    ) -> None:
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self._nbytes -= len(old.payload)
+        self._entries[key] = entry
+        self._nbytes += len(entry.payload)
+        self._bytes_peak = max(self._bytes_peak, self._nbytes)
+        if budget:
+            while self._nbytes > budget and len(self._entries) > 1:
+                self._evict_lru()
 
     def _evict_lru(self) -> None:  # requires-lock: _lock
         """Drop the LRU entry — and, when it is an action payload, the
@@ -170,12 +197,12 @@ class ResultStore:
         ``self._lock``.
         """
         key, evicted = self._entries.popitem(last=False)
-        self._nbytes -= evicted.nbytes
+        self._nbytes -= len(evicted.payload)
         self._evictions += 1
         if key[2] != MANIFEST and not key[2].startswith(CANDIDATE_PREFIX):
             manifest = self._entries.pop((key[0], key[1], MANIFEST), None)
             if manifest is not None:
-                self._nbytes -= manifest.nbytes
+                self._nbytes -= len(manifest.payload)
 
     def put_pass(
         self,
@@ -214,11 +241,10 @@ class ResultStore:
                 vis_origins=vis_origins.get(action) if vis_origins else None,
             )
         names = list(manifest) if manifest is not None else list(payloads.keys())
-        nbytes = len(json.dumps(names, separators=(",", ":")))
+        entry = _Manifest(names, origin)
         budget = self.budget_bytes()
-        if budget and nbytes > budget:
+        if budget and len(entry.payload) > budget:
             return
-        entry = _Entry(names, origin, nbytes)
         key = self._key(session_id, version, MANIFEST)
         with self._lock:
             if any(
@@ -226,15 +252,7 @@ class ResultStore:
                 for name in names
             ):
                 return
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._nbytes -= old.nbytes
-            self._entries[key] = entry
-            self._nbytes += nbytes
-            self._bytes_peak = max(self._bytes_peak, self._nbytes)
-            if budget:
-                while self._nbytes > budget and len(self._entries) > 1:
-                    self._evict_lru()
+            self._insert_locked(key, entry, budget)
 
     def restore_pass(
         self,
@@ -246,37 +264,22 @@ class ResultStore:
         """Rehydrate a snapshotted pass, preserving each record's provenance.
 
         The service's persistence layer saves the store's own records
-        (payload + origin + ``computed_at``) next to the frame snapshot;
-        on the first read after a restart this re-inserts them verbatim —
-        origins stay ``precompute``/``carried``/``mixed``, ``computed_at``
-        stays the original pass time (so ``freshness.age_s`` reports the
-        true staleness across the restart, not zero).  Returns True when
-        the manifest landed, i.e. the pass is servable whole.
+        (payload bytes + origin + ``computed_at``) next to the frame
+        snapshot; on the first read after a restart this re-inserts them
+        verbatim — the bytes are not decoded, origins stay
+        ``precompute``/``carried``/``mixed``, ``computed_at`` stays the
+        original pass time (so ``freshness.age_s`` reports the true
+        staleness across the restart, not zero).  Returns True when the
+        manifest landed, i.e. the pass is servable whole.
         """
         for action, record in records.items():
-            nbytes = record.get("nbytes")
-            if nbytes is None:
-                self.put(
-                    session_id,
-                    version,
-                    action,
-                    record["payload"],
-                    origin=record.get("origin", "precompute"),
-                    computed_at=record.get("computed_at"),
-                    vis_origins=record.get("vis_origins"),
-                )
-            else:
-                # The snapshot recorded the exact accounting size at the
-                # original insertion — reuse it instead of re-serializing
-                # every payload on the (latency-critical) warm path.
-                entry = _Entry(
-                    record["payload"],
-                    record.get("origin", "precompute"),
-                    int(nbytes),
-                    computed_at=record.get("computed_at"),
-                    vis_origins=record.get("vis_origins"),
-                )
-                self._insert(self._key(session_id, version, action), entry)
+            entry = _Entry(
+                record["payload"],
+                record.get("origin", "precompute"),
+                computed_at=record.get("computed_at"),
+                vis_origins=record.get("vis_origins"),
+            )
+            self._insert(self._key(session_id, version, action), entry)
         names = list(manifest) if manifest is not None else list(records)
         self.put_pass(session_id, version, {}, manifest=names)
         with self._lock:
@@ -306,56 +309,62 @@ class ResultStore:
             entry = self._entries.get(self._key(session_id, old_version, action))
             if entry is None:
                 return False
-            # Reuse the source's exact byte size: re-serializing the
-            # payload here would put O(payload) CPU back on the very path
-            # whose point is doing no work for unaffected actions.
-            copied = _Entry(
-                entry.payload, "carried", entry.nbytes, computed_at=entry.computed_at
-            )
+            # The bytes are shared, not copied: carrying costs no payload
+            # work on the very path whose point is doing none for
+            # unaffected actions.
+            copied = _Entry(entry.payload, "carried", computed_at=entry.computed_at)
         ok = self._insert(self._key(session_id, new_version, action), copied)
         if ok and not action.startswith(CANDIDATE_PREFIX):
             with self._lock:
                 self._carried += 1
         return ok
 
+    def _lookup(self, key: tuple) -> _Entry | None:  # requires-lock: _lock
+        """The entry at ``key`` (touched for LRU), counting the hit or miss."""
+        entry = self._entries.get(key)
+        if entry is None:
+            self._misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self._hits += 1
+        return entry
+
     def get(
         self, session_id: str, version: tuple, action: str
     ) -> dict[str, Any] | None:
         """One action's stored record at exactly ``version``, or None.
 
-        The returned dict wraps the payload with provenance (``origin``,
-        ``computed_at``) so the API can report freshness.
+        The record wraps the payload's JSON bytes with provenance
+        (``origin``, ``computed_at``) so the API can report freshness.
         """
-        key = self._key(session_id, version, action)
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._lookup(self._key(session_id, version, action))
             if entry is None:
-                self._misses += 1
                 return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            # nbytes rides along so snapshots can persist each record's
-            # exact accounting size; restore_pass then re-inserts without
-            # re-serializing the payload just to measure it.
             record = {
                 "payload": entry.payload,
                 "origin": entry.origin,
                 "computed_at": entry.computed_at,
-                "nbytes": entry.nbytes,
             }
             if entry.vis_origins is not None:
                 record["vis_origins"] = dict(entry.vis_origins)
             return record
 
+    def manifest(self, session_id: str, version: tuple) -> list[str] | None:
+        """The action names of a completed pass at ``version``, or None."""
+        with self._lock:
+            entry = self._lookup(self._key(session_id, version, MANIFEST))
+            return None if entry is None else list(entry.names)
+
     def get_pass(
         self, session_id: str, version: tuple
     ) -> dict[str, dict[str, Any]] | None:
         """All actions of a completed pass at ``version``; None on any gap."""
-        manifest = self.get(session_id, version, MANIFEST)
-        if manifest is None:
+        names = self.manifest(session_id, version)
+        if names is None:
             return None
         out: dict[str, dict[str, Any]] = {}
-        for action in manifest["payload"]:
+        for action in names:
             record = self.get(session_id, version, action)
             if record is None:  # evicted under byte pressure
                 return None
@@ -368,7 +377,7 @@ class ResultStore:
         with self._lock:
             doomed = [k for k in self._entries if k[0] == session_id]
             for key in doomed:
-                self._nbytes -= self._entries.pop(key).nbytes
+                self._nbytes -= len(self._entries.pop(key).payload)
             return len(doomed)
 
     def clear(self) -> None:

@@ -1,10 +1,11 @@
 """VisSpec -> Vega-Lite v5 JSON dict, plus wire-safe payloads.
 
-:func:`to_vegalite` builds the chart spec for notebook/HTML rendering;
+:func:`to_vegalite` builds the chart spec for notebook/HTML rendering,
+sanitizing every inline ``data.values`` cell as it builds the rows;
 :func:`spec_payload` wraps it into the fully JSON-serializable record the
-recommendation service stores and serves (deep-sanitized via
-:func:`json_safe`, so numpy scalars and datetimes can never leak into a
-stored payload and fail at response time).
+recommendation service stores and serves (the rest of the spec is
+deep-sanitized via :func:`json_safe`, so numpy scalars and datetimes can
+never leak into a stored payload and fail at response time).
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ _SCHEMA = "https://vega.github.io/schema/vega-lite/v5.json"
 def _json_safe(value: Any) -> Any:
     if value is None:
         return None
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):
@@ -80,8 +83,6 @@ def json_safe(value: Any) -> Any:
         return [json_safe(v) for v in value]
     if isinstance(value, np.ndarray):
         return [json_safe(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
     return _json_safe(value)
 
 
@@ -99,6 +100,12 @@ def spec_payload(spec: VisSpec, score: float | None = None) -> dict[str, Any]:
     """
     from .spec import candidate_key
 
+    vegalite = to_vegalite(spec)
+    # to_vegalite already sanitized every ``data.values`` cell; the deep
+    # walk covers the rest of the spec (the data slot keeps its key order).
+    data, vegalite["data"] = vegalite["data"], None
+    vegalite = json_safe(vegalite)
+    vegalite["data"] = data
     return {
         "key": candidate_key(spec),
         "title": spec.title,
@@ -106,7 +113,7 @@ def spec_payload(spec: VisSpec, score: float | None = None) -> dict[str, Any]:
         "fields": spec.fields(),
         "filters": json_safe([list(f) for f in spec.filters]),
         "score": None if score is None else round(float(score), 6),
-        "vegalite": json_safe(to_vegalite(spec)),
+        "vegalite": vegalite,
     }
 
 

@@ -248,7 +248,9 @@ class TestCarryForwardStore:
         first = store.get("s", (1, 0), "A")
         assert store.carry("s", (1, 0), (2, 0), "A") is True
         carried = store.get("s", (2, 0), "A")
-        assert carried["payload"] == {"count": 3}
+        # The entry is the payload's JSON bytes; carrying shares them.
+        assert carried["payload"] == b'{"count": 3}'
+        assert carried["payload"] is first["payload"]
         assert carried["origin"] == "carried"
         assert carried["computed_at"] == first["computed_at"]
         assert store.stats()["carried"] == 1

@@ -56,7 +56,8 @@ class TestResultStore:
     def test_get_put_versioned(self):
         store = ResultStore()
         store.put("s", (1, 0), "A", {"count": 1})
-        assert store.get("s", (1, 0), "A")["payload"] == {"count": 1}
+        # The entry is the payload's JSON bytes, encoded as the wire does.
+        assert store.get("s", (1, 0), "A")["payload"] == json.dumps({"count": 1}).encode()
         assert store.get("s", (2, 0), "A") is None
         assert store.get("other", (1, 0), "A") is None
 
