@@ -1,11 +1,42 @@
-"""Shared fixtures: config isolation and common frames."""
+"""Shared fixtures: config isolation, common frames, hypothesis profiles.
+
+Two hypothesis profiles, selectable with ``--hypothesis-profile``:
+
+- ``ci`` (the default): derandomized and bounded, so every run replays
+  the same examples in seconds;
+- ``soak``: a long randomized run of the stateful oracle
+  (``tests/service/test_oracle.py``) for local soak testing.
+
+Tests that pin ``max_examples`` in their own ``@settings`` keep it under
+either profile.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro import LuxDataFrame, config_overlay
+
+settings.register_profile(
+    "ci",
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=12,
+    stateful_step_count=8,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.register_profile(
+    "soak",
+    deadline=None,
+    max_examples=200,
+    stateful_step_count=20,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+# The hypothesis plugin loads a --hypothesis-profile after this module.
+settings.load_profile("ci")
 
 
 @pytest.fixture(autouse=True)

@@ -1,0 +1,231 @@
+"""Stateful differential oracle for the always-on service.
+
+A hypothesis state machine drives one watched session through random
+mutations — column edits, schema changes, row-set changes, intent and
+type-override changes — interleaved with config flips and store wipes.
+After every step, once the precompute engine is idle, the served
+recommendations must equal those of a *cold* ``LuxDataFrame`` rebuilt
+from the session frame's current columns, intent and type overrides:
+every reuse layer (metadata stamps, computation-cache migration,
+candidate and action reuse in the engine) is an equivalence claim
+against that cold, serial path.
+
+Profiles (``tests/conftest.py``): ``ci`` replays a small derandomized
+run; ``--hypothesis-profile soak`` runs the long randomized one.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro import LuxDataFrame, config
+from repro.core.config import thread_overlay
+from repro.service import SessionManager, serialize_recommendations
+
+ROWS = 240
+
+
+def make_frame() -> LuxDataFrame:
+    rng = np.random.default_rng(11)
+    q0 = np.round(rng.normal(0, 1, ROWS), 4)
+    q0[::17] = np.nan  # a measure holding NaN
+    return LuxDataFrame(
+        {
+            "q0": q0,
+            "q1": np.round(rng.lognormal(1, 0.4, ROWS), 4),
+            "q2": np.round(rng.uniform(-5, 5, ROWS), 4),
+            "q3": np.round(rng.normal(3, 2, ROWS), 4),
+            "i0": rng.integers(0, 20, ROWS),
+            "d0": rng.choice(["a", "b", "c"], ROWS).tolist(),
+            "d1": rng.choice(["u", "v"], ROWS).tolist(),
+        }
+    )
+
+
+def cold_actions(frame: LuxDataFrame, intent: list, overrides: dict) -> dict:
+    """Recommendations of a fresh frame holding ``frame``'s current state."""
+    cold = LuxDataFrame({name: frame[name] for name in frame.columns})
+    with thread_overlay(dict(overrides, streaming=False)):
+        types = {
+            name: kind
+            for name, kind in getattr(frame.metadata, "_overrides", {}).items()
+            if name in cold.columns
+        }
+        if types:
+            cold.set_data_type(types)
+        if intent:
+            cold.intent = list(intent)
+        return serialize_recommendations(cold.recommendations)
+
+
+class ServiceOracle(RuleBasedStateMachine):
+    #: Config overrides the session is created with.
+    OVERRIDES: dict = {}
+
+    def __init__(self) -> None:
+        super().__init__()
+        config.precompute = True
+        config.precompute_debounce_s = 0.0
+        config.incremental_precompute = True
+        self.manager = SessionManager()
+        self.session = None
+        self.intent: list[str] = []
+        self.added = 0
+        #: Whether the last step moved the session's version (a pass must
+        #: then have published, not just a foreground fallback served).
+        self.moved = False
+
+    @initialize()
+    def start(self) -> None:
+        self.session = self.manager.create(make_frame(), overrides=self.OVERRIDES)
+        self.moved = True
+
+    def teardown(self) -> None:
+        self.manager.shutdown()
+
+    # ------------------------------------------------------------------
+    @property
+    def frame(self) -> LuxDataFrame:
+        return self.session.frame
+
+    def columns(self, kinds: tuple[str, ...] = ()) -> list[str]:
+        meta = self.frame.metadata
+        return [
+            name
+            for name in self.frame.columns
+            if not kinds or meta[name].data_type in kinds
+        ]
+
+    def free_columns(self) -> list[str]:
+        """Columns the intent does not reference (safe to drop or rename)."""
+        return [c for c in self.frame.columns if c not in self.intent]
+
+    # ------------------------------------------------------------------
+    @rule(data=st.data())
+    def reverse_column(self, data) -> None:
+        name = data.draw(st.sampled_from(self.columns()))
+        self.session.mutate(name, self.frame[name].to_list()[::-1])
+        self.moved = True
+
+    @precondition(lambda self: self.columns(("quantitative",)))
+    @rule(data=st.data(), factor=st.sampled_from([2.0, -0.5]))
+    def scale_measure(self, data, factor) -> None:
+        name = data.draw(st.sampled_from(self.columns(("quantitative",))))
+        self.session.mutate(name, (self.frame[name] * factor).to_list())
+        self.moved = True
+
+    @rule(nominal=st.booleans())
+    def add_column(self, nominal) -> None:
+        self.added += 1
+        rng = np.random.default_rng(self.added)
+        values = (
+            rng.choice(["x", "y", "z"], len(self.frame)).tolist()
+            if nominal
+            else np.round(rng.normal(0, 1, len(self.frame)), 4).tolist()
+        )
+        self.session.mutate(f"n{self.added}", values)
+        self.moved = True
+
+    @precondition(lambda self: len(self.free_columns()) > 2)
+    @rule(data=st.data())
+    def drop_column(self, data) -> None:
+        name = data.draw(st.sampled_from(self.free_columns()))
+        with self.session.lock:
+            self.frame.drop(name, inplace=True)
+        self.moved = True
+
+    @precondition(lambda self: self.free_columns())
+    @rule(data=st.data())
+    def rename_column(self, data) -> None:
+        name = data.draw(st.sampled_from(self.free_columns()))
+        self.added += 1
+        with self.session.lock:
+            self.frame.rename({name: f"r{self.added}"}, inplace=True)
+        self.moved = True
+
+    @rule()
+    def fillna(self) -> None:
+        with self.session.lock:
+            self.frame.fillna(0.0, inplace=True)
+        self.moved = True
+
+    @precondition(lambda self: len(self.frame) > 40)
+    @rule(data=st.data())
+    def dropna(self, data) -> None:
+        # Plant a null first so the row set really shrinks.
+        name = data.draw(st.sampled_from(self.columns(("quantitative",)) or ["-"]))
+        with self.session.lock:
+            if name in self.frame.columns:
+                values = self.frame[name].to_list()
+                values[len(values) // 2] = None
+                self.frame[name] = values
+            self.frame.dropna(inplace=True)
+        self.moved = True
+
+    @precondition(lambda self: self.columns(("quantitative", "nominal")))
+    @rule(data=st.data())
+    def set_intent(self, data) -> None:
+        name = data.draw(st.sampled_from(self.columns(("quantitative", "nominal"))))
+        self.intent = [name]
+        self.session.set_intent(self.intent)
+        self.moved = True
+
+    @rule()
+    def clear_intent(self) -> None:
+        self.intent = []
+        self.session.set_intent(None)
+        self.moved = True
+
+    @precondition(lambda self: "i0" in self.frame.columns)
+    @rule(kind=st.sampled_from(["nominal", "quantitative"]))
+    def set_data_type(self, kind) -> None:
+        with self.session.lock:
+            self.frame.set_data_type({"i0": kind})
+        self.moved = True
+
+    @rule()
+    def flip_incremental(self) -> None:
+        config.incremental_precompute = not config.incremental_precompute
+        self.moved = False
+
+    @rule()
+    def clear_store(self) -> None:
+        self.manager.store.clear()
+        self.moved = False
+
+    # ------------------------------------------------------------------
+    @invariant()
+    def served_equals_cold(self) -> None:
+        if self.session is None:
+            return
+        assert self.manager.engine.wait_idle(60), self.manager.engine.stats()
+        if self.moved:
+            stored = self.session.recommendations(compute=False)
+            assert stored is not None, self.manager.engine.stats()
+        served = self.session.recommendations()
+        assert served["data_version"] == list(self.session.version)
+        expected = cold_actions(self.frame, self.intent, self.OVERRIDES)
+        assert served["actions"] == expected
+
+
+class OverrideOracle(ServiceOracle):
+    """The same oracle for a session with config overrides.
+
+    The overrides shrink ``top_k`` and sample the 240-row frame, so the
+    two-pass ranking (approximate scores on the sample, exact scores on
+    the survivors) runs on every ranked action.
+    """
+
+    OVERRIDES = {"top_k": 3, "sampling_start": 100, "sampling_cap": 80}
+
+
+TestServiceOracle = ServiceOracle.TestCase
+TestOverrideOracle = OverrideOracle.TestCase
