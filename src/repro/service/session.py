@@ -508,13 +508,18 @@ class SessionManager:
             session = self._sessions.pop(session_id, None)
         if session is None:
             return False
-        self.engine.unwatch(session)
-        self.store.drop_session(session_id)
-        if drop_snapshot and self.snapshots is not None:
-            # An explicitly closed session is gone for good; only a
-            # shutdown flush keeps snapshots (drop_snapshot=False) so the
-            # next process can recover them.
-            self.snapshots.drop(session_id)
+        # Under the session lock, in a pass's lock order (session, then
+        # engine): a pass that is publishing finishes its store insert and
+        # snapshot save first, and every later pass sees the cancel set by
+        # unwatch, so nothing re-creates what is dropped here.
+        with session.lock:
+            self.engine.unwatch(session)
+            self.store.drop_session(session_id)
+            if drop_snapshot and self.snapshots is not None:
+                # An explicitly closed session is gone for good; only a
+                # shutdown flush keeps snapshots (drop_snapshot=False) so
+                # the next process can recover them.
+                self.snapshots.drop(session_id)
         return True
 
     def ids(self) -> list[str]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -129,6 +130,46 @@ def test_close_drops_snapshot_but_shutdown_keeps_it(tmp_path):
         assert snaps.ids() == [keep.id]
         manager.shutdown()  # shutdown: sessions must survive restarts
         assert snaps.ids() == [keep.id]
+
+
+def test_close_waits_for_a_publishing_pass(tmp_path):
+    """Regression: close() raced a pass that was publishing.
+
+    The pass holds the session lock from its last cancel check through
+    the store insert and the snapshot save.  A close that did not take
+    that lock returned mid-publish; the pass then re-inserted the closed
+    session's entries and re-created its snapshot directory, so the next
+    restore_sessions() brought a deleted session back.
+    """
+    with config_overlay(precompute_debounce_s=0.0):
+        manager, snaps = build_manager(tmp_path)
+        session = manager.create(make_scenario("wide", n_rows=100))
+        assert manager.engine.wait_idle(30)
+        entered, release = threading.Event(), threading.Event()
+        publish = session.publish_view
+
+        def blocking_publish(*args, **kwargs):
+            entered.set()
+            release.wait(30)
+            return publish(*args, **kwargs)
+
+        session.publish_view = blocking_publish
+        closer = threading.Thread(target=manager.close, args=(session.id,))
+        try:
+            session.mutate("q_int_0")
+            assert entered.wait(30)
+            closer.start()
+            closer.join(0.2)
+            blocked = closer.is_alive()
+        finally:
+            release.set()
+        closer.join(30)
+        with session.lock:  # the pass has left its publishing section
+            pass
+        manager.shutdown()
+        assert manager.store.stats()["sessions"] == 0
+        assert snaps.ids() == []
+        assert blocked  # close waited behind the publishing pass
 
 
 def test_corrupt_snapshot_is_skipped_not_fatal(tmp_path):
