@@ -146,11 +146,13 @@ def _exact_scored(
     exact: dict[int, float] = {}
     fresh: list[CompiledVis] = []
     for cand in candidates:
+        # Drop pass-1 data, which came from the sample — also for a
+        # candidate whose exact score is reused, or it would be displayed.
+        cand.spec.data = None
         p = prior_of(cand) if prior_of is not None else None
         if p is not None and p.score is not None:
             exact[id(cand)] = p.score  # check: ignore[unstable-key]
         else:
-            cand.spec.data = None
             fresh.append(cand)
     _prefetch_for_scoring(fresh, frame, executor)
     for cand in fresh:

@@ -17,7 +17,7 @@ from repro.core.optimizer.cost_model import (
     estimate_vis_cost,
     prune_is_beneficial,
 )
-from repro.core.optimizer.sampling import get_sample, rank_candidates
+from repro.core.optimizer.sampling import CandidatePrior, get_sample, rank_candidates
 from repro.core.optimizer.scheduler import run_actions, schedule_actions
 
 
@@ -131,6 +131,34 @@ class TestRankCandidates:
         exact_sigs = [v.spec.signature() for v in exact]
         pruned_sigs = [v.spec.signature() for v in pruned]
         assert set(exact_sigs) == set(pruned_sigs)
+
+    def test_prior_score_never_displays_sample_data(self):
+        """Regression: a prior exact score kept pass-1 display data.
+
+        Pass 1 executes every candidate on the sample.  A survivor whose
+        exact score came from a prior (with no prior Vis) skipped the
+        reset of that sample data, so the displayed chart showed sample
+        counts instead of the full frame's.
+        """
+        rng = np.random.default_rng(3)
+        n = 600
+        frame = LuxDataFrame(
+            {f"d{i}": rng.choice(["x", "y", "z"], n).tolist() for i in range(6)}
+        )
+        config.sampling_start, config.sampling_cap = 100, 120
+
+        def candidates():
+            return OccurrenceAction().candidates(frame)
+
+        config.early_pruning = False
+        records: dict = {}
+        rank_candidates(candidates(), frame, k=6, records=records)
+        priors = {key: CandidatePrior(score=r["score"]) for key, r in records.items()}
+        config.early_pruning = True
+        cold = rank_candidates(candidates(), frame, k=3)
+        warm = rank_candidates(candidates(), frame, k=3, prior=priors)
+        assert [v.spec.data for v in warm] == [v.spec.data for v in cold]
+        assert all(sum(r["count"] for r in v.spec.data) == n for v in warm)
 
     def test_prune_recall_high_on_correlated_data(self):
         rng = np.random.default_rng(1)
