@@ -1,4 +1,4 @@
-"""Incremental recomputation benchmark: delta-scoped background passes.
+"""Incremental recomputation benchmark: content-keyed background passes.
 
 Measures the precompute engine's steady-state background work on the
 shared-scan frame shape (6 measures x 3 dims, the 40+-candidate
@@ -6,17 +6,19 @@ recommendation pass) when a *single column* changes between passes:
 
 - ``full_pass``:        ``config.incremental_precompute = False``; every
   version bump reruns the whole applicable action set, as PR 4 shipped.
-- ``incremental_pass``: the mutation's column-level delta is intersected
-  with each action's input footprint; only the affected actions rerun
-  and the rest are carried forward in the store (provenance ``carried``).
+- ``incremental_pass``: each candidate vis is keyed by its inputs (the
+  metadata stamps of the columns it reads, the intent epoch when it
+  depends on intent, the effective config); an action whose candidate
+  keys all match the previous pass is reused whole (provenance
+  ``carried``), and only candidates with new keys recompute.
 
 The mutated column is a *dimension* (``d1``), so the expensive actions
-(Correlation over 15 measure pairs, Distribution over 6 histograms) are
-unaffected and only Occurrence reruns — and within Occurrence only the
-``d1`` candidate recomputes; the other dimensions' vis are carried at
+(Correlation over 15 measure pairs, Distribution over 6 histograms) keep
+their keys and only Occurrence reruns — and within Occurrence only the
+``d1`` candidate recomputes; the other dimensions' vis are reused at
 candidate granularity (action origin ``mixed``).  Metadata refresh is
-delta-scoped the same way: only the mutated column is rescanned, the
-rest keep their per-column version stamps.
+delta-scoped: only the mutated column is rescanned, so only its stamp
+moves.
 
 Every run emits a ``BENCH_incremental.json`` trajectory artifact and
 gates:
@@ -122,7 +124,7 @@ def measure_passes(
     assert response is not None, "store must hold the final pass"
     info["origins"] = response["freshness"]["actions"]
 
-    # Identity: the stored (partially carried) pass must match a true
+    # Identity: the stored (partly reused) pass must match a true
     # foreground recomputation of the very same version, with the store
     # dropped and the frame's memoized set expired so nothing is reused.
     manager.store.drop_session(session.id)
@@ -137,7 +139,7 @@ def measure_passes(
 def partition_failures(info: dict) -> list[str]:
     """Check the incremental pass reran only the affected subset.
 
-    ``mixed`` counts as rerun: the action executed, carrying a subset of
+    ``mixed`` counts as rerun: the action executed, reusing a subset of
     its candidates — exactly what a single-dimension mutation should
     produce for Occurrence (only the mutated dimension's vis recomputes).
     """
@@ -157,7 +159,7 @@ def partition_failures(info: dict) -> list[str]:
         )
     if info["candidates_carried"] < 1:
         failures.append(
-            "no candidate-level carry: the partially rerun action "
+            "no candidate key hit: the partially rerun action "
             "recomputed every candidate"
         )
     return failures

@@ -23,7 +23,7 @@ from ..vislist import VisList
 if TYPE_CHECKING:  # pragma: no cover
     from ..frame import LuxDataFrame
 
-__all__ = ["Action", "CandidateFootprint", "Footprint", "intent_columns"]
+__all__ = ["Action", "CandidateFootprint", "Footprint", "intent_has_wildcard"]
 
 
 class CandidateFootprint:
@@ -31,9 +31,10 @@ class CandidateFootprint:
 
     ``vis_key`` is the stable identity from :func:`candidate_key`;
     ``columns`` are the columns that executing and scoring this one
-    candidate reads (its axis fields plus its filter attributes);
-    ``intent`` marks candidates whose membership in the search space
-    depends on the frame's intent clauses.
+    candidate reads (its axis fields plus its filter attributes), None
+    when unknown; ``intent`` marks candidates whose membership in the
+    search space depends on the frame's intent clauses.  The precompute
+    engine keys the candidate's result by these inputs.
     """
 
     __slots__ = ("vis_key", "columns", "intent")
@@ -59,78 +60,44 @@ class CandidateFootprint:
 
 
 class Footprint:
-    """An action's declared input set: which columns (and whether intent)
-    its candidate generation and ranking read.
+    """An action's declared inputs, one entry per candidate vis.
 
-    ``columns=None`` means *unknown* — the incremental precompute engine
-    treats the action as affected by every data change (the safe default
-    for user UDF actions).  ``intent=True`` marks a dependence on the
-    frame's intent clauses, so intent-only deltas rerun exactly the
-    intent-reading actions.
-
-    ``candidates`` optionally refines the declaration to per-vis
-    granularity: a list of :class:`CandidateFootprint` entries, one per
-    candidate in the action's search space, letting the engine rerun only
-    the candidates a delta touches and carry the rest at vis granularity.
-    ``candidates=None`` (the default) means the action cannot scope reruns
-    below whole-action granularity.
+    ``candidates`` is a list of :class:`CandidateFootprint` entries, one
+    per candidate in the action's search space: the precompute engine
+    keys each candidate's result by its entry, so a change reruns only the
+    candidates whose inputs it touched.  ``candidates=None`` (the default)
+    means the inputs are unknown and the action reruns whole on every
+    change — the safe default for user UDF actions.
     """
 
-    __slots__ = ("columns", "intent", "_candidates")
+    __slots__ = ("_candidates",)
 
     def __init__(
-        self,
-        columns: "Iterable[str] | None" = None,
-        intent: bool = True,
-        candidates: "Sequence[CandidateFootprint] | None" = None,
+        self, candidates: "Sequence[CandidateFootprint] | None" = None
     ) -> None:
-        self.columns: "frozenset[str] | None" = (
-            None if columns is None else frozenset(str(c) for c in columns)
-        )
-        self.intent = bool(intent)
         self._candidates = None if candidates is None else tuple(candidates)
 
     def candidates(self) -> "tuple[CandidateFootprint, ...] | None":
-        """Per-vis ``(vis_key, columns, intent)`` entries, or None when the
-        action declares at whole-action granularity only."""
+        """Per-vis ``(vis_key, columns, intent)`` entries, or None."""
         return self._candidates
 
-    def union(self, other: "Footprint") -> "Footprint":
-        """The combined action-level input set (used across two passes'
-        declarations).  Candidate entries are *not* unioned here — the
-        engine merges them per ``vis_key`` (see ``PrecomputeEngine``),
-        since entry sets from different passes describe different search
-        spaces."""
-        if self.columns is None or other.columns is None:
-            columns = None
-        else:
-            columns = self.columns | other.columns
-        return Footprint(columns, self.intent or other.intent)
-
     def __repr__(self) -> str:
-        cols = "?" if self.columns is None else sorted(self.columns)
-        n = "-" if self._candidates is None else len(self._candidates)
-        return f"<Footprint columns={cols} intent={self.intent} candidates={n}>"
+        n = "?" if self._candidates is None else len(self._candidates)
+        return f"<Footprint candidates={n}>"
 
 
-def intent_columns(ldf: "LuxDataFrame") -> "frozenset[str] | None":
-    """Column names the current intent references; None on wildcards.
+def intent_has_wildcard(ldf: "LuxDataFrame") -> bool:
+    """Whether an intent clause is a wildcard (it can bind to any column).
 
-    A wildcard clause can bind to any column, so an intent containing one
-    makes the footprint unknowable without enumerating the search space —
-    callers degrade to "affected by everything".
+    Intent-driven actions then declare no candidate entries and rerun
+    whole.
     """
-    columns: set[str] = set()
     for clause in ldf.intent:
         attr = clause.attribute
-        attrs = list(attr) if isinstance(attr, (list, tuple)) else [attr]
-        for name in attrs:
-            if not name:
-                continue
-            if str(name) == WILDCARD:
-                return None
-            columns.add(str(name))
-    return frozenset(columns)
+        attrs = attr if isinstance(attr, (list, tuple)) else [attr]
+        if any(name and str(name) == WILDCARD for name in attrs):
+            return True
+    return False
 
 
 class Action(ABC):
@@ -153,20 +120,16 @@ class Action(ABC):
         """Enumerate the search space of candidate visualizations."""
 
     def footprint(self, ldf: "LuxDataFrame", metadata: Metadata) -> Footprint:
-        """The input set this action's generation reads, under ``metadata``.
+        """The inputs this action's generation reads, under ``metadata``.
 
-        The incremental precompute engine partitions a dirty version into
-        affected vs unaffected actions by intersecting footprints with the
-        mutation delta; an action whose footprint (declared now, unioned
-        with the one recorded at the previous pass) misses every changed
-        column is carried forward instead of rerun.  The default is the
-        conservative *unknown* footprint — always rerun — which is what
-        user UDF actions get unless they override this.
-
-        Concrete actions attach :meth:`candidate_footprints` so the engine
-        can go one level finer and rerun individual candidates.
+        The precompute engine keys each candidate's result by its entry
+        (see :class:`Footprint`) and reruns only candidates whose key
+        changed; an action whose keys all match is reused whole.  The
+        default is the conservative *unknown* footprint — always rerun —
+        which is what user UDF actions get unless they override this.
+        Concrete actions declare :meth:`candidate_footprints`.
         """
-        return Footprint(None, True)
+        return Footprint()
 
     def candidate_footprints(
         self, ldf: "LuxDataFrame", metadata: Metadata, intent: bool = False
@@ -221,16 +184,16 @@ class Action(ABC):
         prior: "dict[str, CandidatePrior]",
         records: "dict[str, dict] | None" = None,
     ) -> VisList:
-        """:meth:`generate` with candidate-level carry.
+        """:meth:`generate` with candidate-level reuse.
 
         ``prior`` maps ``candidate_key`` to :class:`CandidatePrior` state
-        for candidates the caller (the precompute engine) has proven
-        untouched by the mutation delta.  Those candidates reuse their
-        previous scores and, when displayed, their previous processed Vis;
-        everything else is recomputed.  The output is bit-identical to
-        :meth:`generate` — carried values are exactly what a cold pass
-        would recompute.  ``records`` collects per-candidate state for the
-        next pass's prior.
+        for candidates whose inputs the caller (the precompute engine)
+        found unchanged — their content keys match a previous pass.  Those
+        candidates reuse their previous scores and, when displayed, their
+        previous processed Vis; everything else is recomputed.  The output
+        is bit-identical to :meth:`generate` — reused values are exactly
+        what a cold pass would recompute.  ``records`` collects
+        per-candidate state for the next pass to reuse.
         """
         cands = self.candidates(ldf)
         if not cands:

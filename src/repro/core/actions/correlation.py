@@ -51,8 +51,4 @@ class CorrelationAction(Action):
         # Pairs of quantitative attributes: intent never enters the space.
         # Candidate entries let a single-measure mutation re-score only
         # the pairs touching that measure.
-        return Footprint(
-            metadata.measures,
-            intent=False,
-            candidates=self.candidate_footprints(ldf, metadata),
-        )
+        return Footprint(candidates=self.candidate_footprints(ldf, metadata))

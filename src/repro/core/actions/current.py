@@ -6,7 +6,7 @@ from typing import TYPE_CHECKING
 
 from ..compiler import CompiledVis
 from ..metadata import Metadata
-from .base import Action, Footprint, intent_columns
+from .base import Action, Footprint, intent_has_wildcard
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..frame import LuxDataFrame
@@ -33,12 +33,9 @@ class CurrentVisAction(Action):
         return 0.0
 
     def footprint(self, ldf: "LuxDataFrame", metadata: Metadata) -> Footprint:
-        # Reads exactly the intent's columns (unknown under wildcards).
-        columns = intent_columns(ldf)
-        if columns is None:
-            return Footprint(None, intent=True, candidates=None)
+        # The intent's own vis (unknown under wildcards).
+        if intent_has_wildcard(ldf):
+            return Footprint(candidates=None)
         return Footprint(
-            columns,
-            intent=True,
-            candidates=self.candidate_footprints(ldf, metadata, intent=True),
+            candidates=self.candidate_footprints(ldf, metadata, intent=True)
         )

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 from ..clause import Clause
 from ..compiler import CompiledVis
 from ..metadata import Metadata
-from .base import Action, Footprint, intent_columns
+from .base import Action, Footprint, intent_has_wildcard
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..frame import LuxDataFrame
@@ -42,15 +42,11 @@ class EnhanceAction(Action):
         return max(len(metadata.attributes) - 1, 0)
 
     def footprint(self, ldf: "LuxDataFrame", metadata: Metadata) -> Footprint:
-        # Pairs the intent with every other attribute: any column change
-        # can surface in a candidate, so the footprint is the whole frame —
-        # but per-candidate entries confine a single-column change to the
-        # candidates actually plotting it.
-        intent = intent_columns(ldf)
-        if intent is None:
-            return Footprint(None, intent=True, candidates=None)
+        # Pairs the intent with every other attribute: per-candidate
+        # entries confine a single-column change to the candidates
+        # actually plotting it.
+        if intent_has_wildcard(ldf):
+            return Footprint(candidates=None)
         return Footprint(
-            set(metadata.attributes) | intent,
-            intent=True,
-            candidates=self.candidate_footprints(ldf, metadata, intent=True),
+            candidates=self.candidate_footprints(ldf, metadata, intent=True)
         )

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 from ..clause import Clause
 from ..compiler import CompiledVis
 from ..metadata import Metadata
-from .base import Action, Footprint, intent_columns
+from .base import Action, Footprint, intent_has_wildcard
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..frame import LuxDataFrame
@@ -76,12 +76,8 @@ class FilterAction(Action):
         # the charts themselves plot the intent's columns.  Per-candidate
         # entries name each clause's filter attribute, so a change to one
         # categorical column reruns only the clauses filtering on it.
-        intent = intent_columns(ldf)
-        if intent is None:
-            return Footprint(None, intent=True, candidates=None)
-        categorical = metadata.columns_of_type("nominal", "geographic")
+        if intent_has_wildcard(ldf):
+            return Footprint(candidates=None)
         return Footprint(
-            set(categorical) | intent,
-            intent=True,
-            candidates=self.candidate_footprints(ldf, metadata, intent=True),
+            candidates=self.candidate_footprints(ldf, metadata, intent=True)
         )

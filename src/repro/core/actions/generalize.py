@@ -6,7 +6,7 @@ from typing import TYPE_CHECKING
 
 from ..compiler import CompiledVis
 from ..metadata import Metadata
-from .base import Action, Footprint, intent_columns
+from .base import Action, Footprint, intent_has_wildcard
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..frame import LuxDataFrame
@@ -46,11 +46,8 @@ class GeneralizeAction(Action):
 
     def footprint(self, ldf: "LuxDataFrame", metadata: Metadata) -> Footprint:
         # Drops clauses from the intent: only the intent's columns appear.
-        columns = intent_columns(ldf)
-        if columns is None:
-            return Footprint(None, intent=True, candidates=None)
+        if intent_has_wildcard(ldf):
+            return Footprint(candidates=None)
         return Footprint(
-            columns,
-            intent=True,
-            candidates=self.candidate_footprints(ldf, metadata, intent=True),
+            candidates=self.candidate_footprints(ldf, metadata, intent=True)
         )

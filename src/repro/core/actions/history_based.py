@@ -58,14 +58,7 @@ class PreAggregateAction(Action):
 
     def footprint(self, ldf: "LuxDataFrame", metadata: Metadata) -> Footprint:
         # First dimension (the grouping key) against every measure.
-        columns = set(metadata.measures)
-        if metadata.dimensions:
-            columns.add(metadata.dimensions[0])
-        return Footprint(
-            columns,
-            intent=False,
-            candidates=self.candidate_footprints(ldf, metadata),
-        )
+        return Footprint(candidates=self.candidate_footprints(ldf, metadata))
 
 
 class PreFilterAction(Action):
@@ -110,8 +103,8 @@ class PreFilterAction(Action):
         return len(metadata.attributes)
 
     def footprint(self, ldf: "LuxDataFrame", metadata: Metadata) -> Footprint:
-        # Computed against the *parent* frame, whose mutations this
-        # frame's delta stream cannot see: stay conservative, at whole-
-        # action granularity (candidates=None — carrying individual vis
+        # Computed against the *parent* frame, whose column stamps this
+        # frame's metadata does not carry: stay conservative, at whole-
+        # action granularity (candidates=None — reusing individual vis
         # against an unobserved parent would serve stale charts).
-        return Footprint(None, intent=False, candidates=None)
+        return Footprint(candidates=None)

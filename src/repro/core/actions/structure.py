@@ -109,13 +109,4 @@ class IndexAction(Action):
         # Plots every numeric storage column against the labelled index.
         # Candidate enumeration materializes records, but applies_to caps
         # the frame at 1000 rows so per-pass entry building stays cheap.
-        numeric = [
-            c
-            for c in ldf.columns
-            if ldf.column(c).dtype.name in ("int64", "float64")
-        ]
-        return Footprint(
-            numeric,
-            intent=False,
-            candidates=self.candidate_footprints(ldf, metadata),
-        )
+        return Footprint(candidates=self.candidate_footprints(ldf, metadata))

@@ -49,11 +49,7 @@ class _UnivariateAction(Action):
 
     def footprint(self, ldf: "LuxDataFrame", metadata: Metadata) -> Footprint:
         # One chart per column of the target type; intent never enters.
-        return Footprint(
-            self._columns(metadata),
-            intent=False,
-            candidates=self.candidate_footprints(ldf, metadata),
-        )
+        return Footprint(candidates=self.candidate_footprints(ldf, metadata))
 
 
 class DistributionAction(_UnivariateAction):

@@ -327,13 +327,13 @@ class LuxDataFrame(DataFrame):
             and pending is not None
             and pending.columns_changed is not None
             and not pending.rows_changed
-            and not pending.schema_changed
             and previous.n_rows == len(self)
         ):
             # Fine-grained path: the delta names exactly which columns
-            # changed with the row set and schema intact, so only those
-            # columns are rescanned; the rest keep their AttributeMeta and
-            # per-column version stamp.
+            # changed with the row set intact — including columns added,
+            # dropped or renamed — so only those columns are rescanned;
+            # the rest keep their AttributeMeta and per-column version
+            # stamp, which content-keyed reuse downstream relies on.
             meta = refresh_metadata(
                 self, previous, pending.columns_changed, start_version
             )

@@ -230,12 +230,14 @@ def refresh_metadata(
     """Recompute metadata for ``columns`` only, reusing ``previous`` for the
     rest.
 
-    Callers must have established that the row set and schema are unchanged
-    (``len(frame)`` equals ``previous.n_rows`` and ``frame.columns`` equals
-    the previous attribute set) — only then is carrying an old
-    :class:`AttributeMeta` sound.  The rebuilt attribute dict preserves
-    ``frame.columns`` order so a partial refresh is indistinguishable from
-    a full one apart from the per-column version stamps.
+    Callers must have established that the row set is unchanged
+    (``len(frame)`` equals ``previous.n_rows``) and that ``columns`` names
+    every column whose values changed, including added and renamed ones —
+    only then is carrying an old :class:`AttributeMeta` sound.  Columns
+    new to the frame are scanned and vanished ones dropped.  The rebuilt
+    attribute dict follows ``frame.columns`` order, so a partial refresh
+    is indistinguishable from a full one apart from the per-column
+    version stamps.
     """
     attributes: dict[str, AttributeMeta] = {}
     versions: dict[str, int] = {}

@@ -27,20 +27,22 @@ __all__ = ["CandidatePrior", "get_sample", "rank_candidates"]
 
 
 class CandidatePrior:
-    """Carried state for one candidate vis from the previous ranking pass.
+    """Reused state for one candidate vis from a previous ranking pass.
 
     ``approx`` is the pass-1 sample score, ``score`` the pass-2 exact
     score, ``vis`` the displayed Vis (with processed data attached) when
-    the candidate made the previous top-k and its live object is still
-    available.  Any field may be None — a missing value simply means that
-    piece is recomputed, so a partial prior is always safe.
+    the candidate made the previous top-k.  Any field may be None — a
+    missing value simply means that piece is recomputed, so a partial
+    prior is always safe.
 
-    Bit-identity contract: callers may only supply priors for candidates
-    whose input columns are untouched since the prior pass, with the row
-    set intact.  The ranking sample's row indices are a pure function of
-    (row count, cap, seed), so an untouched candidate's sample score and
-    exact score are float-identical to what a cold pass would recompute —
-    carrying them changes nothing but the work performed.
+    Bit-identity contract: callers may only supply a prior whose inputs
+    equal the candidate's current ones — the precompute engine keys each
+    candidate by its columns' metadata stamps, the intent epoch when it
+    depends on intent, and the effective config.  The ranking sample's
+    row indices are a pure function of (row count, cap, seed), and a
+    row-set change restamps every column, so a matching candidate's
+    sample score and exact score are float-identical to what a cold pass
+    would recompute — reusing them changes nothing but the work performed.
     """
 
     __slots__ = ("approx", "score", "vis")
@@ -175,10 +177,10 @@ def rank_candidates(
     scores are approximated on the sample first (pass 1) and only the
     survivors are recomputed exactly (pass 2).
 
-    ``prior`` maps ``candidate_key(spec)`` to carried state for candidates
-    the caller has proven untouched since the previous pass (see
+    ``prior`` maps ``candidate_key(spec)`` to reused state for candidates
+    whose inputs the caller found unchanged since a previous pass (see
     ``CandidatePrior``); their scores — and, for the displayed top-k, their
-    processed Vis objects — are reused instead of recomputed.  Carried
+    processed Vis objects — are reused instead of recomputed.  Reused
     values are merged with freshly computed ones in enumeration order, so
     the two-pass algorithm (including stable-sort tie behavior) is
     bit-identical to a cold run.  ``records``, when given, is filled with

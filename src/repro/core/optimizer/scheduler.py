@@ -139,6 +139,7 @@ def run_actions(
     cancel: "threading.Event | None" = None,
     priors: "dict[str, dict] | None" = None,
     records: "dict[str, dict] | None" = None,
+    done: "dict[str, VisList] | None" = None,
 ) -> RecommendationSet:
     """Execute actions in scheduled order, synchronously or streaming.
 
@@ -150,13 +151,16 @@ def run_actions(
     point is returning control immediately; staleness is handled by the
     version checks of whoever consumes the results).
 
-    ``priors`` maps action name to a ``vis_key -> CandidatePrior`` carry
-    map and ``records`` maps action name to an output dict of per-candidate
+    ``priors`` maps action name to ``vis_key -> CandidatePrior`` state
+    reused from a previous pass and ``records`` maps action name to an
+    output dict of per-candidate
     score records — actions present in either run through
     :meth:`~repro.core.actions.base.Action.generate_cached` (bit-identical
     to ``generate``); absent actions run plainly.  Each per-action record
     dict is written by exactly one worker, so the streaming path needs no
-    extra locking.
+    extra locking.  ``done`` maps action name to a VisList the caller
+    already holds for this exact state (the precompute engine's reused
+    results); those actions are published as they are, not generated.
     """
     ordered = schedule_actions(actions, metadata)
     result = RecommendationSet()
@@ -165,11 +169,15 @@ def run_actions(
         result._done.set()
         return result
 
-    def prior_of(action: "Action") -> "dict | None":
-        return priors.get(action.name) if priors is not None else None
-
-    def records_of(action: "Action") -> "dict | None":
-        return records.get(action.name) if records is not None else None
+    def generate(action: "Action") -> "VisList":
+        if done is not None and action.name in done:
+            return done[action.name]
+        return _generate_safely(
+            action,
+            ldf,
+            priors.get(action.name) if priors is not None else None,
+            records.get(action.name) if records is not None else None,
+        )
 
     if not config.streaming:
         for action in ordered:
@@ -177,25 +185,18 @@ def run_actions(
                 raise PassCancelled(
                     f"recommendation pass cancelled before {action.name!r}"
                 )
-            result._put(
-                action.name,
-                _generate_safely(action, ldf, prior_of(action), records_of(action)),
-            )
+            result._put(action.name, generate(action))
         return result
 
     # Streaming: run the cheapest action inline so something is ready when
     # control returns, then stream the rest from a background pool.
     _LIVE.add(result)
     first, rest = ordered[0], ordered[1:]
-    result._put(first.name, _generate_safely(first, ldf, prior_of(first), records_of(first)))
+    result._put(first.name, generate(first))
     if not rest:
         return result
     for action in rest:
-        pool.submit(
-            lambda a=action: result._put(
-                a.name, _generate_safely(a, ldf, prior_of(a), records_of(a))
-            )
-        )
+        pool.submit(lambda a=action: result._put(a.name, generate(a)))
     return result
 
 

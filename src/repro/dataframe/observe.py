@@ -13,14 +13,14 @@ which columns changed, whether the row set or the schema changed, and
 whether the change was *intent-only* (recommendation state) versus data.
 Consumers use the delta to do work proportional to what changed — the
 executor's computation cache keeps entries for untouched columns across a
-bump, and the precompute engine reruns only the actions whose input
-footprint intersects the delta.
+bump, and ``LuxDataFrame`` rescans metadata only for the named columns
+(whose per-column stamps then key the precompute engine's reuse).
 
 The registry holds frames weakly (by id + weakref, never by hash: frames
 compare elementwise) and drops a frame's callback list the moment the
 frame is collected.  Callbacks run synchronously on the mutating thread as
 ``callback(frame, op, delta)`` and must be cheap and non-raising; the
-service's engine only records the delta and flips a debounce timer here.
+service's engine only arms a debounce timer here.
 Exceptions are contained so a broken observer can never turn a dataframe
 mutation into a crash.
 """
@@ -74,21 +74,6 @@ class Delta:
     def full(self) -> bool:
         """True when column-level reasoning is impossible (assume all)."""
         return self.columns_changed is None or self.rows_changed
-
-    def touches(self, columns: "Iterable[str] | None") -> bool:
-        """Would a consumer keyed on ``columns`` see different data?
-
-        ``columns=None`` means the consumer's inputs are unknown — it is
-        affected by any data change.  Intent-only deltas touch no column
-        set (intent dependence is the consumer's separate axis).
-        """
-        if self.intent_only:
-            return False
-        if self.full:
-            return True
-        if columns is None:
-            return True
-        return bool(self.columns_changed.intersection(columns))
 
     def union(self, other: "Delta") -> "Delta":
         """Coalesce two deltas (a debounced burst of mutations)."""

@@ -329,9 +329,6 @@ def register_service_gauges(manager: Any) -> None:
     g("lux_store_evictions_total", "result store evictions").set_function(
         lambda: store._evictions
     )
-    g("lux_store_carried_total", "results carried across versions").set_function(
-        lambda: store._carried
-    )
     g("lux_cache_bytes", "computation cache resident bytes").set_function(
         _slot_total("nbytes")
     )

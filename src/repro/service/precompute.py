@@ -23,40 +23,42 @@ Scheduling discipline per session:
 
 Incremental recomputation (``config.incremental_precompute``)
 -------------------------------------------------------------
-Mutation events carry a column-level :class:`~repro.dataframe.observe.
-Delta`; the engine accumulates them per session between stored passes.
-When a pass runs, the applicable actions are partitioned against the
-accumulated delta using each action's declared input
-:class:`~repro.core.actions.base.Footprint` (unioned with the footprint
-recorded at the previous pass, so a column *leaving* an action's space
-still reruns it): actions whose inputs intersect the delta — or that
-depend on intent when intent changed — are **rerun**; everything else is
-**carried forward** from the previous stored pass via
-:meth:`~repro.service.store.ResultStore.carry` (provenance ``carried``,
-original ``computed_at``).  Rerun actions whose footprint declares
-per-candidate entries are scoped one level finer: only the candidate vis
-whose declared read set the delta touches recompute; the rest carry
-their previous sample/exact scores (stored as per-candidate records
-under the store's reserved :func:`~repro.service.store.candidate_entry`
-namespace) and their previous displayed Vis, merged back in enumeration
-order so the two-pass ranking — including stable-sort ties — replays
-exactly.  Steady-state background work is therefore proportional to what
-changed, not to the whole action set; a carried result is by
-construction bit-identical to what a cold pass would recompute, because
-its inputs did not change.  Row-set changes, unknown deltas, wildcard
-intents, duplicate candidate identities, and evicted previous entries
-all degrade to coarser granularity — never to a wrong result.
+Reuse is keyed by content.  The engine keeps one table per watched
+session: the results of its last published pass, keyed by what they were
+computed from.  A pass enumerates every applicable action's candidates
+(the :class:`~repro.core.actions.base.CandidateFootprint` entries its
+footprint declares) and keys each one by a tuple of
+
+- the action name and the candidate's ``vis_key``;
+- ``(column, stamp)`` for each column the candidate reads, the stamp
+  being :attr:`~repro.core.metadata.Metadata.column_versions`;
+- the frame's intent epoch, for candidates that depend on intent;
+- a digest of the effective config (``incremental_precompute`` aside).
+
+An action's key is the tuple of its candidates' keys in enumeration
+order.  An action whose key is in the table is not run: its VisList,
+payload dict and stored bytes are published as they are (provenance
+``carried``, original ``computed_at``).  Any other action runs with the
+table's hits as :class:`~repro.core.optimizer.sampling.CandidatePrior`
+state — their sample and exact scores are reused, and a displayed hit
+also brings its Vis, its spec payload dict and its wire bytes — so only
+the misses are executed, scored and encoded; an action whose displayed
+Vis were partly reused lands as ``mixed`` with a per-vis origin map.
+Because every input of a result is in its key, a hit is bit-identical to
+what a cold pass would recompute, and there is no delta to accumulate
+between passes.  An action without candidate entries (an unknown read
+set, or duplicate ``vis_key``) gets no key and reruns whole.  With the
+switch off a pass looks nothing up but still records its results, so
+switching it back on reuses them.
 
 A completed pass lands in the :class:`~repro.service.store.ResultStore`
 keyed on the version it computed — *only* if that version is still
 current, so the store can never be populated with results for data that
-no longer exists.  Publishing is where each recomputed payload is
-encoded to its JSON wire bytes, once; the session's view of the pass
-(:meth:`~repro.service.session.Session.publish_view`, carried actions
-merged in from the previous view) and the frame's own memoized
-recommendation cache are refreshed under the same guard (the latter
-merging carried VisLists from the previous memoized set on incremental
-passes), making in-process reads and prints free too.
+no longer exists.  Publishing is where each missed spec is encoded to
+its JSON wire bytes, once; the session's view of the pass
+(:meth:`~repro.service.session.Session.publish_view`), the frame's own
+memoized recommendation set and the session's table are replaced under
+the same guard, making in-process reads and prints free too.
 
 Backpressure (``config.precompute_queue_limit``)
 ------------------------------------------------
@@ -68,8 +70,8 @@ in three graduated steps rather than queueing unboundedly:
    first, cancel in-flight passes whose version the session has already
    moved past (their results would be discarded at publish anyway) and
    timers made redundant by a live pass at the current version.  Shedding
-   never loses information — the accumulated delta survives, so the next
-   pass still covers the change.
+   never loses information: the next pass keys its candidates on the
+   frame's current state.
 2. **Defer**: a trigger that cannot be admitted parks the session in a
    FIFO; when any pass completes (freeing a slot) the oldest deferred
    session is resumed.  A deferred session's store goes stale, and reads
@@ -90,7 +92,7 @@ bit-identical to an unloaded run — the property
 
 from __future__ import annotations
 
-import json
+import hashlib
 import math
 import threading
 import time
@@ -99,7 +101,6 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Any
 
 from ..core import pool, telemetry
-from ..core.actions.base import Footprint
 from ..core.actions.registry import default_registry
 from ..core.config import config
 from ..core.errors import LuxError, LuxWarning, PassCancelled
@@ -110,13 +111,12 @@ from ..core.optimizer.scheduler import (
     schedule_actions,
 )
 from ..dataframe import observe
-from ..dataframe.observe import Delta
-from ..vis.spec import candidate_key
 from .session import serialize_recommendations
-from .store import candidate_entry
+from .wire import encode, encode_action
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.actions.base import Action
+    from ..core.vislist import VisList
     from .persist import SnapshotStore
     from .session import Session
     from .store import ResultStore
@@ -166,83 +166,169 @@ class _Inflight:
         self.shed = False
 
 
-class _SessionState:
-    """Incremental bookkeeping for one watched session.
+class _Candidate(CandidatePrior):
+    """One candidate's result in a session's table.
 
-    ``last_version``/``footprints`` describe the engine's last *stored*
-    pass; ``delta``/``delta_version`` accumulate every mutation observed
-    since (the union of a burst, stamped with the newest version it
-    covers).  Publishing a pass clears the accumulator only when the
-    stored version covers it — a mutation racing the publish keeps its
-    delta for the next pass (conservative, never lossy).
+    The ranker reads the scores and the displayed Vis through the
+    :class:`CandidatePrior` interface; a displayed candidate also keeps
+    its spec payload dict and its wire bytes (a slice of its action's
+    stored bytes), so reusing it encodes nothing.
     """
 
-    __slots__ = ("last_version", "footprints", "delta", "delta_version")
-
-    def __init__(self) -> None:
-        self.last_version: tuple | None = None
-        self.footprints: dict[str, Footprint] = {}
-        self.delta: Delta | None = None
-        self.delta_version: tuple | None = None
-
-
-class _PartialPlan:
-    """Candidate-level carry plan for one rerun action.
-
-    ``prior`` maps unaffected candidates' ``vis_key`` to their carried
-    state (scores + displayed Vis); ``rerun`` counts the candidates
-    actually recomputed.  Fresh per-candidate records land in the owning
-    :class:`_Plan`'s ``records`` sink for the action.
-    """
-
-    __slots__ = ("prior", "rerun")
-
-    def __init__(self, prior: "dict[str, CandidatePrior]", rerun: int) -> None:
-        self.prior = prior
-        self.rerun = rerun
-
-
-class _Plan:
-    """One pass's partition: what to rerun, what to carry, in what order.
-
-    ``partial`` scopes some rerun actions down to candidate granularity
-    (action name -> :class:`_PartialPlan`); ``records`` holds one output
-    dict per executed action that declared candidate entries, collecting
-    the per-candidate score records the next pass's prior is built from.
-    """
-
-    __slots__ = (
-        "prev_version",
-        "ordered_names",
-        "affected",
-        "carried",
-        "footprints",
-        "partial",
-        "records",
-    )
+    __slots__ = ("payload", "wire")
 
     def __init__(
         self,
-        prev_version: tuple | None,
-        ordered_names: list[str],
-        affected: "list[Action]",
-        carried: list[str],
-        footprints: dict[str, Footprint],
-        partial: "dict[str, _PartialPlan] | None" = None,
-        records: "dict[str, dict] | None" = None,
+        approx: "float | None",
+        score: "float | None",
+        vis: Any = None,
+        payload: "dict[str, Any] | None" = None,
+        wire: "memoryview | None" = None,
     ) -> None:
-        self.prev_version = prev_version
-        self.ordered_names = ordered_names
-        self.affected = affected
-        self.carried = carried
-        self.footprints = footprints
-        self.partial = partial or {}
-        self.records = records or {}
+        super().__init__(approx=approx, score=score, vis=vis)
+        self.payload = payload
+        self.wire = wire
 
 
-def _covers(version: tuple, other: tuple) -> bool:
-    """Componentwise: has ``version`` advanced at least to ``other``?"""
-    return all(v >= o for v, o in zip(version, other))
+class _ActionResult:
+    """One action's published result, reused whole on an action-key hit.
+
+    ``candidates`` aligns with ``key``: each candidate's result, or None
+    where the run left nothing to reuse.
+    """
+
+    __slots__ = ("key", "vislist", "payload", "wire", "computed_at", "candidates")
+
+    def __init__(
+        self,
+        key: tuple,
+        vislist: "VisList",
+        payload: dict[str, Any],
+        wire: bytes,
+        computed_at: float,
+        candidates: "tuple[_Candidate | None, ...]",
+    ) -> None:
+        self.key = key
+        self.vislist = vislist
+        self.payload = payload
+        self.wire = wire
+        self.computed_at = computed_at
+        self.candidates = candidates
+
+
+class _Table:
+    """A session's last published pass, keyed by content.
+
+    ``actions`` maps an action name to its result (whose ``key`` must
+    match for a hit); ``candidates`` maps a candidate key to its result.
+    A table is built whole by one pass and never changed afterwards.
+    """
+
+    __slots__ = ("actions", "candidates")
+
+    def __init__(self) -> None:
+        self.actions: dict[str, _ActionResult] = {}
+        self.candidates: dict[tuple, _Candidate] = {}
+
+    def add(self, name: str, result: _ActionResult) -> None:
+        self.actions[name] = result
+        for key, candidate in zip(result.key, result.candidates):
+            if candidate is not None:
+                self.candidates[key] = candidate
+
+
+def _config_digest() -> str:
+    """Digest of this thread's effective config, minus the ablation switch."""
+    settings = config.effective()
+    settings.pop("incremental_precompute", None)
+    text = repr(sorted(settings.items())).encode("utf-8")
+    return hashlib.blake2b(text, digest_size=16).hexdigest()
+
+
+def _action_key(
+    action: "Action", frame: Any, metadata: Any, digest: str
+) -> "tuple | None":
+    """The tuple of the action's candidate keys, in enumeration order.
+
+    None when the action declares no candidate entries, an entry's read
+    set is unknown, or two entries share a ``vis_key``: such an action
+    reruns whole.
+    """
+    try:
+        entries = action.footprint(frame, metadata).candidates()
+    except Exception:  # a broken declaration degrades to "rerun"
+        return None
+    if entries is None or any(e.columns is None for e in entries):
+        return None
+    if len({e.vis_key for e in entries}) != len(entries):
+        return None
+    stamps = metadata.column_versions
+    epoch = frame._intent_epoch
+    return tuple(
+        (
+            action.name,
+            e.vis_key,
+            frozenset((c, stamps.get(c)) for c in e.columns),
+            epoch if e.intent else None,
+            digest,
+        )
+        for e in entries
+    )
+
+
+def _lookup(
+    table: "_Table | None", keys: "dict[str, tuple | None]"
+) -> "tuple[dict[str, _ActionResult], dict[str, dict[str, _Candidate]]]":
+    """Action-key hits, and the candidate hits of every other keyed action
+    (``action name -> {vis_key: candidate result}``)."""
+    hits: dict[str, _ActionResult] = {}
+    priors: dict[str, dict[str, _Candidate]] = {}
+    if table is None:
+        return hits, priors
+    for name, key in keys.items():
+        if key is None:
+            continue
+        result = table.actions.get(name)
+        if result is not None and result.key == key:
+            hits[name] = result
+            continue
+        found = {k[1]: table.candidates[k] for k in key if k in table.candidates}
+        if found:
+            priors[name] = found
+    return hits, priors
+
+
+def _record(
+    key: "tuple | None",
+    vislist: "VisList",
+    payload: dict[str, Any],
+    blob: bytes,
+    slices: "list[memoryview]",
+    recmap: "dict[str, dict] | None",
+    computed_at: float,
+) -> "_ActionResult | None":
+    """The table entry of one executed action, or None if it has no key.
+
+    A failed action discards its candidate records and is not recorded
+    either.  A displayed candidate keeps its Vis, its spec payload dict
+    and its slice of the action's bytes.
+    """
+    if key is None or recmap is None or (key and not recmap):
+        return None
+    visible = [vis for vis in vislist if vis.spec is not None]
+    displayed = {
+        spec["key"]: (vis, spec, view)
+        for vis, spec, view in zip(visible, payload["specs"], slices)
+    }
+    candidates: list[_Candidate | None] = []
+    for k in key:
+        rec = recmap.get(k[1])
+        if rec is None:
+            candidates.append(None)
+            continue
+        shown = displayed.get(k[1]) if rec["displayed"] else None
+        candidates.append(_Candidate(rec["approx"], rec["score"], *(shown or ())))
+    return _ActionResult(key, vislist, payload, blob, computed_at, tuple(candidates))
 
 
 class PrecomputeEngine:
@@ -267,7 +353,8 @@ class PrecomputeEngine:
         self._unsubscribe: dict[str, Any] = {}  # guarded-by: _lock
         self._timers: dict[str, threading.Timer] = {}  # guarded-by: _lock
         self._inflight: dict[str, _Inflight] = {}  # guarded-by: _lock
-        self._states: dict[str, _SessionState] = {}  # guarded-by: _lock
+        #: Each watched session's last published pass, keyed by content.
+        self._tables: dict[str, _Table] = {}  # guarded-by: _lock
         #: Sessions whose trigger arrived at saturation, FIFO; resumed as
         #: passes complete and free backlog slots.
         self._deferred: "OrderedDict[str, Session]" = OrderedDict()  # guarded-by: _lock
@@ -287,7 +374,6 @@ class PrecomputeEngine:
             "actions_carried": 0,
             "candidates_rerun": 0,
             "candidates_carried": 0,
-            "carry_misses": 0,
             "rejected": 0,
             "shed_stale": 0,
             "deferred": 0,
@@ -316,15 +402,10 @@ class PrecomputeEngine:
         with self._lock:
             if session.id in self._unsubscribe:
                 return
-            self._states[session.id] = _SessionState()
 
             def on_mutation(
-                _frame: Any, _op: str, delta: Delta, s: "Session" = session
+                _frame: Any, _op: str, _delta: Any, s: "Session" = session
             ) -> None:
-                # Record the delta unconditionally (partitioning must see
-                # every change, even ones made while precompute was off);
-                # only the scheduling is gated on the master switch.
-                self._record_delta(s, delta)
                 if config.precompute:
                     self.schedule(s)
 
@@ -337,7 +418,7 @@ class PrecomputeEngine:
             unsubscribe = self._unsubscribe.pop(session.id, None)
             timer = self._timers.pop(session.id, None)
             inflight = self._inflight.pop(session.id, None)
-            self._states.pop(session.id, None)
+            self._tables.pop(session.id, None)
             self._deferred.pop(session.id, None)
             self._debounce_armed.pop(session.id, None)
         if unsubscribe is not None:
@@ -348,19 +429,6 @@ class PrecomputeEngine:
             inflight.cancel.set()
             inflight.future.cancel()
         self._resume_deferred()
-
-    def _record_delta(self, session: "Session", delta: Delta) -> None:
-        """Fold one mutation into the session's accumulated delta."""
-        version = session.version  # post-bump: emit runs after the bump
-        with self._lock:
-            state = self._states.get(session.id)
-            if state is None:
-                return
-            state.delta = delta if state.delta is None else state.delta.union(delta)
-            if state.delta_version is None or _covers(
-                version, state.delta_version
-            ):
-                state.delta_version = version
 
     # ------------------------------------------------------------------
     # Backpressure (the bounded half)
@@ -399,8 +467,8 @@ class PrecomputeEngine:
         Sheds (a) in-flight passes whose version the session has moved
         past — their publish would be discarded anyway — and (b) timers
         made redundant by a live pass already running at the session's
-        current version.  Accumulated deltas survive, so shedding defers
-        work without ever losing it.
+        current version.  The next pass keys its work on the frame's
+        current state, so shedding defers work without ever losing it.
         """
         for inflight in list(self._inflight.values()):
             if inflight.future.done() or inflight.shed:
@@ -475,7 +543,7 @@ class PrecomputeEngine:
         At saturation a session not already holding a backlog slot is
         deferred instead (resumed FIFO as passes complete), so the
         backlog bound holds even for triggers that raced past
-        :meth:`admit` — the mutation's delta is already recorded, and a
+        :meth:`admit` — the deferred pass covers the mutation, and a
         read meanwhile falls back to a correct foreground pass.
         """
         delay = 0.0 if immediate else self.debounce_s()
@@ -533,204 +601,12 @@ class PrecomputeEngine:
         future.add_done_callback(lambda _f: self._resume_deferred())
 
     # ------------------------------------------------------------------
-    # Partitioning (the incremental half)
-    # ------------------------------------------------------------------
-    def _plan(
-        self,
-        session: "Session",
-        version: tuple,
-        frame: Any,
-        metadata: Any,
-        applicable: "list[Action]",
-        prev_recs: "RecommendationSet | None" = None,
-        prev_recs_version: "tuple | None" = None,
-    ) -> _Plan:
-        """Partition ``applicable`` into rerun vs carry-forward.
-
-        The ordered name list mirrors exactly what a full pass would
-        produce (``schedule_actions`` on current metadata), so the
-        manifest — and therefore the response — of an incremental pass is
-        indistinguishable from a cold one.  Rerun actions whose footprint
-        declares per-candidate entries are scoped further: only the
-        candidates the delta touches recompute, the rest carry their
-        previous scores (from the store's candidate records) and displayed
-        Vis (from the previous memoized set) — see :class:`_PartialPlan`.
-        """
-        ordered = schedule_actions(applicable, metadata)
-        ordered_names = [a.name for a in ordered]
-        footprints: dict[str, Footprint] = {}
-        for action in ordered:
-            try:
-                footprints[action.name] = action.footprint(frame, metadata)
-            except Exception:  # a broken declaration degrades to "rerun"
-                footprints[action.name] = Footprint(None, True)
-
-        def record_sinks(actions: "list[Action]") -> dict[str, dict]:
-            # One output dict per executed action that declared candidate
-            # entries — even full passes collect records, seeding the
-            # first partial pass after a mutation.
-            if not config.incremental_precompute:
-                return {}
-            return {
-                a.name: {}
-                for a in actions
-                if footprints[a.name].candidates() is not None
-            }
-
-        with self._lock:
-            state = self._states.get(session.id)
-            prev_version = state.last_version if state is not None else None
-            prev_footprints = dict(state.footprints) if state is not None else {}
-            delta = state.delta if state is not None else None
-
-        full = _Plan(
-            None,
-            ordered_names,
-            list(ordered),
-            [],
-            footprints,
-            records=record_sinks(ordered),
-        )
-        if not config.incremental_precompute or prev_version is None:
-            return full
-        if delta is None or delta.columns_changed is None or delta.rows_changed:
-            # Nothing recorded for a moved version (shouldn't happen, but
-            # never guess), or a change column-level reasoning can't scope.
-            return full
-
-        # Previous displayed Vis by (action, vis_key), for vis-granularity
-        # carry inside partially rerun actions.  Only trusted when the
-        # memoized set provably belongs to the previous stored pass under
-        # stock config — otherwise partial plans fall back to score-only
-        # carry (still correct, just re-executes display data).
-        prev_vis: "dict[str, dict[str, Any]]" = {}
-        if (
-            prev_recs is not None
-            and prev_recs_version == prev_version
-            and not session.overrides
-            and prev_recs._done.is_set()
-        ):
-            for name, vislist in prev_recs.items():
-                by_key: dict[str, Any] = {}
-                for vis in vislist:
-                    try:
-                        by_key[candidate_key(vis.spec)] = vis
-                    except Exception:
-                        continue
-                prev_vis[name] = by_key
-
-        affected: "list[Action]" = []
-        carried: list[str] = []
-        partial: "dict[str, _PartialPlan]" = {}
-        for action in ordered:
-            prev_fp = prev_footprints.get(action.name)
-            if prev_fp is None:
-                affected.append(action)  # not part of the previous pass
-                continue
-            fp = footprints[action.name].union(prev_fp)
-            if (delta.intent_changed and fp.intent) or delta.touches(fp.columns):
-                affected.append(action)
-            elif self.store.get(session.id, prev_version, action.name) is None:
-                affected.append(action)  # previous result already evicted
-            else:
-                carried.append(action.name)
-                continue
-            pp = self._plan_candidates(
-                session.id,
-                prev_version,
-                action.name,
-                footprints[action.name],
-                prev_fp,
-                delta,
-                prev_vis.get(action.name, {}),
-            )
-            if pp is not None:
-                partial[action.name] = pp
-        if not carried and not partial:
-            return full
-        return _Plan(
-            prev_version,
-            ordered_names,
-            affected,
-            carried,
-            footprints,
-            partial=partial,
-            records=record_sinks(affected),
-        )
-
-    def _plan_candidates(
-        self,
-        session_id: str,
-        prev_version: tuple,
-        name: str,
-        fp: Footprint,
-        prev_fp: Footprint,
-        delta: Delta,
-        prev_vis: "dict[str, Any]",
-    ) -> "_PartialPlan | None":
-        """Candidate-level partition for one rerun action, or None.
-
-        Degrades to whole-action granularity (None) when either pass's
-        footprint lacks candidate entries or an entry set contains
-        duplicate identities (two candidates hashing to one ``vis_key``
-        would make the carry ambiguous).  A candidate is carried only when
-        both its previous and current declared column sets miss the delta,
-        its intent flag is clear (or intent did not change), and at least
-        one piece of prior state — a score record or a displayed Vis — is
-        actually available to reuse.
-        """
-        entries = fp.candidates()
-        prev_entries = prev_fp.candidates()
-        if entries is None or prev_entries is None:
-            return None
-        keys = [e.vis_key for e in entries]
-        if len(set(keys)) != len(keys):
-            return None
-        prev_by_key: dict[str, Any] = {}
-        for e in prev_entries:
-            if e.vis_key in prev_by_key:
-                return None
-            prev_by_key[e.vis_key] = e
-        prior: "dict[str, CandidatePrior]" = {}
-        rerun = 0
-        for e in entries:
-            pe = prev_by_key.get(e.vis_key)
-            if pe is None:
-                rerun += 1  # new to the search space this pass
-                continue
-            if delta.intent_changed and (e.intent or pe.intent):
-                rerun += 1
-                continue
-            if e.columns is None or pe.columns is None:
-                rerun += 1  # unknown read set: never carry
-                continue
-            if delta.touches(e.columns | pe.columns):
-                rerun += 1
-                continue
-            approx = score = None
-            record = self.store.get(
-                session_id, prev_version, candidate_entry(name, e.vis_key)
-            )
-            if record is not None:
-                payload = json.loads(record["payload"])
-                approx = payload.get("approx")
-                score = payload.get("score")
-            vis = prev_vis.get(e.vis_key)
-            if approx is None and score is None and vis is None:
-                rerun += 1  # nothing reusable: same cost as affected
-                continue
-            prior[e.vis_key] = CandidatePrior(approx=approx, score=score, vis=vis)
-        if not prior:
-            return None
-        return _PartialPlan(prior, rerun)
-
-    # ------------------------------------------------------------------
     # The pass itself (runs on a pool worker, background band)
     # ------------------------------------------------------------------
     def _run_pass(
         self, session: "Session", version: tuple, cancel: threading.Event
     ) -> str:
-        """One (possibly partial) recommendation pass at ``version``."""
+        """One recommendation pass at ``version``, reusing what it can."""
         started = time.perf_counter()
         with telemetry.span("precompute.pass", session=session.id) as pass_span:
             result = self._run_pass_inner(session, version, cancel, pass_span)
@@ -758,39 +634,44 @@ class PrecomputeEngine:
                 self._bump("stale")
                 return "stale"
             frame = session.frame
-            prev_recs = frame._recs_cache
-            prev_recs_version = frame._recs_version
+            with self._lock:
+                table = self._tables.get(session.id)
             try:
                 with session.overlay():
                     phase_t0 = time.perf_counter()
                     metadata = frame.metadata
                     _observe_phase("metadata", time.perf_counter() - phase_t0)
-                    applicable = default_registry.applicable(frame)
-                    plan = self._plan(
-                        session,
-                        version,
-                        frame,
-                        metadata,
-                        applicable,
-                        prev_recs,
-                        prev_recs_version,
-                    )
-                    pass_span.attrs["rerun"] = len(plan.affected)
-                    pass_span.attrs["carried"] = len(plan.carried)
-                    pass_span.attrs["partial"] = len(plan.partial)
                     phase_t0 = time.perf_counter()
+                    ordered = schedule_actions(
+                        default_registry.applicable(frame), metadata
+                    )
+                    digest = _config_digest()
+                    keys = {
+                        a.name: _action_key(a, frame, metadata, digest)
+                        for a in ordered
+                    }
+                    if not config.incremental_precompute:
+                        table = None  # look nothing up; still record
+                    hits, priors = _lookup(table, keys)
+                    pass_span.attrs["rerun"] = len(keys) - len(hits)
+                    pass_span.attrs["carried"] = len(hits)
+                    records: dict[str, dict] = {
+                        name: {}
+                        for name, key in keys.items()
+                        if key is not None and name not in hits
+                    }
                     recs = run_actions(
-                        plan.affected,
+                        ordered,
                         frame,
                         metadata,
                         cancel=cancel,
-                        priors={
-                            n: pp.prior for n, pp in plan.partial.items()
-                        }
-                        or None,
-                        records=plan.records or None,
+                        priors=priors or None,
+                        records=records or None,
+                        done={n: r.vislist for n, r in hits.items()} or None,
                     )
-                    payloads = serialize_recommendations(recs)
+                    fresh = serialize_recommendations(
+                        {n: recs[n] for n in recs.keys() if n not in hits}, priors
+                    )
                     _observe_phase("actions", time.perf_counter() - phase_t0)
             except PassCancelled:
                 self._bump("cancelled")
@@ -810,8 +691,7 @@ class PrecomputeEngine:
                 self._bump("stale")
                 return "stale"
             phase_t0 = time.perf_counter()
-            self._publish(session, version, plan, recs, payloads, prev_recs,
-                          prev_recs_version)
+            self._publish(session, version, recs, keys, hits, priors, records, fresh)
             if self._snapshots is not None:
                 # Still under session.lock (reentrant), so the snapshot
                 # captures exactly the state this pass published; save()
@@ -834,127 +714,85 @@ class PrecomputeEngine:
         self,
         session: "Session",
         version: tuple,
-        plan: _Plan,
         recs: RecommendationSet,
-        payloads: dict[str, Any],
-        prev_recs: "RecommendationSet | None",
-        prev_recs_version: tuple,
+        keys: "dict[str, tuple | None]",
+        hits: "dict[str, _ActionResult]",
+        priors: "dict[str, dict[str, _Candidate]]",
+        records: "dict[str, dict]",
+        fresh: dict[str, Any],
     ) -> None:
-        """Land one completed pass: carry, store, memoize, reset deltas."""
-        carried_ok = True
-        for name in plan.carried:
-            if not self.store.carry(session.id, plan.prev_version, version, name):
-                # Evicted between planning and publish: the pass cannot be
-                # served whole at this version (put_pass skips the
-                # manifest), so reads fall back to a foreground pass.
-                carried_ok = False
-                self._bump("carry_misses")
-        # Partially rerun actions land as origin "mixed" with a per-vis
-        # provenance map ("carried" for candidates reused from the prior).
-        origins: dict[str, str] = {}
+        """Land one completed pass: store, view, memo and table.
+
+        Each executed action's bytes are joined from its specs' bytes:
+        a spec whose displayed Vis came from the table reuses its stored
+        bytes, every other spec is encoded here, once.
+        """
+        now = time.time()
+        table = _Table()
+        blobs: dict[str, bytes] = {}
         vis_origins: dict[str, dict[str, str]] = {}
-        for name, pp in plan.partial.items():
-            recmap = plan.records.get(name) or {}
-            shown = {
-                key: ("carried" if key in pp.prior else "precompute")
-                for key, rec in recmap.items()
-                if rec.get("displayed")
-            }
+        for name, payload in fresh.items():
+            known = priors.get(name, {})
+            wires: list[Any] = []
+            shown: dict[str, str] = {}
+            for spec in payload["specs"]:
+                prior = known.get(spec["key"])
+                if prior is not None and prior.payload is spec:
+                    wires.append(prior.wire)
+                    shown[spec["key"]] = "carried"
+                else:
+                    wires.append(encode(spec))
+                    shown[spec["key"]] = "precompute"
+            blobs[name], slices = encode_action(payload["count"], wires)
             if "carried" in shown.values():
-                origins[name] = "mixed"
                 vis_origins[name] = shown
+            result = _record(
+                keys.get(name), recs[name], payload, blobs[name], slices,
+                records.get(name), now,
+            )
+            if result is not None:
+                table.add(name, result)
+        for name, hit in hits.items():
+            self.store.put(
+                session.id, version, name, hit.wire,
+                origin="carried", computed_at=hit.computed_at,
+            )
+            table.add(name, hit)
+        names = recs.keys()
         self.store.put_pass(
             session.id,
             version,
-            payloads,
-            origin="precompute",
-            manifest=plan.ordered_names,
-            origins=origins or None,
-            vis_origins=vis_origins or None,
+            blobs,
+            manifest=names,
+            origins={name: "mixed" for name in vis_origins},
+            vis_origins=vis_origins,
+            computed_at=now,
         )
-        session.publish_view(version, payloads, carried=(plan.prev_version, plan.carried))
-        # Per-candidate score records: fresh ones for every executed
-        # action, carried ones for fully carried actions (best effort —
-        # these are advisory, so misses are not counted or retried).
-        for name, recmap in plan.records.items():
-            for key, rec in recmap.items():
-                self.store.put(
-                    session.id, version, candidate_entry(name, key), rec
-                )
-        if plan.prev_version is not None:
-            for name in plan.carried:
-                fp = plan.footprints.get(name)
-                entries = fp.candidates() if fp is not None else None
-                for e in entries or ():
-                    self.store.carry(
-                        session.id,
-                        plan.prev_version,
-                        version,
-                        candidate_entry(name, e.vis_key),
-                    )
-        self._refresh_memoized(
-            session, version, plan, recs, prev_recs, prev_recs_version
+        session.publish_view(
+            version,
+            {name: hits[name].payload if name in hits else fresh[name] for name in names},
         )
+        if not session.overrides:
+            # Memoize on the frame so in-process prints are free — only
+            # under stock config: overlay-shaped results (say top_k=5)
+            # must not masquerade as the frame's plain recommendations.
+            frame = session.frame
+            frame._recs_cache = recs
+            frame._recs_version = version
+            frame._recs_fresh = True
+        reused = sum(len(found) for found in priors.values())
+        keyed = sum(len(keys[name]) for name in records)
         with self._lock:
-            self._counters["actions_rerun"] += len(plan.affected)
-            self._counters["actions_carried"] += len(plan.carried)
-            for pp in plan.partial.values():
-                self._counters["candidates_rerun"] += pp.rerun
-                self._counters["candidates_carried"] += len(pp.prior)
-            if plan.carried or plan.partial:
+            if session.id in self._unsubscribe:
+                self._tables[session.id] = table
+            self._counters["actions_rerun"] += len(keys) - len(hits)
+            self._counters["actions_carried"] += len(hits)
+            self._counters["candidates_rerun"] += keyed - reused
+            self._counters["candidates_carried"] += reused + sum(
+                len(hit.key) for hit in hits.values()
+            )
+            if hits or reused:
                 self._counters["incremental_passes"] += 1
-            state = self._states.get(session.id)
-            if state is not None and carried_ok:
-                state.last_version = version
-                state.footprints = plan.footprints
-                if state.delta_version is not None and _covers(
-                    version, state.delta_version
-                ):
-                    # Everything accumulated is covered by this pass; a
-                    # mutation racing the publish keeps its delta.
-                    state.delta = None
-                    state.delta_version = None
-
-    def _refresh_memoized(
-        self,
-        session: "Session",
-        version: tuple,
-        plan: _Plan,
-        recs: RecommendationSet,
-        prev_recs: "RecommendationSet | None",
-        prev_recs_version: tuple,
-    ) -> None:
-        """Refresh the frame's memoized set so in-process prints are free.
-
-        Only when the session runs under stock config: overlay-shaped
-        results (say top_k=5) must not masquerade as the frame's plain
-        recommendations to non-service readers holding the adopted frame.
-        On incremental passes the carried VisLists are merged in from the
-        previous memoized set; if that is unavailable, memoization is
-        simply skipped (store reads stay warm regardless).
-        """
-        if session.overrides:
-            return
-        frame = session.frame
-        if not plan.carried:
-            merged = recs
-        else:
-            if prev_recs is None or prev_recs_version != plan.prev_version:
-                return
-            if not all(name in prev_recs._results for name in plan.carried):
-                return
-            merged = RecommendationSet()
-            merged._expected = len(plan.ordered_names)
-            for name in plan.ordered_names:
-                if name in recs._results:
-                    merged._put(name, recs._results[name])
-                elif name in prev_recs._results:
-                    merged._put(name, prev_recs._results[name])
-                else:  # pragma: no cover - ordered ⊆ affected ∪ carried
-                    merged._expected -= 1
-        frame._recs_cache = merged
-        frame._recs_version = version
-        frame._recs_fresh = True
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -1000,7 +838,7 @@ class PrecomputeEngine:
             self._unsubscribe.clear()
             self._timers.clear()
             self._inflight.clear()
-            self._states.clear()
+            self._tables.clear()
             self._deferred.clear()
             self._debounce_armed.clear()
         for unsubscribe in unsubs:

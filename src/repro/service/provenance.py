@@ -21,11 +21,14 @@ Origin vocabulary
 ``foreground``
     Computed synchronously on the read path.
 ``carried``
-    Not recomputed: the previous result was carried forward because the
-    mutation delta missed its inputs (bit-identical by construction).
+    Not recomputed: the action's content key (the inputs of every one of
+    its candidates) matched the previous pass, so that pass's stored
+    result was reused as is (bit-identical by construction).
 ``mixed``
     Heterogeneous children — a pass combining recomputed and carried
-    actions, or an action combining recomputed and carried candidates.
+    actions, or a recomputed action some of whose displayed vis were
+    reused from the previous pass (its per-vis map marks them
+    ``carried``).
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from ..core.config import config, thread_overlay
 from ..core.errors import LuxWarning
 from ..core.frame import LuxDataFrame
 from ..dataframe import DataFrame
+from ..vis.spec import candidate_key
 from ..vis.vegalite import spec_payload
 from .persist import read_results
 from .provenance import Provenance
@@ -48,24 +49,37 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Session", "SessionManager", "serialize_recommendations"]
 
 
-def serialize_recommendations(recs: Any) -> dict[str, Any]:
+def serialize_recommendations(
+    recs: Any, reuse: "Mapping[str, Mapping[str, Any]] | None" = None
+) -> dict[str, Any]:
     """RecommendationSet -> per-action JSON payloads (the wire format).
 
     Shared by the foreground read path and the precompute engine so a
     store entry is byte-identical no matter which path produced it.
+    ``reuse`` maps an action name to ``{vis_key: candidate}`` results of
+    the engine's previous pass: a displayed Vis that is the very object a
+    candidate holds keeps that candidate's spec payload dict instead of
+    being encoded again.
     """
     payloads: dict[str, Any] = {}
     for name in recs.keys():
         vislist = recs[name]
+        known = reuse.get(name) if reuse else None
         payloads[name] = {
             "count": len(vislist),
             "specs": [
-                spec_payload(vis.spec, vis.score)
-                for vis in vislist
-                if vis.spec is not None
+                _spec_payload(vis, known) for vis in vislist if vis.spec is not None
             ],
         }
     return payloads
+
+
+def _spec_payload(vis: Any, known: "Mapping[str, Any] | None") -> dict[str, Any]:
+    if known:
+        candidate = known.get(candidate_key(vis.spec))
+        if candidate is not None and candidate.vis is vis:
+            return candidate.payload
+    return spec_payload(vis.spec, vis.score)
 
 
 class Session:
@@ -303,27 +317,10 @@ class Session:
             for name, r in records.items()
         }
 
-    def publish_view(
-        self,
-        version: tuple[int, int],
-        payloads: dict[str, Any],
-        carried: "tuple[tuple[int, int], list[str]] | None" = None,
-    ) -> None:
-        """Record the decoded payloads of the pass just stored at ``version``.
-
-        ``carried`` is ``(previous_version, names)`` for actions an
-        incremental pass carried instead of recomputing: their dicts come
-        from the previous view when it is at that version (otherwise they
-        are left out and decoded from the store on read).
-        """
+    def publish_view(self, version: tuple[int, int], payloads: dict[str, Any]) -> None:
+        """Record the decoded payloads of the pass just stored at ``version``."""
         with self.lock:
-            view = dict(payloads)
-            if carried is not None and self._view is not None:
-                prev_version, names = carried
-                if self._view[0] == prev_version:
-                    prev = self._view[1]
-                    view.update((n, prev[n]) for n in names if n in prev)
-            self._view = (version, view)
+            self._view = (version, dict(payloads))
 
     def _respond(
         self,

@@ -39,17 +39,12 @@ also purges the pass's manifest (a manifest naming missing entries would
 otherwise dangle forever), and a manifest is only written when every
 member it names is resident.
 
-Incremental recomputation adds a third provenance next to ``precompute``
-and ``foreground``: :meth:`ResultStore.carry` re-publishes an action's
-still-valid bytes from the previous version under the new one with
-``origin == "carried"`` and the original ``computed_at``, so the engine's
-partial passes produce complete, manifest-backed versions without
-recomputing unaffected actions.  Candidate-level reruns go one step
-finer: a partially recomputed action lands with ``origin == "mixed"``
-plus a per-vis ``vis_origins`` map, and each executed action's
-per-candidate score records are stored under the reserved
-:func:`candidate_entry` namespace — advisory entries that no manifest
-lists and whose eviction never invalidates a pass.
+Each entry also records its provenance.  Next to ``precompute`` and
+``foreground``, the engine's reuse (see :mod:`repro.service.precompute`)
+stores an action it did not rerun with ``origin == "carried"`` and the
+original ``computed_at`` — its bytes object is the one stored before, not
+a copy — and an action whose displayed vis were partly reused with
+``origin == "mixed"`` plus a per-vis ``vis_origins`` map.
 """
 
 from __future__ import annotations
@@ -62,28 +57,10 @@ from typing import Any, Mapping, Sequence
 from ..core.config import config
 from .wire import encode
 
-__all__ = ["ResultStore", "candidate_entry"]
+__all__ = ["ResultStore"]
 
 #: Reserved pseudo-action naming the per-(session, version) manifest.
 MANIFEST = "_manifest"
-
-#: Reserved prefix for per-candidate record entries (see
-#: :func:`candidate_entry`).  The separator byte cannot appear in an
-#: action name, so the namespace can never collide with a real action.
-CANDIDATE_PREFIX = "_cand\x1f"
-
-
-def candidate_entry(action: str, vis_key: str) -> str:
-    """The reserved entry name for one candidate's score record.
-
-    The incremental engine stores one tiny ``{"approx", "score",
-    "displayed"}`` record per candidate vis of each executed action, so
-    the next partial pass can carry unaffected candidates' scores at vis
-    granularity.  These entries are advisory: they are never listed in a
-    pass manifest, and evicting one never invalidates the pass it belongs
-    to (a missing record just means that candidate is recomputed).
-    """
-    return f"{CANDIDATE_PREFIX}{action}\x1f{vis_key}"
 
 
 class _Entry:
@@ -128,7 +105,6 @@ class ResultStore:
         self._hits = 0  # guarded-by: _lock
         self._misses = 0  # guarded-by: _lock
         self._evictions = 0  # guarded-by: _lock
-        self._carried = 0  # guarded-by: _lock
 
     def budget_bytes(self) -> int:
         """The active byte budget; 0 means unbounded."""
@@ -151,14 +127,14 @@ class ResultStore:
         computed_at: float | None = None,
         vis_origins: "dict[str, str] | None" = None,
     ) -> bool:
-        """Encode one action's payload and insert its bytes.
+        """Insert one action's payload as its JSON bytes.
 
-        This is the one place a payload is serialized.  False when the
-        bytes alone bust the budget.
+        A ``bytes`` payload is taken as already encoded; anything else is
+        encoded here, once.  False when the bytes alone bust the budget.
         """
-        entry = _Entry(
-            encode(payload), origin, computed_at=computed_at, vis_origins=vis_origins
-        )
+        if not isinstance(payload, bytes):
+            payload = encode(payload)
+        entry = _Entry(payload, origin, computed_at=computed_at, vis_origins=vis_origins)
         return self._insert(self._key(session_id, version, action), entry)
 
     def _insert(self, key: tuple, entry: _Entry) -> bool:
@@ -191,15 +167,12 @@ class ResultStore:
         under byte pressure) left a dangling manifest row: a pass that can
         never be served whole again, whose manifest sat in the LRU
         consuming bytes and answering action-existence probes for payloads
-        that no longer exist.  Candidate record entries are exempt in both
-        directions: evicting one leaves the pass servable whole (records
-        are advisory), and no manifest ever lists them.  The caller holds
-        ``self._lock``.
+        that no longer exist.  The caller holds ``self._lock``.
         """
         key, evicted = self._entries.popitem(last=False)
         self._nbytes -= len(evicted.payload)
         self._evictions += 1
-        if key[2] != MANIFEST and not key[2].startswith(CANDIDATE_PREFIX):
+        if key[2] != MANIFEST:
             manifest = self._entries.pop((key[0], key[1], MANIFEST), None)
             if manifest is not None:
                 self._nbytes -= len(manifest.payload)
@@ -213,15 +186,16 @@ class ResultStore:
         manifest: "Sequence[str] | None" = None,
         origins: "Mapping[str, str] | None" = None,
         vis_origins: "Mapping[str, dict[str, str]] | None" = None,
+        computed_at: float | None = None,
     ) -> None:
         """Store a whole pass: one entry per action plus the manifest.
 
-        ``manifest`` overrides the listed action names — the incremental
-        engine passes the *full* ordered action set when some entries were
-        carried forward (already present at this version) rather than
-        inserted here.  ``origins`` overrides ``origin`` per action and
-        ``vis_origins`` attaches per-vis provenance — both used by
-        candidate-level partial passes, whose rerun actions land with
+        ``manifest`` overrides the listed action names — the engine
+        passes the *full* ordered action set when some entries were
+        carried (already put at this version) rather than inserted here.
+        ``origins`` overrides ``origin`` per action and ``vis_origins``
+        attaches per-vis provenance — both used for actions whose
+        displayed vis were partly reused, which land with
         ``origin == "mixed"`` plus a ``vis_key -> origin`` map.  The
         manifest is only written if every listed action's entry is still
         resident: byte pressure during insertion may already have evicted
@@ -238,6 +212,7 @@ class ResultStore:
                 action,
                 payload,
                 origin=origins.get(action, origin) if origins else origin,
+                computed_at=computed_at,
                 vis_origins=vis_origins.get(action) if vis_origins else None,
             )
         names = list(manifest) if manifest is not None else list(payloads.keys())
@@ -284,40 +259,6 @@ class ResultStore:
         self.put_pass(session_id, version, {}, manifest=names)
         with self._lock:
             return self._key(session_id, version, MANIFEST) in self._entries
-
-    def carry(
-        self,
-        session_id: str,
-        old_version: tuple,
-        new_version: tuple,
-        action: str,
-    ) -> bool:
-        """Re-publish one action's payload under ``new_version``.
-
-        The incremental engine calls this for actions whose input
-        footprint missed the mutation delta: the previous pass's result is
-        still exactly what a cold pass would compute, so it is carried
-        forward under the new ``(session, data_version, intent_epoch)``
-        key with provenance ``carried`` and its original ``computed_at``.
-        Returns False when the source entry is gone (evicted) — the caller
-        must rerun the action instead.  A carried entry is uniform by
-        definition, so any per-vis origin map collapses to None; carrying
-        a candidate record entry does not count toward the ``carried``
-        stat (records are advisory bookkeeping, not served payloads).
-        """
-        with self._lock:
-            entry = self._entries.get(self._key(session_id, old_version, action))
-            if entry is None:
-                return False
-            # The bytes are shared, not copied: carrying costs no payload
-            # work on the very path whose point is doing none for
-            # unaffected actions.
-            copied = _Entry(entry.payload, "carried", computed_at=entry.computed_at)
-        ok = self._insert(self._key(session_id, new_version, action), copied)
-        if ok and not action.startswith(CANDIDATE_PREFIX):
-            with self._lock:
-                self._carried += 1
-        return ok
 
     def _lookup(self, key: tuple) -> _Entry | None:  # requires-lock: _lock
         """The entry at ``key`` (touched for LRU), counting the hit or miss."""
@@ -396,5 +337,4 @@ class ResultStore:
                 "hits": self._hits,
                 "misses": self._misses,
                 "evictions": self._evictions,
-                "carried": self._carried,
             }

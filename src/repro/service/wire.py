@@ -5,7 +5,9 @@ vega-lite data per pass).  They are encoded exactly once, when a pass
 publishes into the :class:`~repro.service.store.ResultStore`
 (:func:`encode`), and every later consumer — the HTTP response, the shard
 RPC frame, the snapshot results file — carries those bytes through
-instead of re-encoding the decoded dicts on every read.
+instead of re-encoding the decoded dicts on every read.  A background
+pass goes one step finer: it encodes only the specs it recomputed and
+joins each action's bytes from per-spec bytes (:func:`encode_action`).
 
 :func:`dumps` is the one response writer: ``json.dumps`` with the
 default settings, except that a ``bytes`` value is taken as already
@@ -19,12 +21,38 @@ from __future__ import annotations
 import json
 from typing import Any
 
-__all__ = ["dumps", "encode"]
+__all__ = ["dumps", "encode", "encode_action"]
 
 
 def encode(value: Any) -> bytes:
     """``value`` as JSON bytes with the wire's ``json.dumps`` defaults."""
     return json.dumps(value).encode("utf-8")
+
+
+def encode_action(count: int, specs: list) -> "tuple[bytes, list[memoryview]]":
+    """One action payload's JSON bytes, joined from its specs' JSON bytes.
+
+    The result equals :func:`encode` of ``{"count": count, "specs": [...]}``
+    (the shape :func:`~repro.service.session.serialize_recommendations`
+    builds) over the decoded specs.  It is built with one join, so each
+    spec's bytes are copied once, and each spec's slice of the result is
+    returned with it.
+    """
+    head = b'{"count": %d, "specs": [' % count
+    parts = [head]
+    bounds = []
+    at = len(head)
+    for i, spec in enumerate(specs):
+        if i:
+            parts.append(b", ")
+            at += 2
+        parts.append(spec)
+        bounds.append((at, at + len(spec)))
+        at += len(spec)
+    parts.append(b"]}")
+    blob = b"".join(parts)
+    view = memoryview(blob)
+    return blob, [view[start:end] for start, end in bounds]
 
 
 def dumps(value: Any) -> bytes:

@@ -92,13 +92,25 @@ class TestPerColumnVersions:
         assert meta.column_versions == versions
         assert frame._data_version == 0 and frame._intent_epoch == 1
 
-    def test_schema_change_rescans_everything(self):
+    def test_schema_change_rescans_only_named_columns(self):
         frame = make_frame()
-        frame.metadata
-        frame["d1"] = (["u", "v"] * 150)[: len(frame)]
+        before = frame.metadata
+        untouched = dict(before.attributes)
+
+        frame["d1"] = (["u", "v"] * 150)[: len(frame)]  # add
         after = frame.metadata
-        assert set(after.column_versions) == {"q0", "q1", "d0", "d1"}
-        assert all(v == 1 for v in after.column_versions.values())
+        assert after.column_versions == {"q0": 0, "q1": 0, "d0": 0, "d1": 1}
+        assert all(after.attributes[n] is a for n, a in untouched.items())
+
+        frame.rename({"q1": "q9"}, inplace=True)
+        frame.drop("d0", inplace=True)
+        after = frame.metadata
+        assert list(after.attributes) == frame.columns == ["q0", "q9", "d1"]
+        assert after.column_versions == {"q0": 0, "q9": 3, "d1": 1}
+        assert after.attributes["q0"] is untouched["q0"]
+        # The renamed column was rescanned under its new name.
+        assert after["q9"].name == "q9"
+        assert after["q9"].max == before["q1"].max
 
 
 class TestDerivedLinkMigration:

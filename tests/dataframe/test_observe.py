@@ -203,13 +203,6 @@ class TestDelta:
     def test_union_with_unknown_stays_unknown(self):
         assert Delta.data(["x"]).union(Delta.unknown()).columns_changed is None
 
-    def test_touches(self):
-        d = Delta.data(["x"])
-        assert d.touches({"x", "y"}) and not d.touches({"y"})
-        assert d.touches(None)  # unknown consumer inputs
-        assert not Delta.intent().touches({"x"})
-        assert Delta.unknown().touches({"anything"})
-
     def test_default_emit_delta_is_unknown(self):
         frame = DataFrame({"a": [1]})
         seen = []

@@ -1,22 +1,24 @@
-"""Incremental recommendation recomputation: partition, carry, identity.
+"""Incremental recommendation recomputation: content keys, reuse, identity.
 
-The acceptance-critical properties of the column-level delta path:
+The acceptance-critical properties of the engine's content-keyed reuse:
 
-- a single-column mutation reruns only the actions whose input footprint
-  intersects the delta; everything else is carried forward with
-  provenance ``carried`` and the response is bit-identical to a cold
+- a single-column mutation reruns only the candidates that read the
+  column; an action whose candidate keys all hit is carried whole with
+  provenance ``carried``, and the response is bit-identical to a cold
   foreground pass of the same version;
 - intent-only changes rerun only intent-reading actions and never mark
   data dirty;
-- every escape hatch (row-set changes, evicted previous passes, the
-  ``incremental_precompute`` ablation knob) degrades to a full pass,
-  never to a wrong one.
+- a row-set change restamps every column, so every action reruns; the
+  ``incremental_precompute`` ablation knob turns lookups off — and
+  neither ever yields a wrong result.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+
+import json
 
 from repro import LuxDataFrame, config
 from repro.service import ResultStore, SessionManager
@@ -64,7 +66,7 @@ class TestIncrementalPartition:
         assert response is not None
         origins = origins_of(response)
         # d0 is nominal: only Occurrence reads it — and within Occurrence
-        # only the d0 candidate reruns (the d1 vis is carried), so the
+        # only the d0 candidate reruns (the d1 vis is reused), so the
         # action lands with the candidate-level "mixed" origin.
         assert origins["Occurrence"] == "mixed"
         assert origins["Correlation"] == "carried"
@@ -74,7 +76,9 @@ class TestIncrementalPartition:
         assert stats["actions_rerun"] - before["actions_rerun"] == 1
         assert stats["actions_carried"] - before["actions_carried"] == 2
         assert stats["candidates_rerun"] - before["candidates_rerun"] == 1
-        assert stats["candidates_carried"] - before["candidates_carried"] == 1
+        # Every key hit counts: d1 in Occurrence plus the candidates of
+        # the two carried actions (one correlation pair, two histograms).
+        assert stats["candidates_carried"] - before["candidates_carried"] == 4
         assert stats["incremental_passes"] >= 1
 
     def test_carried_response_identical_to_cold_pass(self, manager):
@@ -118,26 +122,62 @@ class TestIncrementalPartition:
 
     def test_burst_of_mutations_unions_deltas(self, manager):
         session = settled_session(manager)
-        config.precompute = False  # accumulate without racing passes
+        config.precompute = False  # two mutations before one pass
         session.frame["q0"] = session.frame["q0"] * 2
         session.frame["d0"] = session.frame["d0"].to_list()[::-1]
         config.precompute = True
         manager.engine.schedule(session, immediate=True)
         assert manager.engine.wait_idle(60)
         origins = origins_of(session.recommendations(compute=False))
-        # The union delta covers q0 and d0, so every action reruns —
+        # Both q0 and d0 carry new stamps, so every action reruns —
         # Correlation wholesale (its only pair touches q0), Distribution
         # and Occurrence at candidate level (q1 resp. d1 vis carried).
         assert origins["Correlation"] == "precompute"
         assert origins["Distribution"] == "mixed"
         assert origins["Occurrence"] == "mixed"
 
+    def test_action_key_hit_stores_the_same_bytes_object(self, manager):
+        session = settled_session(manager)
+        v1 = session.version
+        first = manager.store.get(session.id, v1, "Correlation")
+        session.frame["d0"] = session.frame["d0"].to_list()[::-1]
+        assert manager.engine.wait_idle(60)
+        carried = manager.store.get(session.id, session.version, "Correlation")
+        assert carried["origin"] == "carried"
+        assert carried["payload"] is first["payload"]
+        assert carried["computed_at"] == first["computed_at"]
+
+    def test_added_column_keeps_unaffected_actions_carried(self, manager):
+        session = settled_session(manager)
+        session.frame["d2"] = (["x", "y", "z", "w"] * 500)[: len(session.frame)]
+        assert manager.engine.wait_idle(60)
+        response = session.recommendations(compute=False)
+        origins = origins_of(response)
+        # Only Occurrence gains a candidate (the new nominal column); the
+        # measures' stamps are untouched by the schema change.
+        assert origins["Correlation"] == "carried"
+        assert origins["Distribution"] == "carried"
+        assert origins["Occurrence"] == "mixed"
+        manager.store.drop_session(session.id)
+        session.frame.expire_recommendations()
+        assert session.recommendations()["actions"] == response["actions"]
+
+    def test_spliced_action_bytes_equal_json_dumps(self, manager):
+        session = settled_session(manager)
+        session.frame["q0"] = session.frame["q0"] * 2
+        assert manager.engine.wait_idle(60)
+        records = manager.store.get_pass(session.id, session.version)
+        assert records["Distribution"]["origin"] == "mixed"
+        for record in records.values():
+            stored = record["payload"]
+            assert stored == json.dumps(json.loads(stored)).encode("utf-8")
+
     def test_memoized_recommendations_merged_on_incremental_pass(self, manager):
         session = settled_session(manager)
         session.frame["d0"] = session.frame["d0"].to_list()[::-1]
         assert manager.engine.wait_idle(60)
-        # The frame's memoized set was refreshed by merging carried
-        # VisLists: an in-process read does no recomputation.
+        # The frame's memoized set is the pass's whole result, carried
+        # VisLists included: an in-process read does no recomputation.
         assert session.frame._recs_fresh
         assert session.frame._recs_version == session.version
         recs = session.frame.recommendations
@@ -155,13 +195,13 @@ class TestIncrementalFallbacks:
         assert manager.engine.stats()["actions_carried"] == 0
 
     def test_knob_flip_off_then_on_stays_correct(self, manager):
-        """Deltas observed while the knob is off are consumed, not leaked.
+        """Passes run while the knob is off still record their results.
 
         A mutation landing during an ablation window gets a full pass;
-        flipping the knob back on must scope the NEXT mutation to its own
-        delta only — and the merged response stays bit-identical to a
-        cold pass (a stale leftover delta would either over-rerun or,
-        worse, carry results the off-window mutation invalidated).
+        flipping the knob back on reuses that pass's results, so the NEXT
+        mutation reruns only what it touched — and the response stays
+        bit-identical to a cold pass (reusing a result the off-window
+        mutation invalidated would break that).
         """
         session = settled_session(manager)
         config.incremental_precompute = False
@@ -177,13 +217,11 @@ class TestIncrementalFallbacks:
         assert manager.engine.wait_idle(60)
         response = session.recommendations(compute=False)
         origins = origins_of(response)
-        # Only the d1 delta is in play: the quantitative actions carry.
-        # Occurrence reruns; whether its d0 vis carries at candidate
-        # granularity depends on what the (non-recording) off-window pass
-        # left behind, so either is sound — wrong answers are not.
+        # Only d1 moved: the quantitative actions carry, and Occurrence
+        # reruns d1 but reuses the d0 vis the off-window pass recorded.
         assert origins["Correlation"] == "carried"
         assert origins["Distribution"] == "carried"
-        assert origins["Occurrence"] in ("mixed", "precompute")
+        assert origins["Occurrence"] == "mixed"
         stats = manager.engine.stats()
         assert stats["actions_carried"] - before["actions_carried"] == 2
         assert stats["actions_rerun"] - before["actions_rerun"] == 1
@@ -203,29 +241,33 @@ class TestIncrementalFallbacks:
         origins = origins_of(session.recommendations(compute=False))
         assert set(origins.values()) == {"precompute"}
 
-    def test_evicted_previous_pass_forces_rerun(self, manager):
+    def test_cleared_store_keeps_reuse(self, manager):
         session = settled_session(manager)
         before = manager.engine.stats()
-        # Lose the previous pass entirely (harsher than LRU pressure).
+        # Lose every stored payload (harsher than LRU pressure): reuse
+        # does not depend on the store, only on the engine's table.
         manager.store.clear()
         session.frame["d0"] = session.frame["d0"].to_list()[::-1]
         assert manager.engine.wait_idle(60)
         response = session.recommendations(compute=False)
         assert response is not None
-        # No action-level carry is possible — every payload is gone — so
-        # all three actions rerun.  The frame's live memoized set still
-        # holds the previous displayed Vis, so untouched candidates inside
-        # each rerun action are still carried at vis granularity.
+        origins = origins_of(response)
+        assert origins["Correlation"] == "carried"
+        assert origins["Distribution"] == "carried"
+        assert origins["Occurrence"] == "mixed"
         stats = manager.engine.stats()
-        assert stats["actions_carried"] - before["actions_carried"] == 0
-        assert stats["actions_rerun"] - before["actions_rerun"] == 3
-        assert set(origins_of(response).values()) <= {"precompute", "mixed"}
+        assert stats["actions_carried"] - before["actions_carried"] == 2
+        manager.store.drop_session(session.id)
+        session.frame.expire_recommendations()
+        cold = session.recommendations()
+        assert cold["freshness"]["origin"] == "foreground"
+        assert cold["actions"] == response["actions"]
 
     def test_unwatched_session_has_no_state_leak(self, manager):
         session = settled_session(manager)
-        assert session.id in manager.engine._states
+        assert session.id in manager.engine._tables
         manager.close(session.id)
-        assert session.id not in manager.engine._states
+        assert session.id not in manager.engine._tables
 
     def test_mutation_while_precompute_off_still_recorded(self, manager):
         session = settled_session(manager)
@@ -235,30 +277,13 @@ class TestIncrementalFallbacks:
         manager.engine.schedule(session, immediate=True)
         assert manager.engine.wait_idle(60)
         origins = origins_of(session.recommendations(compute=False))
-        # The q0 delta observed while the switch was off still partitions
-        # the pass: Occurrence did not read q0 and is carried.
+        # The q0 edit made while the switch was off shows in q0's stamp:
+        # Occurrence did not read q0 and is carried.
         assert origins["Occurrence"] == "carried"
         assert origins["Correlation"] == "precompute"
 
 
 class TestCarryForwardStore:
-    def test_carry_preserves_payload_and_timestamp(self):
-        store = ResultStore()
-        store.put("s", (1, 0), "A", {"count": 3}, origin="precompute")
-        first = store.get("s", (1, 0), "A")
-        assert store.carry("s", (1, 0), (2, 0), "A") is True
-        carried = store.get("s", (2, 0), "A")
-        # The entry is the payload's JSON bytes; carrying shares them.
-        assert carried["payload"] == b'{"count": 3}'
-        assert carried["payload"] is first["payload"]
-        assert carried["origin"] == "carried"
-        assert carried["computed_at"] == first["computed_at"]
-        assert store.stats()["carried"] == 1
-
-    def test_carry_missing_source_fails(self):
-        store = ResultStore()
-        assert store.carry("s", (1, 0), (2, 0), "A") is False
-
     def test_manifest_purged_when_member_evicted(self):
         """Regression: LRU-evicting a pass member must purge its manifest.
 
@@ -294,7 +319,7 @@ class TestCarryForwardStore:
     def test_incremental_manifest_lists_carried_actions(self):
         store = ResultStore()
         store.put_pass("s", (1, 0), {"A": {"n": 1}, "B": {"n": 2}})
-        assert store.carry("s", (1, 0), (2, 0), "B")
+        store.put("s", (2, 0), "B", {"n": 2}, origin="carried")
         store.put_pass("s", (2, 0), {"A": {"n": 9}}, manifest=["A", "B"])
         records = store.get_pass("s", (2, 0))
         assert records is not None and set(records) == {"A", "B"}

@@ -80,9 +80,7 @@ class TestStoreBytes:
     def test_stats_bytes_equal_live_entry_lengths(self):
         store = ResultStore()
         store.put_pass("s", (1, 0), {"A": {"n": 1}, "B": {"blob": "x" * 50}})
-        store.carry("s", (1, 0), (2, 0), "B")
         store.put_pass("s", (2, 0), {"A": {"n": 2}}, manifest=["A", "B"])
-        store.put("s", (2, 0), "_cand\x1fA\x1fk", {"approx": 0.1, "score": 0.2})
         assert store.stats()["bytes"] == live_bytes(store)
         store.drop_session("s")
         assert store.stats()["bytes"] == live_bytes(store) == 0
