@@ -162,7 +162,8 @@ class Session:
         precompute engine; the load harness's write op).  With ``values``
         the column is assigned (or created) from the given sequence.
         Emits the same column-level delta any in-process mutation would,
-        so incremental precompute scopes the rerun correctly.
+        so only that column is rescanned and restamped, and the engine
+        reruns only the candidates that read it.
         """
         with self.lock, self.overlay():
             frame = self.frame

@@ -5,10 +5,12 @@ Holds each action's payload as its JSON wire bytes, keyed on
 ``(_data_version, _intent_epoch)`` pair.  A payload is encoded exactly
 once, when a pass publishes it (:meth:`ResultStore.put` runs
 :func:`repro.service.wire.encode`, the same ``json.dumps`` defaults the
-wire uses), and from then on the entry *is* the bytes: HTTP responses
-splice them into a small envelope (:func:`repro.service.wire.dumps`),
-shard RPC frames and snapshot results files carry them through
-untouched, and :meth:`ResultStore.get` hands them out as ``bytes``.
+wire uses, unless the background engine hands it bytes it already
+joined from per-spec bytes), and from then on the entry *is* the bytes:
+HTTP responses splice them into a small envelope
+(:func:`repro.service.wire.dumps`), shard RPC frames and snapshot
+results files carry them through untouched, and :meth:`ResultStore.get`
+hands them out as ``bytes``.
 In-process readers that want dicts get them from the session's view of
 its last published pass (see :mod:`repro.service.session`), not from the
 store.
@@ -77,9 +79,9 @@ class _Entry:
         self.payload = payload
         self.origin = origin
         self.computed_at = time.time() if computed_at is None else computed_at
-        #: Per-vis provenance for mixed-origin entries (candidate-level
-        #: partial reruns): ``vis_key -> origin``.  None means every vis
-        #: shares the entry's ``origin``.
+        #: Per-vis provenance for mixed-origin entries (actions whose
+        #: displayed vis were partly reused): ``vis_key -> origin``.  None
+        #: means every vis shares the entry's ``origin``.
         self.vis_origins = vis_origins
 
 
