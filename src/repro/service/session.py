@@ -68,13 +68,13 @@ def serialize_recommendations(
         payloads[name] = {
             "count": len(vislist),
             "specs": [
-                _spec_payload(vis, known) for vis in vislist if vis.spec is not None
+                _vis_payload(vis, known) for vis in vislist if vis.spec is not None
             ],
         }
     return payloads
 
 
-def _spec_payload(vis: Any, known: "Mapping[str, Any] | None") -> dict[str, Any]:
+def _vis_payload(vis: Any, known: "Mapping[str, Any] | None") -> dict[str, Any]:
     if known:
         candidate = known.get(candidate_key(vis.spec))
         if candidate is not None and candidate.vis is vis:
@@ -506,12 +506,12 @@ class SessionManager:
             session = self._sessions.pop(session_id, None)
         if session is None:
             return False
-        # Under the session lock, in a pass's lock order (session, then
-        # engine): a pass that is publishing finishes its store insert and
-        # snapshot save first, and every later pass sees the cancel set by
-        # unwatch, so nothing re-creates what is dropped here.
+        # Cancel first, so a running pass stops at its next action.  A pass
+        # already past its last cancel check holds the session lock through
+        # its store insert and snapshot save: dropping under that lock
+        # comes after them, so nothing re-creates what is dropped here.
+        self.engine.unwatch(session)
         with session.lock:
-            self.engine.unwatch(session)
             self.store.drop_session(session_id)
             if drop_snapshot and self.snapshots is not None:
                 # An explicitly closed session is gone for good; only a

@@ -164,6 +164,7 @@ def test_close_waits_for_a_publishing_pass(tmp_path):
         finally:
             release.set()
         closer.join(30)
+        assert not closer.is_alive()
         with session.lock:  # the pass has left its publishing section
             pass
         manager.shutdown()
