@@ -15,7 +15,7 @@ from ...vis.spec import VisSpec
 from ..compiler import CompiledVis
 from ..config import config
 from ..metadata import Metadata
-from .base import Action, Footprint
+from .base import Action, CandidateFootprint, Footprint
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..frame import LuxDataFrame
@@ -33,6 +33,10 @@ def _columns_look_temporal(names: list[str]) -> bool:
     return sum(p is not None for p in parsed) / len(names) > 0.8
 
 
+def _numeric_columns(ldf: "LuxDataFrame") -> list[str]:
+    return [c for c in ldf.columns if ldf.column(c).dtype.name in ("int64", "float64")]
+
+
 class IndexAction(Action):
     """Visualize values grouped by row/column indexes (Table 1)."""
 
@@ -43,15 +47,10 @@ class IndexAction(Action):
     def applies_to(self, ldf: "LuxDataFrame") -> bool:
         if ldf.empty or ldf.index.is_default:
             return False
-        numeric = [
-            c for c in ldf.columns if ldf.column(c).dtype.name in ("int64", "float64")
-        ]
-        return bool(numeric) and len(ldf) <= 1000
+        return bool(_numeric_columns(ldf)) and len(ldf) <= 1000
 
     def candidates(self, ldf: "LuxDataFrame") -> list[CompiledVis]:
-        numeric = [
-            c for c in ldf.columns if ldf.column(c).dtype.name in ("int64", "float64")
-        ]
+        numeric = _numeric_columns(ldf)
         index_name = ldf.index.name or "index"
         labels = ldf.index.to_list()
         index_temporal = ldf.index.column.dtype.name == "datetime"
@@ -109,4 +108,10 @@ class IndexAction(Action):
         # Plots every numeric storage column against the labelled index.
         # Candidate enumeration materializes records, but applies_to caps
         # the frame at 1000 rows so per-pass entry building stays cheap.
-        return Footprint(candidates=self.candidate_footprints(ldf, metadata))
+        # A row-wise series plots synthetic "column"/"value" fields built
+        # from every numeric column, so its entry names those columns.
+        entries = self.candidate_footprints(ldf, metadata)
+        numeric = _numeric_columns(ldf)
+        if entries is not None and _columns_look_temporal(numeric):
+            entries = [CandidateFootprint(e.vis_key, numeric) for e in entries]
+        return Footprint(candidates=entries)

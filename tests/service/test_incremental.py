@@ -269,6 +269,21 @@ class TestIncrementalFallbacks:
         manager.close(session.id)
         assert session.id not in manager.engine._tables
 
+    def test_row_series_key_names_every_plotted_column(self, manager):
+        # A pivoted frame's row-wise series plots synthetic column/value
+        # fields; before its entry named the numeric columns it read, an
+        # edit to one of them was served from the stale previous chart.
+        dates = [f"2020-01-{d:02d}" for d in range(1, 6)]
+        data = {"state": ["CA"], **{d: [float(i)] for i, d in enumerate(dates)}}
+        session = settled_session(manager, LuxDataFrame(data).set_index("state"))
+        session.mutate(dates[2], [42.0])
+        assert manager.engine.wait_idle(60)
+        response = session.recommendations(compute=False)
+        assert origins_of(response)["Index"] == "precompute"
+        manager.store.drop_session(session.id)
+        session.frame.expire_recommendations()
+        assert session.recommendations()["actions"] == response["actions"]
+
     def test_mutation_while_precompute_off_still_recorded(self, manager):
         session = settled_session(manager)
         config.precompute = False
