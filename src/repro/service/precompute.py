@@ -191,10 +191,11 @@ class _Candidate(CandidatePrior):
 
 
 class _ActionResult:
-    """One action's published result, reused whole on an action-key hit.
+    """One action's published result in a session's table.
 
-    ``candidates`` aligns with ``key``: each candidate's result, or None
-    where the run left nothing to reuse.
+    Reused whole on an action-key hit.  ``candidates`` aligns with
+    ``key``: each candidate's result, or None where the run left nothing
+    to reuse, looked up one by one when the action key differs.
     """
 
     __slots__ = ("key", "vislist", "payload", "wire", "computed_at", "candidates")
@@ -214,27 +215,6 @@ class _ActionResult:
         self.wire = wire
         self.computed_at = computed_at
         self.candidates = candidates
-
-
-class _Table:
-    """A session's last published pass, keyed by content.
-
-    ``actions`` maps an action name to its result (whose ``key`` must
-    match for a hit); ``candidates`` maps a candidate key to its result.
-    A table is built whole by one pass and never changed afterwards.
-    """
-
-    __slots__ = ("actions", "candidates")
-
-    def __init__(self) -> None:
-        self.actions: dict[str, _ActionResult] = {}
-        self.candidates: dict[tuple, _Candidate] = {}
-
-    def add(self, name: str, result: _ActionResult) -> None:
-        self.actions[name] = result
-        for key, candidate in zip(result.key, result.candidates):
-            if candidate is not None:
-                self.candidates[key] = candidate
 
 
 def _config_digest() -> str:
@@ -277,22 +257,29 @@ def _action_key(
 
 
 def _lookup(
-    table: "_Table | None", keys: "dict[str, tuple | None]"
+    table: "dict[str, _ActionResult] | None", keys: "dict[str, tuple | None]"
 ) -> "tuple[dict[str, _ActionResult], dict[str, dict[str, _Candidate]]]":
     """Action-key hits, and the candidate hits of every other keyed action
-    (``action name -> {vis_key: candidate result}``)."""
+    (``action name -> {vis_key: candidate result}``).
+
+    A candidate key names its action, so only that action's previous
+    result can hold it.
+    """
     hits: dict[str, _ActionResult] = {}
     priors: dict[str, dict[str, _Candidate]] = {}
-    if table is None:
-        return hits, priors
     for name, key in keys.items():
-        if key is None:
+        prev = table.get(name) if table is not None else None
+        if key is None or prev is None:
             continue
-        result = table.actions.get(name)
-        if result is not None and result.key == key:
-            hits[name] = result
+        if prev.key == key:
+            hits[name] = prev
             continue
-        found = {k[1]: table.candidates[k] for k in key if k in table.candidates}
+        current = set(key)
+        found = {
+            k[1]: candidate
+            for k, candidate in zip(prev.key, prev.candidates)
+            if candidate is not None and k in current
+        }
         if found:
             priors[name] = found
     return hits, priors
@@ -353,8 +340,10 @@ class PrecomputeEngine:
         self._unsubscribe: dict[str, Any] = {}  # guarded-by: _lock
         self._timers: dict[str, threading.Timer] = {}  # guarded-by: _lock
         self._inflight: dict[str, _Inflight] = {}  # guarded-by: _lock
-        #: Each watched session's last published pass, keyed by content.
-        self._tables: dict[str, _Table] = {}  # guarded-by: _lock
+        #: Each watched session's last published pass: action name ->
+        #: result, whose key must match for reuse.  Built whole by one
+        #: pass and never changed afterwards.
+        self._tables: dict[str, dict[str, _ActionResult]] = {}  # guarded-by: _lock
         #: Sessions whose trigger arrived at saturation, FIFO; resumed as
         #: passes complete and free backlog slots.
         self._deferred: "OrderedDict[str, Session]" = OrderedDict()  # guarded-by: _lock
@@ -728,7 +717,7 @@ class PrecomputeEngine:
         bytes, every other spec is encoded here, once.
         """
         now = time.time()
-        table = _Table()
+        table: dict[str, _ActionResult] = {}
         blobs: dict[str, bytes] = {}
         vis_origins: dict[str, dict[str, str]] = {}
         for name, payload in fresh.items():
@@ -751,13 +740,13 @@ class PrecomputeEngine:
                 records.get(name), now,
             )
             if result is not None:
-                table.add(name, result)
+                table[name] = result
         for name, hit in hits.items():
             self.store.put(
                 session.id, version, name, hit.wire,
                 origin="carried", computed_at=hit.computed_at,
             )
-            table.add(name, hit)
+            table[name] = hit
         names = recs.keys()
         self.store.put_pass(
             session.id,

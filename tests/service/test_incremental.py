@@ -15,10 +15,10 @@ The acceptance-critical properties of the engine's content-keyed reuse:
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
-
-import json
 
 from repro import LuxDataFrame, config
 from repro.service import ResultStore, SessionManager
