@@ -92,7 +92,7 @@ class TestPerColumnVersions:
         assert meta.column_versions == versions
         assert frame._data_version == 0 and frame._intent_epoch == 1
 
-    def test_schema_change_rescans_only_named_columns(self):
+    def test_schema_change_keeps_untouched_stamps(self):
         frame = make_frame()
         before = frame.metadata
         untouched = dict(before.attributes)
