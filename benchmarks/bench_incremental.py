@@ -122,7 +122,10 @@ def measure_passes(
 
     response = session.recommendations(compute=False)
     assert response is not None, "store must hold the final pass"
-    info["origins"] = response["freshness"]["actions"]
+    info["origins"] = {
+        name: action["origin"]
+        for name, action in response["provenance"]["actions"].items()
+    }
 
     # Identity: the stored (partly reused) pass must match a true
     # foreground recomputation of the very same version, with the store
@@ -130,7 +133,7 @@ def measure_passes(
     manager.store.drop_session(session.id)
     session.frame.expire_recommendations()
     recomputed = session.recommendations()
-    assert recomputed["freshness"]["origin"] == "foreground"
+    assert recomputed["provenance"]["origin"] == "foreground"
     info["identical"] = recomputed["actions"] == response["actions"]
     manager.close(session.id)
     return min(times), info

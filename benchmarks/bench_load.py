@@ -186,7 +186,7 @@ def latency_histogram(latencies: list[float]) -> dict:
 
 def scrape_metrics(base: str) -> str:
     """Raw Prometheus exposition from the server's ``/metrics``."""
-    with urllib.request.urlopen(base + "/metrics", timeout=30) as response:
+    with urllib.request.urlopen(base + "/v1/metrics", timeout=30) as response:
         return response.read().decode("utf-8")
 
 
@@ -266,7 +266,7 @@ class Monitor:
     def _run(self) -> None:
         while not self._stop.is_set():
             try:
-                _, _, health = call(self.base, "GET", "/healthz")
+                _, _, health = call(self.base, "GET", "/v1/healthz")
             except OSError:
                 break
             self.backlog.append(int(health["precompute"]["backlog_depth"]))
@@ -322,7 +322,7 @@ class Worker:
                 status, headers, _ = call(
                     self.base,
                     "POST",
-                    f"/sessions/{sid}/mutate",
+                    f"/v1/sessions/{sid}/mutate",
                     {"column": column},
                 )
                 self._account("mutates", status, headers)
@@ -335,14 +335,14 @@ class Worker:
                 status, headers, _ = call(
                     self.base,
                     "POST",
-                    f"/sessions/{sid}/intent",
+                    f"/v1/sessions/{sid}/intent",
                     {"intent": intent},
                 )
                 self._account("intents", status, headers)
             else:
                 start = time.perf_counter()
                 status, _, _ = call(
-                    self.base, "GET", f"/sessions/{sid}/recommendations"
+                    self.base, "GET", f"/v1/sessions/{sid}/recommendations"
                 )
                 if status == 200:
                     self.read_latencies.append(time.perf_counter() - start)
@@ -379,7 +379,7 @@ def run_scenario(
         status, _, info = call(
             base,
             "POST",
-            "/sessions",
+            "/v1/sessions",
             {"dataset": f"synthetic-{name}", "rows": rows,
              "config": {"top_k": 3}},
         )
@@ -402,7 +402,7 @@ def run_scenario(
             thread.join()
 
     for session in sessions:
-        call(base, "DELETE", f"/sessions/{session['session']}")
+        call(base, "DELETE", f"/v1/sessions/{session['session']}")
 
     latencies = sorted(
         latency for worker in workers for latency in worker.read_latencies
@@ -455,7 +455,7 @@ def run_saturation(base: str, manager: SessionManager, rows: int) -> dict:
         status, _, info = call(
             base,
             "POST",
-            "/sessions",
+            "/v1/sessions",
             {"dataset": f"synthetic-{scenario}", "rows": rows,
              "config": {"top_k": 3}},
         )
@@ -481,7 +481,7 @@ def run_saturation(base: str, manager: SessionManager, rows: int) -> dict:
                 status, headers, _ = call(
                     base,
                     "POST",
-                    f"/sessions/{sid}/mutate",
+                    f"/v1/sessions/{sid}/mutate",
                     {"column": "heavy_tail"},
                 )
                 statuses.append(status)
@@ -499,7 +499,7 @@ def run_saturation(base: str, manager: SessionManager, rows: int) -> dict:
         retry_status, _, _ = call(
             base,
             "POST",
-            f"/sessions/{sessions[-1]}/mutate",
+            f"/v1/sessions/{sessions[-1]}/mutate",
             {"column": "heavy_tail"},
         )
         assert manager.engine.wait_idle(300), "post-retry drain stalled"
@@ -517,12 +517,12 @@ def run_saturation(base: str, manager: SessionManager, rows: int) -> dict:
     identical = True
     for sid in sessions:
         status, _, response = call(
-            base, "GET", f"/sessions/{sid}/recommendations"
+            base, "GET", f"/v1/sessions/{sid}/recommendations"
         )
         if status != 200 or response["actions"] != reference["actions"]:
             identical = False
     for sid in sessions:
-        call(base, "DELETE", f"/sessions/{sid}")
+        call(base, "DELETE", f"/v1/sessions/{sid}")
     retry_after_int = int(retry_after) if retry_after else 0
     return {
         "queue_limit": 2,
@@ -688,7 +688,7 @@ def run_fault(args: argparse.Namespace) -> int:
             status, _, info = call(
                 base,
                 "POST",
-                "/sessions",
+                "/v1/sessions",
                 {"dataset": f"synthetic-{scenario}", "rows": rows,
                  "config": {"top_k": 3}},
             )
@@ -725,10 +725,10 @@ def run_fault(args: argparse.Namespace) -> int:
         references: dict[str, dict] = {}
         for cid in victim_canaries:
             status, _, response = call(
-                base, "GET", f"/sessions/{cid}/recommendations"
+                base, "GET", f"/v1/sessions/{cid}/recommendations"
             )
             assert status == 200, f"canary reference read -> {status}"
-            assert response["freshness"]["origin"] != "foreground"
+            assert response["provenance"]["origin"] != "foreground"
             references[cid] = response
 
         # Unloaded cold reference: what recovering *without* snapshots
@@ -787,13 +787,13 @@ def run_fault(args: argparse.Namespace) -> int:
                     status, headers, _ = call(
                         base,
                         "POST",
-                        f"/sessions/{sid}/mutate",
+                        f"/v1/sessions/{sid}/mutate",
                         {"column": rng.choice(columns)},
                     )
                     account("mutates", shard, status, headers)
                 else:
                     status, headers, _ = call(
-                        base, "GET", f"/sessions/{sid}/recommendations"
+                        base, "GET", f"/v1/sessions/{sid}/recommendations"
                     )
                     account("reads", shard, status, headers)
 
@@ -805,7 +805,7 @@ def run_fault(args: argparse.Namespace) -> int:
             fault_log["killed_at_pct"] = 40
             # /healthz must answer *during* the outage, flag the dead
             # shard, and keep reporting the survivor as healthy.
-            _, _, health = call(base, "GET", "/healthz")
+            _, _, health = call(base, "GET", "/v1/healthz")
             stanzas = {
                 w.get("shard"): w for w in health.get("workers", [])
             }
@@ -827,7 +827,7 @@ def run_fault(args: argparse.Namespace) -> int:
             # reported, not gated.)
             ready_deadline = time.perf_counter() + 120
             while time.perf_counter() < ready_deadline:
-                _, _, health = call(base, "GET", "/healthz")
+                _, _, health = call(base, "GET", "/v1/healthz")
                 if health.get("status") == "ok":
                     break
                 time.sleep(0.1)
@@ -868,14 +868,14 @@ def run_fault(args: argparse.Namespace) -> int:
             warm_payloads[cid] = json.loads(raw)
         warm_s = min(warm_samples)
         origins = {
-            p["freshness"]["origin"] for p in warm_payloads.values()
+            p["provenance"]["origin"] for p in warm_payloads.values()
         }
         warm_origin = (
             "foreground" if "foreground" in origins else origins.pop()
         )
         speedup = cold_s / warm_s if warm_s > 0 else 0.0
         status, _, warm_http = call(
-            base, "GET", f"/sessions/{victim_canaries[0]}/recommendations"
+            base, "GET", f"/v1/sessions/{victim_canaries[0]}/recommendations"
         )
         ref_actions = cold_reference["actions"]
         canary_identical = (
@@ -890,7 +890,7 @@ def run_fault(args: argparse.Namespace) -> int:
         post_drain = True
         for info in sessions:
             read_status, _, response = call(
-                base, "GET", f"/sessions/{info['session']}/recommendations"
+                base, "GET", f"/v1/sessions/{info['session']}/recommendations"
             )
             if read_status != 200 or response["actions"] != ref_actions:
                 post_drain = False

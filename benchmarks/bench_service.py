@@ -103,7 +103,7 @@ def measure_cold(manager: SessionManager, rows: int, rounds: int) -> float:
         start = time.perf_counter()
         response = session.recommendations()
         times.append(time.perf_counter() - start)
-        assert response["freshness"]["origin"] == "foreground"
+        assert response["provenance"]["origin"] == "foreground"
     manager.close(session.id)
     return min(times)
 
@@ -124,7 +124,7 @@ def measure_precomputed(
         times.append(time.perf_counter() - start)
         # Incremental passes mix recomputed and carried provenance; any
         # of the three store-served origins means zero foreground work.
-        assert response["freshness"]["origin"] in (
+        assert response["provenance"]["origin"] in (
             "precompute",
             "carried",
             "mixed",
@@ -135,7 +135,7 @@ def measure_precomputed(
     manager.store.drop_session(session.id)
     session.frame.expire_recommendations()
     recomputed = session.recommendations()
-    assert recomputed["freshness"]["origin"] == "foreground"
+    assert recomputed["provenance"]["origin"] == "foreground"
     identical = recomputed["actions"] == response["actions"]
     manager.close(session.id)
     return min(times), identical
@@ -159,7 +159,7 @@ def measure_multi_session(
     start = time.perf_counter()
     for i in range(reads):
         response = sessions[i % n_sessions].recommendations()
-        assert response["freshness"]["origin"] != "foreground"
+        assert response["provenance"]["origin"] != "foreground"
     read_wall_s = time.perf_counter() - start
     for session in sessions:
         manager.close(session.id)
@@ -174,14 +174,14 @@ def measure_multi_session(
 # ----------------------------------------------------------------------
 # Multi-process (sharded tier) sections
 # ----------------------------------------------------------------------
-def strip_freshness(response: dict) -> str:
+def strip_provenance(response: dict) -> str:
     # The session id is not part of the payload contract (a cold rebuild
-    # registers fresh ids); freshness carries wall-clock ages.
+    # registers fresh ids); provenance carries wall-clock pass times.
     return json.dumps(
         {
             k: v
             for k, v in response.items()
-            if k not in ("freshness", "session")
+            if k not in ("provenance", "session")
         },
         sort_keys=True,
     )
@@ -279,7 +279,7 @@ def measure_recovery(rows: int, n_sessions: int = 3) -> dict:
             assert manager.engine.wait_idle(600), "recovery prep stalled"
             for sid in ids:
                 references.append(
-                    strip_freshness(manager.get(sid).recommendations())
+                    strip_provenance(manager.get(sid).recommendations())
                 )
             manager.shutdown()  # flushes every session's snapshot
 
@@ -296,7 +296,7 @@ def measure_recovery(rows: int, n_sessions: int = 3) -> dict:
                 )
                 session.mutate("heavy_tail")
                 response = session.recommendations()
-                assert response["freshness"]["origin"] == "foreground"
+                assert response["provenance"]["origin"] == "foreground"
                 cold_responses.append(response)
             cold_s = time.perf_counter() - start
             cold_manager.shutdown()
@@ -317,12 +317,12 @@ def measure_recovery(rows: int, n_sessions: int = 3) -> dict:
         identical = (
             sorted(restored) == sorted(ids)
             and all(
-                r["freshness"]["origin"] != "foreground"
+                r["provenance"]["origin"] != "foreground"
                 for r in warm_responses.values()
             )
-            and [strip_freshness(warm_responses[sid]) for sid in ids]
+            and [strip_provenance(warm_responses[sid]) for sid in ids]
             == references
-            and [strip_freshness(r) for r in cold_responses] == references
+            and [strip_provenance(r) for r in cold_responses] == references
         )
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

@@ -114,7 +114,7 @@ def build_candidates() -> list[VisSpec]:
         Encoding("color", "", q, aggregate="count"),
     ]))
     # Filtered variants: every pair below shares one mask + subframe.
-    for value in ("v0", "v1", "v2"):
+    for value in (f"v{k}" for k in range(3)):  # the first three d0 values
         for i in range(2):
             specs.append(VisSpec("bar", [
                 Encoding("y", "d1", "nominal"),

@@ -39,7 +39,7 @@ def main() -> None:
     start = time.perf_counter()
     response = alice.recommendations()
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    print(f"alice read: {response['freshness']['origin']} in {elapsed_ms:.2f} ms")
+    print(f"alice read: {response['provenance']['origin']} in {elapsed_ms:.2f} ms")
     for action, payload in response["actions"].items():
         print(f"  {action}: {payload['count']} chart(s)")
 
@@ -51,15 +51,15 @@ def main() -> None:
     # 2. Over HTTP: the same machinery behind a stdlib JSON API.
     # ------------------------------------------------------------------
     server = make_server().serve_background()
-    created = _call(server.address, "POST", "/sessions",
+    created = _call(server.address, "POST", "/v1/sessions",
                     {"dataset": "hpi", "config": {"top_k": 4}})
     session_id = created["session"]
     server.manager.engine.wait_idle()
     recs = _call(server.address, "GET",
-                 f"/sessions/{session_id}/recommendations")
-    print(f"HTTP read: {recs['freshness']['origin']}, "
+                 f"/v1/sessions/{session_id}/recommendations")
+    print(f"HTTP read: {recs['provenance']['origin']}, "
           f"actions={list(recs['actions'])}")
-    health = _call(server.address, "GET", "/healthz")
+    health = _call(server.address, "GET", "/v1/healthz")
     print("healthz:", {k: health[k] for k in ("status", "sessions")})
     server.manager.shutdown()
     server.stop()

@@ -156,7 +156,8 @@ class Config:
     precompute: bool = True
 
     #: Bearer token required by the HTTP API on every route except
-    #: ``/healthz``; empty disables authentication (local notebooks).
+    #: ``/v1/healthz`` and ``/v1/metrics``; empty disables authentication
+    #: (local notebooks).
     service_auth_token: str = ""
 
     #: Backpressure bound on the precompute backlog (armed debounce timers
@@ -167,11 +168,13 @@ class Config:
     #: 0 disables the bound.
     precompute_queue_limit: int = 128
 
-    #: Incremental recomputation: partition each background pass into the
-    #: actions whose input footprint intersects the accumulated mutation
-    #: delta (rerun) and the rest (carried forward from the previous
-    #: stored pass, provenance ``carried``).  Off, every version bump
-    #: reruns the full action set — the ablation condition
+    #: Incremental recomputation: each background pass looks up every
+    #: candidate's content key (its columns' metadata stamps, the intent
+    #: epoch, the effective config) in the session's last published pass,
+    #: reuses the hits at action or vis granularity (provenance
+    #: ``carried`` / ``mixed``) and reruns only the misses.  Off, a pass
+    #: still records its results but looks nothing up, so every version
+    #: bump reruns the full action set — the ablation condition
     #: ``benchmarks/bench_incremental.py`` measures.
     incremental_precompute: bool = True
 

@@ -447,8 +447,14 @@ def spans(
     trace_id: Optional[str] = None,
     limit: Optional[int] = None,
 ) -> List[Dict[str, Any]]:
-    """Most-recent-last snapshot of the span ring, optionally filtered."""
+    """Most-recent-last snapshot of the span ring, optionally filtered.
 
+    ``limit`` keeps the last ``limit`` records (0 keeps none); a negative
+    one raises ``ValueError``.
+    """
+
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     ring = _SPANS
     if ring is None:
         return []
@@ -457,8 +463,8 @@ def spans(
         records = [r for r in records if r["attrs"].get("session") == session_id]
     if trace_id is not None:
         records = [r for r in records if r["trace_id"] == trace_id]
-    if limit is not None and limit >= 0:
-        records = records[-limit:]
+    if limit is not None:
+        records = records[-limit:] if limit else []
     return records
 
 

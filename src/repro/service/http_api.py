@@ -11,34 +11,39 @@ modes — clients cannot tell how many processes serve them.
 
 Endpoints
 ---------
-``POST /sessions``
+Every route lives under ``/v1/``; any other path answers 404.
+
+``POST /v1/sessions``
     Create a session.  JSON body fields: ``dataset`` (a bundled generator:
     hpi | airbnb | covid | communities, or a load-test scenario
     ``synthetic-{wide,highcard,skewed,datetime,nullheavy}``) *or*
     ``csv`` (inline CSV text);
     optional ``rows`` (airbnb size), ``config`` (per-session overlay, e.g.
     ``{"top_k": 5}``), ``intent``.  Returns the session info.
-``GET /sessions`` / ``GET /sessions/{id}``
+``GET /v1/sessions`` / ``GET /v1/sessions/{id}``
     List session ids / one session's info.
-``POST /sessions/{id}/intent``
+``POST /v1/sessions/{id}/intent``
     Body ``{"intent": [...]}`` (empty/null clears).  Steers the session
     and re-arms its background pass.
-``POST /sessions/{id}/mutate``
+``POST /v1/sessions/{id}/mutate``
     Body ``{"column": name}`` touches the column (content no-op that
     bumps the data version — the load harness's write op); with
     ``"values": [...]`` the column is assigned (or created) from the
     list.  Returns the session info at the new version.
-``GET /sessions/{id}/recommendations[?action=Enhance]``
-    Specs + scores + freshness.  Served from the versioned store when the
-    precompute engine already ran at the current version, computed in the
-    foreground otherwise.  ``freshness.origin`` is ``precompute`` /
-    ``foreground`` / ``carried`` (incrementally carried forward because
-    the action's inputs did not change) / ``mixed`` (an incremental pass
-    combining recomputed and carried actions); ``freshness.actions`` maps
-    each action to its own provenance.
-``DELETE /sessions/{id}``
+``GET /v1/sessions/{id}/recommendations[?action=Enhance]``
+    Specs + scores + ``provenance``.  Served from the versioned store when
+    the precompute engine already ran at the current version, computed in
+    the foreground otherwise.  ``provenance.origin`` is ``precompute`` /
+    ``foreground`` / ``carried`` / ``mixed`` (see
+    :mod:`repro.service.provenance`); ``provenance.actions`` gives each
+    action its own origin and, for a partly reused action, per-vis ones.
+``GET /v1/sessions/{id}/trace[?limit=N]``
+    The session's last ``N`` spans (default 100; 0 returns none).
+``DELETE /v1/sessions/{id}``
     Close the session, freeing its store entries and watches.
-``GET /healthz``
+``GET /v1/metrics``
+    Prometheus text exposition (merged across workers in shard mode).
+``GET /v1/healthz``
     Liveness + pool / computation-cache / store / engine statistics,
     including the precompute backlog depth against its bound and the
     pool's per-band/per-tag queue depths.  In shard mode the top-level
@@ -59,9 +64,9 @@ restarts crashed workers, which recover warm from session snapshots.
 
 Authentication: when ``config.service_auth_token`` (or the explicit
 ``auth_token`` constructor/CLI override) is non-empty, every route except
-``/healthz`` requires ``Authorization: Bearer <token>`` and answers 401
-otherwise.  An empty token (the default) disables the check for local,
-single-user notebooks.
+``/v1/healthz`` and ``/v1/metrics`` requires ``Authorization: Bearer
+<token>`` and answers 401 otherwise.  An empty token (the default)
+disables the check for local, single-user notebooks.
 
 Run standalone::
 
@@ -95,6 +100,7 @@ from .shard import (
     RequestError,
     WorkerUnreachable,
     apply_mutate_body,
+    check_body,
     create_session_from_body,
     healthz_payload,
 )
@@ -112,40 +118,9 @@ __all__ = [
 
 _SESSION_PATH = re.compile(r"^/sessions/([0-9a-zA-Z_-]+)(/[a-z_]+)?$")
 
-#: Versioned API prefix.  ``/v1/...`` is the canonical surface; the
-#: unprefixed paths below remain as deprecated aliases so existing
-#: clients keep working unchanged.
+#: The API prefix: every route lives under ``/v1/``, and any other path
+#: answers 404 like an unknown route.
 V1_PREFIX = "/v1"
-
-#: Legacy (unprefixed) route template -> canonical ``/v1/`` successor.
-#: Requests matching a left-hand template still serve their historical
-#: response shape and additionally carry ``Deprecation: true`` plus a
-#: ``Link: <successor>; rel="successor-version"`` header.  The only
-#: *behavioral* difference between the surfaces is the recommendations
-#: response: ``/v1/`` serves the typed ``provenance`` envelope where the
-#: legacy route serves the frozen ``freshness`` dict.
-LEGACY_ALIASES = {
-    "/healthz": "/v1/healthz",
-    "/metrics": "/v1/metrics",
-    "/sessions": "/v1/sessions",
-    "/sessions/{id}": "/v1/sessions/{id}",
-    "/sessions/{id}/intent": "/v1/sessions/{id}/intent",
-    "/sessions/{id}/mutate": "/v1/sessions/{id}/mutate",
-    "/sessions/{id}/recommendations": "/v1/sessions/{id}/recommendations",
-    "/sessions/{id}/trace": "/v1/sessions/{id}/trace",
-}
-
-
-def _legacy_template(path: str) -> str | None:
-    """The alias-table template a concrete legacy path matches, if any."""
-    if path in LEGACY_ALIASES:
-        return path
-    match = _SESSION_PATH.match(path)
-    if match:
-        template = "/sessions/{id}" + (match.group(2) or "")
-        if template in LEGACY_ALIASES:
-            return template
-    return None
 
 # The HTTP layer's client-error type is the transport-neutral one the
 # shard vocabulary defines, so worker-side errors cross the pipe and land
@@ -235,10 +210,10 @@ class LocalBackend:
             raise _ApiError(404, f"no such session: {session_id!r}")
         return {"closed": session_id}
 
-    def set_intent(self, session_id: str, intent: Any) -> dict[str, Any]:
+    def set_intent(self, session_id: str, body: dict[str, Any]) -> dict[str, Any]:
         session = self.manager.get(session_id)
         self.manager.engine.admit()
-        session.set_intent(intent)
+        session.set_intent(check_body(body).get("intent"))
         return session.info()
 
     def mutate(self, session_id: str, body: dict[str, Any]) -> dict[str, Any]:
@@ -247,12 +222,10 @@ class LocalBackend:
         apply_mutate_body(session, body)
         return session.info()
 
-    def recommendations(
-        self, session_id: str, action: str | None, v1: bool = False
-    ) -> dict[str, Any]:
+    def recommendations(self, session_id: str, action: str | None) -> dict[str, Any]:
         session = self.manager.get(session_id)
         try:
-            return session.recommendations(action=action, v1=v1, raw=True)
+            return session.recommendations(action=action, raw=True)
         except KeyError:
             raise _ApiError(404, f"no such action: {action!r}") from None
 
@@ -293,16 +266,14 @@ class ShardBackend:
     def close(self, session_id: str) -> dict[str, Any]:
         return self.supervisor.close_session(session_id)
 
-    def set_intent(self, session_id: str, intent: Any) -> dict[str, Any]:
-        return self.supervisor.set_intent(session_id, intent)
+    def set_intent(self, session_id: str, body: dict[str, Any]) -> dict[str, Any]:
+        return self.supervisor.set_intent(session_id, body)
 
     def mutate(self, session_id: str, body: dict[str, Any]) -> dict[str, Any]:
         return self.supervisor.mutate(session_id, body)
 
-    def recommendations(
-        self, session_id: str, action: str | None, v1: bool = False
-    ) -> str:
-        return self.supervisor.recommendations(session_id, action, v1=v1)
+    def recommendations(self, session_id: str, action: str | None) -> str:
+        return self.supervisor.recommendations(session_id, action)
 
     def shutdown(self) -> None:
         self.supervisor.stop()
@@ -349,12 +320,6 @@ class _Handler(BaseHTTPRequestHandler):
         extra = dict(headers or {})
         if self.close_connection:
             extra.setdefault("Connection", "close")
-        successor = getattr(self, "_deprecated_successor", None)
-        if successor is not None:
-            # RFC 8594-style deprecation advertisement on the legacy
-            # (unprefixed) alias surface, pointing at the /v1/ route.
-            extra.setdefault("Deprecation", "true")
-            extra.setdefault("Link", f'<{successor}>; rel="successor-version"')
         content_type = extra.pop("Content-Type", "application/json")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
@@ -419,8 +384,6 @@ class _Handler(BaseHTTPRequestHandler):
         self._body_cache = None
         self._route_name = "unrouted"
         self._status_sent = 0
-        self._v1 = False
-        self._deprecated_successor: str | None = None
         started = time.perf_counter()
         with telemetry.span(
             "http.request", method=method, path=self.path
@@ -470,15 +433,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _resolve(self, method: str) -> tuple[Callable[..., Any], tuple]:
         path, _, query = self.path.partition("?")
         params = _parse_query(query)
-        if path.startswith(V1_PREFIX + "/"):
-            self._v1 = True
-            path = path[len(V1_PREFIX):]
-        else:
-            # Unprefixed surface: serve it if (and only if) the alias
-            # table lists it, and stamp the deprecation headers.
-            template = _legacy_template(path)
-            if template is not None:
-                self._deprecated_successor = LEGACY_ALIASES[template]
+        if not path.startswith(V1_PREFIX + "/"):
+            raise _ApiError(404, f"no route for {method} {path}")
+        path = path[len(V1_PREFIX):]
         if path == "/healthz" and method == "GET":
             return self._healthz, ()
         if path == "/metrics" and method == "GET":
@@ -557,9 +514,7 @@ class _Handler(BaseHTTPRequestHandler):
     @measured("intent")
     @authenticated
     def _set_intent(self, session_id: str) -> tuple[int, dict[str, Any]]:
-        return 200, self.server.backend.set_intent(
-            session_id, self._body().get("intent")
-        )
+        return 200, self.server.backend.set_intent(session_id, self._body())
 
     @measured("mutate")
     @authenticated
@@ -571,9 +526,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _recommendations(
         self, session_id: str, params: dict[str, str]
     ) -> tuple[int, "dict[str, Any] | str"]:
-        return 200, self.server.backend.recommendations(
-            session_id, params.get("action"), v1=self._v1
-        )
+        return 200, self.server.backend.recommendations(session_id, params.get("action"))
 
     @measured("trace")
     @authenticated
@@ -670,8 +623,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--auth-token",
         default=None,
-        help="Bearer token required on every route except /healthz "
-        "(default: config.service_auth_token; empty disables auth)",
+        help="Bearer token required on every route except /v1/healthz and "
+        "/v1/metrics (default: config.service_auth_token; empty disables auth)",
     )
     parser.add_argument(
         "--shards",

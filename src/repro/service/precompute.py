@@ -395,7 +395,7 @@ class PrecomputeEngine:
             def on_mutation(
                 _frame: Any, _op: str, _delta: Any, s: "Session" = session
             ) -> None:
-                if config.precompute:
+                if s.precompute:
                     self.schedule(s)
 
             self._unsubscribe[session.id] = observe.register(

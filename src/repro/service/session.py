@@ -39,7 +39,7 @@ from ..dataframe import DataFrame
 from ..vis.spec import candidate_key
 from ..vis.vegalite import spec_payload
 from .persist import read_results
-from .provenance import Provenance
+from .provenance import envelope
 
 if TYPE_CHECKING:  # pragma: no cover
     from .persist import SnapshotStore
@@ -140,6 +140,16 @@ class Session:
         merged.update(extra)
         return thread_overlay(merged)
 
+    @property
+    def precompute(self) -> bool:
+        """Whether mutations schedule background passes for this session.
+
+        Read from the overrides first: a mutation made outside
+        :meth:`overlay` (an in-process write to ``frame``) must honour a
+        ``{"precompute": False}`` session as much as :meth:`mutate` does.
+        """
+        return bool(self.overrides.get("precompute", config.precompute))
+
     # ------------------------------------------------------------------
     def set_intent(self, intent: Any) -> None:
         """Set (or clear with None/[]) the frame's intent, session-scoped."""
@@ -183,33 +193,30 @@ class Session:
         self,
         action: str | None = None,
         compute: bool = True,
-        v1: bool = False,
         raw: bool = False,
     ) -> dict[str, Any] | None:
         """Recommendations at the frame's current version, store-first.
 
-        Returns a response dict with per-action payloads and freshness
-        provenance.  When the store holds a complete pass at the current
-        version the call performs no executor work at all; otherwise (and
-        only when ``compute`` is True) a foreground pass runs under this
-        session's overlay and back-fills the store.  ``action`` narrows
-        the response to one action (``KeyError`` when no such action
-        exists for this frame); ``compute=False`` returns None on a store
-        miss (the probe the benchmarks and tests use).  ``v1`` selects the
-        typed ``provenance`` envelope instead of the legacy ``freshness``
-        dict — same payloads, richer (per-vis) provenance.  ``raw`` leaves
-        each stored payload as its JSON bytes, for the wire writer
+        Returns the ``/v1/`` response dict: per-action payloads and their
+        ``provenance`` (see :func:`repro.service.provenance.envelope`).
+        When the store holds a complete pass at the current version the
+        call performs no executor work at all; otherwise (and only when
+        ``compute`` is True) a foreground pass runs under this session's
+        overlay and back-fills the store.  ``action`` narrows the response
+        to one action (``KeyError`` when no such action exists for this
+        frame); ``compute=False`` returns None on a store miss (the probe
+        the benchmarks and tests use).  ``raw`` leaves each stored payload
+        as its JSON bytes, for the wire writer
         (:func:`repro.service.wire.dumps`) to splice in.
         """
         with telemetry.span("session.read", session=self.id) as read_span:
-            response = self._recommendations_inner(action, compute, v1, raw)
+            response = self._recommendations_inner(action, compute, raw)
             if response is not None:
-                envelope = response.get("provenance") or response["freshness"]
-                read_span.attrs["origin"] = envelope["origin"]
+                read_span.attrs["origin"] = response["provenance"]["origin"]
             return response
 
     def _recommendations_inner(
-        self, action: str | None, compute: bool, v1: bool, raw: bool
+        self, action: str | None, compute: bool, raw: bool
     ) -> dict[str, Any] | None:
         self._hydrate_results()
         version = self.version
@@ -219,13 +226,13 @@ class Session:
             names = self.store.manifest(self.id, version)
             if names is not None and action not in names:
                 raise KeyError(f"no such action: {action!r}")
-        stored = self._read_store(version, action, v1, raw)
+        stored = self._read_store(version, action, raw)
         if stored is not None:
             return stored
         if not compute:
             return None
         self._compute_foreground(version)
-        stored = self._read_store(self.version, action, v1, raw)
+        stored = self._read_store(self.version, action, raw)
         if stored is not None:
             return stored
         # Store rejected the payload (budget) or the frame mutated while
@@ -235,7 +242,7 @@ class Session:
             if action not in payloads:
                 raise KeyError(f"no such action: {action!r}")
             payloads = {action: payloads[action]}
-        return self._respond(self.version, payloads, origin="foreground", v1=v1)
+        return self._respond(self.version, payloads, origin="foreground")
 
     def _hydrate_results(self) -> None:
         """Load snapshotted pass results into the store, exactly once.
@@ -267,7 +274,7 @@ class Session:
                 )
 
     def _read_store(
-        self, version: tuple[int, int], action: str | None, v1: bool, raw: bool
+        self, version: tuple[int, int], action: str | None, raw: bool
     ) -> dict[str, Any] | None:
         if self.store is None:
             return None
@@ -303,7 +310,6 @@ class Session:
             computed_at=oldest,
             origins=origins,
             vis_origins=vis_origins or None,
-            v1=v1,
         )
 
     def _decode(
@@ -331,29 +337,15 @@ class Session:
         computed_at: float | None = None,
         origins: dict[str, str] | None = None,
         vis_origins: "dict[str, dict[str, str]] | None" = None,
-        v1: bool = False,
     ) -> dict[str, Any]:
-        # One typed envelope feeds both wire shapes: the legacy surface
-        # renders it as the historical "freshness" dict, /v1/ serializes
-        # the full per-action / per-vis structure.
-        provenance = Provenance.build(
-            version,
-            payloads,
-            origin,
-            computed_at=computed_at,
-            origins=origins,
-            vis_origins=vis_origins,
-        )
-        response = {
+        return {
             "session": self.id,
             "data_version": list(version),
             "actions": payloads,
+            "provenance": envelope(
+                version, payloads, origin, computed_at, origins, vis_origins
+            ),
         }
-        if v1:
-            response["provenance"] = provenance.to_payload()
-        else:
-            response["freshness"] = provenance.legacy_freshness()
-        return response
 
     # ------------------------------------------------------------------
     def _compute_foreground(self, version: tuple[int, int]) -> None:
@@ -444,15 +436,16 @@ class SessionManager:
             overrides=overrides,
             store=self.store,
         )
+        # Before registering: a bad intent must not leave a session behind.
+        if intent:
+            session.set_intent(intent)
         with self._lock:
             if session.id in self._sessions:
                 raise ValueError(f"session id {session.id!r} already exists")
             self._sessions[session.id] = session
-        if intent:
-            session.set_intent(intent)
         # Always-on: start computing before the analyst first looks.
         self.engine.watch(session)
-        if config.precompute:
+        if session.precompute:
             self.engine.schedule(session, immediate=True)
         return session
 

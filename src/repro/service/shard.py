@@ -69,6 +69,7 @@ __all__ = [
     "RequestError",
     "ShardService",
     "WorkerUnreachable",
+    "check_body",
     "create_session_from_body",
     "healthz_payload",
     "serve_connection",
@@ -155,13 +156,14 @@ def _datasets() -> dict[str, Callable[..., Any]]:
 def create_session_from_body(
     manager: SessionManager, body: dict[str, Any]
 ) -> Session:
-    """The ``POST /sessions`` body -> a registered session.
+    """The ``POST /v1/sessions`` body -> a registered session.
 
     Shared by the single-process backend and the worker so a create
     behaves identically on both sides of the pipe.  ``session_id`` is the
     supervisor's pre-assigned id (it must pick the id *before* routing —
     the id determines the shard); absent, the manager generates one.
     """
+    check_body(body)
     dataset = body.get("dataset")
     csv_text = body.get("csv")
     if bool(dataset) == bool(csv_text):
@@ -177,12 +179,47 @@ def create_session_from_body(
     else:
         from ..core.frame import LuxDataFrame
 
-        frame = read_csv_string(str(csv_text), frame_cls=LuxDataFrame)
+        frame = read_csv_string(csv_text, frame_cls=LuxDataFrame)
     return manager.create(
         frame,
         overrides=body.get("config"),
         intent=body.get("intent"),
         session_id=body.get("session_id"),
+    )
+
+
+def check_body(body: dict[str, Any]) -> dict[str, Any]:
+    """Answer 400 unless the body's fields have their JSON types (shared).
+
+    ``parse_intent`` raises ``TypeError`` for a malformed intent, which
+    suits in-process callers but must not answer 500 over the wire.
+    """
+    for name, kind, label in _TYPED_FIELDS:
+        if body.get(name) is not None and not isinstance(body[name], kind):
+            raise RequestError(400, f"'{name}' must be {label}")
+    if not _is_intent(body.get("intent")):
+        raise RequestError(
+            400, "'intent' must be a string or a list of strings and string lists"
+        )
+    return body
+
+
+_TYPED_FIELDS = (
+    ("dataset", str, "a string"),
+    ("csv", str, "a string"),
+    ("rows", int, "an integer"),
+    ("config", dict, "an object"),
+)
+
+
+def _is_intent(value: Any) -> bool:
+    """Null, a string, or a list of strings and lists of strings."""
+    if value is None or isinstance(value, str):
+        return True
+    return isinstance(value, list) and all(
+        isinstance(item, str)
+        or (isinstance(item, list) and all(isinstance(part, str) for part in item))
+        for item in value
     )
 
 
@@ -294,15 +331,14 @@ class ShardService:
     def handle(self, request: dict[str, Any]) -> dict[str, Any]:
         method = request.get("method")
         handler = self._methods.get(method)  # type: ignore[arg-type]
-        if handler is None:
-            return {
-                "ok": False,
-                "error": {
-                    "kind": "bad_request",
-                    "message": f"unknown RPC method {method!r}",
-                },
-            }
         params = request.get("params") or {}
+        if handler is None or not isinstance(params, dict):
+            problem = (
+                f"unknown RPC method {method!r}"
+                if handler is None
+                else "RPC params must be a JSON object"
+            )
+            return {"ok": False, "error": {"kind": "bad_request", "message": problem}}
         # Adopt the caller's trace context (propagated inside the request
         # frame) so worker-side spans stitch to the supervisor's request.
         trace_ctx = request.get("trace")
@@ -365,7 +401,7 @@ class ShardService:
     def _intent(self, params: dict[str, Any]) -> dict[str, Any]:
         session = self._session(params)
         self.manager.engine.admit()
-        session.set_intent(params.get("intent"))
+        session.set_intent(check_body(params).get("intent"))
         return session.info()
 
     def _mutate(self, params: dict[str, Any]) -> dict[str, Any]:
@@ -378,9 +414,7 @@ class ShardService:
         session = self._session(params)
         action = params.get("action")
         try:
-            response = session.recommendations(
-                action=action, v1=bool(params.get("v1")), raw=True
-            )
+            response = session.recommendations(action=action, raw=True)
         except KeyError:
             raise RequestError(404, f"no such action: {action!r}") from None
         # Pre-serialized passthrough: the stored payload bytes are spliced

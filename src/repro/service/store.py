@@ -245,8 +245,8 @@ class ResultStore:
         snapshot; on the first read after a restart this re-inserts them
         verbatim — the bytes are not decoded, origins stay
         ``precompute``/``carried``/``mixed``, ``computed_at`` stays the
-        original pass time (so ``freshness.age_s`` reports the true
-        staleness across the restart, not zero).  Returns True when the
+        original pass time (so ``provenance.computed_at`` reports the
+        true staleness across the restart, not the restore time).  Returns True when the
         manifest landed, i.e. the pass is servable whole.
         """
         for action, record in records.items():
@@ -277,8 +277,8 @@ class ResultStore:
     ) -> dict[str, Any] | None:
         """One action's stored record at exactly ``version``, or None.
 
-        The record wraps the payload's JSON bytes with provenance
-        (``origin``, ``computed_at``) so the API can report freshness.
+        The record wraps the payload's JSON bytes with its origin and
+        ``computed_at``, from which the API builds ``provenance``.
         """
         with self._lock:
             entry = self._lookup(self._key(session_id, version, action))

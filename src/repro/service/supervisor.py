@@ -325,28 +325,23 @@ class Supervisor:
             "close", {"session": session_id}
         )
 
-    def set_intent(self, session_id: str, intent: Any) -> dict[str, Any]:
-        return self._worker_for(session_id).request(
-            "intent", {"session": session_id, "intent": intent}
-        )
+    def set_intent(self, session_id: str, body: dict[str, Any]) -> dict[str, Any]:
+        params = {**body, "session": session_id}
+        return self._worker_for(session_id).request("intent", params)
 
     def mutate(self, session_id: str, body: dict[str, Any]) -> dict[str, Any]:
         params = {**body, "session": session_id}
         return self._worker_for(session_id).request("mutate", params)
 
-    def recommendations(
-        self, session_id: str, action: str | None = None, v1: bool = False
-    ) -> str:
+    def recommendations(self, session_id: str, action: str | None = None) -> str:
         """The recommendation payload as a pre-serialized JSON string.
 
-        ``v1`` rides the RPC so the worker builds the typed provenance
-        envelope itself — the supervisor forwards the bytes untouched, so
-        the /v1/ wire shape is identical in-process and behind the shard
-        tier.
+        The worker builds the whole response, ``provenance`` included, and
+        the supervisor forwards its bytes untouched, so the wire shape is
+        identical in-process and behind the shard tier.
         """
         result = self._worker_for(session_id).request(
-            "recommendations",
-            {"session": session_id, "action": action, "v1": v1},
+            "recommendations", {"session": session_id, "action": action}
         )
         return result["payload_json"]
 
@@ -449,9 +444,7 @@ class Supervisor:
         spans = list(result.get("spans") or [])
         spans.extend(telemetry.spans(session_id=session_id, limit=limit))
         spans.sort(key=lambda s: s.get("start", 0.0))
-        if limit >= 0:
-            spans = spans[-limit:]
-        return {"session": session_id, "spans": spans}
+        return {"session": session_id, "spans": spans[-limit:] if limit else []}
 
     # ------------------------------------------------------------------
     # Lifecycle / fault injection

@@ -174,6 +174,15 @@ class TestSpans:
         assert len(records) == 2
         assert all(r["attrs"]["session"] == "target" for r in records)
 
+    def test_limit_zero_keeps_none_and_negative_raises(self):
+        for i in range(3):
+            with telemetry.span(f"s{i}"):
+                pass
+        assert telemetry.spans(limit=0) == []
+        assert [r["name"] for r in telemetry.spans(limit=5)] == ["s0", "s1", "s2"]
+        with pytest.raises(ValueError):
+            telemetry.spans(limit=-1)
+
 
 # ----------------------------------------------------------------------
 # Structured logging + usage_log correlation

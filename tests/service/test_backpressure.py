@@ -229,13 +229,13 @@ class TestHTTPBackpressure:
         srv.stop()
 
     def test_mutate_endpoint(self, server):
-        status, _, info = call(server, "POST", "/sessions", {"csv": CSV})
+        status, _, info = call(server, "POST", "/v1/sessions", {"csv": CSV})
         assert status == 201
         sid = info["session"]
         v0 = info["data_version"]
 
         status, _, info = call(
-            server, "POST", f"/sessions/{sid}/mutate", {"column": "a"}
+            server, "POST", f"/v1/sessions/{sid}/mutate", {"column": "a"}
         )
         assert status == 200
         assert info["data_version"] != v0
@@ -243,25 +243,25 @@ class TestHTTPBackpressure:
         status, _, info = call(
             server,
             "POST",
-            f"/sessions/{sid}/mutate",
+            f"/v1/sessions/{sid}/mutate",
             {"column": "derived", "values": [i % 3 for i in range(120)]},
         )
         assert status == 200
         assert "derived" in info["columns"]
 
         status, _, body = call(
-            server, "POST", f"/sessions/{sid}/mutate", {"column": "ghost"}
+            server, "POST", f"/v1/sessions/{sid}/mutate", {"column": "ghost"}
         )
         assert status == 404
         status, _, body = call(
             server,
             "POST",
-            f"/sessions/{sid}/mutate",
+            f"/v1/sessions/{sid}/mutate",
             {"column": "a", "values": [1, 2]},
         )
         assert status == 400
         status, _, body = call(
-            server, "POST", f"/sessions/{sid}/mutate", {}
+            server, "POST", f"/v1/sessions/{sid}/mutate", {}
         )
         assert status == 400
 
@@ -269,7 +269,7 @@ class TestHTTPBackpressure:
         sids = []
         for _ in range(3):
             status, _, info = call(
-                server, "POST", "/sessions", {"csv": CSV}
+                server, "POST", "/v1/sessions", {"csv": CSV}
             )
             assert status == 201
             sids.append(info["session"])
@@ -283,7 +283,7 @@ class TestHTTPBackpressure:
         retry_after = None
         for sid in sids:
             status, headers, body = call(
-                server, "POST", f"/sessions/{sid}/mutate", {"column": "a"}
+                server, "POST", f"/v1/sessions/{sid}/mutate", {"column": "a"}
             )
             statuses.append(status)
             if status == 429:
@@ -296,17 +296,17 @@ class TestHTTPBackpressure:
         # is untouched and a post-drain retry succeeds.
         assert server.manager.engine.wait_idle(120)
         status, _, _ = call(
-            server, "POST", f"/sessions/{sids[-1]}/mutate", {"column": "a"}
+            server, "POST", f"/v1/sessions/{sids[-1]}/mutate", {"column": "a"}
         )
         assert status == 200
         assert server.manager.engine.wait_idle(120)
         status, _, recs = call(
-            server, "GET", f"/sessions/{sids[-1]}/recommendations"
+            server, "GET", f"/v1/sessions/{sids[-1]}/recommendations"
         )
         assert status == 200 and recs["actions"]
 
     def test_healthz_exposes_backlog_and_queue_stats(self, server):
-        status, _, health = call(server, "GET", "/healthz")
+        status, _, health = call(server, "GET", "/v1/healthz")
         assert status == 200
         precompute = health["precompute"]
         assert {"backlog_depth", "queue_limit", "deferred_pending",

@@ -53,7 +53,10 @@ def settled_session(manager, frame=None, **kwargs):
 
 
 def origins_of(response):
-    return response["freshness"]["actions"]
+    return {
+        name: entry["origin"]
+        for name, entry in response["provenance"]["actions"].items()
+    }
 
 
 class TestIncrementalPartition:
@@ -71,7 +74,7 @@ class TestIncrementalPartition:
         assert origins["Occurrence"] == "mixed"
         assert origins["Correlation"] == "carried"
         assert origins["Distribution"] == "carried"
-        assert response["freshness"]["origin"] == "mixed"
+        assert response["provenance"]["origin"] == "mixed"
         stats = manager.engine.stats()
         assert stats["actions_rerun"] - before["actions_rerun"] == 1
         assert stats["actions_carried"] - before["actions_carried"] == 2
@@ -91,7 +94,7 @@ class TestIncrementalPartition:
         manager.store.drop_session(session.id)
         session.frame.expire_recommendations()
         cold = session.recommendations()
-        assert cold["freshness"]["origin"] == "foreground"
+        assert cold["provenance"]["origin"] == "foreground"
         assert cold["actions"] == incremental["actions"]
 
     def test_measure_mutation_reruns_measure_actions(self, manager):
@@ -229,7 +232,7 @@ class TestIncrementalFallbacks:
         manager.store.drop_session(session.id)
         session.frame.expire_recommendations()
         cold = session.recommendations()
-        assert cold["freshness"]["origin"] == "foreground"
+        assert cold["provenance"]["origin"] == "foreground"
         assert cold["actions"] == response["actions"]
 
     def test_row_set_change_forces_full_pass(self, manager):
@@ -260,7 +263,7 @@ class TestIncrementalFallbacks:
         manager.store.drop_session(session.id)
         session.frame.expire_recommendations()
         cold = session.recommendations()
-        assert cold["freshness"]["origin"] == "foreground"
+        assert cold["provenance"]["origin"] == "foreground"
         assert cold["actions"] == response["actions"]
 
     def test_unwatched_session_has_no_state_leak(self, manager):

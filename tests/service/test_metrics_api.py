@@ -108,16 +108,16 @@ def server():
 class TestMetricsEndpoint:
     def test_scrape_parses_and_counts_requests(self, server):
         base = server.address
-        status, body, _ = call(base, "POST", "/sessions", {"csv": CSV})
+        status, body, _ = call(base, "POST", "/v1/sessions", {"csv": CSV})
         assert status == 201
         sid = json.loads(body)["session"]
         for _ in range(3):
             status, _, _ = call(
-                base, "GET", f"/sessions/{sid}/recommendations"
+                base, "GET", f"/v1/sessions/{sid}/recommendations"
             )
             assert status == 200
 
-        status, text, headers = call(base, "GET", "/metrics")
+        status, text, headers = call(base, "GET", "/v1/metrics")
         assert status == 200
         assert headers["Content-Type"].startswith("text/plain")
         parsed = parse_metrics(text)
@@ -147,10 +147,10 @@ class TestMetricsEndpoint:
         # Live service gauges are present.
         assert "lux_sessions" in parsed and "lux_store_bytes" in parsed
 
-        call(base, "DELETE", f"/sessions/{sid}")
+        call(base, "DELETE", f"/v1/sessions/{sid}")
 
     def test_metrics_cli_accepts_a_real_scrape(self, server, tmp_path):
-        _, text, _ = call(server.address, "GET", "/metrics")
+        _, text, _ = call(server.address, "GET", "/v1/metrics")
         snapshot = tmp_path / "snap.txt"
         snapshot.write_text(text)
         assert service_metrics.main([str(snapshot)]) == 0
@@ -163,34 +163,45 @@ class TestMetricsEndpoint:
 
     def test_healthz_reports_latency_summaries(self, server):
         base = server.address
-        status, body, _ = call(base, "POST", "/sessions", {"csv": CSV})
+        status, body, _ = call(base, "POST", "/v1/sessions", {"csv": CSV})
         sid = json.loads(body)["session"]
-        call(base, "GET", f"/sessions/{sid}/recommendations")
-        _, health_text, _ = call(base, "GET", "/healthz")
+        call(base, "GET", f"/v1/sessions/{sid}/recommendations")
+        _, health_text, _ = call(base, "GET", "/v1/healthz")
         telemetry_section = json.loads(health_text)["telemetry"]
         assert "http" in telemetry_section
         route_summary = next(iter(telemetry_section["http"].values()))
         assert route_summary["count"] >= 1
         assert route_summary["p50_ms"] >= 0.0
-        call(base, "DELETE", f"/sessions/{sid}")
+        call(base, "DELETE", f"/v1/sessions/{sid}")
 
     def test_trace_endpoint_returns_spans_and_404s(self, server):
         base = server.address
-        status, body, _ = call(base, "POST", "/sessions", {"csv": CSV})
+        status, body, _ = call(base, "POST", "/v1/sessions", {"csv": CSV})
         sid = json.loads(body)["session"]
-        call(base, "GET", f"/sessions/{sid}/recommendations")
-        status, trace_text, _ = call(base, "GET", f"/sessions/{sid}/trace")
+        call(base, "GET", f"/v1/sessions/{sid}/recommendations")
+        status, trace_text, _ = call(base, "GET", f"/v1/sessions/{sid}/trace")
         assert status == 200
         spans = json.loads(trace_text)["spans"]
         assert spans and all(s["attrs"]["session"] == sid for s in spans)
         assert {"trace_id", "span_id", "name", "duration_ms"} <= set(spans[0])
-        status, _, _ = call(base, "GET", "/sessions/ghost/trace")
+        status, _, _ = call(base, "GET", "/v1/sessions/ghost/trace")
         assert status == 404
         status, trace_text, _ = call(
-            base, "GET", f"/sessions/{sid}/trace?limit=1"
+            base, "GET", f"/v1/sessions/{sid}/trace?limit=1"
         )
         assert len(json.loads(trace_text)["spans"]) == 1
-        call(base, "DELETE", f"/sessions/{sid}")
+        call(base, "DELETE", f"/v1/sessions/{sid}")
+
+    def test_trace_limit_zero_is_empty_and_negative_is_400(self, server):
+        base = server.address
+        status, body, _ = call(base, "POST", "/v1/sessions", {"csv": CSV})
+        sid = json.loads(body)["session"]
+        call(base, "GET", f"/v1/sessions/{sid}/recommendations")
+        status, trace_text, _ = call(base, "GET", f"/v1/sessions/{sid}/trace?limit=0")
+        assert status == 200 and json.loads(trace_text)["spans"] == []
+        status, error_text, _ = call(base, "GET", f"/v1/sessions/{sid}/trace?limit=-1")
+        assert status == 400 and "limit" in json.loads(error_text)["error"]
+        call(base, "DELETE", f"/v1/sessions/{sid}")
 
 
 @pytest.mark.slow
@@ -200,19 +211,19 @@ class TestAuthPosture:
         srv = make_server(auth_token=TOKEN).serve_background()
         try:
             base = srv.address
-            status, _, _ = call(base, "GET", "/metrics")
+            status, _, _ = call(base, "GET", "/v1/metrics")
             assert status == 200  # public, like /healthz
             status, body, _ = call(
-                base, "POST", "/sessions", {"csv": CSV}, token=TOKEN
+                base, "POST", "/v1/sessions", {"csv": CSV}, token=TOKEN
             )
             sid = json.loads(body)["session"]
-            status, _, _ = call(base, "GET", f"/sessions/{sid}/trace")
+            status, _, _ = call(base, "GET", f"/v1/sessions/{sid}/trace")
             assert status == 401
             status, _, _ = call(
-                base, "GET", f"/sessions/{sid}/trace", token=TOKEN
+                base, "GET", f"/v1/sessions/{sid}/trace", token=TOKEN
             )
             assert status == 200
-            call(base, "DELETE", f"/sessions/{sid}", token=TOKEN)
+            call(base, "DELETE", f"/v1/sessions/{sid}", token=TOKEN)
         finally:
             srv.manager.shutdown()
             srv.stop()
@@ -230,11 +241,11 @@ class TestShardedObservability:
         srv = make_server(supervisor=supervisor).serve_background()
         try:
             base = srv.address
-            status, body, _ = call(base, "POST", "/sessions", {"csv": CSV})
+            status, body, _ = call(base, "POST", "/v1/sessions", {"csv": CSV})
             assert status == 201
             sid = json.loads(body)["session"]
             status, _, read_headers = call(
-                base, "GET", f"/sessions/{sid}/recommendations"
+                base, "GET", f"/v1/sessions/{sid}/recommendations"
             )
             assert status == 200
 
@@ -243,7 +254,7 @@ class TestShardedObservability:
             # to the client as X-Request-Id).
             trace_id = read_headers["X-Request-Id"]
             status, trace_text, _ = call(
-                base, "GET", f"/sessions/{sid}/trace"
+                base, "GET", f"/v1/sessions/{sid}/trace"
             )
             assert status == 200
             spans = json.loads(trace_text)["spans"]
@@ -256,6 +267,14 @@ class TestShardedObservability:
                 "rpc.handle",     # worker-side server span
                 "session.read",   # worker-side work
             } <= stitched, stitched
+            # The merged timeline honours the limit: 0 keeps no span, and
+            # a negative limit is the worker's 400.
+            status, trace_text, _ = call(
+                base, "GET", f"/v1/sessions/{sid}/trace?limit=0"
+            )
+            assert status == 200 and json.loads(trace_text)["spans"] == []
+            status, _, _ = call(base, "GET", f"/v1/sessions/{sid}/trace?limit=-1")
+            assert status == 400
 
             # Merged /metrics equals the bucket-wise sum of the worker
             # snapshots for a histogram the probes themselves don't touch
@@ -273,11 +292,11 @@ class TestShardedObservability:
             assert manual[name] == merged[name]
             assert merged["lux_worker_up"]["values"] == {"0": 1.0, "1": 1.0}
 
-            status, text, _ = call(base, "GET", "/metrics")
+            status, text, _ = call(base, "GET", "/v1/metrics")
             assert status == 200
             rendered = service_metrics.parse_exposition(text)
             assert any(n == "lux_rpc_handle_seconds_count" for n, _, _ in rendered)
-            call(base, "DELETE", f"/sessions/{sid}")
+            call(base, "DELETE", f"/v1/sessions/{sid}")
         finally:
             srv.stop()
             supervisor.stop()

@@ -35,9 +35,9 @@ def build_manager(tmp_path, interval_s=0.0):
     return SessionManager(snapshots=snaps), snaps
 
 
-def strip_freshness(response):
+def strip_provenance(response):
     return json.dumps(
-        {k: v for k, v in response.items() if k != "freshness"},
+        {k: v for k, v in response.items() if k != "provenance"},
         sort_keys=True,
     )
 
@@ -55,7 +55,7 @@ def test_round_trip_bit_identical(tmp_path, scenario):
         session.mutate(anchor)
         assert manager.engine.wait_idle(30)
         reference = session.recommendations()
-        assert reference["freshness"]["origin"] != "foreground"
+        assert reference["provenance"]["origin"] != "foreground"
         sid, version = session.id, session.version
         saved_columns = {
             name: session.frame._data[name].copy()
@@ -78,9 +78,9 @@ def test_round_trip_bit_identical(tmp_path, scenario):
 
         # First read serves the snapshotted pass, not a recomputation...
         response = twin.recommendations()
-        assert response["freshness"]["origin"] != "foreground"
+        assert response["provenance"]["origin"] != "foreground"
         # ...and the payload is exactly what the original produced.
-        assert strip_freshness(response) == strip_freshness(reference)
+        assert strip_provenance(response) == strip_provenance(reference)
         restored_manager.shutdown()
 
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro import LuxDataFrame, config, config_overlay, register_action, remove_action
+from repro.core.errors import LuxError
 from repro.core.executor.df_exec import DataFrameExecutor
 from repro.core.vislist import VisList
 from repro.service import ResultStore, SessionManager
@@ -95,6 +96,25 @@ class TestResultStore:
 
 
 class TestSession:
+    def test_failed_create_registers_nothing(self, manager):
+        with pytest.raises(LuxError):
+            manager.create(make_frame(n=300), intent=["nope"])
+        assert manager.ids() == []
+        assert manager.engine.stats()["watched"] == 0
+
+    @pytest.mark.parametrize("base", [True, False])
+    def test_precompute_override_wins_over_base_config(self, manager, base):
+        """Creation and in-process writes honour the session's override."""
+        config.precompute = base
+        session = manager.create(
+            make_frame(n=300), overrides={"precompute": not base}
+        )
+        session.frame["derived"] = session.frame["q0"] * 2
+        assert manager.engine.wait_idle(30)
+        ran = manager.engine.stats()["scheduled"] > 0
+        assert ran is not base
+        assert (session.recommendations(compute=False) is not None) is ran
+
     def test_store_never_serves_old_version(self, manager):
         config.precompute = False  # manual control
         session = manager.create(make_frame())
@@ -118,7 +138,7 @@ class TestSession:
         config.precompute = False
         session = manager.create(make_frame())
         first = session.recommendations()
-        assert first["freshness"]["origin"] == "foreground"
+        assert first["provenance"]["origin"] == "foreground"
         again = session.recommendations(compute=False)
         assert again is not None
         assert again["actions"] == first["actions"]
@@ -198,7 +218,7 @@ class TestAlwaysOn:
         assert calls["n"] == 0, "store hit must not touch the executor"
         # "mixed" when the initial pass landed before the mutation (the
         # redo then carries the unaffected actions forward).
-        assert response["freshness"]["origin"] in ("precompute", "mixed")
+        assert response["provenance"]["origin"] in ("precompute", "mixed")
         # In-process prints are free too: the pass refreshed the frame's
         # memoized recommendation cache.
         assert session.frame._recs_fresh
@@ -208,7 +228,7 @@ class TestAlwaysOn:
         session = manager.create(make_frame())
         session.frame["derived"] = session.frame["q0"] * 2
         response = session.recommendations()
-        assert response["freshness"]["origin"] == "foreground"
+        assert response["provenance"]["origin"] == "foreground"
 
     @pytest.mark.slow
     def test_concurrent_sessions_bit_identical_to_serial(self, manager):
@@ -233,7 +253,7 @@ class TestAlwaysOn:
 
         for k, session in sessions.items():
             response = session.recommendations()
-            assert response["freshness"]["origin"] != "foreground"
+            assert response["provenance"]["origin"] != "foreground"
             reference = make_frame(seed=7)
             reference["derived"] = reference["q0"] * 2
             reference["flag"] = (reference["q1"] > 2).astype("int64")

@@ -205,9 +205,9 @@ def test_dispatcher_healthz_and_ping(service):
 # ----------------------------------------------------------------------
 # Real worker processes
 # ----------------------------------------------------------------------
-def strip_freshness(response):
+def strip_provenance(response):
     return json.dumps(
-        {k: v for k, v in response.items() if k != "freshness"},
+        {k: v for k, v in response.items() if k != "provenance"},
         sort_keys=True,
     )
 
@@ -271,8 +271,8 @@ def test_supervisor_restart_preserves_routing(tmp_path):
         with Supervisor(n_workers=2, snapshot_dir=str(tmp_path)) as sup:
             assert sup.session_ids() == [sid]
             restored = json.loads(sup.recommendations(sid))
-            assert restored["freshness"]["origin"] != "foreground"
-            assert strip_freshness(restored) == strip_freshness(reference)
+            assert restored["provenance"]["origin"] != "foreground"
+            assert strip_provenance(restored) == strip_provenance(reference)
     finally:
         config.restore(base)
 
@@ -309,8 +309,8 @@ def test_dead_worker_healthz_and_warm_recovery(tmp_path):
             sup.restart_worker(victim)
             recovered = json.loads(sup.recommendations(sid))
             # Warm: served from the restored snapshot pass, not recomputed.
-            assert recovered["freshness"]["origin"] != "foreground"
-            assert strip_freshness(recovered) == strip_freshness(reference)
+            assert recovered["provenance"]["origin"] != "foreground"
+            assert strip_provenance(recovered) == strip_provenance(reference)
             assert sup.healthz()["status"] == "ok"
     finally:
         config.restore(base)

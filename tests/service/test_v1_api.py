@@ -1,17 +1,14 @@
-"""The ``/v1/`` API surface and the typed provenance envelope.
+"""The ``/v1/`` API surface and its ``provenance`` envelope.
 
 Two contracts are pinned here:
 
-* **Golden wire shapes.**  The v1 ``provenance`` payload and the legacy
-  ``freshness`` dict are both rendered from one :class:`Provenance`
-  object; these tests freeze both shapes so neither can drift without a
-  deliberate edit.  The v1 shape must also be identical whether the
-  response is produced in-process or crosses the shard RPC (the
-  ``payload_json`` passthrough).
+* **Golden wire shape.**  The ``provenance`` payload is frozen so it
+  cannot drift without a deliberate edit, and it must be identical
+  whether the response is produced in-process or crosses the shard RPC
+  (the ``payload_json`` passthrough).
 
-* **Deprecation policy.**  Unprefixed routes keep working byte-for-byte
-  but advertise their ``/v1/`` successor via ``Deprecation`` and
-  ``Link`` headers (RFC 8594 style); ``/v1/`` routes carry neither.
+* **One surface.**  Only ``/v1/`` routes are served; responses carry no
+  ``Deprecation`` or ``Link`` headers, and unknown routes answer 404.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ import pytest
 from repro import config
 from repro.core.config import config_overlay
 from repro.service import make_server
-from repro.service.provenance import ActionProvenance, Provenance
+from repro.service.provenance import envelope
 from repro.service.shard import ShardService
 from repro.service.session import SessionManager
 
@@ -38,7 +35,7 @@ CSV = "a,b,c\n" + "\n".join(f"{i % 7},{i * 1.5},g{i % 3}" for i in range(300))
 class TestProvenanceEnvelope:
     def test_v1_payload_golden_shape(self):
         """The exact /v1/ wire shape.  Do not loosen: clients parse this."""
-        prov = Provenance.build(
+        prov = envelope(
             version=(3, 2),
             payloads={"Correlation": {}, "Distribution": {}},
             origin="precompute",
@@ -46,7 +43,7 @@ class TestProvenanceEnvelope:
             origins={"Distribution": "mixed"},
             vis_origins={"Distribution": {"abc123": "carried"}},
         )
-        assert prov.to_payload() == {
+        assert prov == {
             "origin": "precompute",
             "computed_at": 1700000000.25,
             "data_version": 3,
@@ -60,30 +57,9 @@ class TestProvenanceEnvelope:
             },
         }
 
-    def test_legacy_freshness_golden_shape(self):
-        """The historical dict: origin / age_s / flat per-action origins.
-
-        Per-vis detail must NOT leak into the legacy shape — old clients
-        (and the load harness's identity gates) compare these bytes.
-        """
-        prov = Provenance(
-            origin="foreground",
-            computed_at=None,
-            data_version=1,
-            intent_epoch=0,
-            actions={"Enhance": ActionProvenance("foreground", {"k": "carried"})},
-        )
-        legacy = prov.legacy_freshness()
-        assert set(legacy) == {"origin", "age_s", "actions"}
-        assert legacy["origin"] == "foreground"
-        assert legacy["actions"] == {"Enhance": "foreground"}
-        assert isinstance(legacy["age_s"], float)
-
     def test_round_trips_through_json(self):
-        prov = Provenance.build(
-            (0, 0), {"A": {}}, "precompute", computed_at=5.0
-        )
-        assert json.loads(json.dumps(prov.to_payload())) == prov.to_payload()
+        prov = envelope((0, 0), {"A": {}}, "precompute", computed_at=5.0)
+        assert json.loads(json.dumps(prov)) == prov
 
 
 # ----------------------------------------------------------------------
@@ -140,59 +116,51 @@ class TestV1Surface:
         status, closed, _ = call(server, "DELETE", f"/v1/sessions/{sid}")
         assert status == 200 and closed["closed"] == sid
 
-    def test_v1_serves_provenance_legacy_serves_freshness(self, server):
-        status, info, _ = call(server, "POST", "/sessions", {"csv": CSV})
+    def test_v1_serves_provenance(self, server):
+        status, info, _ = call(server, "POST", "/v1/sessions", {"csv": CSV})
         assert status == 201
         sid = info["session"]
         assert server.manager.engine.wait_idle(30)
 
-        _, legacy, _ = call(server, "GET", f"/sessions/{sid}/recommendations")
-        assert "freshness" in legacy and "provenance" not in legacy
-        assert set(legacy["freshness"]) == {"origin", "age_s", "actions"}
-
         _, v1, _ = call(server, "GET", f"/v1/sessions/{sid}/recommendations")
-        assert "provenance" in v1 and "freshness" not in v1
+        assert set(v1) == {"session", "data_version", "actions", "provenance"}
         prov = v1["provenance"]
         assert set(prov) == {
             "origin", "computed_at", "data_version", "intent_epoch", "actions"
         }
         assert prov["origin"] == "precompute"
         assert prov["data_version"] == 0 and prov["intent_epoch"] == 0
+        assert list(prov["actions"]) == list(v1["actions"])
         for entry in prov["actions"].values():
             assert set(entry) == {"origin", "vis"}
-        # Identical per-action origins on both surfaces; per-vis keys (when
-        # present) must match the displayed specs' echoed candidate keys.
-        assert legacy["freshness"]["actions"] == {
-            name: entry["origin"] for name, entry in prov["actions"].items()
-        }
+        # Per-vis keys (when present) must match the displayed specs'
+        # echoed candidate keys.
         for name, entry in prov["actions"].items():
             if entry["vis"] is not None:
                 spec_keys = {s["key"] for s in v1["actions"][name]["specs"]}
                 assert set(entry["vis"]) <= spec_keys
-        # Non-freshness content is byte-identical across the two surfaces.
-        strip = lambda r: {
-            k: v for k, v in r.items() if k not in ("freshness", "provenance")
-        }
-        assert json.dumps(strip(legacy), sort_keys=True) == json.dumps(
-            strip(v1), sort_keys=True
-        )
+        # The in-process read is the same response.
+        assert v1 == server.manager.get(sid).recommendations()
 
-    def test_legacy_routes_emit_deprecation_headers(self, server):
-        status, _, headers = call(server, "GET", "/healthz")
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        assert headers.get("Link") == '</v1/healthz>; rel="successor-version"'
-
-        status, info, headers = call(server, "POST", "/sessions", {"csv": CSV})
-        assert status == 201 and headers.get("Deprecation") == "true"
+    def test_unprefixed_routes_are_404(self, server):
+        status, info, _ = call(server, "POST", "/v1/sessions", {"csv": CSV})
+        assert status == 201
         sid = info["session"]
-
-        _, _, headers = call(server, "GET", f"/sessions/{sid}/recommendations")
-        assert headers.get("Deprecation") == "true"
-        assert (
-            headers.get("Link")
-            == '</v1/sessions/{id}/recommendations>; rel="successor-version"'
-        )
+        for method, path in [
+            ("GET", "/healthz"),
+            ("GET", "/metrics"),
+            ("GET", "/sessions"),
+            ("POST", "/sessions"),
+            ("GET", f"/sessions/{sid}"),
+            ("GET", f"/sessions/{sid}/recommendations"),
+            ("DELETE", f"/sessions/{sid}"),
+        ]:
+            body = {"csv": CSV} if method == "POST" else None
+            status, err, headers = call(server, method, path, body)
+            assert status == 404 and "error" in err, (method, path)
+            assert "Deprecation" not in headers and "Link" not in headers
+        # Nothing happened: the session is still there, and alone.
+        assert call(server, "GET", "/v1/sessions")[1]["sessions"] == [sid]
 
     def test_v1_routes_carry_no_deprecation_headers(self, server):
         status, _, headers = call(server, "GET", "/v1/healthz")
@@ -216,13 +184,11 @@ class TestV1Surface:
 # ----------------------------------------------------------------------
 # Shard RPC passthrough
 # ----------------------------------------------------------------------
-def test_v1_flag_crosses_shard_rpc():
+def test_provenance_crosses_shard_rpc():
     """The worker serializes the envelope; the supervisor never re-parses.
 
-    Same dispatcher, with and without the flag: the v1 response must
-    carry the typed ``provenance`` object and the legacy response the
-    ``freshness`` dict — i.e. the wire shape is decided worker-side and
-    survives the ``payload_json`` passthrough unchanged.
+    The response that crosses the ``payload_json`` passthrough is the
+    in-process one, ``provenance`` included.
     """
     with config_overlay(precompute_debounce_s=0.0):
         manager = SessionManager()
@@ -237,23 +203,14 @@ def test_v1_flag_crosses_shard_rpc():
             sid = created["result"]["session"]
             manager.engine.wait_idle(30)
 
-            legacy = service.handle(
+            response = service.handle(
                 {"method": "recommendations", "params": {"session": sid}}
             )
-            payload = json.loads(legacy["result"]["payload_json"])
-            assert "freshness" in payload and "provenance" not in payload
-
-            v1 = service.handle(
-                {
-                    "method": "recommendations",
-                    "params": {"session": sid, "v1": True},
-                }
-            )
-            payload = json.loads(v1["result"]["payload_json"])
-            assert "provenance" in payload and "freshness" not in payload
+            payload = json.loads(response["result"]["payload_json"])
             assert set(payload["provenance"]) == {
                 "origin", "computed_at", "data_version", "intent_epoch",
                 "actions",
             }
+            assert payload == manager.get(sid).recommendations()
         finally:
             manager.shutdown()

@@ -124,7 +124,7 @@ class TestSessionView:
                 with monkeypatch.context() as patch:
                     _forbid_loads(patch)
                     response = session.recommendations(compute=False)
-                assert response["freshness"]["origin"] == "precompute"
+                assert response["provenance"]["origin"] == "precompute"
                 # Incremental pass: carried actions come from the prior view.
                 session.mutate("q_int_0")
                 assert manager.engine.wait_idle(30)
@@ -132,7 +132,8 @@ class TestSessionView:
                     _forbid_loads(patch)
                     response = session.recommendations(compute=False)
                     one = session.recommendations(action="Distribution", compute=False)
-                assert "carried" in response["freshness"]["actions"].values()
+                origins = {a["origin"] for a in response["provenance"]["actions"].values()}
+                assert "carried" in origins
                 assert one["actions"]["Distribution"] == response["actions"]["Distribution"]
             finally:
                 manager.shutdown()
@@ -175,7 +176,7 @@ def test_snapshot_results_round_trip_store_bytes(tmp_path):
         try:
             assert restored.restore_sessions() == [session.id]
             response = restored.get(session.id).recommendations(raw=True)
-            assert response["freshness"]["origin"] == "precompute"
+            assert response["provenance"]["origin"] == "precompute"
             assert response["actions"] == payloads
         finally:
             restored.shutdown()
@@ -227,27 +228,25 @@ class TestGoldenWire:
         assert manager.engine.wait_idle(30)
 
         expected = manager.get(stored_sid).recommendations()["actions"]
-        for prefix in ("/v1", ""):
-            for query, names in (("", list(expected)), ("?action=Distribution", ["Distribution"])):
-                status, body = get(conn, f"{prefix}/sessions/{stored_sid}/recommendations{query}")
-                assert status == 200
-                decoded = assert_canonical(body)
-                envelope = decoded["provenance" if prefix else "freshness"]
-                assert envelope["origin"] == "precompute"
-                assert decoded["actions"] == {name: expected[name] for name in names}
+        for query, names in (("", list(expected)), ("?action=Distribution", ["Distribution"])):
+            status, body = get(conn, f"/v1/sessions/{stored_sid}/recommendations{query}")
+            assert status == 200
+            decoded = assert_canonical(body)
+            assert decoded["provenance"]["origin"] == "precompute"
+            assert decoded["actions"] == {name: expected[name] for name in names}
 
         # Foreground: an intent change on a no-precompute session, read
         # first through a foreground pass and then from the store entries
         # that pass back-filled.
         assert post(conn, f"/v1/sessions/{fg_sid}/intent", {"intent": ["b"]})[0] == 200
-        bodies = {}
-        for prefix in ("/v1", ""):
-            status, body = get(conn, f"{prefix}/sessions/{fg_sid}/recommendations")
+        bodies = []
+        for _ in range(2):
+            status, body = get(conn, f"/v1/sessions/{fg_sid}/recommendations")
             assert status == 200
-            bodies[prefix] = decoded = assert_canonical(body)
-            assert decoded["provenance" if prefix else "freshness"]["origin"] == "foreground"
-        in_process = manager.get(fg_sid).recommendations()["actions"]
-        assert bodies["/v1"]["actions"] == bodies[""]["actions"] == in_process
+            bodies.append(assert_canonical(body))
+        assert bodies[0]["provenance"]["origin"] == "foreground"
+        in_process = manager.get(fg_sid).recommendations()
+        assert bodies[0] == bodies[1] == in_process
 
     def test_shard_rpc_bodies_are_canonical(self):
         with config_overlay(precompute_debounce_s=0.0):
@@ -260,7 +259,7 @@ class TestGoldenWire:
                 sid = created["result"]["session"]
                 assert manager.engine.wait_idle(30)
                 expected = manager.get(sid).recommendations()["actions"]
-                for params in ({}, {"v1": True}, {"action": "Distribution", "v1": True}):
+                for params in ({}, {"action": "Distribution"}):
                     response = service.handle(
                         {"method": "recommendations", "params": {"session": sid, **params}}
                     )
@@ -287,14 +286,15 @@ class TestGoldenWire:
                 sid = created["result"]["session"]
                 assert manager.engine.wait_idle(30)
                 service.handle({"method": "intent", "params": {"session": sid, "intent": []}})
-                for params in ({"v1": True}, {}):
+                bodies = []
+                for _ in range(2):
                     response = service.handle(
-                        {"method": "recommendations", "params": {"session": sid, **params}}
+                        {"method": "recommendations", "params": {"session": sid}}
                     )
-                    decoded = assert_canonical(response["result"]["payload_json"])
-                    envelope = decoded["provenance" if params else "freshness"]
-                    assert envelope["origin"] == "foreground"
-                    assert decoded["actions"] == expected
+                    bodies.append(assert_canonical(response["result"]["payload_json"]))
+                assert bodies[0]["provenance"]["origin"] == "foreground"
+                assert bodies[0]["actions"] == expected
+                assert bodies[0] == bodies[1] == manager.get(sid).recommendations()
             finally:
                 manager.shutdown()
 
