@@ -863,7 +863,9 @@ def run_fault(args: argparse.Namespace) -> int:
         warm_payloads: dict[str, dict] = {}
         for cid in victim_canaries:
             start = time.perf_counter()
-            raw = supervisor.recommendations(cid)
+            raw = supervisor.request("recommendations", {"session": cid})[
+                "payload_json"
+            ]
             warm_samples.append(time.perf_counter() - start)
             warm_payloads[cid] = json.loads(raw)
         warm_s = min(warm_samples)

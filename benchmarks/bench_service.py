@@ -208,12 +208,13 @@ def measure_worker_scaling(
         sup = Supervisor(n_workers=n_workers)
         try:
             ids = [
-                sup.create_session(
+                sup.request(
+                    "create",
                     {
                         "dataset": "synthetic-skewed",
                         "rows": rows,
                         "config": {"top_k": 3},
-                    }
+                    },
                 )["session"]
                 for _ in range(n_sessions)
             ]
@@ -221,13 +222,14 @@ def measure_worker_scaling(
 
             start = time.perf_counter()
             for sid in ids:
-                sup.mutate(sid, {"column": "heavy_tail"})
+                sup.request("mutate", {"session": sid, "column": "heavy_tail"})
             assert sup.wait_idle(600), "precompute never settled"
             precompute_wall_s = time.perf_counter() - start
 
             def read(i: int) -> None:
-                payload = sup.recommendations(ids[i % len(ids)])
-                assert payload  # pre-serialized JSON string
+                params = {"session": ids[i % len(ids)]}
+                payload = sup.request("recommendations", params)["payload_json"]
+                assert payload  # pre-serialized JSON bytes
 
             start = time.perf_counter()
             with ThreadPoolExecutor(max_workers=8) as executor:

@@ -60,3 +60,14 @@ echo "== metrics snapshot gate =="
 # The scraped exposition must be non-empty and parseable; a broken
 # /metrics pipeline fails CI even if every latency gate passed.
 python -m repro.service.metrics METRICS_snapshot.txt
+
+echo "== end-to-end benchmark correctness (perfbench) =="
+# Correctness only: every timed output must equal its in-process cold
+# recomputation, with no failed operation.  The timings are not gated
+# here; BENCHMARK.json's bounds apply to full-length paired runs.
+for workload in cold_read edit_read; do
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+    | tail -n 1 \
+    | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(not (r["correct"] and r["failed"] == 0))' \
+    || { echo "perfbench $workload: wrong output or failed operations" >&2; exit 1; }
+done

@@ -66,7 +66,10 @@ def read_csv(
     """Load a CSV file (path, file object, or string buffer) into a frame.
 
     Numeric and datetime types are inferred per column; cells matching common
-    missing markers ("", "NA", "NaN", ...) become missing values.
+    missing markers ("", "NA", "NaN", ...) become missing values, and a row
+    shorter than the header is padded with them.  A row longer than the
+    header, or a field the csv module rejects (e.g. one past its size
+    limit), raises ``ValueError`` naming the line.
     """
     if hasattr(path_or_buffer, "read"):
         handle = path_or_buffer
@@ -85,9 +88,16 @@ def read_csv(
         for row in reader:
             if not row:
                 continue
+            if len(row) > len(names):
+                raise ValueError(
+                    f"CSV line {reader.line_num}: expected {len(names)} "
+                    f"fields, saw {len(row)}"
+                )
             for j in range(len(names)):
                 cell = row[j] if j < len(row) else ""
                 raw[j].append(_infer_cell(cell))
+    except csv.Error as exc:
+        raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
     finally:
         if close:
             handle.close()

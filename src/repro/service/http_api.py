@@ -1,13 +1,16 @@
 """Stdlib-only HTTP JSON API over the recommendation service.
 
 No framework, no new dependencies: :class:`http.server.ThreadingHTTPServer`
-with one handler class routing a small REST surface onto a *backend* —
-either a :class:`LocalBackend` (one in-process
-:class:`~repro.service.session.SessionManager`, the default) or a
-:class:`ShardBackend` (a :class:`~repro.service.supervisor.Supervisor`
-routing sessions across N worker processes; see
-:mod:`repro.service.shard`).  The HTTP surface is identical in both
-modes — clients cannot tell how many processes serve them.
+with one handler class that turns each route into one
+``backend.request(method, params)`` call.  The backend is a
+:class:`~repro.service.shard.ShardService` over one in-process
+:class:`~repro.service.session.SessionManager` (the default; no pipe, no
+frame codec), or a :class:`~repro.service.supervisor.Supervisor` that
+routes each request to the worker process owning the session, where the
+same ``ShardService`` runs.  Validation, admission, the 404 mapping and
+the payload splice therefore exist once, in :mod:`repro.service.shard`,
+and the HTTP surface is identical in both modes — clients cannot tell
+how many processes serve them.
 
 Endpoints
 ---------
@@ -19,7 +22,8 @@ Every route lives under ``/v1/``; any other path answers 404.
     ``synthetic-{wide,highcard,skewed,datetime,nullheavy}``) *or*
     ``csv`` (inline CSV text);
     optional ``rows`` (airbnb size), ``config`` (per-session overlay, e.g.
-    ``{"top_k": 5}``), ``intent``.  Returns the session info.
+    ``{"top_k": 5}``), ``intent``, ``session_id``.  Returns the session
+    info.
 ``GET /v1/sessions`` / ``GET /v1/sessions/{id}``
     List session ids / one session's info.
 ``POST /v1/sessions/{id}/intent``
@@ -52,6 +56,13 @@ Every route lives under ``/v1/``; any other path answers 404.
     ``worker_unreachable`` stanza (probed under a short timeout — a
     crashed worker can never hang the health check) with the aggregate
     ``status`` degraded.
+
+Request bodies: a ``Content-Length`` above :data:`MAX_BODY_BYTES`
+answers **413** without the body being read, and a malformed one answers
+400; both close the connection.  A create's ``session_id``, when given,
+must match the route's id grammar (:data:`~repro.service.shard.SESSION_ID`),
+and CSV text that the reader rejects (a row longer than the header, a
+field past the csv module's size limit) answers 400.
 
 Backpressure: every mutation-facing write (session create, intent,
 mutate) passes the precompute engine's admission check *before* touching
@@ -96,36 +107,27 @@ from . import metrics as service_metrics
 from . import wire
 from .precompute import QueueSaturated
 from .session import SessionManager
-from .shard import (
-    RequestError,
-    WorkerUnreachable,
-    apply_mutate_body,
-    check_body,
-    create_session_from_body,
-    healthz_payload,
-)
+from .shard import SESSION_ID, RequestError, ShardService, WorkerUnreachable
 
 if TYPE_CHECKING:  # pragma: no cover
     from .supervisor import Supervisor
 
 __all__ = [
-    "LocalBackend",
+    "MAX_BODY_BYTES",
     "ServiceServer",
-    "ShardBackend",
     "main",
     "make_server",
 ]
 
-_SESSION_PATH = re.compile(r"^/sessions/([0-9a-zA-Z_-]+)(/[a-z_]+)?$")
+_SESSION_PATH = re.compile(rf"^/sessions/({SESSION_ID})(/[a-z_]+)?$")
 
 #: The API prefix: every route lives under ``/v1/``, and any other path
 #: answers 404 like an unknown route.
 V1_PREFIX = "/v1"
 
-# The HTTP layer's client-error type is the transport-neutral one the
-# shard vocabulary defines, so worker-side errors cross the pipe and land
-# in the same except-arm as locally raised ones.
-_ApiError = RequestError
+#: The largest request body the server reads (64 MiB).  A longer declared
+#: ``Content-Length`` answers 413 without the body being read.
+MAX_BODY_BYTES = 64 << 20
 
 
 def authenticated(handler: Callable[..., Any]) -> Callable[..., Any]:
@@ -173,112 +175,6 @@ def measured(route: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     return wrap
 
 
-class LocalBackend:
-    """Single-process backend: every route hits one SessionManager."""
-
-    def __init__(self, manager: SessionManager) -> None:
-        self.manager = manager
-        service_metrics.register_service_gauges(manager)
-
-    def healthz(self) -> dict[str, Any]:
-        return healthz_payload(self.manager)
-
-    def metrics_text(self) -> str:
-        return service_metrics.render_prometheus(service_metrics.collect_process())
-
-    def trace(self, session_id: str, limit: int = 100) -> dict[str, Any]:
-        self.manager.get(session_id)  # KeyError -> 404
-        return {
-            "session": session_id,
-            "spans": telemetry.spans(session_id=session_id, limit=limit),
-        }
-
-    def list_sessions(self) -> dict[str, Any]:
-        return {"sessions": self.manager.ids()}
-
-    def create(self, body: dict[str, Any]) -> dict[str, Any]:
-        # Admission before any work: a rejected create must not even
-        # build the frame, let alone register a session.
-        self.manager.engine.admit()
-        return create_session_from_body(self.manager, body).info()
-
-    def info(self, session_id: str) -> dict[str, Any]:
-        return self.manager.get(session_id).info()
-
-    def close(self, session_id: str) -> dict[str, Any]:
-        if not self.manager.close(session_id):
-            raise _ApiError(404, f"no such session: {session_id!r}")
-        return {"closed": session_id}
-
-    def set_intent(self, session_id: str, body: dict[str, Any]) -> dict[str, Any]:
-        session = self.manager.get(session_id)
-        self.manager.engine.admit()
-        session.set_intent(check_body(body).get("intent"))
-        return session.info()
-
-    def mutate(self, session_id: str, body: dict[str, Any]) -> dict[str, Any]:
-        session = self.manager.get(session_id)
-        self.manager.engine.admit()
-        apply_mutate_body(session, body)
-        return session.info()
-
-    def recommendations(self, session_id: str, action: str | None) -> dict[str, Any]:
-        session = self.manager.get(session_id)
-        try:
-            return session.recommendations(action=action, raw=True)
-        except KeyError:
-            raise _ApiError(404, f"no such action: {action!r}") from None
-
-    def shutdown(self) -> None:
-        self.manager.shutdown()
-
-
-class ShardBackend:
-    """Multi-process backend: routes each request to the owning worker.
-
-    Thin by design — the supervisor does the routing, the workers do the
-    work, and recommendation payloads pass through as pre-serialized
-    JSON strings so this process never parses them.
-    """
-
-    def __init__(self, supervisor: "Supervisor") -> None:
-        self.supervisor = supervisor
-        self.manager = None  # no in-process sessions in shard mode
-
-    def healthz(self) -> dict[str, Any]:
-        return self.supervisor.healthz()
-
-    def metrics_text(self) -> str:
-        return service_metrics.render_prometheus(self.supervisor.metrics())
-
-    def trace(self, session_id: str, limit: int = 100) -> dict[str, Any]:
-        return self.supervisor.trace(session_id, limit)
-
-    def list_sessions(self) -> dict[str, Any]:
-        return {"sessions": self.supervisor.session_ids()}
-
-    def create(self, body: dict[str, Any]) -> dict[str, Any]:
-        return self.supervisor.create_session(body)
-
-    def info(self, session_id: str) -> dict[str, Any]:
-        return self.supervisor.info(session_id)
-
-    def close(self, session_id: str) -> dict[str, Any]:
-        return self.supervisor.close_session(session_id)
-
-    def set_intent(self, session_id: str, body: dict[str, Any]) -> dict[str, Any]:
-        return self.supervisor.set_intent(session_id, body)
-
-    def mutate(self, session_id: str, body: dict[str, Any]) -> dict[str, Any]:
-        return self.supervisor.mutate(session_id, body)
-
-    def recommendations(self, session_id: str, action: str | None) -> str:
-        return self.supervisor.recommendations(session_id, action)
-
-    def shutdown(self) -> None:
-        self.supervisor.stop()
-
-
 class _Handler(BaseHTTPRequestHandler):
     """Routes one request onto the server's backend."""
 
@@ -299,7 +195,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _send(
         self,
         status: int,
-        body: "dict[str, Any] | str",
+        body: "dict[str, Any] | bytes | str",
         headers: dict[str, str] | None = None,
     ) -> None:
         # Keep-alive discipline: any declared request body must be fully
@@ -307,15 +203,10 @@ class _Handler(BaseHTTPRequestHandler):
         # the connection's next request line (error paths can respond
         # before the route ever called _body()).
         self._read_body_bytes()
-        # A str body is already-serialized JSON (shard mode forwards the
-        # worker's bytes untouched — the router never parses payloads),
-        # unless a handler overrides Content-Type (the /metrics
-        # exposition is plain text).  A dict body goes through the one
-        # wire writer, which splices stored payload bytes in verbatim.
-        if isinstance(body, str):
-            data = body.encode("utf-8")
-        else:
-            data = wire.dumps(body)
+        # Bytes are an encoded recommendations body, sent as they are; a
+        # str is the /metrics exposition text.  A dict goes through the
+        # one wire writer.
+        data = body.encode("utf-8") if isinstance(body, str) else wire.dumps(body)
         self._status_sent = status
         extra = dict(headers or {})
         if self.close_connection:
@@ -337,7 +228,9 @@ class _Handler(BaseHTTPRequestHandler):
 
         A malformed or negative ``Content-Length`` answers 400 and closes
         the connection: the body's extent is unknown, so whatever follows
-        cannot be framed as the next request.
+        cannot be framed as the next request.  One above
+        :data:`MAX_BODY_BYTES` answers 413 and closes the connection
+        without reading the body.
         """
         cached = getattr(self, "_body_cache", None)
         if cached is None:
@@ -351,7 +244,12 @@ class _Handler(BaseHTTPRequestHandler):
                 length = -1
             if length < 0:
                 self.close_connection = True
-                raise _ApiError(400, f"invalid Content-Length: {declared!r}")
+                raise RequestError(400, f"invalid Content-Length: {declared!r}")
+            if length > MAX_BODY_BYTES:
+                self.close_connection = True
+                raise RequestError(
+                    413, f"Content-Length {length} exceeds the {MAX_BODY_BYTES}-byte cap"
+                )
             cached = self.rfile.read(length) if length else b""
             self._body_cache = cached
         return cached
@@ -363,9 +261,9 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             parsed = json.loads(raw.decode("utf-8"))
         except ValueError:
-            raise _ApiError(400, "request body is not valid JSON") from None
+            raise RequestError(400, "request body is not valid JSON") from None
         if not isinstance(parsed, dict):
-            raise _ApiError(400, "request body must be a JSON object")
+            raise RequestError(400, "request body must be a JSON object")
         return parsed
 
     def _require_auth(self) -> None:
@@ -375,7 +273,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         header = self.headers.get("Authorization") or ""
         if not hmac.compare_digest(header, f"Bearer {token}"):
-            raise _ApiError(401, "missing or invalid bearer token")
+            raise RequestError(401, "missing or invalid bearer token")
 
     def _route(self, method: str) -> None:
         # One handler instance serves every request on a keep-alive
@@ -396,7 +294,7 @@ class _Handler(BaseHTTPRequestHandler):
                 if args and isinstance(args[0], str):
                     root.attrs["session"] = args[0]
                 self._send(*handler(*args))
-            except _ApiError as exc:
+            except RequestError as exc:
                 self._send(exc.status, {"error": str(exc)})
             except QueueSaturated as exc:
                 # Backpressure: the precompute backlog is at its bound, so the
@@ -431,10 +329,10 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _resolve(self, method: str) -> tuple[Callable[..., Any], tuple]:
-        path, _, query = self.path.partition("?")
-        params = _parse_query(query)
+        path, _, query_string = self.path.partition("?")
+        query = _parse_query(query_string)
         if not path.startswith(V1_PREFIX + "/"):
-            raise _ApiError(404, f"no route for {method} {path}")
+            raise RequestError(404, f"no route for {method} {path}")
         path = path[len(V1_PREFIX):]
         if path == "/healthz" and method == "GET":
             return self._healthz, ()
@@ -458,10 +356,10 @@ class _Handler(BaseHTTPRequestHandler):
             elif sub == "/mutate" and method == "POST":
                 return self._mutate, (session_id,)
             elif sub == "/recommendations" and method == "GET":
-                return self._recommendations, (session_id, params)
+                return self._recommendations, (session_id, query)
             elif sub == "/trace" and method == "GET":
-                return self._session_trace, (session_id, params)
-        raise _ApiError(404, f"no route for {method} {path}")
+                return self._session_trace, (session_id, query)
+        raise RequestError(404, f"no route for {method} {path}")
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         self._route("GET")
@@ -478,63 +376,67 @@ class _Handler(BaseHTTPRequestHandler):
     @measured("healthz")
     @public
     def _healthz(self) -> tuple[int, dict[str, Any]]:
-        return 200, self.server.backend.healthz()
+        return 200, self.server.backend.request("healthz")
 
     @measured("metrics")
     @public
     def _metrics(self) -> tuple[int, str, dict[str, str]]:
         # Public like /healthz: the exposition carries no session data
         # and scrapers rarely support per-target auth headers cleanly.
+        snapshot = self.server.backend.request("metrics")["snapshot"]
         return (
             200,
-            self.server.backend.metrics_text(),
+            service_metrics.render_prometheus(snapshot),
             {"Content-Type": "text/plain; version=0.0.4; charset=utf-8"},
         )
 
     @measured("sessions_list")
     @authenticated
     def _list_sessions(self) -> tuple[int, dict[str, Any]]:
-        return 200, self.server.backend.list_sessions()
+        return 200, self.server.backend.request("list")
 
     @measured("sessions_create")
     @authenticated
     def _create_session(self) -> tuple[int, dict[str, Any]]:
-        return 201, self.server.backend.create(self._body())
+        return 201, self.server.backend.request("create", self._body())
 
     @measured("session_info")
     @authenticated
     def _session_info(self, session_id: str) -> tuple[int, dict[str, Any]]:
-        return 200, self.server.backend.info(session_id)
+        return 200, self.server.backend.request("info", {"session": session_id})
 
     @measured("session_close")
     @authenticated
     def _close_session(self, session_id: str) -> tuple[int, dict[str, Any]]:
-        return 200, self.server.backend.close(session_id)
+        return 200, self.server.backend.request("close", {"session": session_id})
 
     @measured("intent")
     @authenticated
     def _set_intent(self, session_id: str) -> tuple[int, dict[str, Any]]:
-        return 200, self.server.backend.set_intent(session_id, self._body())
+        params = {**self._body(), "session": session_id}
+        return 200, self.server.backend.request("intent", params)
 
     @measured("mutate")
     @authenticated
     def _mutate(self, session_id: str) -> tuple[int, dict[str, Any]]:
-        return 200, self.server.backend.mutate(session_id, self._body())
+        params = {**self._body(), "session": session_id}
+        return 200, self.server.backend.request("mutate", params)
 
     @measured("recommendations")
     @authenticated
     def _recommendations(
-        self, session_id: str, params: dict[str, str]
-    ) -> tuple[int, "dict[str, Any] | str"]:
-        return 200, self.server.backend.recommendations(session_id, params.get("action"))
+        self, session_id: str, query: dict[str, str]
+    ) -> tuple[int, bytes]:
+        params = {"session": session_id, "action": query.get("action")}
+        return 200, self.server.backend.request("recommendations", params)["payload_json"]
 
     @measured("trace")
     @authenticated
     def _session_trace(
-        self, session_id: str, params: dict[str, str]
+        self, session_id: str, query: dict[str, str]
     ) -> tuple[int, dict[str, Any]]:
-        limit = int(params.get("limit", "100"))
-        return 200, self.server.backend.trace(session_id, limit)
+        params = {"session": session_id, "limit": query.get("limit", "100")}
+        return 200, self.server.backend.request("trace", params)
 
 
 def _parse_query(query: str) -> dict[str, str]:
@@ -542,7 +444,7 @@ def _parse_query(query: str) -> dict[str, str]:
 
 
 class ServiceServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer bound to one backend (local or sharded)."""
+    """ThreadingHTTPServer bound to one backend (in-process or sharded)."""
 
     daemon_threads = True
 
@@ -556,15 +458,15 @@ class ServiceServer(ThreadingHTTPServer):
         supervisor: "Supervisor | None" = None,
     ) -> None:
         super().__init__((host, port), _Handler)
+        # Tests and benches reach the in-process manager through the
+        # server.  None when running sharded.
+        self.manager: SessionManager | None = None
         if supervisor is not None:
-            self.backend: "LocalBackend | ShardBackend" = ShardBackend(
-                supervisor
-            )
+            self.backend: "ShardService | Supervisor" = supervisor
         else:
-            self.backend = LocalBackend(manager or SessionManager())
-        # Back-compat attribute: tests and benches reach the in-process
-        # manager through the server.  None when running sharded.
-        self.manager = self.backend.manager
+            self.manager = manager or SessionManager()
+            service_metrics.register_service_gauges(self.manager)
+            self.backend = ShardService(self.manager)
         self.verbose = verbose
         # Resolved once at construction: handler threads are spawned by the
         # server, so a thread-local config overlay on the caller would never
@@ -667,7 +569,10 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        server.backend.shutdown()
+        if supervisor is not None:
+            supervisor.stop()
+        else:
+            server.manager.shutdown()
         server.server_close()
     return 0
 

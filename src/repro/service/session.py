@@ -40,6 +40,7 @@ from ..vis.spec import candidate_key
 from ..vis.vegalite import spec_payload
 from .persist import read_results
 from .provenance import envelope
+from .store import MANIFEST
 
 if TYPE_CHECKING:  # pragma: no cover
     from .persist import SnapshotStore
@@ -291,13 +292,18 @@ class Session:
         distinct = set(origins.values())
         # An incremental pass mixes recomputed ("precompute") and
         # carried-forward ("carried") actions; the overall origin reports
-        # "mixed" and the per-action map tells the two apart.
+        # "mixed" and the per-action map tells the two apart.  A pass with
+        # no actions (a frame with no recommendations) stored only its
+        # manifest, which keeps the pass's origin.
+        if not records:
+            manifest = self.store.get(self.id, version, MANIFEST)
+            distinct = {manifest["origin"] if manifest else "foreground"}
         origin = distinct.pop() if len(distinct) == 1 else "mixed"
         if raw:
             payloads = {name: r["payload"] for name, r in records.items()}
         else:
             payloads = self._decode(version, records)
-        oldest = min(r["computed_at"] for r in records.values())
+        oldest = min((r["computed_at"] for r in records.values()), default=None)
         vis_origins = {
             name: r["vis_origins"]
             for name, r in records.items()

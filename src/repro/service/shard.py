@@ -1,28 +1,29 @@
-"""Worker side of the sharded service tier.
+"""The service's request vocabulary, and the worker side of the shard tier.
 
-The horizontal story (ROADMAP item 1): sessions are partitioned across N
-worker *processes* by a consistent hash of the session id
-(:func:`shard_for`), each worker owning a full single-process service
-stack — one :class:`~repro.service.session.SessionManager`, one
-:class:`~repro.service.precompute.PrecomputeEngine`, one
-:class:`~repro.service.store.ResultStore`, its own worker pool — so heavy
-recommendation passes for different sessions land on different cores
-instead of different threads behind one GIL.
+:class:`ShardService` is the one dispatcher over a
+:class:`~repro.service.session.SessionManager`: create (with admission),
+list, info, close, intent, mutate, recommendations, healthz, metrics and
+trace, each a ``request(method, params)`` call.  Request validation,
+admission, the 404 mapping and the recommendations payload splice live
+here and nowhere else.  The single-process HTTP server calls
+:meth:`ShardService.request` in-process (no pipe, no frame codec); in
+shard mode each worker process runs the same dispatcher behind a pipe,
+and :class:`~repro.service.supervisor.Supervisor` makes the same
+``request(method, params)`` call on the router side.
 
-This module is everything that runs *inside* a worker (plus the request
-vocabulary the single-process HTTP backend shares):
+This module holds, besides the dispatcher:
 
 - :func:`shard_for` — the routing hash.  Deliberately **not** Python's
   builtin ``hash`` (salted per process by ``PYTHONHASHSEED``): routing
   must agree between a supervisor and every worker it ever spawns, across
   restarts, or a restarted worker would restore sessions the router sends
   elsewhere.
-- :class:`ShardService` — a dict-request → dict-response dispatcher over
-  one SessionManager.  It is transport-free (unit tests drive it
-  in-process, no sockets, no spawn), with every service exception encoded
-  as a structured error the supervisor re-raises verbatim — so the HTTP
-  status mapping is identical whether a request ran locally or crossed a
-  process boundary.
+- :meth:`ShardService.handle` — one RPC frame's request to its response:
+  the ``rpc.handle`` span, the ``lux_rpc_handle_seconds`` histogram, and
+  every service exception encoded as a structured error
+  (:func:`encode_error`) that the supervisor re-raises verbatim
+  (:func:`raise_error`), so the HTTP status mapping is identical whether
+  a request ran in-process or crossed a process boundary.
 - :func:`serve_connection` — the worker's RPC loop: length-prefixed JSON
   frames over a ``multiprocessing`` pipe (``send_bytes``/``recv_bytes``
   do the framing), requests dispatched onto a small thread pool so one
@@ -33,12 +34,12 @@ vocabulary the single-process HTTP backend shares):
   (warm recovery), and serves until a ``shutdown`` request (which flushes
   snapshots) or pipe EOF (supervisor died).
 
-Recommendation payloads cross the pipe pre-serialized (``payload_json``,
-the stored payload bytes spliced into the response envelope by
-:func:`repro.service.wire.dumps`): the supervisor forwards the bytes to
-the HTTP client without ever parsing the (potentially large) spec
-payloads, keeping the router thin enough that reads/s scale with worker
-count instead of saturating the parent's GIL.
+A recommendations result is ``{"payload_json": bytes}``: the response
+envelope with the stored payload bytes spliced in by
+:func:`repro.service.wire.dumps`.  The bytes cross the pipe after the
+frame's JSON envelope (:func:`encode_frame`) and stay bytes on the router
+side (:func:`decode_frame`), so the supervisor forwards them to the HTTP
+client without decoding or parsing the (potentially large) payloads.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import signal
 import threading
 import time
@@ -66,16 +68,21 @@ if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.connection import Connection
 
 __all__ = [
+    "SESSION_ID",
     "RequestError",
     "ShardService",
     "WorkerUnreachable",
     "check_body",
-    "create_session_from_body",
-    "healthz_payload",
     "serve_connection",
     "shard_for",
     "worker_main",
 ]
+
+#: The session id grammar: what ``/v1/sessions/{id}`` routes match and
+#: what a create body's ``session_id`` must match.  Ids name snapshot
+#: directories, so the grammar also keeps them inside the snapshot root.
+SESSION_ID = r"[0-9a-zA-Z_-]+"
+_SESSION_ID = re.compile(SESSION_ID)
 
 
 def shard_for(session_id: str, n_shards: int) -> int:
@@ -91,7 +98,7 @@ def shard_for(session_id: str, n_shards: int) -> int:
 class RequestError(Exception):
     """A client error with an HTTP status, transport-independent.
 
-    Raised by the shared request helpers and by backends; the HTTP layer
+    Raised by :class:`ShardService` and the HTTP handler; the HTTP layer
     maps it straight to ``(status, {"error": message})``.
     """
 
@@ -110,7 +117,7 @@ class WorkerUnreachable(LuxError):
 
 
 # ----------------------------------------------------------------------
-# Request vocabulary shared by the local backend and the worker
+# Request validation
 # ----------------------------------------------------------------------
 def _datasets() -> dict[str, Callable[..., Any]]:
     """Bundled dataset name -> generator taking an optional row cap."""
@@ -153,46 +160,13 @@ def _datasets() -> dict[str, Callable[..., Any]]:
     return makers
 
 
-def create_session_from_body(
-    manager: SessionManager, body: dict[str, Any]
-) -> Session:
-    """The ``POST /v1/sessions`` body -> a registered session.
-
-    Shared by the single-process backend and the worker so a create
-    behaves identically on both sides of the pipe.  ``session_id`` is the
-    supervisor's pre-assigned id (it must pick the id *before* routing —
-    the id determines the shard); absent, the manager generates one.
-    """
-    check_body(body)
-    dataset = body.get("dataset")
-    csv_text = body.get("csv")
-    if bool(dataset) == bool(csv_text):
-        raise RequestError(400, "provide exactly one of 'dataset' or 'csv'")
-    if dataset:
-        makers = _datasets()
-        if dataset not in makers:
-            raise RequestError(
-                404,
-                f"unknown dataset {dataset!r}; available: {sorted(makers)}",
-            )
-        frame = makers[dataset](body.get("rows"))
-    else:
-        from ..core.frame import LuxDataFrame
-
-        frame = read_csv_string(csv_text, frame_cls=LuxDataFrame)
-    return manager.create(
-        frame,
-        overrides=body.get("config"),
-        intent=body.get("intent"),
-        session_id=body.get("session_id"),
-    )
-
-
 def check_body(body: dict[str, Any]) -> dict[str, Any]:
-    """Answer 400 unless the body's fields have their JSON types (shared).
+    """Answer 400 unless the body's fields have their JSON types.
 
     ``parse_intent`` raises ``TypeError`` for a malformed intent, which
-    suits in-process callers but must not answer 500 over the wire.
+    suits in-process callers but must not answer 500 over the wire.  A
+    ``session_id`` must match :data:`SESSION_ID`: it names the session's
+    route and its snapshot directory, and the supervisor hashes it.
     """
     for name, kind, label in _TYPED_FIELDS:
         if body.get(name) is not None and not isinstance(body[name], kind):
@@ -201,6 +175,11 @@ def check_body(body: dict[str, Any]) -> dict[str, Any]:
         raise RequestError(
             400, "'intent' must be a string or a list of strings and string lists"
         )
+    session_id = body.get("session_id")
+    if session_id is not None and not (
+        isinstance(session_id, str) and _SESSION_ID.fullmatch(session_id)
+    ):
+        raise RequestError(400, f"'session_id' must match {SESSION_ID}")
     return body
 
 
@@ -221,31 +200,6 @@ def _is_intent(value: Any) -> bool:
         or (isinstance(item, list) and all(isinstance(part, str) for part in item))
         for item in value
     )
-
-
-def apply_mutate_body(session: Session, body: dict[str, Any]) -> None:
-    """Validate and apply a ``/mutate`` body (shared both sides)."""
-    column = body.get("column")
-    if not isinstance(column, str) or not column:
-        raise RequestError(400, "provide 'column' (string) to mutate")
-    values = body.get("values")
-    if values is not None and not isinstance(values, list):
-        raise RequestError(400, "'values' must be a JSON array")
-    session.mutate(column, values)
-
-
-def healthz_payload(manager: SessionManager) -> dict[str, Any]:
-    """One process's liveness stanza (pool / caches / manager stats)."""
-    return {
-        "status": "ok",
-        "pid": os.getpid(),
-        "pool": pool.stats(),
-        "computation_cache": computation_cache.stats(),
-        # Per-route / per-pass latency summaries from the live histograms
-        # (this process only; the supervisor adds its own router-side view).
-        "telemetry": service_metrics.summaries(),
-        **manager.stats(),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -292,15 +246,15 @@ def raise_error(error: dict[str, Any]) -> NoReturn:
 
 
 # ----------------------------------------------------------------------
-# The worker service
+# The dispatcher
 # ----------------------------------------------------------------------
 class ShardService:
-    """Dispatches dict requests onto one worker's SessionManager.
+    """Dispatches ``(method, params)`` requests onto one SessionManager.
 
-    Transport-free by design: :func:`serve_connection` feeds it frames
-    from the supervisor pipe, tests call :meth:`handle` directly.  Every
-    response is ``{"ok": True, "result": ...}`` or ``{"ok": False,
-    "error": {...}}`` (see :func:`encode_error`).
+    Transport-free by design: the single-process HTTP server and tests
+    call :meth:`request` in-process, and a worker's
+    :func:`serve_connection` feeds :meth:`handle` the frames from the
+    supervisor pipe.
     """
 
     def __init__(
@@ -328,14 +282,26 @@ class ShardService:
             "shutdown": self._shutdown,
         }
 
+    def request(self, method: str, params: dict[str, Any] | None = None) -> Any:
+        """Run one request in this process; service exceptions propagate.
+
+        The exceptions are the ones the HTTP layer's except-ladder maps:
+        :class:`RequestError`, ``QueueSaturated`` (429), ``KeyError``
+        (404), ``LuxError`` and ``ValueError`` (400).
+        """
+        return self._methods[method](params or {})
+
     def handle(self, request: dict[str, Any]) -> dict[str, Any]:
+        """One RPC frame's request -> ``{"ok": True, "result": ...}`` or
+        ``{"ok": False, "error": {...}}`` (see :func:`encode_error`),
+        recorded as an ``rpc.handle`` span and in ``lux_rpc_handle_seconds``.
+        """
         method = request.get("method")
-        handler = self._methods.get(method)  # type: ignore[arg-type]
         params = request.get("params") or {}
-        if handler is None or not isinstance(params, dict):
+        if method not in self._methods or not isinstance(params, dict):
             problem = (
                 f"unknown RPC method {method!r}"
-                if handler is None
+                if method not in self._methods
                 else "RPC params must be a JSON object"
             )
             return {"ok": False, "error": {"kind": "bad_request", "message": problem}}
@@ -353,7 +319,7 @@ class ShardService:
                 if session_id:
                     rpc_span.attrs["session"] = str(session_id)
                 try:
-                    response = {"ok": True, "result": handler(params)}
+                    response = {"ok": True, "result": self.request(method, params)}
                 except Exception as exc:
                     response = {"ok": False, "error": encode_error(exc)}
                 trace_id = rpc_span.trace_id
@@ -381,10 +347,38 @@ class ShardService:
         }
 
     def _create(self, params: dict[str, Any]) -> dict[str, Any]:
-        # Admission before any work, same as the HTTP route: a rejected
-        # create must not even build the frame.
+        """The ``POST /v1/sessions`` body -> the new session's info.
+
+        ``session_id`` is the supervisor's pre-assigned id in shard mode
+        (it must pick the id *before* routing — the id determines the
+        shard); absent, the manager generates one.
+        """
+        check_body(params)
+        # Admission before any work: a rejected create must not even
+        # build the frame, let alone register a session.
         self.manager.engine.admit()
-        return create_session_from_body(self.manager, params).info()
+        dataset = params.get("dataset")
+        csv_text = params.get("csv")
+        if bool(dataset) == bool(csv_text):
+            raise RequestError(400, "provide exactly one of 'dataset' or 'csv'")
+        if dataset:
+            makers = _datasets()
+            if dataset not in makers:
+                raise RequestError(
+                    404,
+                    f"unknown dataset {dataset!r}; available: {sorted(makers)}",
+                )
+            frame = makers[dataset](params.get("rows"))
+        else:
+            from ..core.frame import LuxDataFrame
+
+            frame = read_csv_string(csv_text, frame_cls=LuxDataFrame)
+        return self.manager.create(
+            frame,
+            overrides=params.get("config"),
+            intent=params.get("intent"),
+            session_id=params.get("session_id"),
+        ).info()
 
     def _list(self, _params: dict[str, Any]) -> dict[str, Any]:
         return {"sessions": self.manager.ids()}
@@ -407,43 +401,60 @@ class ShardService:
     def _mutate(self, params: dict[str, Any]) -> dict[str, Any]:
         session = self._session(params)
         self.manager.engine.admit()
-        apply_mutate_body(session, params)
+        column = params.get("column")
+        if not isinstance(column, str) or not column:
+            raise RequestError(400, "provide 'column' (string) to mutate")
+        values = params.get("values")
+        if values is not None and not isinstance(values, list):
+            raise RequestError(400, "'values' must be a JSON array")
+        session.mutate(column, values)
         return session.info()
 
-    def _recommendations(self, params: dict[str, Any]) -> dict[str, Any]:
+    def _recommendations(self, params: dict[str, Any]) -> dict[str, bytes]:
         session = self._session(params)
         action = params.get("action")
         try:
             response = session.recommendations(action=action, raw=True)
         except KeyError:
             raise RequestError(404, f"no such action: {action!r}") from None
-        # Pre-serialized passthrough: the stored payload bytes are spliced
-        # into the envelope here, and the supervisor forwards the result
-        # to the HTTP client without parsing the payload structure.
+        # The stored payload bytes are spliced into the envelope here, once;
+        # the HTTP layer (and, in shard mode, the supervisor) forwards the
+        # result without parsing the payload structure.
         return {"payload_json": wire.dumps(response)}
 
     def _healthz(self, _params: dict[str, Any]) -> dict[str, Any]:
-        return {**healthz_payload(self.manager), "shard": self.shard_index}
+        """This process's liveness stanza (pool / caches / manager stats)."""
+        return {
+            "status": "ok",
+            "pid": os.getpid(),
+            "pool": pool.stats(),
+            "computation_cache": computation_cache.stats(),
+            # Per-route / per-pass latency summaries from the live histograms
+            # (this process only; the supervisor adds its own router-side view).
+            "telemetry": service_metrics.summaries(),
+            **self.manager.stats(),
+            "shard": self.shard_index,
+        }
 
     def _wait_idle(self, params: dict[str, Any]) -> dict[str, Any]:
         timeout = float(params.get("timeout", 30.0))
         return {"idle": self.manager.engine.wait_idle(timeout)}
 
     def _metrics(self, _params: dict[str, Any]) -> dict[str, Any]:
-        """This worker's full registry snapshot (merged by the supervisor)."""
+        """This process's full registry snapshot (merged by the supervisor)."""
         return {"snapshot": service_metrics.collect_process(), "shard": self.shard_index}
 
     def _trace(self, params: dict[str, Any]) -> dict[str, Any]:
-        """Recent spans for one session (or the whole ring) on this worker."""
+        """Recent spans for one session (or the whole ring) in this process."""
+        limit = int(params.get("limit", 100))
         session_id = params.get("session")
         if session_id:
             self.manager.get(str(session_id))  # KeyError -> not_found
-        limit = int(params.get("limit", 100))
         return {
+            "session": session_id,
             "spans": telemetry.spans(
                 session_id=str(session_id) if session_id else None, limit=limit
             ),
-            "shard": self.shard_index,
         }
 
     def _shutdown(self, _params: dict[str, Any]) -> dict[str, Any]:
@@ -465,39 +476,34 @@ _RAW_SEP = b"\x00"
 def encode_frame(response: dict[str, Any]) -> bytes:
     """Encode one response frame, hoisting a pre-serialized payload.
 
-    A result of exactly ``{"payload_json": <json text or bytes>}`` is
-    framed as ``envelope NUL payload`` instead of being embedded in the
-    envelope.  Embedding would JSON-escape the (potentially
-    megabytes-large) payload string a second time and force the
-    supervisor to parse it back out — doubling the serialization cost of
-    every recommendation read, the tier's hottest path.
+    A result of exactly ``{"payload_json": <bytes>}`` is framed as
+    ``envelope NUL payload`` instead of being embedded in the envelope.
+    Embedding would JSON-escape the (potentially megabytes-large) payload
+    as a string and force the supervisor to parse it back out — doubling
+    the serialization cost of every recommendation read, the tier's
+    hottest path.
     """
     result = response.get("result")
     if (
         isinstance(result, dict)
         and len(result) == 1
-        and isinstance(result.get("payload_json"), (str, bytes))
+        and isinstance(result.get("payload_json"), bytes)
     ):
         envelope = {k: v for k, v in response.items() if k != "result"}
-        envelope["raw"] = "payload_json"
-        payload = result["payload_json"]
-        if isinstance(payload, str):
-            payload = payload.encode("utf-8")
         return (
             json.dumps(envelope, separators=(",", ":")).encode("utf-8")
             + _RAW_SEP
-            + payload
+            + result["payload_json"]
         )
     return json.dumps(response, separators=(",", ":")).encode("utf-8")
 
 
 def decode_frame(data: bytes) -> dict[str, Any]:
-    """Inverse of :func:`encode_frame`; the raw payload stays unparsed."""
+    """Inverse of :func:`encode_frame`; the hoisted payload stays bytes."""
     head, sep, tail = data.partition(_RAW_SEP)
-    response = json.loads(head.decode("utf-8"))
+    response = json.loads(head)
     if sep:
-        key = response.pop("raw", "payload_json")
-        response["result"] = {key: tail.decode("utf-8")}
+        response["result"] = {"payload_json": tail}
     return response
 
 

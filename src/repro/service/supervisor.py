@@ -1,7 +1,9 @@
 """Supervisor for the sharded multi-process service tier.
 
 The parent half of the shard architecture (the worker half lives in
-:mod:`repro.service.shard`): spawns N worker processes, routes every
+:mod:`repro.service.shard`): spawns N worker processes, serves the same
+``request(method, params)`` call as the in-process
+:class:`~repro.service.shard.ShardService` by routing every
 session-scoped request to the worker that owns the session's shard
 (:func:`~repro.service.shard.shard_for` on the session id), and restarts
 crashed workers — which then recover their shard warm from the snapshot
@@ -48,6 +50,7 @@ from ..core.config import config
 from . import metrics as service_metrics
 from .shard import (
     WorkerUnreachable,
+    check_body,
     decode_frame,
     raise_error,
     shard_for,
@@ -296,54 +299,40 @@ class Supervisor:
             return self._workers[shard]
 
     # ------------------------------------------------------------------
-    # Session API (mirrors the single-process backend)
+    # Requests
     # ------------------------------------------------------------------
-    def create_session(self, body: dict[str, Any]) -> dict[str, Any]:
-        # The id is assigned here, before routing: it determines the
-        # shard, so the worker must not invent its own.
-        body = dict(body)
-        if not body.get("session_id"):
-            body["session_id"] = uuid.uuid4().hex[:12]
-        return self._worker_for(body["session_id"]).request("create", body)
+    def request(self, method: str, params: dict[str, Any] | None = None) -> Any:
+        """Serve one request as the owning worker's ``ShardService`` would.
 
-    def session_ids(self) -> list[str]:
-        ids: list[str] = []
-        for handle in self._handles():
-            try:
-                ids.extend(handle.request("list")["sessions"])
-            except WorkerUnreachable:
-                continue  # degraded listing beats a 503 on /sessions
-        return sorted(ids)
-
-    def info(self, session_id: str) -> dict[str, Any]:
-        return self._worker_for(session_id).request(
-            "info", {"session": session_id}
-        )
-
-    def close_session(self, session_id: str) -> dict[str, Any]:
-        return self._worker_for(session_id).request(
-            "close", {"session": session_id}
-        )
-
-    def set_intent(self, session_id: str, body: dict[str, Any]) -> dict[str, Any]:
-        params = {**body, "session": session_id}
-        return self._worker_for(session_id).request("intent", params)
-
-    def mutate(self, session_id: str, body: dict[str, Any]) -> dict[str, Any]:
-        params = {**body, "session": session_id}
-        return self._worker_for(session_id).request("mutate", params)
-
-    def recommendations(self, session_id: str, action: str | None = None) -> str:
-        """The recommendation payload as a pre-serialized JSON string.
-
-        The worker builds the whole response, ``provenance`` included, and
-        the supervisor forwards its bytes untouched, so the wire shape is
-        identical in-process and behind the shard tier.
+        ``create`` validates the body and assigns the session id before
+        routing (the id determines the shard, so the worker must not
+        invent its own); ``list`` fans out; ``healthz``, ``metrics``,
+        ``trace`` and ``wait_idle`` aggregate across workers.  Every
+        other method goes to the worker that owns ``params["session"]``.
         """
-        result = self._worker_for(session_id).request(
-            "recommendations", {"session": session_id, "action": action}
-        )
-        return result["payload_json"]
+        params = dict(params or {})
+        if method == "create":
+            check_body(params)
+            if not params.get("session_id"):
+                params["session_id"] = uuid.uuid4().hex[:12]
+            return self._worker_for(params["session_id"]).request("create", params)
+        if method == "list":
+            ids: list[str] = []
+            for handle in self._handles():
+                try:
+                    ids.extend(handle.request("list")["sessions"])
+                except WorkerUnreachable:
+                    continue  # degraded listing beats a 503 on /sessions
+            return {"sessions": sorted(ids)}
+        if method == "healthz":
+            return self.healthz()
+        if method == "metrics":
+            return {"snapshot": self.metrics()}
+        if method == "trace":
+            return self.trace(str(params.get("session")), int(params.get("limit", 100)))
+        if method == "wait_idle":
+            return {"idle": self.wait_idle(float(params.get("timeout", 30.0)))}
+        return self._worker_for(str(params.get("session"))).request(method, params)
 
     def wait_idle(self, timeout: float = 30.0) -> bool:
         return all(

@@ -128,6 +128,17 @@ class TestReadCsv:
         with pytest.raises(ValueError):
             read_csv_string("")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("a,b\n1,2\n3,4,5", 3), ("a,b\n1," + "x" * 131_073, 2)],
+        ids=["long-row", "huge-field"],
+    )
+    def test_malformed_rows_raise_naming_the_line(self, text, line):
+        # A longer row must not lose its extra cells silently, and the csv
+        # module's field-size error must not escape as csv.Error.
+        with pytest.raises(ValueError, match=f"CSV line {line}: "):
+            read_csv_string(text)
+
     def test_file_roundtrip(self, tmp_path):
         df = DataFrame({"x": [1, 2], "y": ["a", None]})
         path = str(tmp_path / "t.csv")

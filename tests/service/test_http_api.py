@@ -135,6 +135,23 @@ class TestHTTPApi:
         status, listing = call(server, "GET", "/v1/sessions")
         assert status == 200 and listing["sessions"] == []
 
+    @pytest.mark.parametrize("precompute", [True, False])
+    def test_frame_without_recommendations_is_served(self, server, precompute):
+        """A header-only CSV has no recommendations: every read answers
+        200 with no actions, like a cold in-process pass."""
+        body = {"csv": "a,b\n", "config": {"precompute": precompute}}
+        status, info = call(server, "POST", "/v1/sessions", body)
+        assert status == 201 and info["rows"] == 0
+        assert server.manager.engine.wait_idle(30)
+        path = f"/v1/sessions/{info['session']}/recommendations"
+        expected = "precompute" if precompute else "foreground"
+        for _ in range(2):  # the first read may compute, the second is stored
+            status, response = call(server, "GET", path)
+            assert status == 200, response
+            assert response["actions"] == {}
+            assert response["provenance"]["origin"] == expected
+            assert response["provenance"]["actions"] == {}
+
     def test_unknown_action_is_404(self, server):
         status, info = call(server, "POST", "/v1/sessions", {"csv": CSV})
         assert status == 201

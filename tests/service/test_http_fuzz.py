@@ -1,11 +1,15 @@
 """Malformed requests answer 4xx, never a 500 or a stuck connection.
 
 One table of bad requests against the ``/v1/`` API.  Over HTTP, every row
-must answer 4xx with a JSON ``error``, and the same keep-alive connection
-must then serve the next request.  Every row that a router would forward
-to a worker is also sent through ``ShardService.handle``, which must
-report a client error, never error kind ``internal``.  Oversized bodies
-are not covered here: they need a request size cap first.
+is sent to a single-process server (``ShardService`` in-process) and to
+one in front of a one-worker ``Supervisor`` (the same service behind a
+pipe).  Each must answer 4xx with a JSON ``error``, and the same
+keep-alive connection must then serve the next request.  Every row that a
+router would forward to a worker is also sent through
+``ShardService.handle``, which must report a client error, never error
+kind ``internal``.  No row may leave a session behind.  Oversized bodies
+are checked in ``test_wire.py``: they close the connection, so they
+cannot share this table's keep-alive check.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from urllib.parse import parse_qsl
 
 import pytest
 
-from repro.service import SessionManager, ShardService, make_server
+from repro.service import SessionManager, ShardService, Supervisor, make_server
 
 CSV = "a,b,c\n" + "\n".join(f"{i % 7},{i * 1.5},g{i % 3}" for i in range(120))
 
@@ -41,6 +45,13 @@ ROWS = [
     ("create-dataset-list", "POST", CREATE, {"dataset": ["hpi"]}, "create"),
     ("create-rows-list", "POST", CREATE, {"dataset": "hpi", "rows": [20]}, "create"),
     ("create-config-int", "POST", CREATE, {"csv": CSV, "config": 5}, "create"),
+    ("create-session-id-traversal", "POST", CREATE, {"csv": CSV, "session_id": "../escaped"},
+     "create"),
+    ("create-session-id-int", "POST", CREATE, {"csv": CSV, "session_id": 5}, "create"),
+    ("create-session-id-empty", "POST", CREATE, {"csv": CSV, "session_id": ""}, "create"),
+    ("create-session-id-newline", "POST", CREATE, {"csv": CSV, "session_id": "a\n"}, "create"),
+    ("create-csv-huge-field", "POST", CREATE, {"csv": "a,b\n1," + "x" * 131_073}, "create"),
+    ("create-csv-long-row", "POST", CREATE, {"csv": "a,b\n1,2\n3,4,5"}, "create"),
     ("intent-not-utf8", "POST", INTENT, b"\xff\xfe", None),
     ("intent-not-an-object", "POST", INTENT, "b", "intent"),
     ("intent-int", "POST", INTENT, {"intent": 5}, "intent"),
@@ -72,46 +83,56 @@ def encode(body) -> bytes | None:
 
 @pytest.fixture(scope="module")
 def served():
-    server = make_server().serve_background()
-    host, port = server.server_address[:2]
-    conn = http.client.HTTPConnection(host, port, timeout=60)
-    conn.request("POST", CREATE, encode({"csv": CSV}), {"Content-Type": "application/json"})
-    response = conn.getresponse()
-    assert response.status == 201
-    sid = json.loads(response.read())["session"]
-    conn.close()
-    assert server.manager.engine.wait_idle(60)
-    yield server, sid
-    server.manager.shutdown()
-    server.stop()
+    """A single-process server and a one-worker sharded one, each with a session."""
+    supervisor = Supervisor(n_workers=1)
+    servers = [make_server(), make_server(supervisor=supervisor)]
+    try:
+        out = []
+        for server in servers:
+            server.serve_background()
+            host, port = server.server_address[:2]
+            conn = http.client.HTTPConnection(host, port, timeout=60)
+            conn.request("POST", CREATE, encode({"csv": CSV}), {"Content-Type": "application/json"})
+            response = conn.getresponse()
+            assert response.status == 201
+            out.append((server, json.loads(response.read())["session"]))
+            conn.close()
+            assert server.backend.request("wait_idle", {"timeout": 60})["idle"]
+        yield out
+    finally:
+        for server in servers:
+            server.stop()
+        servers[0].manager.shutdown()
+        supervisor.stop()
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name, method, path, body, rpc", ROWS, ids=ROW_IDS)
 def test_http_answers_4xx_and_keeps_the_connection(served, name, method, path, body, rpc):
-    server, sid = served
-    host, port = server.server_address[:2]
-    conn = http.client.HTTPConnection(host, port, timeout=60)
+    for server, sid in served:
+        mode = "sharded" if server.manager is None else "single-process"
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=60)
 
-    def sessions() -> list[str]:
-        conn.request("GET", "/v1/sessions")
-        response = conn.getresponse()
-        assert response.status == 200
-        return json.loads(response.read())["sessions"]
+        def sessions() -> list[str]:
+            conn.request("GET", "/v1/sessions")
+            response = conn.getresponse()
+            assert response.status == 200, mode
+            return json.loads(response.read())["sessions"]
 
-    try:
-        before = sessions()
-        headers = {"Content-Type": "application/json"}
-        conn.request(method, path.format(sid=sid), encode(body), headers)
-        response = conn.getresponse()
-        error = json.loads(response.read())["error"]
-        assert 400 <= response.status < 500, (response.status, error)
-        assert isinstance(error, str) and error
-        # The same connection serves the next request, and a failed
-        # create left no session behind.
-        assert sessions() == before
-    finally:
-        conn.close()
+        try:
+            before = sessions()
+            headers = {"Content-Type": "application/json"}
+            conn.request(method, path.format(sid=sid), encode(body), headers)
+            response = conn.getresponse()
+            error = json.loads(response.read())["error"]
+            assert 400 <= response.status < 500, (mode, response.status, error)
+            assert isinstance(error, str) and error
+            # The same connection serves the next request, and a failed
+            # create left no session behind.
+            assert sessions() == before, mode
+        finally:
+            conn.close()
 
 
 @pytest.fixture(scope="module")

@@ -41,7 +41,7 @@ class TestTraceEnvelope:
         assert decode_frame(encode_frame(response)) == response
 
     def test_trace_survives_payload_hoisting(self):
-        payload = json.dumps({"actions": list(range(50))})
+        payload = json.dumps({"actions": list(range(50))}).encode()
         response = {
             "id": 8,
             "ok": True,
@@ -50,7 +50,7 @@ class TestTraceEnvelope:
         }
         encoded = encode_frame(response)
         # The payload must be hoisted (raw bytes after NUL), not embedded.
-        assert encoded.split(b"\x00", 1)[1] == payload.encode("utf-8")
+        assert encoded.split(b"\x00", 1)[1] == payload
         decoded = decode_frame(encoded)
         assert decoded["trace"] == "aabb0011ccdd2233"
         assert decoded["result"]["payload_json"] == payload
@@ -190,6 +190,23 @@ class TestMetricsEndpoint:
             base, "GET", f"/v1/sessions/{sid}/trace?limit=1"
         )
         assert len(json.loads(trace_text)["spans"]) == 1
+        call(base, "DELETE", f"/v1/sessions/{sid}")
+
+    def test_single_process_requests_cross_no_rpc_layer(self, server):
+        """In-process ``ShardService`` calls: no rpc spans, no lux_rpc series."""
+        base = server.address
+        status, body, _ = call(base, "POST", "/v1/sessions", {"csv": CSV})
+        sid = json.loads(body)["session"]
+        status, _, read_headers = call(base, "GET", f"/v1/sessions/{sid}/recommendations")
+        assert status == 200
+        _, trace_text, _ = call(base, "GET", f"/v1/sessions/{sid}/trace")
+        spans = json.loads(trace_text)["spans"]
+        names = {s["name"] for s in spans if s["trace_id"] == read_headers["X-Request-Id"]}
+        assert {"http.request", "session.read"} <= names, names
+        assert not any(s["name"].startswith("rpc.") for s in spans)
+        _, text, _ = call(base, "GET", "/v1/metrics")
+        assert "lux_http_requests_total" in text
+        assert "lux_rpc_" not in text
         call(base, "DELETE", f"/v1/sessions/{sid}")
 
     def test_trace_limit_zero_is_empty_and_negative_is_400(self, server):

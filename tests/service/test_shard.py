@@ -106,13 +106,14 @@ def test_frame_codec_round_trips_plain_responses():
 def test_frame_codec_hoists_payload_without_reencoding():
     """A pre-serialized payload rides after the envelope verbatim —
     never JSON-escaped a second time (the whole point: reads move
-    megabyte payloads and double serialization dominated warm reads)."""
-    payload = json.dumps({"actions": ["Correlation"], "quote": 'a"b'})
+    megabyte payloads and double serialization dominated warm reads) —
+    and stays bytes on the decoding side."""
+    payload = json.dumps({"actions": ["Correlation"], "quote": 'a"b'}).encode()
     frame = encode_frame(
         {"id": 7, "ok": True, "result": {"payload_json": payload}}
     )
     envelope, sep, tail = frame.partition(b"\x00")
-    assert sep and tail == payload.encode("utf-8")  # verbatim bytes
+    assert sep and tail == payload  # verbatim bytes
     assert len(envelope) < 64  # payload not embedded in the envelope
     assert decode_frame(frame) == {
         "id": 7, "ok": True, "result": {"payload_json": payload},
@@ -120,12 +121,12 @@ def test_frame_codec_hoists_payload_without_reencoding():
 
 
 def test_frame_codec_payload_may_contain_nul_bytes():
-    weird = 'text with a \\u0000 escape and a " quote'
+    weird = b'text with a \\u0000 escape and a " quote'
     frame = encode_frame(
-        {"id": 1, "ok": True, "result": {"payload_json": weird + "\x00tail"}}
+        {"id": 1, "ok": True, "result": {"payload_json": weird + b"\x00tail"}}
     )
     decoded = decode_frame(frame)
-    assert decoded["result"]["payload_json"] == weird + "\x00tail"
+    assert decoded["result"]["payload_json"] == weird + b"\x00tail"
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +206,11 @@ def test_dispatcher_healthz_and_ping(service):
 # ----------------------------------------------------------------------
 # Real worker processes
 # ----------------------------------------------------------------------
+def read(sup, sid):
+    """The recommendations body the supervisor forwards, as bytes."""
+    return sup.request("recommendations", {"session": sid})["payload_json"]
+
+
 def strip_provenance(response):
     return json.dumps(
         {k: v for k, v in response.items() if k != "provenance"},
@@ -219,29 +225,30 @@ def test_supervisor_routes_and_aggregates(tmp_path):
     try:
         with Supervisor(n_workers=2, snapshot_dir=str(tmp_path)) as sup:
             infos = [
-                sup.create_session(
+                sup.request(
+                    "create",
                     {
                         "dataset": "synthetic-wide",
                         "rows": 100,
                         "config": {"top_k": 3},
-                    }
+                    },
                 )
                 for _ in range(4)
             ]
             ids = sorted(info["session"] for info in infos)
-            assert sup.session_ids() == ids
+            assert sup.request("list") == {"sessions": ids}
             for sid in ids:
-                assert sup.info(sid)["rows"] == 100
+                assert sup.request("info", {"session": sid})["rows"] == 100
             assert sup.wait_idle(30)
             health = sup.healthz()
             assert health["status"] == "ok"
             assert health["shards"] == 2
             assert health["sessions"] == 4
             assert len(health["workers"]) == 2
-            payload = json.loads(sup.recommendations(ids[0]))
+            payload = json.loads(read(sup, ids[0]))
             assert payload["actions"]
-            sup.close_session(ids[0])
-            assert sup.session_ids() == ids[1:]
+            sup.request("close", {"session": ids[0]})
+            assert sup.request("list") == {"sessions": ids[1:]}
     finally:
         config.restore(base)
 
@@ -255,22 +262,23 @@ def test_supervisor_restart_preserves_routing(tmp_path):
     config.restore({**base, "precompute_debounce_s": 0.0})
     try:
         with Supervisor(n_workers=2, snapshot_dir=str(tmp_path)) as sup:
-            info = sup.create_session(
+            info = sup.request(
+                "create",
                 {
                     "dataset": "synthetic-skewed",
                     "rows": 150,
                     "config": {"top_k": 3},
-                }
+                },
             )
             sid = info["session"]
-            sup.mutate(sid, {"column": "heavy_tail"})
+            sup.request("mutate", {"session": sid, "column": "heavy_tail"})
             assert sup.wait_idle(30)
-            reference = json.loads(sup.recommendations(sid))
+            reference = json.loads(read(sup, sid))
         # Whole tier torn down (flushes snapshots); a fresh supervisor
         # must route the session to the worker that restored it.
         with Supervisor(n_workers=2, snapshot_dir=str(tmp_path)) as sup:
-            assert sup.session_ids() == [sid]
-            restored = json.loads(sup.recommendations(sid))
+            assert sup.request("list") == {"sessions": [sid]}
+            restored = json.loads(read(sup, sid))
             assert restored["provenance"]["origin"] != "foreground"
             assert strip_provenance(restored) == strip_provenance(reference)
     finally:
@@ -283,17 +291,18 @@ def test_dead_worker_healthz_and_warm_recovery(tmp_path):
     config.restore({**base, "precompute_debounce_s": 0.0})
     try:
         with Supervisor(n_workers=2, snapshot_dir=str(tmp_path)) as sup:
-            info = sup.create_session(
+            info = sup.request(
+                "create",
                 {
                     "dataset": "synthetic-skewed",
                     "rows": 150,
                     "config": {"top_k": 3},
-                }
+                },
             )
             sid = info["session"]
-            sup.mutate(sid, {"column": "heavy_tail"})
+            sup.request("mutate", {"session": sid, "column": "heavy_tail"})
             assert sup.wait_idle(30)
-            reference = json.loads(sup.recommendations(sid))
+            reference = json.loads(read(sup, sid))
             victim = shard_for(sid, 2)
 
             sup.kill_worker(victim)
@@ -304,10 +313,10 @@ def test_dead_worker_healthz_and_warm_recovery(tmp_path):
             survivor = 1 - victim
             assert stanzas[survivor]["status"] == "ok"
             with pytest.raises(WorkerUnreachable):
-                sup.recommendations(sid)
+                read(sup, sid)
 
             sup.restart_worker(victim)
-            recovered = json.loads(sup.recommendations(sid))
+            recovered = json.loads(read(sup, sid))
             # Warm: served from the restored snapshot pass, not recomputed.
             assert recovered["provenance"]["origin"] != "foreground"
             assert strip_provenance(recovered) == strip_provenance(reference)

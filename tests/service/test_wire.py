@@ -29,6 +29,7 @@ from repro.service import (
     make_server,
     wire,
 )
+from repro.service.http_api import MAX_BODY_BYTES
 from repro.service.persist import read_results
 from repro.service.shard import decode_frame, encode_frame
 
@@ -270,7 +271,7 @@ class TestGoldenWire:
                     # The frame codec carries the bytes after the envelope verbatim.
                     frame = encode_frame({"id": 1, **response})
                     assert frame.endswith(b"\x00" + body)
-                    assert decode_frame(frame)["result"]["payload_json"] == body.decode()
+                    assert decode_frame(frame)["result"]["payload_json"] == body
 
                 # Foreground: an intent change on a no-precompute session.
                 created = service.handle(
@@ -300,7 +301,7 @@ class TestGoldenWire:
 
 
 # ----------------------------------------------------------------------
-# Transport: keep-alive latency and malformed Content-Length
+# Transport: keep-alive latency, malformed and over-cap Content-Length
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 class TestTransport:
@@ -317,8 +318,14 @@ class TestTransport:
             assert status == 200
         assert statistics.median(samples) < 0.025, samples
 
-    @pytest.mark.parametrize("length", ["abc", "-5"])
-    def test_malformed_content_length_answers_400(self, served, length):
+    @pytest.mark.parametrize(
+        "length, status",
+        [("abc", 400), ("-5", 400), (str(MAX_BODY_BYTES + 1), 413)],
+        ids=["abc", "-5", "over-cap"],
+    )
+    def test_malformed_content_length_answers_400(self, served, length, status):
+        """A bad length answers 400, one above the cap 413, and both close
+        the connection without the server waiting for a body."""
         server, _ = served
         host, port = server.server_address[:2]
         with socket.create_connection((host, port), timeout=10) as sock:
@@ -333,6 +340,6 @@ class TestTransport:
                     break
                 chunks.append(chunk)
         head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
-        assert head.startswith(b"HTTP/1.1 400 ")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
         assert b"Connection: close" in head
         assert "Content-Length" in json.loads(body)["error"]
