@@ -35,6 +35,14 @@ python -m tools.check src --json CHECK_report.json
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
+echo "== examples =="
+# Each example drives the public API end to end (vis.data, to_vegalite,
+# HTML export, the service); each must exit 0 within its timeout.
+for example in examples/*.py; do
+  timeout 120 python "$example" >/dev/null \
+    || { echo "example $example failed" >&2; exit 1; }
+done
+
 echo "== shared-scan benchmark gate =="
 python benchmarks/bench_shared_scan.py --quick --out BENCH_shared_scan.json
 

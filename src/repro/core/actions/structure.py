@@ -10,8 +10,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
+from ...dataframe import Column
+from ...dataframe.dtypes import FLOAT64, INT64
 from ...vis.encoding import Encoding
 from ...vis.spec import VisSpec
+from ...vis.table import ColumnTable
 from ..compiler import CompiledVis
 from ..config import config
 from ..metadata import Metadata
@@ -59,10 +64,12 @@ class IndexAction(Action):
 
         if wide_time:
             # Row-wise: each row becomes a series over the column axis (Fig 7).
+            names = Column.from_data(list(numeric))
+            cols = [ldf.column(c) for c in numeric]
+            kind = INT64 if all(col.dtype is INT64 for col in cols) else FLOAT64
+            values = np.column_stack([col.values.astype(kind.numpy_dtype) for col in cols])
+            missing = np.column_stack([col.mask for col in cols])
             for i in range(min(len(ldf), config.top_k)):
-                records = [
-                    {"column": c, "value": ldf.column(c)[i]} for c in numeric
-                ]
                 spec = VisSpec(
                     "line",
                     [
@@ -71,16 +78,14 @@ class IndexAction(Action):
                     ],
                     title=f"{index_name} = {labels[i]}",
                 )
-                spec.data = records
+                spec.data = ColumnTable(
+                    {"column": names, "value": Column(values[i], missing[i], kind)}
+                )
                 out.append(CompiledVis(clauses=[], spec=spec))
             return out
 
         # Column-wise: each numeric column over the index labels.
         for col in numeric:
-            records = [
-                {index_name: label, col: value}
-                for label, value in zip(labels, ldf.column(col).to_list())
-            ]
             if index_temporal:
                 encs = [
                     Encoding("x", index_name, "temporal"),
@@ -93,7 +98,9 @@ class IndexAction(Action):
                     Encoding("x", col, "quantitative"),
                 ]
                 spec = VisSpec("bar", encs, title=f"{col} by {index_name}")
-            spec.data = records
+            spec.data = ColumnTable(
+                {index_name: ldf.index.column, col: ldf.column(col)}
+            )
             out.append(CompiledVis(clauses=[], spec=spec))
         return out
 
@@ -106,7 +113,7 @@ class IndexAction(Action):
 
     def footprint(self, ldf: "LuxDataFrame", metadata: Metadata) -> Footprint:
         # Plots every numeric storage column against the labelled index.
-        # Candidate enumeration materializes records, but applies_to caps
+        # Candidate enumeration builds the chart tables, but applies_to caps
         # the frame at 1000 rows so per-pass entry building stays cheap.
         # A row-wise series plots synthetic "column"/"value" fields built
         # from every numeric column, so its entry names those columns.

@@ -30,10 +30,13 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Sequence
 
-from ...dataframe import DataFrame
-from ...vis.spec import VisSpec, filter_signature
+import numpy as np
 
-__all__ = ["Executor", "get_executor", "group_indices_by_filter"]
+from ...dataframe import Column, DataFrame
+from ...vis.spec import VisSpec, filter_signature
+from ...vis.table import ColumnTable
+
+__all__ = ["Executor", "get_executor", "group_indices_by_filter", "histogram_table"]
 
 
 def group_indices_by_filter(specs: Sequence[VisSpec]) -> list[list[int]]:
@@ -51,18 +54,26 @@ def group_indices_by_filter(specs: Sequence[VisSpec]) -> list[list[int]]:
     return list(by_filter.values())
 
 
+def histogram_table(field: str, edges: np.ndarray, counts: np.ndarray) -> ColumnTable:
+    """A histogram's chart data: bin centers, then their counts."""
+    centers = (edges[:-1] + edges[1:]) / 2
+    return ColumnTable(
+        {field: Column.from_data(centers), "count": Column.from_data(counts.astype(np.int64))}
+    )
+
+
 class Executor(ABC):
     """Processes visualization data and column metadata for one backend."""
 
     name: str = "base"
 
     @abstractmethod
-    def execute(self, spec: VisSpec, frame: DataFrame) -> list[dict[str, Any]]:
-        """Compute the records behind ``spec`` and attach them to it."""
+    def execute(self, spec: VisSpec, frame: DataFrame) -> ColumnTable:
+        """Compute the column table behind ``spec`` and attach it as ``data``."""
 
     def execute_many(
         self, specs: Sequence[VisSpec], frame: DataFrame
-    ) -> list[list[dict[str, Any]]]:
+    ) -> list[ColumnTable]:
         """Execute a batch of specs against one frame.
 
         Results align with ``specs`` and each spec's ``data`` is attached,
@@ -72,7 +83,7 @@ class Executor(ABC):
 
     def _execute_serial(
         self, specs: Sequence[VisSpec], frame: DataFrame
-    ) -> list[list[dict[str, Any]]]:
+    ) -> list[ColumnTable]:
         """The reference per-spec loop batching backends must reproduce
         bit-for-bit (and fall back to for shapes they can't batch)."""
         return [self.execute(spec, frame) for spec in specs]

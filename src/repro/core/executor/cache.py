@@ -653,7 +653,8 @@ class ComputationCache:
     ) -> np.ndarray:
         """Histogram bin edges over the column's valid values.
 
-        Callers that already hold the NaN-filtered values pass them via
+        Valid means finite: NaN (missing) and +-inf are left out.  Callers
+        that already hold the filtered values pass them via
         ``valid_values`` so the uncached path converts the column once,
         not twice.  Never derived from a sample link: edges depend on the
         subset's min/max, not just its rows.
@@ -679,7 +680,7 @@ class ComputationCache:
     ) -> np.ndarray:
         if valid_values is None:
             valid_values = self.to_float(frame, name)
-            valid_values = valid_values[~np.isnan(valid_values)]
+            valid_values = valid_values[np.isfinite(valid_values)]
         return np.histogram_bin_edges(valid_values, bins=bins)
 
     def filter_mask(

@@ -52,13 +52,14 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ...dataframe import DataFrame, GroupBy
+from ...dataframe import Column, DataFrame, GroupBy
 from ...vis.encoding import Encoding
 from ...vis.spec import VisSpec
+from ...vis.table import ColumnTable
 from .. import pool
 from ..config import config
 from ..errors import ExecutorError
-from .base import Executor, group_indices_by_filter
+from .base import Executor, group_indices_by_filter, histogram_table
 from .cache import computation_cache as _cache
 
 __all__ = ["DataFrameExecutor"]
@@ -128,15 +129,15 @@ class DataFrameExecutor(Executor):
             raise ExecutorError(f"no handler for mark {mark!r}")
         return handler
 
-    def execute(self, spec: VisSpec, frame: DataFrame) -> list[dict[str, Any]]:
+    def execute(self, spec: VisSpec, frame: DataFrame) -> ColumnTable:
         frame = self.apply_filters(frame, spec.filters)
-        records = self._handler(spec.mark)(spec, frame)
-        spec.data = records
-        return records
+        table = self._handler(spec.mark)(spec, frame)
+        spec.data = table
+        return table
 
     def execute_many(
         self, specs: Sequence[VisSpec], frame: DataFrame
-    ) -> list[list[dict[str, Any]]]:
+    ) -> list[ColumnTable]:
         """Batch execution sharing one scan per relational primitive.
 
         Specs are grouped by filter signature so each distinct filter
@@ -152,7 +153,7 @@ class DataFrameExecutor(Executor):
         """
         if not _cache.enabled:
             return [self.execute(spec, frame) for spec in specs]
-        results: list[list[dict[str, Any]] | None] = [None] * len(specs)
+        results: list[ColumnTable | None] = [None] * len(specs)
         groups = group_indices_by_filter(specs)
         if self._should_fan_out(groups, frame):
             self._execute_parallel(specs, frame, groups, results)
@@ -165,9 +166,9 @@ class DataFrameExecutor(Executor):
             subframe = self.apply_filters(frame, specs[indices[0]].filters)
             for i in indices:
                 spec = specs[i]
-                records = self._handler(spec.mark)(spec, subframe)
-                spec.data = records
-                results[i] = records
+                table = self._handler(spec.mark)(spec, subframe)
+                spec.data = table
+                results[i] = table
         return results  # type: ignore[return-value]
 
     @staticmethod
@@ -226,9 +227,9 @@ class DataFrameExecutor(Executor):
                     return
                 try:
                     spec = specs[i]
-                    records = self._handler(spec.mark)(spec, subframe_for(gi))
-                    spec.data = records
-                    results[i] = records
+                    table = self._handler(spec.mark)(spec, subframe_for(gi))
+                    spec.data = table
+                    results[i] = table
                 except BaseException as exc:
                     errors.append(exc)
                     return
@@ -249,25 +250,21 @@ class DataFrameExecutor(Executor):
     # ------------------------------------------------------------------
     # Histogram: bin + count
     # ------------------------------------------------------------------
-    def _execute_histogram(
-        self, spec: VisSpec, frame: DataFrame
-    ) -> list[dict[str, Any]]:
+    def _execute_histogram(self, spec: VisSpec, frame: DataFrame) -> ColumnTable:
         enc = spec.x if spec.x is not None and spec.x.bin else spec.y
         if enc is None or enc.field not in frame:
             raise ExecutorError("histogram requires a binned axis")
         values = _cache.to_float(frame, enc.field)
-        values = values[~np.isnan(values)]
+        # NaN (missing) and +-inf both stay out: an infinite value would
+        # make the bin range infinite and fail the whole histogram.
+        values = values[np.isfinite(values)]
         if len(values) == 0:
-            return []
+            return ColumnTable()
         edges = _cache.bin_edges(
             frame, enc.field, enc.resolved_bin_size, valid_values=values
         )
         counts, edges = np.histogram(values, bins=edges)
-        centers = (edges[:-1] + edges[1:]) / 2
-        return [
-            {enc.field: float(c), "count": int(n)}
-            for c, n in zip(centers, counts)
-        ]
+        return histogram_table(enc.field, edges, counts)
 
     # ------------------------------------------------------------------
     # Bar / line: (2-D) group-by aggregation
@@ -303,9 +300,7 @@ class DataFrameExecutor(Executor):
             to_float=lambda name: _cache.to_float(frame, name),
         )
 
-    def _execute_grouped(
-        self, spec: VisSpec, frame: DataFrame
-    ) -> list[dict[str, Any]]:
+    def _execute_grouped(self, spec: VisSpec, frame: DataFrame) -> ColumnTable:
         dim, measure = self._grouping_channels(spec)
         if dim is None:
             raise ExecutorError("bar/line requires a dimension axis")
@@ -314,29 +309,29 @@ class DataFrameExecutor(Executor):
             agg = measure.aggregate or "mean"
             col = frame[measure.field]
             value = getattr(col, "count" if agg == "count" else agg)()
-            return [{measure.field: value}]
+            return ColumnTable({measure.field: Column.from_data([value])})
         color = spec.color
         keys = [dim.field]
         if color is not None and color.field and color.field_type != "quantitative":
             keys.append(color.field)
         grouped = self._groupby(frame, keys)
         if measure is None or measure.aggregate == "count" or not measure.field:
-            records = grouped.size_frame("count").to_records()
+            table = ColumnTable.from_frame(grouped.size_frame("count"))
         elif len(keys) == 1:
             agg = measure.aggregate or "mean"
             series = grouped[measure.field].agg(agg)
-            records = _series_records(series, keys, measure.field)
+            table = _series_table(series, keys[0], measure.field)
         else:
             agg = measure.aggregate or "mean"
-            records = grouped.agg({measure.field: agg}).to_records()
+            table = ColumnTable.from_frame(grouped.agg({measure.field: agg}))
         if dim.field_type == "temporal":
-            records.sort(key=lambda r: _sort_key(r.get(dim.field)))
-        return records
+            table = table.take(_sort_order(table.columns[dim.field]))
+        return table
 
     # ------------------------------------------------------------------
     # Choropleth: group-by aggregation on the geo column
     # ------------------------------------------------------------------
-    def _execute_geo(self, spec: VisSpec, frame: DataFrame) -> list[dict[str, Any]]:
+    def _execute_geo(self, spec: VisSpec, frame: DataFrame) -> ColumnTable:
         geo = None
         for enc in spec.encodings:
             if enc.field_type == "geographic":
@@ -346,17 +341,14 @@ class DataFrameExecutor(Executor):
         measure = spec.color if spec.color is not None else spec.y
         grouped = self._groupby(frame, [geo.field])
         if measure is None or not measure.field or measure.aggregate == "count":
-            series = grouped.size()
-            return _series_records(series, [geo.field], "count")
+            return _series_table(grouped.size(), geo.field, "count")
         series = grouped[measure.field].agg(measure.aggregate or "mean")
-        return _series_records(series, [geo.field], measure.field)
+        return _series_table(series, geo.field, measure.field)
 
     # ------------------------------------------------------------------
     # Scatter: selection on 2-3 columns (display-capped)
     # ------------------------------------------------------------------
-    def _execute_scatter(
-        self, spec: VisSpec, frame: DataFrame
-    ) -> list[dict[str, Any]]:
+    def _execute_scatter(self, spec: VisSpec, frame: DataFrame) -> ColumnTable:
         fields = [
             enc.field
             for enc in spec.encodings
@@ -369,14 +361,12 @@ class DataFrameExecutor(Executor):
             subset = subset.sample(
                 n=config.max_scatter_points, random_state=config.random_seed
             )
-        return subset.to_records()
+        return ColumnTable.from_frame(subset)
 
     # ------------------------------------------------------------------
     # Heatmap: 2-D bin/group + count (+ group-by aggregation when colored)
     # ------------------------------------------------------------------
-    def _execute_heatmap(
-        self, spec: VisSpec, frame: DataFrame
-    ) -> list[dict[str, Any]]:
+    def _execute_heatmap(self, spec: VisSpec, frame: DataFrame) -> ColumnTable:
         x, y = spec.x, spec.y
         if x is None or y is None:
             raise ExecutorError("heatmap requires x and y")
@@ -386,8 +376,8 @@ class DataFrameExecutor(Executor):
         keys = [x.field, y.field]
         grouped = self._groupby(frame, keys)
         if color is not None and color.field and color.aggregate not in (None, "count"):
-            return grouped.agg({color.field: color.aggregate}).to_records()
-        return grouped.size_frame("count").to_records()
+            return ColumnTable.from_frame(grouped.agg({color.field: color.aggregate}))
+        return ColumnTable.from_frame(grouped.size_frame("count"))
 
     def _numeric_heatmap(
         self,
@@ -396,45 +386,41 @@ class DataFrameExecutor(Executor):
         x: Encoding,
         y: Encoding,
         color: Encoding | None,
-    ) -> list[dict[str, Any]]:
+    ) -> ColumnTable:
         xv = _cache.to_float(frame, x.field)
         yv = _cache.to_float(frame, y.field)
-        ok = ~(np.isnan(xv) | np.isnan(yv))
+        ok = np.isfinite(xv) & np.isfinite(yv)
         xv, yv = xv[ok], yv[ok]
         if len(xv) == 0:
-            return []
+            return ColumnTable()
         # Per-axis bins; resolved_bin_size honors an explicit setting even
         # below config.default_bin_size (0-sentinel, like Clause.bin_size).
         bins = [x.resolved_bin_size, y.resolved_bin_size]
         counts, xe, ye = np.histogram2d(xv, yv, bins=bins)
-        records = []
         xc = (xe[:-1] + xe[1:]) / 2
         yc = (ye[:-1] + ye[1:]) / 2
+        # Non-empty cells in row-major (x-major) order.
+        ix, iy = np.nonzero(counts)
+        n = counts[ix, iy]
+        columns = {
+            x.field: Column.from_data(xc[ix]),
+            y.field: Column.from_data(yc[iy]),
+            "count": Column.from_data(n.astype(np.int64)),
+        }
         if color is not None and color.field and color.field in frame:
             cv = _cache.to_float(frame, color.field)[ok]
             sums, _, _ = np.histogram2d(xv, yv, bins=[xe, ye], weights=np.nan_to_num(cv))
-        else:
-            sums = None
-        for i in range(len(xc)):
-            for j in range(len(yc)):
-                n = int(counts[i, j])
-                if n == 0:
-                    continue
-                rec = {x.field: float(xc[i]), y.field: float(yc[j]), "count": n}
-                if sums is not None and color is not None:
-                    rec[color.field] = float(sums[i, j] / n)
-                records.append(rec)
-        return records
+            columns[color.field] = Column.from_data(sums[ix, iy] / n)
+        return ColumnTable(columns)
 
 
-def _series_records(series: Any, keys: list[str], value_name: str) -> list[dict[str, Any]]:
-    """Flatten a single-key grouped Series into chart records."""
-    labels = series.index.to_list()
-    return [
-        {keys[0]: label, value_name: value}
-        for label, value in zip(labels, series.to_list())
-    ]
+def _series_table(series: Any, key: str, value_name: str) -> ColumnTable:
+    """A single-key grouped Series as chart data: its labels, then its values."""
+    return ColumnTable({key: series.index.column, value_name: series.column})
 
 
-def _sort_key(v: Any) -> Any:
-    return (v is None, v)
+def _sort_order(col: Column) -> np.ndarray:
+    """Stable ascending row order by ``col``, missing values last."""
+    valid = np.flatnonzero(~col.mask)
+    order = valid[np.argsort(col.values[valid], kind="stable")]
+    return np.concatenate([order, np.flatnonzero(col.mask)])

@@ -27,8 +27,8 @@ a single consolidated SQL pass:
 
 Branch arms are tagged with an integer branch id in their first result
 column; the executor partitions the combined row stream by that tag and
-each spec's *decoder* closure rebuilds exactly the records the per-spec
-path would have produced — same keys, same order, same values.  sqlite
+each spec's *decoder* closure rebuilds exactly the column table the
+per-spec path would have produced — same fields, same order, same values.  sqlite
 executes compound-select arms sequentially and sorts each GROUP BY arm by
 its keys exactly as it would the standalone query, so batched results are
 bit-identical to the serial per-spec path (the golden suite in
@@ -58,8 +58,10 @@ import numpy as np
 
 from ...dataframe import DataFrame
 from ...vis.spec import VisSpec
+from ...vis.table import ColumnTable
 from ..config import config
 from ..errors import ExecutorError
+from .base import histogram_table
 
 __all__ = [
     "AGG_SQL",
@@ -86,8 +88,8 @@ _SRC = "__src"
 #: free), so a pathological batch degrades instead of hard-failing.
 _MAX_ARMS = 450
 
-#: Records decoded from one consolidated pass: list-of-dicts per spec.
-Decoder = Callable[[list[tuple]], list[dict[str, Any]]]
+#: One spec's chart data, decoded from its branch's rows of a consolidated pass.
+Decoder = Callable[[list[tuple]], ColumnTable]
 
 
 def quote(name: str) -> str:
@@ -251,43 +253,37 @@ class _Branch:
 
 
 def _grouped_decoder(names: list[str], n_keys: int, value_pos: int) -> Decoder:
-    """Rebuild exactly what ``dict(zip(cursor.description, row))`` yields
-    for the standalone grouped query: keys first, the spec's value last."""
+    """Rebuild exactly what the standalone grouped query's columns hold:
+    keys first, the spec's value last."""
 
-    def decode(rows: list[tuple]) -> list[dict[str, Any]]:
-        return [
-            dict(zip(names, (*row[:n_keys], row[n_keys + value_pos])))
-            for row in rows
-        ]
+    def decode(rows: list[tuple]) -> ColumnTable:
+        picked = [(*row[:n_keys], row[n_keys + value_pos]) for row in rows]
+        return ColumnTable.from_rows(names, picked)
 
     return decode
 
 
 def _scatter_decoder(fields: list[str]) -> Decoder:
-    def decode(rows: list[tuple]) -> list[dict[str, Any]]:
-        return [dict(zip(fields, row)) for row in rows]
+    def decode(rows: list[tuple]) -> ColumnTable:
+        return ColumnTable.from_rows(fields, rows)
 
     return decode
 
 
 def _histogram_decoder(field: str, edges: np.ndarray) -> Decoder:
     """Zero-fill bucket counts and emit bin centers, like the numpy path."""
-    n_bins = len(edges) - 1
-    centers = (edges[:-1] + edges[1:]) / 2
 
-    def decode(rows: list[tuple]) -> list[dict[str, Any]]:
-        counts = [0] * n_bins
+    def decode(rows: list[tuple]) -> ColumnTable:
+        counts = np.zeros(len(edges) - 1, dtype=np.int64)
         for row in rows:
             counts[row[0]] = row[1]
-        return [
-            {field: float(c), "count": int(n)} for c, n in zip(centers, counts)
-        ]
+        return histogram_table(field, edges, counts)
 
     return decode
 
 
-def _empty_decoder(rows: list[tuple]) -> list[dict[str, Any]]:
-    return []
+def _empty_decoder(rows: list[tuple]) -> ColumnTable:
+    return ColumnTable()
 
 
 class GroupPlan:

@@ -27,6 +27,7 @@ import numpy as np
 
 from ...dataframe import DataFrame
 from ...vis.spec import VisSpec
+from ...vis.table import ColumnTable
 from ..config import config
 from ..errors import ExecutorError
 from .base import Executor, group_indices_by_filter
@@ -198,7 +199,7 @@ class SQLExecutor(Executor):
 
     def _execute_with_conn(
         self, spec: VisSpec, frame: DataFrame, conn: sqlite3.Connection
-    ) -> list[dict[str, Any]]:
+    ) -> ColumnTable:
         """The per-spec path against an already-resolved connection."""
         if spec.mark == "histogram":
             # Delegate histograms to numpy binning for edge parity with the
@@ -212,11 +213,11 @@ class SQLExecutor(Executor):
         except sqlite3.Error as exc:
             raise ExecutorError(f"SQL execution failed: {exc}\n{sql}") from exc
         names = [d[0] for d in cursor.description]
-        records = [dict(zip(names, row)) for row in cursor.fetchall()]
-        spec.data = records
-        return records
+        table = ColumnTable.from_rows(names, cursor.fetchall())
+        spec.data = table
+        return table
 
-    def execute(self, spec: VisSpec, frame: DataFrame) -> list[dict[str, Any]]:
+    def execute(self, spec: VisSpec, frame: DataFrame) -> ColumnTable:
         if spec.mark == "histogram":
             from .df_exec import DataFrameExecutor
 
@@ -225,7 +226,7 @@ class SQLExecutor(Executor):
 
     def execute_many(
         self, specs: Sequence[VisSpec], frame: DataFrame
-    ) -> list[list[dict[str, Any]]]:
+    ) -> list[ColumnTable]:
         """Consolidated batch execution: one SQL pass per filter group.
 
         The frame's connection is resolved once for the whole batch (the
@@ -241,7 +242,7 @@ class SQLExecutor(Executor):
         conn = self._connection(frame)
         if not config.sql_batch_execute:
             return [self._execute_with_conn(s, frame, conn) for s in specs]
-        results: list[list[dict[str, Any]] | None] = [None] * len(specs)
+        results: list[ColumnTable | None] = [None] * len(specs)
         for indices in group_indices_by_filter(specs):
             plan = GroupPlan([(i, specs[i]) for i in indices], frame)
             rows_by_branch: dict[int, list[tuple]] = {}
@@ -257,9 +258,9 @@ class SQLExecutor(Executor):
                     f"SQL batch execution failed: {exc}\n{sql}"
                 ) from exc
             for i, bid, decode in decoders:
-                records = decode(rows_by_branch.get(bid, []))
-                specs[i].data = records
-                results[i] = records
+                table = decode(rows_by_branch.get(bid, []))
+                specs[i].data = table
+                results[i] = table
             for i in plan.fallback:
                 results[i] = self._execute_with_conn(specs[i], frame, conn)
         return results  # type: ignore[return-value]

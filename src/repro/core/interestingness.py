@@ -25,18 +25,20 @@ import numpy as np
 from scipy import stats
 
 from ..dataframe import DataFrame
+from ..dataframe.dtypes import BOOL, FLOAT64, INT64
 from ..vis.spec import VisSpec
+from ..vis.table import ColumnTable
 from .executor.base import Executor
 from .executor.cache import computation_cache as _cache
 
 __all__ = ["needs_executed_data", "score_vis"]
 
-#: Marks whose score reads executor-processed records (group-by outputs).
+#: Marks whose score reads executor-processed data (group-by outputs).
 _EXECUTED_MARKS = ("bar", "line", "area", "geoshape", "rect")
 
 
 def needs_executed_data(spec: VisSpec) -> bool:
-    """Whether :func:`score_vis` requires processed records for ``spec``.
+    """Whether :func:`score_vis` requires processed data for ``spec``.
 
     Rankers batch-execute exactly these specs up front (via
     ``Executor.execute_many``) so scoring never falls back to one-at-a-time
@@ -135,28 +137,43 @@ def _filter_deviation(
         executor.execute(reference, frame)
     except Exception:
         return 0.0
-    filtered_data = spec.data or []
-    reference_data = reference.data or []
-    if not filtered_data or not reference_data:
+    if not spec.data or not reference.data:
         return 0.0
     dim_key = _dimension_key(spec)
     val_key = _value_key(spec)
     if dim_key is None or val_key is None:
         return 0.0
-    ref = {r.get(dim_key): r.get(val_key) for r in reference_data}
-    fil = {r.get(dim_key): r.get(val_key) for r in filtered_data}
+    ref = _by_label(reference.data, dim_key, val_key)
+    fil = _by_label(spec.data, dim_key, val_key)
     labels = [k for k in ref if k is not None]
     if not labels:
         return 0.0
-    ref_vec = np.array([_num(ref.get(k)) for k in labels], dtype=float)
-    fil_vec = np.array([_num(fil.get(k)) for k in labels], dtype=float)
+    ref_vec = np.array([ref[k] for k in labels], dtype=float)
+    fil_vec = np.array([fil.get(k, 0.0) for k in labels], dtype=float)
     ref_vec = _normalize(ref_vec)
     fil_vec = _normalize(fil_vec)
     return _clamp(float(np.linalg.norm(ref_vec - fil_vec)) / math.sqrt(2))
 
 
-def _num(v: Any) -> float:
-    return float(v) if isinstance(v, (int, float)) and v is not None else 0.0
+def _numbers(table: ColumnTable, name: str) -> np.ndarray:
+    """Column ``name`` as floats; 0.0 where a row holds no number.
+
+    Missing cells, text and dates count as 0.0, and so does every row
+    when the table has no such column.
+    """
+    col = table.columns.get(name)
+    if col is None or col.dtype not in (INT64, FLOAT64, BOOL):
+        return np.zeros(len(table))
+    out = col.values.astype(np.float64)
+    out[col.mask] = 0.0
+    return out
+
+
+def _by_label(table: ColumnTable, dim_key: str, val_key: str) -> dict[Any, float]:
+    """``label -> value`` over the rows; a repeated label keeps its last value."""
+    col = table.columns.get(dim_key)
+    labels = col.to_list() if col is not None else [None] * len(table)
+    return dict(zip(labels, _numbers(table, val_key).tolist()))
 
 
 def _normalize(v: np.ndarray) -> np.ndarray:
@@ -215,21 +232,17 @@ def score_vis(
         if spec.mark in ("bar", "line", "area", "geoshape"):
             if spec.data is None:
                 executor.execute(spec, subset)
-            data = spec.data or []
             val_key = _value_key(spec)
             if val_key is None:
                 return 0.0
-            values = np.array([_num(r.get(val_key)) for r in data], dtype=float)
+            values = _numbers(spec.data, val_key)
             if val_key == "count":
                 return _unevenness(values)
             return _dispersion(values)
         if spec.mark == "rect":
             if spec.data is None:
                 executor.execute(spec, subset)
-            counts = np.array(
-                [_num(r.get("count")) for r in (spec.data or [])], dtype=float
-            )
-            return _unevenness(counts)
+            return _unevenness(_numbers(spec.data, "count"))
     except Exception:
         # Scoring must never break the always-on display (§10.3).
         return 0.0

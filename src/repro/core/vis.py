@@ -6,6 +6,7 @@ from typing import Any
 
 from ..dataframe import DataFrame
 from ..vis.spec import VisSpec
+from ..vis.table import ColumnTable
 from .clause import Clause
 from .compiler import CompiledVis, compile_intent
 from .errors import IntentError
@@ -85,7 +86,8 @@ class Vis:
         return self.spec.title if self.spec is not None else repr(self._intent)
 
     @property
-    def data(self) -> list[dict[str, Any]] | None:
+    def data(self) -> ColumnTable | None:
+        """The executed chart data; iterating it yields row dicts."""
         return self.spec.data if self.spec is not None else None
 
     # ------------------------------------------------------------------

@@ -165,7 +165,14 @@ class Column:
         return out
 
     def to_list(self) -> list[Any]:
-        return [self[i] for i in range(len(self))]
+        """``[self[i] for i in range(len(self))]``, converted in one pass."""
+        if self.dtype is DATETIME:
+            out = list(self.values)
+        else:
+            out = self.values.astype(self.dtype.numpy_dtype, copy=False).tolist()
+        for i in np.flatnonzero(self.mask).tolist():
+            out[i] = None
+        return out
 
     # ------------------------------------------------------------------
     # Missing data

@@ -41,9 +41,10 @@ payload dict and stored bytes are published as they are (provenance
 ``carried``, original ``computed_at``).  Any other action runs with the
 table's hits as :class:`~repro.core.optimizer.sampling.CandidatePrior`
 state — their sample and exact scores are reused, and a displayed hit
-also brings its Vis, its spec payload dict and its wire bytes — so only
-the misses are executed, scored and encoded; an action whose displayed
-Vis were partly reused lands as ``mixed`` with a per-vis origin map.
+also brings its Vis, its wire bytes and their decoded dict — so only
+the misses are executed, scored, written and decoded; an action whose
+displayed Vis were partly reused lands as ``mixed`` with a per-vis
+origin map.
 Because every input of a result is in its key, a hit is bit-identical to
 what a cold pass would recompute, and there is no delta to accumulate
 between passes.  An action without candidate entries (an unknown read
@@ -54,11 +55,14 @@ switching it back on reuses them.
 A completed pass lands in the :class:`~repro.service.store.ResultStore`
 keyed on the version it computed — *only* if that version is still
 current, so the store can never be populated with results for data that
-no longer exists.  Publishing is where each missed spec is encoded to
-its JSON wire bytes, once; the session's view of the pass
-(:meth:`~repro.service.session.Session.publish_view`), the frame's own
-memoized recommendation set and the session's table are replaced under
-the same guard, making in-process reads and prints free too.
+no longer exists.  Each missed spec is written to its JSON wire bytes
+once, by the vega-lite writer, and each action's bytes are joined from
+its specs' bytes.  Publishing decodes the new spec bytes for the
+session's view of the pass
+(:meth:`~repro.service.session.Session.publish_view`); the view, the
+frame's own memoized recommendation set and the session's table are
+replaced under the same guard, making in-process reads and prints free
+too.
 
 Backpressure (``config.precompute_queue_limit``)
 ------------------------------------------------
@@ -93,6 +97,7 @@ bit-identical to an unloaded run — the property
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import threading
 import time
@@ -111,8 +116,8 @@ from ..core.optimizer.scheduler import (
     schedule_actions,
 )
 from ..dataframe import observe
-from .session import serialize_recommendations
-from .wire import encode, encode_action
+from .session import encode_vislist
+from .wire import encode_action
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.actions.base import Action
@@ -171,8 +176,8 @@ class _Candidate(CandidatePrior):
 
     The ranker reads the scores and the displayed Vis through the
     :class:`CandidatePrior` interface; a displayed candidate also keeps
-    its spec payload dict and its wire bytes (a slice of its action's
-    stored bytes), so reusing it encodes nothing.
+    its wire bytes (a slice of its action's stored bytes) and their
+    decoded spec payload dict, so reusing it writes and decodes nothing.
     """
 
     __slots__ = ("payload", "wire")
@@ -658,9 +663,11 @@ class PrecomputeEngine:
                         records=records or None,
                         done={n: r.vislist for n, r in hits.items()} or None,
                     )
-                    fresh = serialize_recommendations(
-                        {n: recs[n] for n in recs.keys() if n not in hits}, priors
-                    )
+                    fresh = {
+                        name: encode_vislist(recs[name], priors.get(name))
+                        for name in recs.keys()
+                        if name not in hits
+                    }
                     _observe_phase("actions", time.perf_counter() - phase_t0)
             except PassCancelled:
                 self._bump("cancelled")
@@ -708,33 +715,33 @@ class PrecomputeEngine:
         hits: "dict[str, _ActionResult]",
         priors: "dict[str, dict[str, _Candidate]]",
         records: "dict[str, dict]",
-        fresh: dict[str, Any],
+        fresh: "dict[str, tuple[list[Any], list[Any]]]",
     ) -> None:
         """Land one completed pass: store, view, memo and table.
 
-        Each executed action's bytes are joined from its specs' bytes:
-        a spec whose displayed Vis came from the table reuses its stored
-        bytes, every other spec is encoded here, once.
+        ``fresh`` holds each executed action's spec bytes and the table
+        candidate each was reused from (see
+        :func:`~repro.service.session.encode_vislist`).  The action's
+        bytes are joined from them, and its view dict is built from the
+        reused specs' dicts plus the decoded new spec bytes.
         """
         now = time.time()
         table: dict[str, _ActionResult] = {}
         blobs: dict[str, bytes] = {}
+        views: dict[str, Any] = {}
         vis_origins: dict[str, dict[str, str]] = {}
-        for name, payload in fresh.items():
-            known = priors.get(name, {})
-            wires: list[Any] = []
-            shown: dict[str, str] = {}
-            for spec in payload["specs"]:
-                prior = known.get(spec["key"])
-                if prior is not None and prior.payload is spec:
-                    wires.append(prior.wire)
-                    shown[spec["key"]] = "carried"
-                else:
-                    wires.append(encode(spec))
-                    shown[spec["key"]] = "precompute"
-            blobs[name], slices = encode_action(payload["count"], wires)
-            if "carried" in shown.values():
-                vis_origins[name] = shown
+        for name, (wires, reused) in fresh.items():
+            blobs[name], slices = encode_action(len(recs[name]), wires)
+            specs = [
+                json.loads(wire) if prior is None else prior.payload
+                for wire, prior in zip(wires, reused)
+            ]
+            payload = views[name] = {"count": len(recs[name]), "specs": specs}
+            if any(prior is not None for prior in reused):
+                vis_origins[name] = {
+                    spec["key"]: "precompute" if prior is None else "carried"
+                    for spec, prior in zip(specs, reused)
+                }
             result = _record(
                 keys.get(name), recs[name], payload, blobs[name], slices,
                 records.get(name), now,
@@ -759,7 +766,7 @@ class PrecomputeEngine:
         )
         session.publish_view(
             version,
-            {name: hits[name].payload if name in hits else fresh[name] for name in names},
+            {name: hits[name].payload if name in hits else views[name] for name in names},
         )
         if not session.overrides:
             # Memoize on the frame so in-process prints are free — only

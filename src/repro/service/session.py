@@ -12,11 +12,16 @@ Reads go store-first: :meth:`Session.recommendations` returns straight
 from the :class:`~repro.service.store.ResultStore` when the background
 precompute engine already ran a pass at the current version (a dictionary
 lookup — zero executor work), and falls back to a synchronous foreground
-pass that back-fills the store otherwise.  The store holds each action's
-JSON bytes; wire readers take them as they are (``raw=True``), while
-in-process readers get dicts from the session's *view* — the decoded
-payloads of the pass it last published — and decode stored bytes only
-when no view matches.
+pass that back-fills the store otherwise.
+
+Both passes produce bytes, never payload dicts: each displayed spec is
+written by the vega-lite writer (:func:`~repro.vis.vegalite.spec_payload`)
+straight from its column table, and each action's bytes are joined from
+its specs' bytes (:func:`~repro.service.wire.encode_action`).  Wire readers
+take the stored bytes as they are (``raw=True``).  In-process readers get
+dicts from the session's *view*: the engine publishes the decoded payloads
+of each pass it stores, and a read at a version with no view decodes the
+stored bytes once (``json.loads``) and keeps them as the view.
 
 :class:`SessionManager` wires the three service pieces together (registry,
 store, precompute engine) and is what the HTTP API holds.
@@ -41,46 +46,63 @@ from ..vis.vegalite import spec_payload
 from .persist import read_results
 from .provenance import envelope
 from .store import MANIFEST
+from .wire import encode_action
 
 if TYPE_CHECKING:  # pragma: no cover
     from .persist import SnapshotStore
     from .precompute import PrecomputeEngine
     from .store import ResultStore
 
-__all__ = ["Session", "SessionManager", "serialize_recommendations"]
+__all__ = [
+    "Session",
+    "SessionManager",
+    "encode_recommendations",
+    "encode_vislist",
+    "serialize_recommendations",
+]
 
 
-def serialize_recommendations(
-    recs: Any, reuse: "Mapping[str, Mapping[str, Any]] | None" = None
-) -> dict[str, Any]:
-    """RecommendationSet -> per-action JSON payloads (the wire format).
+def encode_vislist(
+    vislist: Any, known: "Mapping[str, Any] | None" = None
+) -> "tuple[list[Any], list[Any]]":
+    """``(wires, reused)``: each displayed vis's JSON bytes, and its source.
 
     Shared by the foreground read path and the precompute engine so a
     store entry is byte-identical no matter which path produced it.
-    ``reuse`` maps an action name to ``{vis_key: candidate}`` results of
-    the engine's previous pass: a displayed Vis that is the very object a
-    candidate holds keeps that candidate's spec payload dict instead of
-    being encoded again.
+    ``known`` maps vis keys to candidate results of the engine's previous
+    pass: a displayed Vis that is the very object a candidate holds keeps
+    that candidate's stored bytes, and ``reused`` names the candidate.
+    Every other vis is written by :func:`spec_payload`, and ``reused``
+    holds None for it.
     """
-    payloads: dict[str, Any] = {}
-    for name in recs.keys():
-        vislist = recs[name]
-        known = reuse.get(name) if reuse else None
-        payloads[name] = {
-            "count": len(vislist),
-            "specs": [
-                _vis_payload(vis, known) for vis in vislist if vis.spec is not None
-            ],
-        }
-    return payloads
-
-
-def _vis_payload(vis: Any, known: "Mapping[str, Any] | None") -> dict[str, Any]:
-    if known:
-        candidate = known.get(candidate_key(vis.spec))
+    wires: list[Any] = []
+    reused: list[Any] = []
+    for vis in vislist:
+        if vis.spec is None:
+            continue
+        candidate = known.get(candidate_key(vis.spec)) if known else None
         if candidate is not None and candidate.vis is vis:
-            return candidate.payload
-    return spec_payload(vis.spec, vis.score)
+            wires.append(candidate.wire)
+            reused.append(candidate)
+        else:
+            wires.append(spec_payload(vis.spec, vis.score))
+            reused.append(None)
+    return wires, reused
+
+
+def encode_recommendations(recs: Any) -> dict[str, bytes]:
+    """RecommendationSet -> each action's JSON wire bytes."""
+    return {
+        name: encode_action(len(recs[name]), encode_vislist(recs[name])[0])[0]
+        for name in recs.keys()
+    }
+
+
+def serialize_recommendations(recs: Any) -> dict[str, Any]:
+    """RecommendationSet -> per-action payload dicts (the decoded wire bytes)."""
+    return {
+        name: json.loads(blob) for name, blob in encode_recommendations(recs).items()
+    }
 
 
 class Session:
@@ -108,9 +130,9 @@ class Session:
         #: Lazily-rehydrated snapshot results: ``(path, version)`` set by
         #: a snapshot restore, consumed by the first read.
         self._pending_results: "tuple[Any, tuple[int, int]] | None" = None  # guarded-by: lock
-        #: ``(version, {action: payload dict})`` of the last published
-        #: pass: in-process store-hit reads at that version are dict
-        #: lookups instead of decoding the stored bytes.
+        #: ``(version, {action: payload dict})``: the decoded payloads of
+        #: the last published or decoded pass, so in-process store-hit
+        #: reads at that version are dict lookups.
         self._view: "tuple[tuple[int, int], dict[str, Any]] | None" = None  # guarded-by: lock
 
     # ------------------------------------------------------------------
@@ -238,11 +260,13 @@ class Session:
             return stored
         # Store rejected the payload (budget) or the frame mutated while
         # computing: respond from the freshly memoized pass directly.
-        payloads = self._serialize_current()
+        payloads = encode_recommendations(self.frame.recommendations)
         if action is not None:
             if action not in payloads:
                 raise KeyError(f"no such action: {action!r}")
             payloads = {action: payloads[action]}
+        if not raw:
+            payloads = {name: json.loads(blob) for name, blob in payloads.items()}
         return self._respond(self.version, payloads, origin="foreground")
 
     def _hydrate_results(self) -> None:
@@ -321,14 +345,22 @@ class Session:
     def _decode(
         self, version: tuple[int, int], records: dict[str, dict[str, Any]]
     ) -> dict[str, Any]:
-        """Stored records -> payload dicts, from the view where it matches."""
+        """Stored records -> payload dicts, from the view where it matches.
+
+        Bytes the view lacks are decoded here and join the view while
+        ``version`` is still current, so the next read is a lookup.
+        """
         with self.lock:
             view = self._view
         known = view[1] if view is not None and view[0] == version else {}
-        return {
-            name: known[name] if name in known else json.loads(r["payload"])
-            for name, r in records.items()
+        missing = {
+            name: json.loads(r["payload"]) for name, r in records.items() if name not in known
         }
+        if missing:
+            with self.lock:
+                if self.version == version and self._view is view:
+                    self._view = (version, {**known, **missing})
+        return {name: known[name] if name in known else missing[name] for name in records}
 
     def publish_view(self, version: tuple[int, int], payloads: dict[str, Any]) -> None:
         """Record the decoded payloads of the pass just stored at ``version``."""
@@ -361,17 +393,11 @@ class Session:
         ), self.lock, self.overlay():
             # The property path memoizes on the frame and carries the
             # repr's failproofing (a broken action yields an empty tab).
-            self.frame.recommendations
-            payloads = self._serialize_current()
+            recs = self.frame.recommendations
             if self.store is not None and self.version == version:
                 self.store.put_pass(
-                    self.id, version, payloads, origin="foreground"
+                    self.id, version, encode_recommendations(recs), origin="foreground"
                 )
-                self.publish_view(version, payloads)
-
-    def _serialize_current(self) -> dict[str, Any]:
-        """Serialize the frame's memoized recommendation set per action."""
-        return serialize_recommendations(self.frame.recommendations)
 
     # ------------------------------------------------------------------
     def info(self) -> dict[str, Any]:

@@ -2,12 +2,11 @@
 
 Holds each action's payload as its JSON wire bytes, keyed on
 ``(session, version, action)`` where ``version`` is the frame's
-``(_data_version, _intent_epoch)`` pair.  A payload is encoded exactly
-once, when a pass publishes it (:meth:`ResultStore.put` runs
-:func:`repro.service.wire.encode`, the same ``json.dumps`` defaults the
-wire uses, unless the background engine hands it bytes it already
-joined from per-spec bytes), and from then on the entry *is* the bytes:
-HTTP responses splice them into a small envelope
+``(_data_version, _intent_epoch)`` pair.  The store encodes nothing: both
+kinds of pass hand :meth:`ResultStore.put` bytes already joined from the
+vega-lite writer's per-spec bytes
+(:func:`repro.service.wire.encode_action`), and from then on the entry
+*is* the bytes: HTTP responses splice them into a small envelope
 (:func:`repro.service.wire.dumps`), shard RPC frames and snapshot
 results files carry them through untouched, and :meth:`ResultStore.get`
 hands them out as ``bytes``.
@@ -124,18 +123,15 @@ class ResultStore:
         session_id: str,
         version: tuple,
         action: str,
-        payload: Any,
+        payload: bytes,
         origin: str = "precompute",
         computed_at: float | None = None,
         vis_origins: "dict[str, str] | None" = None,
     ) -> bool:
-        """Insert one action's payload as its JSON bytes.
+        """Insert one action's payload JSON bytes.
 
-        A ``bytes`` payload is taken as already encoded; anything else is
-        encoded here, once.  False when the bytes alone bust the budget.
+        False when the bytes alone bust the budget.
         """
-        if not isinstance(payload, bytes):
-            payload = encode(payload)
         entry = _Entry(payload, origin, computed_at=computed_at, vis_origins=vis_origins)
         return self._insert(self._key(session_id, version, action), entry)
 
@@ -183,7 +179,7 @@ class ResultStore:
         self,
         session_id: str,
         version: tuple,
-        payloads: Mapping[str, Any],
+        payloads: Mapping[str, bytes],
         origin: str = "precompute",
         manifest: "Sequence[str] | None" = None,
         origins: "Mapping[str, str] | None" = None,

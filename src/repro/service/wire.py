@@ -1,19 +1,21 @@
 """JSON wire encoding: each payload is encoded once, responses are spliced.
 
 Recommendation payloads are the service's bulk bytes (megabytes of inline
-vega-lite data per pass).  They are encoded exactly once, when a pass
-publishes into the :class:`~repro.service.store.ResultStore`
-(:func:`encode`), and every later consumer — the HTTP response, the shard
+vega-lite data per pass).  They are written exactly once: the vega-lite
+writer (:func:`~repro.vis.vegalite.spec_payload`) writes each displayed
+spec's bytes straight from its column table, and a pass joins each
+action's bytes from its specs' bytes (:func:`encode_action`) before it
+stores them in the :class:`~repro.service.store.ResultStore`.  A
+background pass writes only the specs it recomputed and reuses the stored
+bytes of the rest.  Every later consumer — the HTTP response, the shard
 RPC frame, the snapshot results file — carries those bytes through
-instead of re-encoding the decoded dicts on every read.  A background
-pass goes one step finer: it encodes only the specs it recomputed and
-joins each action's bytes from per-spec bytes (:func:`encode_action`).
+instead of re-encoding decoded dicts on every read.
 
 :func:`dumps` is the one response writer: ``json.dumps`` with the
 default settings, except that a ``bytes`` value is taken as already
-encoded JSON and spliced in verbatim.  Because the stored bytes come from
-the same ``json.dumps`` defaults, a spliced response is byte-identical to
-``json.dumps`` of the fully decoded response.
+encoded JSON and spliced in verbatim.  Because the writer's bytes equal
+``json.dumps`` of the same values, a spliced response is byte-identical
+to ``json.dumps`` of the fully decoded response.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ def encode_action(count: int, specs: list) -> "tuple[bytes, list[memoryview]]":
     """One action payload's JSON bytes, joined from its specs' JSON bytes.
 
     The result equals :func:`encode` of ``{"count": count, "specs": [...]}``
-    (the shape :func:`~repro.service.session.serialize_recommendations`
-    builds) over the decoded specs.  It is built with one join, so each
-    spec's bytes are copied once, and each spec's slice of the result is
-    returned with it.
+    over the decoded specs (the action shape
+    :func:`~repro.service.session.serialize_recommendations` decodes).
+    It is built with one join, so each spec's bytes are copied once, and
+    each spec's slice of the result is returned with it.
     """
     head = b'{"count": %d, "specs": [' % count
     parts = [head]

@@ -1,9 +1,9 @@
 """Visualization layer: Vega-Lite-style specs with swappable renderers.
 
 Stands in for Altair/Vega-Lite in the paper's stack.  A :class:`VisSpec`
-holds mark + encodings + processed data; renderers turn it into Vega-Lite
-JSON, terminal unicode charts, a standalone HTML widget, or exported
-Altair/matplotlib source code.
+holds mark + encodings + processed data (a :class:`ColumnTable`);
+renderers turn it into Vega-Lite JSON, terminal unicode charts, a
+standalone HTML widget, or exported Altair/matplotlib source code.
 """
 
 from .ascii import render_ascii
@@ -13,10 +13,12 @@ from .html import render_widget
 from .marks import MARKS, infer_mark
 from .report import render_report
 from .spec import VisSpec
+from .table import ColumnTable
 from .vegalite import to_vegalite
 
 __all__ = [
     "CHANNELS",
+    "ColumnTable",
     "Encoding",
     "FIELD_TYPES",
     "MARKS",

@@ -15,7 +15,7 @@ from typing import Any, Mapping, Sequence
 from .spec import VisSpec
 from .vegalite import to_vegalite
 
-__all__ = ["render_widget"]
+__all__ = ["render_widget", "script_json"]
 
 _PAGE = """<!DOCTYPE html>
 <html>
@@ -74,6 +74,17 @@ for (const [id, spec] of Object.entries(SPECS)) {{
 """
 
 
+def script_json(value: Any) -> str:
+    """``json.dumps(value)``, safe to embed inside a ``<script>`` block.
+
+    ``<``, ``>`` and ``&`` can only occur inside JSON strings; written as
+    ``\\u003c``, ``\\u003e`` and ``\\u0026`` they cannot close the block
+    or open a comment, and the parsed values stay the same.
+    """
+    text = json.dumps(value)
+    return text.replace("<", "\\u003c").replace(">", "\\u003e").replace("&", "\\u0026")
+
+
 def _table_html(records: Sequence[Mapping[str, Any]], columns: Sequence[str]) -> str:
     head = "".join(f"<th>{_html.escape(str(c))}</th>" for c in columns)
     body_rows = []
@@ -122,6 +133,6 @@ def render_widget(
         table=_table_html(table_records, table_columns),
         tab_buttons="".join(tab_buttons),
         panels="".join(panels),
-        specs_json=json.dumps(specs),
+        specs_json=script_json(specs),
         activate_first=activate,
     )

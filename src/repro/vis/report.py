@@ -10,9 +10,9 @@ with stakeholders who have no Python setup.
 from __future__ import annotations
 
 import html as _html
-import json
 from typing import Any, Mapping
 
+from .html import script_json
 from .vegalite import to_vegalite
 
 __all__ = ["render_report"]
@@ -111,7 +111,7 @@ def render_report(
     return _PAGE.format(
         title=_html.escape(title),
         sections="\n".join(sections),
-        specs_json=json.dumps(specs),
+        specs_json=script_json(specs),
     )
 
 

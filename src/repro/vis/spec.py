@@ -1,18 +1,22 @@
 """VisSpec: a complete, renderer-independent visualization specification.
 
 A spec is the *output* of Lux's intent compiler: mark + encodings +
-(optionally) the processed data attached by the execution engine.  Renderers
-(Vega-Lite JSON, ASCII, HTML, code export) all consume this one object,
-mirroring the paper's swappable-renderer design (Fig. 8).
+(optionally) the processed data the execution engine attaches as a
+:class:`~repro.vis.table.ColumnTable`.  Renderers (Vega-Lite JSON, ASCII,
+HTML, code export) all consume this one object, mirroring the paper's
+swappable-renderer design (Fig. 8).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .encoding import Encoding
 from .marks import MARKS
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .table import ColumnTable
 
 __all__ = ["VisSpec", "candidate_key", "filter_signature"]
 
@@ -55,8 +59,9 @@ class VisSpec:
         self.encodings = list(encodings)
         self.filters = list(filters)
         self.title = title or self._default_title()
-        #: list-of-records attached after execution; None until processed.
-        self.data: list[dict[str, Any]] | None = None
+        #: The executed data as typed columns, in chart-field order; None
+        #: until an executor processes the spec.
+        self.data: "ColumnTable | None" = None
 
     # ------------------------------------------------------------------
     def get_encoding(self, channel: str) -> Encoding | None:
@@ -93,7 +98,7 @@ class VisSpec:
 
     # ------------------------------------------------------------------
     def to_vegalite(self) -> dict[str, Any]:
-        """Render to a Vega-Lite v5 spec dict (inline data when processed)."""
+        """The Vega-Lite v5 spec dict: the decoded bytes of the writer."""
         from .vegalite import to_vegalite
 
         return to_vegalite(self)

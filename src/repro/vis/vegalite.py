@@ -1,93 +1,46 @@
-"""VisSpec -> Vega-Lite v5 JSON dict, plus wire-safe payloads.
+"""VisSpec -> Vega-Lite v5 JSON, written straight from the spec's columns.
 
-:func:`to_vegalite` builds the chart spec for notebook/HTML rendering,
-sanitizing every inline ``data.values`` cell as it builds the rows;
-:func:`spec_payload` wraps it into the fully JSON-serializable record the
-recommendation service stores and serves (the rest of the spec is
-deep-sanitized via :func:`json_safe`, so numpy scalars and datetimes can
-never leak into a stored payload and fail at response time).
+:func:`spec_payload` is the one writer.  It writes a spec's service payload
+(summary fields, score, and the vega-lite spec with its data inline) as
+the bytes ``json.dumps`` gives for the same values.  The inline
+``data.values`` come from the spec's :class:`~repro.vis.table.ColumnTable`
+column by column: each column is converted to Python scalars once
+(``tolist``) and formatted as JSON tokens, missing and non-finite cells
+become ``null``, and one row template per spec joins the tokens into row
+objects, so no row dict is built.  The small rest of the spec (title,
+encodings, filters) is plain-typed by :func:`json_safe` and encoded by
+``json.dumps``.  Non-finite floats are written as ``null`` everywhere,
+since RFC 8259 JSON has no ``NaN`` or ``Infinity``.
+
+:func:`to_vegalite` is ``json.loads`` of the writer's vega-lite text, so a
+notebook or HTML rendering holds exactly the values the service serves.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import json
+import math
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any
 
 import numpy as np
 
-from .spec import VisSpec
+from ..dataframe.column import Column
+from ..dataframe.dtypes import BOOL, DATETIME, FLOAT64, INT64
+from .spec import VisSpec, candidate_key
+from .table import ColumnTable
 
 __all__ = ["to_vegalite", "json_safe", "spec_payload"]
 
 _SCHEMA = "https://vega.github.io/schema/vega-lite/v5.json"
 
-
-def _json_safe(value: Any) -> Any:
-    if value is None:
-        return None
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        v = float(value)
-        return None if np.isnan(v) else v
-    if isinstance(value, np.datetime64):
-        return str(value.astype("datetime64[s]"))
-    if isinstance(value, (_dt.date, _dt.datetime)):
-        return value.isoformat()
-    if isinstance(value, float) and np.isnan(value):
-        return None
-    return value
+#: Types :func:`json_safe` returns as they are.
+_PLAIN = (str, int, bool, type(None))
 
 
-def to_vegalite(spec: VisSpec) -> dict[str, Any]:
-    """Build the Vega-Lite spec; processed data is embedded inline."""
-    encoding: dict[str, Any] = {}
-    for enc in spec.encodings:
-        encoding[enc.channel] = enc.to_vegalite()
-
-    mark: Any = {"bar": "bar", "histogram": "bar"}.get(spec.mark, spec.mark)
-    if spec.mark == "point":
-        mark = {"type": "point", "filled": True, "opacity": 0.7}
-    if spec.mark == "geoshape":
-        mark = {"type": "geoshape"}
-
-    out: dict[str, Any] = {
-        "$schema": _SCHEMA,
-        "title": spec.title,
-        "mark": mark,
-        "encoding": encoding,
-    }
-    if spec.data is not None:
-        out["data"] = {
-            "values": [
-                {k: _json_safe(v) for k, v in row.items()} for row in spec.data
-            ]
-        }
-    else:
-        out["data"] = {"name": "table"}
-    if spec.filters:
-        out["transform"] = [
-            {"filter": _filter_expr(attr, op, value)}
-            for attr, op, value in spec.filters
-        ]
-    return out
-
-
-def json_safe(value: Any) -> Any:
-    """Deep-sanitize ``value`` into plain JSON types (dicts/lists walked)."""
-    if isinstance(value, dict):
-        return {str(k): json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_safe(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [json_safe(v) for v in value.tolist()]
-    return _json_safe(value)
-
-
-def spec_payload(spec: VisSpec, score: float | None = None) -> dict[str, Any]:
-    """The service's wire format for one recommended visualization.
+def spec_payload(spec: VisSpec, score: float | None = None) -> bytes:
+    """The service's wire bytes for one recommended visualization.
 
     Everything the API needs to render and rank: the vega-lite spec (data
     inline), the interestingness score, and enough summary fields (mark,
@@ -95,29 +48,120 @@ def spec_payload(spec: VisSpec, score: float | None = None) -> dict[str, Any]:
     without rendering them.  ``key`` is the stable candidate identity
     (:func:`~repro.vis.spec.candidate_key`) that per-vis provenance maps
     are keyed on; it is a pure function of the spec's signature, so the
-    foreground and background paths emit identical keys.  Guaranteed
-    ``json.dumps``-able.
+    foreground and background paths emit identical keys.
     """
-    from .spec import candidate_key
-
-    vegalite = to_vegalite(spec)
-    # to_vegalite already sanitized every ``data.values`` cell; the deep
-    # walk covers the rest of the spec (the data slot keeps its key order).
-    data, vegalite["data"] = vegalite["data"], None
-    vegalite = json_safe(vegalite)
-    vegalite["data"] = data
-    return {
+    head = {
         "key": candidate_key(spec),
         "title": spec.title,
         "mark": spec.mark,
         "fields": spec.fields(),
         "filters": json_safe([list(f) for f in spec.filters]),
-        "score": None if score is None else round(float(score), 6),
-        "vegalite": vegalite,
+        "score": None if score is None else json_safe(round(float(score), 6)),
     }
+    text = json.dumps(head)[:-1] + ', "vegalite": ' + _vegalite_json(spec) + "}"
+    return text.encode("utf-8")
+
+
+def to_vegalite(spec: VisSpec) -> dict[str, Any]:
+    """The Vega-Lite spec dict; processed data is embedded inline."""
+    return json.loads(_vegalite_json(spec))
+
+
+def json_safe(value: Any) -> Any:
+    """Deep-convert ``value`` into plain JSON types (dicts/lists walked).
+
+    numpy scalars become Python scalars, dates ISO strings, and NaN or
+    infinite floats ``None``.  Used on a spec's small parts only; data
+    cells go through the column writer.
+    """
+    if type(value) in _PLAIN:
+        return value
+    if isinstance(value, dict):
+        return {str(k): json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [json_safe(v) for v in value.tolist()]
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else None
+    if isinstance(value, np.datetime64):
+        return str(value.astype("datetime64[s]"))
+    if isinstance(value, (_dt.date, _dt.datetime)):
+        return value.isoformat()
+    return value
+
+
+# ----------------------------------------------------------------------
+def _vegalite_json(spec: VisSpec) -> str:
+    """The vega-lite spec as JSON text, key order as ``json.dumps`` writes it."""
+    mark: Any = {"bar": "bar", "histogram": "bar"}.get(spec.mark, spec.mark)
+    if spec.mark == "point":
+        mark = {"type": "point", "filled": True, "opacity": 0.7}
+    if spec.mark == "geoshape":
+        mark = {"type": "geoshape"}
+    head = {
+        "$schema": _SCHEMA,
+        "title": spec.title,
+        "mark": mark,
+        "encoding": {enc.channel: enc.to_vegalite() for enc in spec.encodings},
+    }
+    if spec.data is None:
+        data = '{"name": "table"}'
+    else:
+        data = '{"values": ' + _values_json(spec.data) + "}"
+    text = json.dumps(json_safe(head))[:-1] + ', "data": ' + data
+    if spec.filters:
+        transform = [{"filter": _filter_expr(*f)} for f in spec.filters]
+        text += ', "transform": ' + json.dumps(transform)
+    return text + "}"
+
+
+def _values_json(table: ColumnTable) -> str:
+    """The rows of ``table`` as a JSON array of objects."""
+    if not len(table):
+        return "[]"
+    keys = [_json_string(name).replace("%", "%%") for name in table.columns]
+    template = "{" + ", ".join(key + ": %s" for key in keys) + "}"
+    rows = zip(*map(_tokens, table.columns.values()))
+    return "[" + ", ".join(map(template.__mod__, rows)) + "]"
+
+
+def _tokens(col: Column) -> list[str]:
+    """Each cell as a JSON token; missing and non-finite cells are ``null``."""
+    values, missing, kind = col.values, col.mask, col.dtype
+    if kind is FLOAT64:
+        missing = missing | ~np.isfinite(values)
+    gaps = bool(missing.any())
+    if gaps:
+        values = values[~missing]
+    if kind is FLOAT64:
+        tokens = list(map(float.__repr__, values.tolist()))
+    elif kind is INT64:
+        tokens = list(map(int.__repr__, values.tolist()))
+    elif kind is BOOL:
+        tokens = np.where(values, "true", "false").tolist()
+    elif kind is DATETIME:
+        text = values.astype("datetime64[s]").astype(str).tolist()
+        tokens = list(map(_json_string, text))
+    else:
+        tokens = list(map(_json_string, values.tolist()))
+    if not gaps:
+        return tokens
+    out = np.full(len(col), "null", dtype=object)
+    out[~missing] = tokens
+    return out.tolist()
+
+
+def _js_string(text: str) -> str:
+    """``text`` as a single-quoted Vega expression string literal."""
+    return "'" + text.replace("\\", "\\\\").replace("'", "\\'") + "'"
 
 
 def _filter_expr(attr: str, op: str, value: Any) -> str:
-    literal = f"'{value}'" if isinstance(value, str) else repr(value)
+    literal = _js_string(value) if isinstance(value, str) else repr(value)
     js_op = {"=": "==", "!=": "!=", ">": ">", "<": "<", ">=": ">=", "<=": "<="}[op]
-    return f"datum['{attr}'] {js_op} {literal}"
+    return f"datum[{_js_string(attr)}] {js_op} {literal}"

@@ -17,6 +17,11 @@ pytestmark = pytest.mark.slow
 
 CSV = "a,b,c\n" + "\n".join(f"{i % 7},{i * 1.5},g{i % 3}" for i in range(300))
 
+#: Two float measures (so Correlation plots them) and one dimension.
+MEASURES_CSV = "x,y,g\n" + "\n".join(
+    f"{i * 1.5},{(i * 7) % 11 + 0.25},g{i % 3}" for i in range(300)
+)
+
 
 TOKEN = "s3cret-token"
 
@@ -52,6 +57,26 @@ def call(server, method: str, path: str, body=None, token=None):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
+
+
+def strict_get(server, path: str) -> dict:
+    """GET ``path`` and parse the body as RFC 8259 JSON (no NaN/Infinity)."""
+
+    def reject(name: str) -> None:
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    with urllib.request.urlopen(server.address + path, timeout=60) as response:
+        assert response.status == 200
+        return json.loads(response.read(), parse_constant=reject)
+
+
+def assert_distribution_served(server, session_id: str, column: str) -> None:
+    recs = strict_get(server, f"/v1/sessions/{session_id}/recommendations")
+    distribution = recs["actions"]["Distribution"]
+    assert distribution["count"] > 0
+    histograms = {tuple(spec["fields"]): spec for spec in distribution["specs"]}
+    values = histograms[(column,)]["vegalite"]["data"]["values"]
+    assert values and all(row["count"] >= 0 for row in values)
 
 
 class TestHTTPApi:
@@ -151,6 +176,26 @@ class TestHTTPApi:
             assert response["actions"] == {}
             assert response["provenance"]["origin"] == expected
             assert response["provenance"]["actions"] == {}
+
+    def test_infinite_csv_cell_is_served_as_strict_json(self, server):
+        """A ``1e400`` cell parses to inf: the body still parses as RFC 8259
+        JSON, and the histogram of that column keeps its finite values."""
+        csv = MEASURES_CSV.replace("\n0.0,", "\n1e400,", 1)
+        status, info = call(server, "POST", "/v1/sessions", {"csv": csv})
+        assert status == 201
+        assert server.manager.engine.wait_idle(30)
+        assert_distribution_served(server, info["session"], "x")
+
+    def test_infinite_mutate_values_are_served_as_strict_json(self, server):
+        status, info = call(server, "POST", "/v1/sessions", {"csv": MEASURES_CSV})
+        assert status == 201
+        values = [i * 0.5 for i in range(300)]
+        values[7] = float("inf")  # json.dumps writes Infinity, which the parser accepts
+        path = f"/v1/sessions/{info['session']}/mutate"
+        status, _ = call(server, "POST", path, {"column": "y", "values": values})
+        assert status == 200
+        assert server.manager.engine.wait_idle(30)
+        assert_distribution_served(server, info["session"], "y")
 
     def test_unknown_action_is_404(self, server):
         status, info = call(server, "POST", "/v1/sessions", {"csv": CSV})

@@ -23,6 +23,7 @@ import pytest
 from repro import LuxDataFrame, config
 from repro.service import ResultStore, SessionManager
 from repro.service.store import MANIFEST
+from repro.service.wire import encode
 
 
 def make_frame(n: int = 2_000, seed: int = 0) -> LuxDataFrame:
@@ -311,11 +312,13 @@ class TestCarryForwardStore:
         action-existence probes for payloads that no longer existed.
         """
         store = ResultStore(budget_bytes=600)
-        store.put_pass("s", (1, 0), {"A": {"blob": "x" * 120}, "B": {"blob": "y" * 120}})
+        store.put_pass(
+            "s", (1, 0), {"A": encode({"blob": "x" * 120}), "B": encode({"blob": "y" * 120})}
+        )
         assert store.get("s", (1, 0), MANIFEST) is not None
         # Inserting at a newer version evicts the oldest member of v1...
-        store.put("s", (2, 0), "A", {"blob": "z" * 200})
-        store.put("s", (2, 0), "B", {"blob": "w" * 200})
+        store.put("s", (2, 0), "A", encode({"blob": "z" * 200}))
+        store.put("s", (2, 0), "B", encode({"blob": "w" * 200}))
         assert store.get("s", (1, 0), "A") is None
         # ...and the v1 manifest went with it instead of dangling.
         assert store.get("s", (1, 0), MANIFEST) is None
@@ -329,16 +332,16 @@ class TestCarryForwardStore:
         store.put_pass(
             "s",
             (1, 0),
-            {name: {"blob": "x" * 120} for name in ("A", "B", "C")},
+            {name: encode({"blob": "x" * 120}) for name in ("A", "B", "C")},
         )
         assert store.get("s", (1, 0), MANIFEST) is None
         assert store.get_pass("s", (1, 0)) is None
 
     def test_incremental_manifest_lists_carried_actions(self):
         store = ResultStore()
-        store.put_pass("s", (1, 0), {"A": {"n": 1}, "B": {"n": 2}})
-        store.put("s", (2, 0), "B", {"n": 2}, origin="carried")
-        store.put_pass("s", (2, 0), {"A": {"n": 9}}, manifest=["A", "B"])
+        store.put_pass("s", (1, 0), {"A": encode({"n": 1}), "B": encode({"n": 2})})
+        store.put("s", (2, 0), "B", encode({"n": 2}), origin="carried")
+        store.put_pass("s", (2, 0), {"A": encode({"n": 9})}, manifest=["A", "B"])
         records = store.get_pass("s", (2, 0))
         assert records is not None and set(records) == {"A", "B"}
         assert records["A"]["origin"] == "precompute"

@@ -17,10 +17,16 @@ under; on other versions float formatting or random draws may differ, so
 the comparison skips.  Re-record with::
 
     PYTHONPATH=src python tests/service/test_payload_digests.py --record
+
+A differential test runs on every version: for each displayed spec of
+those passes, the column writer's bytes equal ``json.dumps`` of the
+row-dict writer that preceded it (copied verbatim at the end of this
+module as the reference).
 """
 
 from __future__ import annotations
 
+import datetime as _dt
 import hashlib
 import io
 import json
@@ -36,6 +42,8 @@ from repro import LuxDataFrame, config_overlay
 from repro.data.synthetic import SCENARIOS, make_scenario
 from repro.dataframe import read_csv_string
 from repro.service import SessionManager
+from repro.vis import VisSpec, vegalite
+from repro.vis.spec import candidate_key
 
 TABLE = Path(__file__).with_name("payload_digests.json")
 
@@ -178,6 +186,16 @@ def test_every_shape_displays_specs(passes):
         assert payloads and specs, case
 
 
+def test_writer_bytes_equal_the_row_dict_writer(passes):
+    checked = 0
+    for case, (_, specs) in passes.items():
+        for spec, score in specs:
+            expected = json.dumps(spec_payload(spec, score)).encode("utf-8")
+            assert vegalite.spec_payload(spec, score) == expected, (case, spec.title)
+            checked += 1
+    assert checked > 0
+
+
 def record() -> None:
     table = {
         "versions": versions(),
@@ -185,6 +203,111 @@ def record() -> None:
     }
     TABLE.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
 
+
+# ----------------------------------------------------------------------
+# Reference: the row-dict writer, verbatim.  It builds one dict per row,
+# sanitizes every cell and leaves the encoding to ``json.dumps``.
+# ----------------------------------------------------------------------
+_SCHEMA = "https://vega.github.io/schema/vega-lite/v5.json"
+
+
+def _json_safe(value: Any) -> Any:
+    if value is None:
+        return None
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.floating,)):
+        v = float(value)
+        return None if np.isnan(v) else v
+    if isinstance(value, np.datetime64):
+        return str(value.astype("datetime64[s]"))
+    if isinstance(value, (_dt.date, _dt.datetime)):
+        return value.isoformat()
+    if isinstance(value, float) and np.isnan(value):
+        return None
+    return value
+
+
+def to_vegalite(spec: VisSpec) -> dict[str, Any]:
+    """Build the Vega-Lite spec; processed data is embedded inline."""
+    encoding: dict[str, Any] = {}
+    for enc in spec.encodings:
+        encoding[enc.channel] = enc.to_vegalite()
+
+    mark: Any = {"bar": "bar", "histogram": "bar"}.get(spec.mark, spec.mark)
+    if spec.mark == "point":
+        mark = {"type": "point", "filled": True, "opacity": 0.7}
+    if spec.mark == "geoshape":
+        mark = {"type": "geoshape"}
+
+    out: dict[str, Any] = {
+        "$schema": _SCHEMA,
+        "title": spec.title,
+        "mark": mark,
+        "encoding": encoding,
+    }
+    if spec.data is not None:
+        out["data"] = {
+            "values": [
+                {k: _json_safe(v) for k, v in row.items()} for row in spec.data
+            ]
+        }
+    else:
+        out["data"] = {"name": "table"}
+    if spec.filters:
+        out["transform"] = [
+            {"filter": _filter_expr(attr, op, value)}
+            for attr, op, value in spec.filters
+        ]
+    return out
+
+
+def json_safe(value: Any) -> Any:
+    """Deep-sanitize ``value`` into plain JSON types (dicts/lists walked)."""
+    if isinstance(value, dict):
+        return {str(k): json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [json_safe(v) for v in value.tolist()]
+    return _json_safe(value)
+
+
+def spec_payload(spec: VisSpec, score: float | None = None) -> dict[str, Any]:
+    """The service's wire format for one recommended visualization.
+
+    Everything the API needs to render and rank: the vega-lite spec (data
+    inline), the interestingness score, and enough summary fields (mark,
+    title, fields, filters) for clients that only list recommendations
+    without rendering them.  ``key`` is the stable candidate identity
+    (:func:`~repro.vis.spec.candidate_key`) that per-vis provenance maps
+    are keyed on; it is a pure function of the spec's signature, so the
+    foreground and background paths emit identical keys.  Guaranteed
+    ``json.dumps``-able.
+    """
+    vegalite = to_vegalite(spec)
+    # to_vegalite already sanitized every ``data.values`` cell; the deep
+    # walk covers the rest of the spec (the data slot keeps its key order).
+    data, vegalite["data"] = vegalite["data"], None
+    vegalite = json_safe(vegalite)
+    vegalite["data"] = data
+    return {
+        "key": candidate_key(spec),
+        "title": spec.title,
+        "mark": spec.mark,
+        "fields": spec.fields(),
+        "filters": json_safe([list(f) for f in spec.filters]),
+        "score": None if score is None else round(float(score), 6),
+        "vegalite": vegalite,
+    }
+
+
+def _filter_expr(attr: str, op: str, value: Any) -> str:
+    literal = f"'{value}'" if isinstance(value, str) else repr(value)
+    js_op = {"=": "==", "!=": "!=", ">": ">", "<": "<", ">=": ">=", "<=": "<="}[op]
+    return f"datum['{attr}'] {js_op} {literal}"
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:

@@ -24,6 +24,7 @@ from repro.core.executor.df_exec import DataFrameExecutor
 from repro.core.vislist import VisList
 from repro.service import ResultStore, SessionManager
 from repro.service.store import MANIFEST
+from repro.service.wire import encode
 
 
 def make_frame(n: int = 2_000, seed: int = 0) -> LuxDataFrame:
@@ -56,15 +57,16 @@ def serial_payloads(frame: LuxDataFrame, **overrides):
 class TestResultStore:
     def test_get_put_versioned(self):
         store = ResultStore()
-        store.put("s", (1, 0), "A", {"count": 1})
-        # The entry is the payload's JSON bytes, encoded as the wire does.
-        assert store.get("s", (1, 0), "A")["payload"] == json.dumps({"count": 1}).encode()
+        blob = encode({"count": 1})
+        store.put("s", (1, 0), "A", blob)
+        # The entry is the payload's JSON bytes, as handed in.
+        assert store.get("s", (1, 0), "A")["payload"] is blob
         assert store.get("s", (2, 0), "A") is None
         assert store.get("other", (1, 0), "A") is None
 
     def test_pass_roundtrip_and_manifest_gap(self):
         store = ResultStore()
-        store.put_pass("s", (1, 0), {"A": {"count": 1}, "B": {"count": 2}})
+        store.put_pass("s", (1, 0), {"A": encode({"count": 1}), "B": encode({"count": 2})})
         records = store.get_pass("s", (1, 0))
         assert set(records) == {"A", "B"}
         # Simulate eviction of one member: the pass read reports a gap.
@@ -73,9 +75,9 @@ class TestResultStore:
 
     def test_byte_budget_evicts_lru(self):
         store = ResultStore(budget_bytes=400)
-        store.put("s", (1, 0), "A", {"blob": "x" * 150})
-        store.put("s", (1, 0), "B", {"blob": "y" * 150})
-        store.put("s", (1, 0), "C", {"blob": "z" * 150})  # evicts A
+        store.put("s", (1, 0), "A", encode({"blob": "x" * 150}))
+        store.put("s", (1, 0), "B", encode({"blob": "y" * 150}))
+        store.put("s", (1, 0), "C", encode({"blob": "z" * 150}))  # evicts A
         assert store.get("s", (1, 0), "A") is None
         assert store.get("s", (1, 0), "C") is not None
         assert store.stats()["bytes"] <= 400
@@ -83,13 +85,13 @@ class TestResultStore:
 
     def test_oversized_entry_rejected(self):
         store = ResultStore(budget_bytes=100)
-        assert store.put("s", (1, 0), "A", {"blob": "x" * 500}) is False
+        assert store.put("s", (1, 0), "A", encode({"blob": "x" * 500})) is False
         assert store.stats()["entries"] == 0
 
     def test_drop_session(self):
         store = ResultStore()
-        store.put_pass("s1", (1, 0), {"A": {}})
-        store.put_pass("s2", (1, 0), {"A": {}})
+        store.put_pass("s1", (1, 0), {"A": encode({})})
+        store.put_pass("s2", (1, 0), {"A": encode({})})
         assert store.drop_session("s1") == 2  # entry + manifest
         assert store.get_pass("s1", (1, 0)) is None
         assert store.get_pass("s2", (1, 0)) is not None
@@ -119,7 +121,7 @@ class TestSession:
         config.precompute = False  # manual control
         session = manager.create(make_frame())
         v0 = session.version
-        manager.store.put_pass(session.id, v0, {"A": {"count": 1}})
+        manager.store.put_pass(session.id, v0, {"A": encode({"count": 1})})
         assert session.recommendations(compute=False) is not None
         session.frame["derived"] = session.frame["q0"]
         # Old entry still in the store but unreachable at the new version.

@@ -72,31 +72,32 @@ def live_bytes(store: ResultStore) -> int:
 class TestStoreBytes:
     def test_entries_are_wire_bytes(self):
         store = ResultStore()
-        payload = {"count": 1, "specs": [{"score": 0.5, "title": "x"}]}
-        store.put("s", (1, 0), "A", payload)
-        stored = store.get("s", (1, 0), "A")["payload"]
-        assert isinstance(stored, bytes)
-        assert stored == json.dumps(payload).encode("utf-8")
+        blob = wire.encode({"count": 1, "specs": [{"score": 0.5, "title": "x"}]})
+        store.put("s", (1, 0), "A", blob)
+        # The store keeps the bytes it was handed; it encodes nothing.
+        assert store.get("s", (1, 0), "A")["payload"] is blob
 
     def test_stats_bytes_equal_live_entry_lengths(self):
         store = ResultStore()
-        store.put_pass("s", (1, 0), {"A": {"n": 1}, "B": {"blob": "x" * 50}})
-        store.put_pass("s", (2, 0), {"A": {"n": 2}}, manifest=["A", "B"])
+        store.put_pass(
+            "s", (1, 0), {"A": wire.encode({"n": 1}), "B": wire.encode({"blob": "x" * 50})}
+        )
+        store.put_pass("s", (2, 0), {"A": wire.encode({"n": 2})}, manifest=["A", "B"])
         assert store.stats()["bytes"] == live_bytes(store)
         store.drop_session("s")
         assert store.stats()["bytes"] == live_bytes(store) == 0
 
     def test_budget_rejects_on_byte_length(self):
-        payload = {"blob": "x" * 100}
-        size = len(wire.encode(payload))
+        payload = wire.encode({"blob": "x" * 100})
+        size = len(payload)
         assert ResultStore(budget_bytes=size - 1).put("s", (1, 0), "A", payload) is False
         store = ResultStore(budget_bytes=size)
         assert store.put("s", (1, 0), "A", payload) is True
         assert store.stats()["bytes"] == size
 
     def test_eviction_keeps_bytes_within_budget(self):
-        payloads = {name: {"blob": name * 90} for name in "ABC"}
-        size = len(wire.encode(payloads["A"]))
+        payloads = {name: wire.encode({"blob": name * 90}) for name in "ABC"}
+        size = len(payloads["A"])
         store = ResultStore(budget_bytes=2 * size)
         for name, payload in payloads.items():
             store.put("s", (1, 0), name, payload)
@@ -138,6 +139,25 @@ class TestSessionView:
                 assert one["actions"]["Distribution"] == response["actions"]["Distribution"]
             finally:
                 manager.shutdown()
+
+    def test_foreground_pass_is_decoded_once(self, monkeypatch):
+        """A foreground pass stores bytes only: the first in-process read
+        decodes them into the view, later reads are lookups."""
+        manager = SessionManager()
+        try:
+            session = manager.create(
+                make_scenario("skewed", n_rows=120), overrides={"precompute": False}
+            )
+            raw = session.recommendations(raw=True)
+            assert raw["provenance"]["origin"] == "foreground"
+            assert session._view is None  # the wire read decoded nothing
+            first = session.recommendations()["actions"]
+            assert first == {k: json.loads(v) for k, v in raw["actions"].items()}
+            with monkeypatch.context() as patch:
+                _forbid_loads(patch)
+                assert session.recommendations()["actions"] == first
+        finally:
+            manager.shutdown()
 
     def test_view_mismatch_decodes_from_store(self):
         with config_overlay(precompute_debounce_s=0.0):

@@ -1,11 +1,13 @@
-"""Golden test: ``spec_payload`` sanitizes inline data in one pass.
+"""The vega-lite writer: bytes written straight from a spec's columns.
 
-``to_vegalite`` sanitizes every ``data.values`` cell while it builds the
-rows, so ``spec_payload`` deep-walks only the rest of the spec.  The wire
-bytes must equal those of the full second walk over the whole spec, on the
-service benchmark's frame shapes (6 measures x 3 dimensions; 500 rows
-under each intent of a steering cycle, and 2k rows without intent) and on
-every synthetic load scenario.
+``spec_payload`` writes each spec's payload without building row dicts.
+Its bytes must be exactly ``json.dumps`` of the values they decode to (the
+wire splices them into responses as such), and ``to_vegalite`` must be the
+decoded vega-lite part.  This holds on the service benchmark's frame
+shapes (6 measures x 3 dimensions; 500 rows under each intent of a
+steering cycle, and 2k rows without intent) and on every synthetic load
+scenario.  Cell-level cases (numpy types, missing and non-finite values,
+dates, filter literals) are pinned below.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ import pytest
 
 from repro import LuxDataFrame, config_overlay
 from repro.data.synthetic import SCENARIOS, make_scenario
-from repro.vis import Encoding, VisSpec
-from repro.vis.vegalite import json_safe, spec_payload, to_vegalite
+from repro.dataframe import Column
+from repro.dataframe.dtypes import INT64
+from repro.vis import ColumnTable, Encoding, VisSpec
+from repro.vis.vegalite import spec_payload, to_vegalite
 
 INTENTS = [["q0"], ["d0"], ["q1", "d1"], ["q2", "q3"], []]
 
@@ -31,22 +35,26 @@ def measure_frame(rows: int) -> LuxDataFrame:
     return LuxDataFrame(columns)
 
 
-def double_walk(spec: VisSpec, score: float | None) -> dict:
-    """The payload with the whole vega-lite spec deep-sanitized again."""
-    payload = spec_payload(spec, score)
-    payload["vegalite"] = json_safe(to_vegalite(spec))
-    return payload
+def strict_loads(text: "bytes | str") -> object:
+    """``json.loads`` that rejects ``NaN`` and ``Infinity`` (RFC 8259)."""
+
+    def reject(name: str) -> None:
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
-def assert_single_walk_identical(frame: LuxDataFrame) -> int:
+def assert_canonical_payloads(frame: LuxDataFrame) -> int:
     checked = 0
     with config_overlay(streaming=False):
         for _, vislist in frame.recommendations.items():
             for vis in vislist:
                 if vis.spec is None:
                     continue
-                got = json.dumps(spec_payload(vis.spec, vis.score))
-                assert got == json.dumps(double_walk(vis.spec, vis.score)), vis.spec.title
+                blob = spec_payload(vis.spec, vis.score)
+                decoded = strict_loads(blob)
+                assert blob == json.dumps(decoded).encode("utf-8"), vis.spec.title
+                assert to_vegalite(vis.spec) == decoded["vegalite"]
                 checked += 1
     return checked
 
@@ -56,26 +64,85 @@ def test_steering_cycle_shape(intent):
     frame = measure_frame(500)
     if intent:
         frame.intent = intent
-    assert assert_single_walk_identical(frame) > 0
+    assert assert_canonical_payloads(frame) > 0
 
 
 def test_incremental_shape():
-    assert assert_single_walk_identical(measure_frame(2_000)) > 0
+    assert assert_canonical_payloads(measure_frame(2_000)) > 0
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_load_scenarios(scenario):
-    assert assert_single_walk_identical(make_scenario(scenario, n_rows=300)) > 0
+    assert assert_canonical_payloads(make_scenario(scenario, n_rows=300)) > 0
 
 
-def test_numpy_cells_become_plain_json():
-    spec = VisSpec(
+def values_json(spec: VisSpec) -> str:
+    return json.dumps(strict_loads(spec_payload(spec))["vegalite"]["data"]["values"])
+
+
+def count_bar() -> VisSpec:
+    return VisSpec(
         "bar",
         [Encoding("x", "flag", "nominal"), Encoding("y", "", "quantitative", aggregate="count")],
     )
-    spec.data = [
-        {"flag": np.bool_(True), "count": np.int64(3)},
-        {"flag": np.bool_(False), "count": np.float64("nan")},
+
+
+def test_numpy_cells_become_plain_json():
+    spec = count_bar()
+    spec.data = ColumnTable(
+        {
+            "flag": Column.from_data(np.array([True, False])),
+            "count": Column(np.array([3, 0]), np.array([False, True]), INT64),
+        }
+    )
+    assert values_json(spec) == '[{"flag": true, "count": 3}, {"flag": false, "count": null}]'
+
+
+def test_non_finite_floats_are_null():
+    spec = VisSpec("point", [Encoding("x", "A", "quantitative")])
+    spec.data = ColumnTable({"A": Column.from_data(np.array([1.5, np.inf, -np.inf, np.nan]))})
+    blob = spec_payload(spec, score=float("inf"))
+    assert b"Infinity" not in blob and b"NaN" not in blob
+    payload = strict_loads(blob)
+    assert payload["score"] is None
+    assert payload["vegalite"]["data"]["values"] == [
+        {"A": 1.5}, {"A": None}, {"A": None}, {"A": None},
     ]
-    values = spec_payload(spec)["vegalite"]["data"]["values"]
-    assert json.dumps(values) == '[{"flag": true, "count": 3}, {"flag": false, "count": null}]'
+
+
+def test_text_and_dates_are_json_strings():
+    spec = VisSpec("line", [Encoding("x", "t", "temporal"), Encoding("y", "v", "quantitative")])
+    spec.data = ColumnTable.from_records(
+        [
+            {"t": np.datetime64("2020-01-02T03:04:05.9"), "v": 1},
+            {"t": None, "v": 2},
+        ]
+    )
+    assert values_json(spec) == '[{"t": "2020-01-02T03:04:05", "v": 1}, {"t": null, "v": 2}]'
+    spec = VisSpec("bar", [Encoding("x", "100% \"q\"", "nominal")])
+    spec.data = ColumnTable.from_records([{'100% "q"': "café\n"}, {'100% "q"': None}])
+    assert values_json(spec) == '[{"100% \\"q\\"": "caf\\u00e9\\n"}, {"100% \\"q\\"": null}]'
+
+
+def test_rows_are_the_tables_records():
+    table = ColumnTable.from_records([{"a": 1, "b": "x"}, {"a": None, "b": "y"}])
+    assert list(table) == [{"a": 1, "b": "x"}, {"a": None, "b": "y"}]
+    assert table[1] == {"a": None, "b": "y"} and len(table) == 2
+    # A repeated name keeps its first position and its last column.
+    twice = ColumnTable([("a", table.columns["a"]), ("b", table.columns["b"]),
+                         ("a", table.columns["b"])])
+    assert list(twice) == [{"a": "x", "b": "x"}, {"a": "y", "b": "y"}]
+
+
+def filter_expr(filters: list) -> str:
+    spec = VisSpec("point", [Encoding("x", "A", "quantitative")], filters=filters)
+    return to_vegalite(spec)["transform"][0]["filter"]
+
+
+def test_filter_literals_escape_quotes_and_backslashes():
+    assert filter_expr([("name", "=", "O'Brien")]) == "datum['name'] == 'O\\'Brien'"
+    assert filter_expr([("path", "!=", "a\\b")]) == "datum['path'] != 'a\\\\b'"
+    assert filter_expr([("it's", "=", "x")]) == "datum['it\\'s'] == 'x'"
+    # Values with neither character are written as before.
+    assert filter_expr([("Dept", "=", "Sales")]) == "datum['Dept'] == 'Sales'"
+    assert filter_expr([("Age", ">", 30)]) == "datum['Age'] > 30"

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from repro import LuxDataFrame
 from repro.vis import (
+    ColumnTable,
     Encoding,
     VisSpec,
     infer_mark,
@@ -131,7 +134,7 @@ class TestVisSpec:
     def test_repr_state(self):
         s = self._scatter()
         assert "unprocessed" in repr(s)
-        s.data = []
+        s.data = ColumnTable()
         assert "processed" in repr(s)
 
 
@@ -153,7 +156,7 @@ class TestVegaLite:
         import numpy as np
 
         s = VisSpec("point", [Encoding("x", "A", "quantitative")])
-        s.data = [{"A": np.float64(1.5)}, {"A": np.float64("nan")}]
+        s.data = ColumnTable.from_records([{"A": np.float64(1.5)}, {"A": np.float64("nan")}])
         d = to_vegalite(s)
         assert d["data"]["values"][0]["A"] == 1.5
         assert d["data"]["values"][1]["A"] is None
@@ -181,7 +184,7 @@ class TestAsciiRenderer:
 
     def test_empty_data(self):
         s = VisSpec("point", [Encoding("x", "A", "quantitative")])
-        s.data = []
+        s.data = ColumnTable()
         assert "no data" in s.to_ascii()
 
     def test_bar_renders_bars(self):
@@ -192,7 +195,9 @@ class TestAsciiRenderer:
                 Encoding("x", "Age", "quantitative", aggregate="mean"),
             ],
         )
-        s.data = [{"Dept": "a", "Age": 10.0}, {"Dept": "b", "Age": 20.0}]
+        s.data = ColumnTable.from_records(
+            [{"Dept": "a", "Age": 10.0}, {"Dept": "b", "Age": 20.0}]
+        )
         out = s.to_ascii()
         assert "█" in out
         assert "a" in out and "b" in out
@@ -205,7 +210,7 @@ class TestAsciiRenderer:
                 Encoding("y", "", "quantitative", aggregate="count"),
             ],
         )
-        s.data = [{"Age": 10.0, "count": 5}, {"Age": 20.0, "count": 2}]
+        s.data = ColumnTable.from_records([{"Age": 10.0, "count": 5}, {"Age": 20.0, "count": 2}])
         assert "█" in s.to_ascii()
 
     def test_scatter_renders_grid(self):
@@ -216,7 +221,7 @@ class TestAsciiRenderer:
                 Encoding("y", "B", "quantitative"),
             ],
         )
-        s.data = [{"A": float(i), "B": float(i)} for i in range(10)]
+        s.data = ColumnTable.from_records([{"A": float(i), "B": float(i)} for i in range(10)])
         out = s.to_ascii()
         assert "•" in out
         assert "x: [" in out
@@ -230,10 +235,10 @@ class TestAsciiRenderer:
                 Encoding("color", "", "quantitative", aggregate="count"),
             ],
         )
-        s.data = [
+        s.data = ColumnTable.from_records([
             {"A": "p", "B": "q", "count": 9},
             {"A": "r", "B": "q", "count": 1},
-        ]
+        ])
         out = s.to_ascii()
         assert "█" in out
 
@@ -245,7 +250,9 @@ class TestAsciiRenderer:
                 Encoding("y", "v", "quantitative", aggregate="mean"),
             ],
         )
-        s.data = [{"t": "2020-01", "v": 1.0}, {"t": "2020-02", "v": 3.0}]
+        s.data = ColumnTable.from_records(
+            [{"t": "2020-01", "v": 1.0}, {"t": "2020-02", "v": 3.0}]
+        )
         assert "*" in s.to_ascii()
 
 
@@ -307,7 +314,7 @@ class TestCodeExport:
 class TestHtmlWidget:
     def test_widget_structure(self):
         s = VisSpec("point", [Encoding("x", "A", "quantitative")])
-        s.data = [{"A": 1.0}]
+        s.data = ColumnTable.from_records([{"A": 1.0}])
         html = render_widget(
             {"Correlation": [s]},
             table_records=[{"A": 1.0}],
@@ -320,10 +327,44 @@ class TestHtmlWidget:
 
     def test_widget_escapes_html(self):
         s = VisSpec("point", [Encoding("x", "A", "quantitative")])
-        s.data = []
+        s.data = ColumnTable()
         html = render_widget(
             {"T": [s]},
             table_records=[{"A": "<script>alert(1)</script>"}],
             table_columns=["A"],
         )
         assert "<script>alert(1)</script>" not in html
+
+
+class TestExportedScripts:
+    """A data value cannot close the ``<script>`` block the specs sit in."""
+
+    EVIL = "</script><script>alert(1)</script>"
+
+    @staticmethod
+    def export(label: str, kind: str, path) -> tuple[str, list]:
+        frame = LuxDataFrame({"cat": [label, "b", "c"] * 20, "q": np.arange(60.0)})
+        recs = frame.recommendations
+        if kind == "widget":
+            frame.save_as_html(str(path))
+            charts = [spec for name in recs.keys() for spec in recs[name].specs()]
+        else:
+            frame.to_report(str(path))
+            charts = [
+                vis.spec
+                for name in recs.keys()
+                for vis in list(recs[name])[:4]
+                if vis.spec is not None
+            ]
+        return path.read_text(encoding="utf-8"), [to_vegalite(c) for c in charts]
+
+    @pytest.mark.parametrize("kind", ["widget", "report"])
+    def test_values_stay_inside_the_script_block(self, kind, tmp_path):
+        clean, _ = self.export("a", kind, tmp_path / "clean.html")
+        html, expected = self.export(self.EVIL, kind, tmp_path / "evil.html")
+        for tag in ("<script", "</script>"):
+            assert html.count(tag) == clean.count(tag)
+        embedded = html.split("const SPECS = ", 1)[1].split(";\n", 1)[0]
+        specs = list(json.loads(embedded).values())
+        assert specs == expected
+        assert self.EVIL in json.dumps(specs)
