@@ -6,7 +6,7 @@ of these: an ordered map from chart field name to a
 mask), in the order the chart's fields appear.  Scoring reads the arrays,
 and the vega-lite writer (:mod:`repro.vis.vegalite`) encodes them column
 by column.  Row dicts are built only when something iterates the table
-(the ASCII renderer, code export, tests); each row is exactly what
+(the ASCII renderer, ``Vis.data`` users, tests); each row is exactly what
 ``DataFrame.to_records`` would give for the same columns.
 
 Names follow dict semantics: a name given twice keeps its first position
@@ -49,12 +49,6 @@ class ColumnTable:
         cells = list(zip(*rows)) if rows else [()] * len(names)
         return cls(zip(names, (Column.from_data(list(c)) for c in cells)))
 
-    @classmethod
-    def from_records(cls, records: Sequence[Mapping[str, Any]]) -> "ColumnTable":
-        """Columns inferred from row dicts; a key a row lacks is missing there."""
-        names = list(dict.fromkeys(name for row in records for name in row))
-        return cls.from_rows(names, [tuple(row.get(n) for n in names) for row in records])
-
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._rows
@@ -63,9 +57,6 @@ class ColumnTable:
         names = list(self.columns)
         cells = [col.to_list() for col in self.columns.values()]
         return (dict(zip(names, row)) for row in zip(*cells))
-
-    def __getitem__(self, i: int) -> dict[str, Any]:
-        return {name: col[i] for name, col in self.columns.items()}
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (ColumnTable, list)):

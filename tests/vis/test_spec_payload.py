@@ -19,7 +19,7 @@ import pytest
 
 from repro import LuxDataFrame, config_overlay
 from repro.data.synthetic import SCENARIOS, make_scenario
-from repro.dataframe import Column
+from repro.dataframe import Column, DataFrame
 from repro.dataframe.dtypes import INT64
 from repro.vis import ColumnTable, Encoding, VisSpec
 from repro.vis.vegalite import spec_payload, to_vegalite
@@ -76,6 +76,11 @@ def test_load_scenarios(scenario):
     assert assert_canonical_payloads(make_scenario(scenario, n_rows=300)) > 0
 
 
+def rows(records: list) -> ColumnTable:
+    """A table of the row dicts' columns, as a frame would type them."""
+    return ColumnTable.from_frame(DataFrame(records))
+
+
 def values_json(spec: VisSpec) -> str:
     return json.dumps(strict_loads(spec_payload(spec))["vegalite"]["data"]["values"])
 
@@ -112,22 +117,16 @@ def test_non_finite_floats_are_null():
 
 def test_text_and_dates_are_json_strings():
     spec = VisSpec("line", [Encoding("x", "t", "temporal"), Encoding("y", "v", "quantitative")])
-    spec.data = ColumnTable.from_records(
-        [
-            {"t": np.datetime64("2020-01-02T03:04:05.9"), "v": 1},
-            {"t": None, "v": 2},
-        ]
-    )
+    spec.data = rows([{"t": np.datetime64("2020-01-02T03:04:05.9"), "v": 1}, {"t": None, "v": 2}])
     assert values_json(spec) == '[{"t": "2020-01-02T03:04:05", "v": 1}, {"t": null, "v": 2}]'
     spec = VisSpec("bar", [Encoding("x", "100% \"q\"", "nominal")])
-    spec.data = ColumnTable.from_records([{'100% "q"': "café\n"}, {'100% "q"': None}])
+    spec.data = rows([{'100% "q"': "café\n"}, {'100% "q"': None}])
     assert values_json(spec) == '[{"100% \\"q\\"": "caf\\u00e9\\n"}, {"100% \\"q\\"": null}]'
 
 
 def test_rows_are_the_tables_records():
-    table = ColumnTable.from_records([{"a": 1, "b": "x"}, {"a": None, "b": "y"}])
-    assert list(table) == [{"a": 1, "b": "x"}, {"a": None, "b": "y"}]
-    assert table[1] == {"a": None, "b": "y"} and len(table) == 2
+    table = rows([{"a": 1, "b": "x"}, {"a": None, "b": "y"}])
+    assert list(table) == [{"a": 1, "b": "x"}, {"a": None, "b": "y"}] and len(table) == 2
     # A repeated name keeps its first position and its last column.
     twice = ColumnTable([("a", table.columns["a"]), ("b", table.columns["b"]),
                          ("a", table.columns["b"])])

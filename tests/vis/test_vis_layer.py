@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import LuxDataFrame
+from repro.dataframe import DataFrame
 from repro.vis import (
     ColumnTable,
     Encoding,
@@ -18,6 +19,11 @@ from repro.vis import (
     to_matplotlib_code,
     to_vegalite,
 )
+
+
+def rows(records: list) -> ColumnTable:
+    """A table of the row dicts' columns, as a frame would type them."""
+    return ColumnTable.from_frame(DataFrame(records))
 
 
 class TestEncoding:
@@ -156,7 +162,7 @@ class TestVegaLite:
         import numpy as np
 
         s = VisSpec("point", [Encoding("x", "A", "quantitative")])
-        s.data = ColumnTable.from_records([{"A": np.float64(1.5)}, {"A": np.float64("nan")}])
+        s.data = rows([{"A": np.float64(1.5)}, {"A": np.float64("nan")}])
         d = to_vegalite(s)
         assert d["data"]["values"][0]["A"] == 1.5
         assert d["data"]["values"][1]["A"] is None
@@ -195,7 +201,7 @@ class TestAsciiRenderer:
                 Encoding("x", "Age", "quantitative", aggregate="mean"),
             ],
         )
-        s.data = ColumnTable.from_records(
+        s.data = rows(
             [{"Dept": "a", "Age": 10.0}, {"Dept": "b", "Age": 20.0}]
         )
         out = s.to_ascii()
@@ -210,7 +216,7 @@ class TestAsciiRenderer:
                 Encoding("y", "", "quantitative", aggregate="count"),
             ],
         )
-        s.data = ColumnTable.from_records([{"Age": 10.0, "count": 5}, {"Age": 20.0, "count": 2}])
+        s.data = rows([{"Age": 10.0, "count": 5}, {"Age": 20.0, "count": 2}])
         assert "█" in s.to_ascii()
 
     def test_scatter_renders_grid(self):
@@ -221,7 +227,7 @@ class TestAsciiRenderer:
                 Encoding("y", "B", "quantitative"),
             ],
         )
-        s.data = ColumnTable.from_records([{"A": float(i), "B": float(i)} for i in range(10)])
+        s.data = rows([{"A": float(i), "B": float(i)} for i in range(10)])
         out = s.to_ascii()
         assert "•" in out
         assert "x: [" in out
@@ -235,7 +241,7 @@ class TestAsciiRenderer:
                 Encoding("color", "", "quantitative", aggregate="count"),
             ],
         )
-        s.data = ColumnTable.from_records([
+        s.data = rows([
             {"A": "p", "B": "q", "count": 9},
             {"A": "r", "B": "q", "count": 1},
         ])
@@ -250,7 +256,7 @@ class TestAsciiRenderer:
                 Encoding("y", "v", "quantitative", aggregate="mean"),
             ],
         )
-        s.data = ColumnTable.from_records(
+        s.data = rows(
             [{"t": "2020-01", "v": 1.0}, {"t": "2020-02", "v": 3.0}]
         )
         assert "*" in s.to_ascii()
@@ -314,7 +320,7 @@ class TestCodeExport:
 class TestHtmlWidget:
     def test_widget_structure(self):
         s = VisSpec("point", [Encoding("x", "A", "quantitative")])
-        s.data = ColumnTable.from_records([{"A": 1.0}])
+        s.data = rows([{"A": 1.0}])
         html = render_widget(
             {"Correlation": [s]},
             table_records=[{"A": 1.0}],
