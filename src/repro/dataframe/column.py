@@ -288,21 +288,18 @@ class Column:
         return sorted(counts.items(), key=lambda kv: -kv[1])
 
     def factorize(self) -> tuple[np.ndarray, list[Any]]:
-        """Encode values as integer codes (missing = -1) plus unique labels."""
+        """Encode values as integer codes (missing = -1) plus unique labels.
+
+        Labels are Python scalars (``numpy.datetime64`` for datetimes) in
+        first-appearance order.
+        """
         labels: dict[Any, int] = {}
-        codes = np.empty(len(self), dtype=np.int64)
-        for i in range(len(self)):
-            if self.mask[i]:
-                codes[i] = -1
-                continue
-            v = self.values[i]
-            key = v.item() if hasattr(v, "item") and self.dtype is not DATETIME else v
-            code = labels.get(key)
-            if code is None:
-                code = len(labels)
-                labels[key] = code
-            codes[i] = code
-        return codes, list(labels.keys())
+        ok = ~self.mask
+        valid = self.values[ok]
+        keys = list(valid) if self.dtype is DATETIME else valid.tolist()
+        codes = np.full(len(self), -1, dtype=np.int64)
+        codes[ok] = [labels.setdefault(key, len(labels)) for key in keys]
+        return codes, list(labels)
 
     # ------------------------------------------------------------------
     # Elementwise ops

@@ -131,9 +131,9 @@ def infer_dtype(values: Iterable[Any]) -> DType:
 
     Missing markers (``None`` and float NaN) are ignored during inference.
     Mixed numeric types promote to float; anything non-numeric falls back to
-    string.
+    string, so the first such value decides.
     """
-    saw_float = saw_int = saw_bool = saw_dt = saw_str = False
+    saw_float = saw_int = saw_bool = saw_dt = False
     for v in values:
         if v is None:
             continue
@@ -151,9 +151,7 @@ def infer_dtype(values: Iterable[Any]) -> DType:
         elif isinstance(v, _DATETIME_TYPES):
             saw_dt = True
         else:
-            saw_str = True
-    if saw_str:
-        return STRING
+            return STRING
     if saw_dt and not (saw_float or saw_int or saw_bool):
         return DATETIME
     if saw_dt:

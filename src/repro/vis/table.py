@@ -5,9 +5,9 @@ of these: an ordered map from chart field name to a
 :class:`~repro.dataframe.column.Column` (numpy values plus a missing-value
 mask), in the order the chart's fields appear.  Scoring reads the arrays,
 and the vega-lite writer (:mod:`repro.vis.vegalite`) encodes them column
-by column.  Row dicts are built only when something iterates the table
-(the ASCII renderer, ``Vis.data`` users, tests); each row is exactly what
-``DataFrame.to_records`` would give for the same columns.
+by column.  Row dicts are built only when something iterates or indexes
+the table (the ASCII renderer, ``Vis.data`` users, tests); each row is
+exactly what ``DataFrame.to_records`` would give for the same columns.
 
 Names follow dict semantics: a name given twice keeps its first position
 and its last column, just as a repeated key in a row-dict literal does.
@@ -57,6 +57,9 @@ class ColumnTable:
         names = list(self.columns)
         cells = [col.to_list() for col in self.columns.values()]
         return (dict(zip(names, row)) for row in zip(*cells))
+
+    def __getitem__(self, i: int) -> dict[str, Any]:
+        return {name: col[i] for name, col in self.columns.items()}
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (ColumnTable, list)):

@@ -127,6 +127,7 @@ def test_text_and_dates_are_json_strings():
 def test_rows_are_the_tables_records():
     table = rows([{"a": 1, "b": "x"}, {"a": None, "b": "y"}])
     assert list(table) == [{"a": 1, "b": "x"}, {"a": None, "b": "y"}] and len(table) == 2
+    assert table[1] == {"a": None, "b": "y"}
     # A repeated name keeps its first position and its last column.
     twice = ColumnTable([("a", table.columns["a"]), ("b", table.columns["b"]),
                          ("a", table.columns["b"])])
