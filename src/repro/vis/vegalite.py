@@ -133,6 +133,8 @@ def _values_json(table: ColumnTable) -> str:
 def _tokens(col: Column) -> list[str]:
     """Each cell as a JSON token; missing and non-finite cells are ``null``."""
     values, missing, kind = col.values, col.mask, col.dtype
+    if kind is not DATETIME:  # the storage the dtype promises, as Column.to_list reads it
+        values = values.astype(kind.numpy_dtype, copy=False)
     if kind is FLOAT64:
         missing = missing | ~np.isfinite(values)
     gaps = bool(missing.any())
