@@ -56,7 +56,8 @@ A completed pass lands in the :class:`~repro.service.store.ResultStore`
 keyed on the version it computed — *only* if that version is still
 current, so the store can never be populated with results for data that
 no longer exists.  Each missed spec is written to its JSON wire bytes
-once, by the vega-lite writer, and each action's bytes are joined from
+once, by the vega-lite writer (a column several missed specs show is
+formatted once for all of them), and each action's bytes are joined from
 its specs' bytes.  Publishing decodes the new spec bytes for the
 session's view of the pass
 (:meth:`~repro.service.session.Session.publish_view`); the view, the
@@ -116,8 +117,7 @@ from ..core.optimizer.scheduler import (
     schedule_actions,
 )
 from ..dataframe import observe
-from .session import encode_vislist
-from .wire import encode_action
+from .session import encode_pass
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.actions.base import Action
@@ -664,9 +664,10 @@ class PrecomputeEngine:
                         done={n: r.vislist for n, r in hits.items()} or None,
                     )
                     fresh = {
-                        name: encode_vislist(recs[name], priors.get(name))
-                        for name in recs.keys()
-                        if name not in hits
+                        name: written
+                        for name, *written in encode_pass(
+                            recs, [name for name in recs.keys() if name not in hits], priors
+                        )
                     }
                     _observe_phase("actions", time.perf_counter() - phase_t0)
             except PassCancelled:
@@ -715,26 +716,25 @@ class PrecomputeEngine:
         hits: "dict[str, _ActionResult]",
         priors: "dict[str, dict[str, _Candidate]]",
         records: "dict[str, dict]",
-        fresh: "dict[str, tuple[list[Any], list[Any]]]",
+        fresh: "dict[str, tuple[bytes, list[memoryview], list[Any]]]",
     ) -> None:
         """Land one completed pass: store, view, memo and table.
 
-        ``fresh`` holds each executed action's spec bytes and the table
-        candidate each was reused from (see
-        :func:`~repro.service.session.encode_vislist`).  The action's
-        bytes are joined from them, and its view dict is built from the
-        reused specs' dicts plus the decoded new spec bytes.
+        ``fresh`` holds each executed action's bytes, each spec's slice of
+        them and the table candidate each spec was reused from (see
+        :func:`~repro.service.session.encode_pass`).  The action's view
+        dict is built from the reused specs' dicts plus the decoded new
+        spec bytes.
         """
         now = time.time()
         table: dict[str, _ActionResult] = {}
         blobs: dict[str, bytes] = {}
         views: dict[str, Any] = {}
         vis_origins: dict[str, dict[str, str]] = {}
-        for name, (wires, reused) in fresh.items():
-            blobs[name], slices = encode_action(len(recs[name]), wires)
+        for name, (blobs[name], slices, reused) in fresh.items():
             specs = [
-                json.loads(wire) if prior is None else prior.payload
-                for wire, prior in zip(wires, reused)
+                json.loads(bytes(view)) if prior is None else prior.payload
+                for view, prior in zip(slices, reused)
             ]
             payload = views[name] = {"count": len(recs[name]), "specs": specs}
             if any(prior is not None for prior in reused):

@@ -12,13 +12,16 @@ Reads go store-first: :meth:`Session.recommendations` returns straight
 from the :class:`~repro.service.store.ResultStore` when the background
 precompute engine already ran a pass at the current version (a dictionary
 lookup — zero executor work), and falls back to a synchronous foreground
-pass that back-fills the store otherwise.
+pass that back-fills the store otherwise.  A pass the store cannot hold
+(its byte budget) is answered from the bytes that pass wrote.
 
-Both passes produce bytes, never payload dicts: each displayed spec is
-written by the vega-lite writer (:func:`~repro.vis.vegalite.spec_payload`)
-straight from its column table, and each action's bytes are joined from
-its specs' bytes (:func:`~repro.service.wire.encode_action`).  Wire readers
-take the stored bytes as they are (``raw=True``).  In-process readers get
+Both passes produce bytes, never payload dicts (:func:`encode_pass`):
+each displayed spec is written by the vega-lite writer
+(:func:`~repro.vis.vegalite.spec_payload`) straight from its column
+table, a column several specs of the pass show is formatted once, and
+each action's bytes are joined from its specs' bytes
+(:func:`~repro.service.wire.encode_action`).  Wire readers take the
+stored bytes as they are (``raw=True``).  In-process readers get
 dicts from the session's *view*: the engine publishes the decoded payloads
 of each pass it stores, and a read at a version with no view decodes the
 stored bytes once (``json.loads``) and keeps them as the view.
@@ -34,7 +37,7 @@ import threading
 import time
 import uuid
 import warnings
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
 from ..core import telemetry
 from ..core.config import config, thread_overlay
@@ -42,7 +45,7 @@ from ..core.errors import LuxWarning
 from ..core.frame import LuxDataFrame
 from ..dataframe import DataFrame
 from ..vis.spec import candidate_key
-from ..vis.vegalite import spec_payload
+from ..vis.vegalite import SharedColumns, spec_payload
 from .persist import read_results
 from .provenance import envelope
 from .store import MANIFEST
@@ -56,46 +59,62 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "Session",
     "SessionManager",
+    "encode_pass",
     "encode_recommendations",
-    "encode_vislist",
     "serialize_recommendations",
 ]
 
 
-def encode_vislist(
-    vislist: Any, known: "Mapping[str, Any] | None" = None
-) -> "tuple[list[Any], list[Any]]":
-    """``(wires, reused)``: each displayed vis's JSON bytes, and its source.
+def encode_pass(
+    recs: Any,
+    names: Iterable[str],
+    known: "Mapping[str, Mapping[str, Any]] | None" = None,
+) -> "Iterator[tuple[str, bytes, list[memoryview], list[Any]]]":
+    """``(action, bytes, spec slices, reused)`` for the named actions of a pass.
 
     Shared by the foreground read path and the precompute engine so a
     store entry is byte-identical no matter which path produced it.
-    ``known`` maps vis keys to candidate results of the engine's previous
-    pass: a displayed Vis that is the very object a candidate holds keeps
-    that candidate's stored bytes, and ``reused`` names the candidate.
-    Every other vis is written by :func:`spec_payload`, and ``reused``
-    holds None for it.
+    ``known`` maps action names to vis keys to candidate results of the
+    engine's previous pass: a displayed Vis that is the very object a
+    candidate holds keeps that candidate's stored bytes, and ``reused``
+    names the candidate.  Every other vis is written by
+    :func:`spec_payload`, and ``reused`` holds None for it.  The columns
+    of the specs to write are counted before the first is written
+    (:class:`~repro.vis.vegalite.SharedColumns`), so a column several of
+    them show is formatted once.  Each action is written and joined
+    (:func:`~repro.service.wire.encode_action`) when the iteration
+    reaches it.
     """
-    wires: list[Any] = []
-    reused: list[Any] = []
-    for vis in vislist:
-        if vis.spec is None:
-            continue
-        candidate = known.get(candidate_key(vis.spec)) if known else None
-        if candidate is not None and candidate.vis is vis:
-            wires.append(candidate.wire)
-            reused.append(candidate)
-        else:
-            wires.append(spec_payload(vis.spec, vis.score))
-            reused.append(None)
-    return wires, reused
+    shown = {name: [vis for vis in recs[name] if vis.spec is not None] for name in names}
+    reused = {
+        name: [_reused(vis, known.get(name) if known else None) for vis in visible]
+        for name, visible in shown.items()
+    }
+    shared = SharedColumns(
+        vis.spec
+        for name, visible in shown.items()
+        for vis, prior in zip(visible, reused[name])
+        if prior is None
+    )
+    for name, visible in shown.items():
+        # A generator, so no local holds this action's spec bytes while
+        # the next action is written.
+        wires = (
+            spec_payload(vis.spec, vis.score, shared) if prior is None else prior.wire
+            for vis, prior in zip(visible, reused[name])
+        )
+        yield (name, *encode_action(len(recs[name]), list(wires)), reused[name])
+
+
+def _reused(vis: Any, known: "Mapping[str, Any] | None") -> Any:
+    """The previous pass's candidate result that holds this very Vis, or None."""
+    candidate = known.get(candidate_key(vis.spec)) if known else None
+    return candidate if candidate is not None and candidate.vis is vis else None
 
 
 def encode_recommendations(recs: Any) -> dict[str, bytes]:
     """RecommendationSet -> each action's JSON wire bytes."""
-    return {
-        name: encode_action(len(recs[name]), encode_vislist(recs[name])[0])[0]
-        for name in recs.keys()
-    }
+    return {name: blob for name, blob, _, _ in encode_pass(recs, recs.keys())}
 
 
 def serialize_recommendations(recs: Any) -> dict[str, Any]:
@@ -254,20 +273,19 @@ class Session:
             return stored
         if not compute:
             return None
-        self._compute_foreground(version)
-        stored = self._read_store(self.version, action, raw)
+        version, payloads = self._compute_foreground(version)
+        stored = self._read_store(version, action, raw)
         if stored is not None:
             return stored
-        # Store rejected the payload (budget) or the frame mutated while
-        # computing: respond from the freshly memoized pass directly.
-        payloads = encode_recommendations(self.frame.recommendations)
+        # The store could not hold the pass (budget), or the frame moved
+        # before the pass took the lock: respond from the pass's bytes.
         if action is not None:
             if action not in payloads:
                 raise KeyError(f"no such action: {action!r}")
             payloads = {action: payloads[action]}
         if not raw:
             payloads = {name: json.loads(blob) for name, blob in payloads.items()}
-        return self._respond(self.version, payloads, origin="foreground")
+        return self._respond(version, payloads, origin="foreground")
 
     def _hydrate_results(self) -> None:
         """Load snapshotted pass results into the store, exactly once.
@@ -386,18 +404,27 @@ class Session:
         }
 
     # ------------------------------------------------------------------
-    def _compute_foreground(self, version: tuple[int, int]) -> None:
-        """Synchronous pass under the session overlay; back-fills the store."""
+    def _compute_foreground(
+        self, version: tuple[int, int]
+    ) -> "tuple[tuple[int, int], dict[str, bytes]]":
+        """Synchronous pass under the session overlay; back-fills the store.
+
+        Returns the version the pass ran at and each action's bytes, both
+        taken under the lock and overlay the pass ran under.  The store is
+        back-filled only when that is still ``version``, the one the read
+        missed.
+        """
         with telemetry.span(
             "session.foreground_pass", session=self.id
         ), self.lock, self.overlay():
             # The property path memoizes on the frame and carries the
             # repr's failproofing (a broken action yields an empty tab).
             recs = self.frame.recommendations
-            if self.store is not None and self.version == version:
-                self.store.put_pass(
-                    self.id, version, encode_recommendations(recs), origin="foreground"
-                )
+            ran_at = self.version
+            payloads = encode_recommendations(recs)
+            if self.store is not None and ran_at == version:
+                self.store.put_pass(self.id, version, payloads, origin="foreground")
+            return ran_at, payloads
 
     # ------------------------------------------------------------------
     def info(self) -> dict[str, Any]:

@@ -12,6 +12,16 @@ encodings, filters) is plain-typed by :func:`json_safe` and encoded by
 ``json.dumps``.  Non-finite floats are written as ``null`` everywhere,
 since RFC 8259 JSON has no ``NaN`` or ``Infinity``.
 
+A pass writes many specs, and several of them can show the same
+``Column`` object: the dataframe executor hands a frame's own columns to
+its scatter tables, so each Correlation scatter shows two of the frame's
+measure columns.  :class:`SharedColumns` is counted over the specs a pass
+is about to write.  A column that appears more than once among them is
+formatted on its first use, each later use gets the same token list, and
+the list is dropped after the last use.  A column that appears once is
+formatted and freed with its spec.  The counts live as long as the pass
+that made them; a spec written alone gets an empty one.
+
 :func:`to_vegalite` is ``json.loads`` of the writer's vega-lite text, so a
 notebook or HTML rendering holds exactly the values the service serves.
 """
@@ -22,7 +32,7 @@ import datetime as _dt
 import json
 import math
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -31,7 +41,7 @@ from ..dataframe.dtypes import BOOL, DATETIME, FLOAT64, INT64
 from .spec import VisSpec, candidate_key
 from .table import ColumnTable
 
-__all__ = ["to_vegalite", "json_safe", "spec_payload"]
+__all__ = ["SharedColumns", "to_vegalite", "json_safe", "spec_payload"]
 
 _SCHEMA = "https://vega.github.io/schema/vega-lite/v5.json"
 
@@ -39,7 +49,9 @@ _SCHEMA = "https://vega.github.io/schema/vega-lite/v5.json"
 _PLAIN = (str, int, bool, type(None))
 
 
-def spec_payload(spec: VisSpec, score: float | None = None) -> bytes:
+def spec_payload(
+    spec: VisSpec, score: float | None = None, shared: "SharedColumns | None" = None
+) -> bytes:
     """The service's wire bytes for one recommended visualization.
 
     Everything the API needs to render and rank: the vega-lite spec (data
@@ -48,7 +60,9 @@ def spec_payload(spec: VisSpec, score: float | None = None) -> bytes:
     without rendering them.  ``key`` is the stable candidate identity
     (:func:`~repro.vis.spec.candidate_key`) that per-vis provenance maps
     are keyed on; it is a pure function of the spec's signature, so the
-    foreground and background paths emit identical keys.
+    foreground and background paths emit identical keys.  ``shared`` holds
+    the columns this spec shares with the rest of its pass; the bytes are
+    the same with or without it.
     """
     head = {
         "key": candidate_key(spec),
@@ -58,13 +72,55 @@ def spec_payload(spec: VisSpec, score: float | None = None) -> bytes:
         "filters": json_safe([list(f) for f in spec.filters]),
         "score": None if score is None else json_safe(round(float(score), 6)),
     }
-    text = json.dumps(head)[:-1] + ', "vegalite": ' + _vegalite_json(spec) + "}"
+    vegalite = _vegalite_json(spec, shared if shared is not None else SharedColumns())
+    text = json.dumps(head)[:-1] + ', "vegalite": ' + vegalite + "}"
     return text.encode("utf-8")
 
 
 def to_vegalite(spec: VisSpec) -> dict[str, Any]:
     """The Vega-Lite spec dict; processed data is embedded inline."""
-    return json.loads(_vegalite_json(spec))
+    return json.loads(_vegalite_json(spec, SharedColumns()))
+
+
+class SharedColumns:
+    """The JSON tokens of the columns that several specs of one pass show.
+
+    Counted over the specs the pass will write, by column identity.  Only
+    a column with more than one use is held: its tokens are formatted on
+    the first use and dropped after the last.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self, specs: Iterable[VisSpec] = ()) -> None:
+        columns: dict[int, Column] = {}
+        uses: dict[int, int] = {}
+        for spec in specs:
+            if spec.data is None or not len(spec.data):
+                continue  # written without formatting a column
+            for col in spec.data.columns.values():
+                # ``columns`` pins the column, so its id is not recycled
+                # while it is counted.  check: ignore[unstable-key]
+                key = id(col)
+                columns[key] = col
+                uses[key] = uses.get(key, 0) + 1
+        #: id -> [column, uses left, tokens once formatted]; the entry
+        #: pins its column
+        self._entries = {key: [columns[key], n, None] for key, n in uses.items() if n > 1}
+
+    def tokens(self, col: Column) -> list[str]:
+        """``col``'s cells as JSON tokens, formatted once per pass if shared."""
+        # Pinned by its entry and checked with ``is``.  check: ignore[unstable-key]
+        key = id(col)
+        entry = self._entries.get(key)
+        if entry is None or entry[0] is not col:
+            return _tokens(col)
+        if entry[2] is None:
+            entry[2] = _tokens(col)
+        entry[1] -= 1
+        if not entry[1]:
+            del self._entries[key]
+        return entry[2]
 
 
 def json_safe(value: Any) -> Any:
@@ -96,7 +152,7 @@ def json_safe(value: Any) -> Any:
 
 
 # ----------------------------------------------------------------------
-def _vegalite_json(spec: VisSpec) -> str:
+def _vegalite_json(spec: VisSpec, shared: SharedColumns) -> str:
     """The vega-lite spec as JSON text, key order as ``json.dumps`` writes it."""
     mark: Any = {"bar": "bar", "histogram": "bar"}.get(spec.mark, spec.mark)
     if spec.mark == "point":
@@ -112,7 +168,7 @@ def _vegalite_json(spec: VisSpec) -> str:
     if spec.data is None:
         data = '{"name": "table"}'
     else:
-        data = '{"values": ' + _values_json(spec.data) + "}"
+        data = '{"values": ' + _values_json(spec.data, shared) + "}"
     text = json.dumps(json_safe(head))[:-1] + ', "data": ' + data
     if spec.filters:
         transform = [{"filter": _filter_expr(*f)} for f in spec.filters]
@@ -120,13 +176,13 @@ def _vegalite_json(spec: VisSpec) -> str:
     return text + "}"
 
 
-def _values_json(table: ColumnTable) -> str:
+def _values_json(table: ColumnTable, shared: SharedColumns) -> str:
     """The rows of ``table`` as a JSON array of objects."""
     if not len(table):
         return "[]"
     keys = [_json_string(name).replace("%", "%%") for name in table.columns]
     template = "{" + ", ".join(key + ": %s" for key in keys) + "}"
-    rows = zip(*map(_tokens, table.columns.values()))
+    rows = zip(*map(shared.tokens, table.columns.values()))
     return "[" + ", ".join(map(template.__mod__, rows)) + "]"
 
 

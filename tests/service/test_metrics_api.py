@@ -11,6 +11,7 @@ bucket-wise sum of the per-worker snapshots.
 from __future__ import annotations
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -91,6 +92,25 @@ def call(base, method, path, body=None, token=None):
             return response.status, response.read().decode(), dict(response.headers)
     except urllib.error.HTTPError as exc:
         return exc.code, exc.read().decode(), dict(exc.headers)
+
+
+def trace_of(base, sid, trace_id, expected, timeout=5.0):
+    """The session's spans and the names of those in ``trace_id``.
+
+    The server records a request's ``http.request`` span only after it
+    has written the response, so a trace fetched right after the read can
+    miss that span.  Fetch again until every ``expected`` name is there or
+    ``timeout`` seconds have passed; the caller asserts on what it got.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        status, trace_text, _ = call(base, "GET", f"/v1/sessions/{sid}/trace")
+        assert status == 200
+        spans = json.loads(trace_text)["spans"]
+        names = {s["name"] for s in spans if s["trace_id"] == trace_id}
+        if expected <= names or time.monotonic() >= deadline:
+            return spans, names
+        time.sleep(0.05)
 
 
 @pytest.fixture
@@ -199,10 +219,9 @@ class TestMetricsEndpoint:
         sid = json.loads(body)["session"]
         status, _, read_headers = call(base, "GET", f"/v1/sessions/{sid}/recommendations")
         assert status == 200
-        _, trace_text, _ = call(base, "GET", f"/v1/sessions/{sid}/trace")
-        spans = json.loads(trace_text)["spans"]
-        names = {s["name"] for s in spans if s["trace_id"] == read_headers["X-Request-Id"]}
-        assert {"http.request", "session.read"} <= names, names
+        expected = {"http.request", "session.read"}
+        spans, names = trace_of(base, sid, read_headers["X-Request-Id"], expected)
+        assert expected <= names, names
         assert not any(s["name"].startswith("rpc.") for s in spans)
         _, text, _ = call(base, "GET", "/v1/metrics")
         assert "lux_http_requests_total" in text
@@ -269,21 +288,14 @@ class TestShardedObservability:
             # One read request -> spans on BOTH sides of the RPC boundary
             # sharing the single trace id the router minted (and returned
             # to the client as X-Request-Id).
-            trace_id = read_headers["X-Request-Id"]
-            status, trace_text, _ = call(
-                base, "GET", f"/v1/sessions/{sid}/trace"
-            )
-            assert status == 200
-            spans = json.loads(trace_text)["spans"]
-            stitched = {
-                s["name"] for s in spans if s["trace_id"] == trace_id
-            }
-            assert {
+            expected = {
                 "http.request",   # router-side root
                 "rpc.request",    # router-side client span
                 "rpc.handle",     # worker-side server span
                 "session.read",   # worker-side work
-            } <= stitched, stitched
+            }
+            _, stitched = trace_of(base, sid, read_headers["X-Request-Id"], expected)
+            assert expected <= stitched, stitched
             # The merged timeline honours the limit: 0 keeps no span, and
             # a negative limit is the worker's 400.
             status, trace_text, _ = call(
