@@ -21,18 +21,21 @@ delta-scoped: only the mutated column is rescanned, so only its stamp
 moves.
 
 Every run emits a ``BENCH_incremental.json`` trajectory artifact and
-gates:
+gates through ``harness.py``:
 
 - the incremental pass must rerun **only** the affected subset
   (Occurrence, partially; Correlation and Distribution carried) and its
   stored payloads must be byte-identical to a cold foreground
   recomputation of the same version;
-- the background work reduction must clear the 10x acceptance floor
-  (candidate-level reruns; the whole-action partition alone gated 3x),
-  the single-column metadata rescan must beat a full rescan by
-  ``METADATA_SCAN_FLOOR``, and neither may regress below ``TOLERANCE``
-  of the committed baseline
-  (``benchmarks/baselines/BENCH_incremental.json``) when comparable.
+- the background work reduction (full pass / incremental pass) must
+  clear the 10x acceptance floor (candidate-level reruns; the
+  whole-action partition alone gated 3x), and the single-column metadata
+  rescan must beat a full rescan by ``METADATA_SCAN_FLOOR``;
+- against a comparable committed baseline
+  (``benchmarks/baselines/BENCH_incremental.json``) the full pass and the
+  incremental pass are each held to their own trajectory, so a faster
+  full pass cannot fail the gate, and the metadata rescan reduction must
+  not fall below the harness tolerance of its baseline.
 
 Run directly (CI runs ``--quick``)::
 
@@ -44,25 +47,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
-import os
-import platform
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import harness  # noqa: E402
 from bench_service import build_lux_frame  # noqa: E402
-from bench_shared_scan import load_baseline  # noqa: E402
 
 from repro import config, config_overlay  # noqa: E402
 from repro.core import pool  # noqa: E402
 from repro.core.executor.cache import computation_cache  # noqa: E402
 from repro.service import SessionManager  # noqa: E402
-
-#: Allowed fraction of the baseline reduction before the gate trips.
-TOLERANCE = 0.6
 
 #: Acceptance floor: a single-dimension mutation must cost at least this
 #: much less background work than a full recompute.
@@ -77,7 +74,12 @@ MUTATED_COLUMN = "d1"
 EXPECTED_RERUN = {"Occurrence"}
 EXPECTED_CARRIED = {"Correlation", "Distribution"}
 
-BASELINE_PATH = Path(__file__).parent / "baselines" / "BENCH_incremental.json"
+METRICS = (
+    harness.Metric("speedups.incremental", "higher", tolerance=None, floor=INCREMENTAL_FLOOR),
+    harness.Metric("speedups.metadata_scan", "higher", floor=METADATA_SCAN_FLOOR),
+    harness.Metric("timings_ms.full_pass", "lower"),
+    harness.Metric("timings_ms.incremental_pass", "lower"),
+)
 
 
 def touch(session) -> None:
@@ -192,68 +194,12 @@ def measure_metadata_scan(rows: int, rounds: int) -> tuple[float, float]:
     return min(full_times), min(delta_times)
 
 
-def comparable(baseline: dict | None, report: dict) -> bool:
-    return (
-        baseline is not None
-        and baseline.get("benchmark") == report["benchmark"]
-        and baseline.get("mode") == report["mode"]
-        and baseline.get("rows") == report["rows"]
-    )
-
-
-def gate(report: dict, baseline: dict | None) -> list[str]:
-    failures = list(report["partition_failures"])
-    if not report["identical"]:
-        failures.append(
-            "incremental pass payloads differ from foreground recomputation"
-        )
-    reduction = report["speedups"]["incremental"]
-    if reduction < INCREMENTAL_FLOOR:
-        failures.append(
-            f"background work reduction {reduction:.1f}x below the "
-            f"{INCREMENTAL_FLOOR}x acceptance floor"
-        )
-    meta_reduction = report["speedups"]["metadata_scan"]
-    if meta_reduction < METADATA_SCAN_FLOOR:
-        failures.append(
-            f"metadata delta rescan {meta_reduction:.1f}x below the "
-            f"{METADATA_SCAN_FLOOR}x floor over a full rescan"
-        )
-    if comparable(baseline, report):
-        base = baseline["speedups"]["incremental"]
-        if reduction < base * TOLERANCE:
-            failures.append(
-                f"incremental reduction {reduction:.1f}x regressed below "
-                f"{TOLERANCE:.0%} of baseline {base:.1f}x"
-            )
-        # .get(): baselines recorded before the field existed stay usable.
-        meta_base = baseline["speedups"].get("metadata_scan")
-        if meta_base is not None and meta_reduction < meta_base * TOLERANCE:
-            failures.append(
-                f"metadata rescan reduction {meta_reduction:.1f}x regressed "
-                f"below {TOLERANCE:.0%} of baseline {meta_base:.1f}x"
-            )
-    return failures
+def build_parser() -> argparse.ArgumentParser:
+    return harness.parser(__doc__)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rows", type=int, default=50_000,
-                        help="frame size (default 50k)")
-    parser.add_argument("--rounds", type=int, default=3,
-                        help="timed passes per condition; best is reported")
-    parser.add_argument("--quick", action="store_true",
-                        help="small smoke run for CI (20k rows, 2 rounds)")
-    parser.add_argument("--out", type=Path,
-                        default=Path("BENCH_incremental.json"),
-                        help="trajectory artifact path")
-    parser.add_argument("--baseline", type=Path, default=BASELINE_PATH,
-                        help="committed baseline to gate against")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the committed baseline from this run")
-    args = parser.parse_args(argv)
-    if args.quick:
-        args.rows, args.rounds = 20_000, 2
+    args = harness.parse(build_parser(), argv)
 
     with contextlib.ExitStack() as stack:
         stack.callback(computation_cache.clear)
@@ -261,9 +207,9 @@ def main(argv: list[str] | None = None) -> int:
         manager = SessionManager()
         stack.callback(manager.shutdown)
 
-        cpu_count = os.cpu_count() or 1
+        head = harness.record("incremental", args, rows=args.rows)
         print(f"incremental: {args.rows} rows, best of {args.rounds}, "
-              f"{cpu_count} cores, {pool.worker_count()} workers, "
+              f"{head['cpu_count']} cores, {pool.worker_count()} workers, "
               f"mutating {MUTATED_COLUMN!r} per pass")
 
         full, full_info = measure_passes(
@@ -289,13 +235,8 @@ def main(argv: list[str] | None = None) -> int:
             meta_full / meta_delta if meta_delta > 0 else float("inf")
         )
         report = {
-            "schema": 1,
-            "benchmark": "incremental",
-            "mode": "quick" if args.quick else "full",
-            "rows": args.rows,
+            **head,
             "rounds": args.rounds,
-            "cpu_count": cpu_count,
-            "python": platform.python_version(),
             "mutated_column": MUTATED_COLUMN,
             "timings_ms": {
                 "full_pass": round(full * 1e3, 3),
@@ -326,40 +267,15 @@ def main(argv: list[str] | None = None) -> int:
               f"(metadata rescan {meta_reduction:.1f}x)")
         print(f"  identical       : {report['identical']}")
 
-        args.out.write_text(json.dumps(report, indent=2) + "\n",
-                            encoding="utf-8")
-        print(f"  wrote {args.out}")
-
         correctness = list(report["partition_failures"])
         if not report["identical"]:
             correctness.append(
                 "incremental pass payloads differ from foreground "
                 "recomputation"
             )
-        if correctness:
-            # Correctness precedes every mode, including --update-baseline:
-            # a refresh must never record a wrong or non-incremental run.
-            for failure in correctness:
-                print(f"  GATE FAILED: {failure}")
-            return 1
-
-        if args.update_baseline:
-            args.baseline.parent.mkdir(parents=True, exist_ok=True)
-            args.baseline.write_text(
-                json.dumps(report, indent=2) + "\n", encoding="utf-8"
-            )
-            print(f"  wrote baseline {args.baseline}")
-            return 0
-
-        baseline = load_baseline(args.baseline)
-        if not comparable(baseline, report):
-            print("  no comparable baseline; gating on absolute floors")
-        failures = gate(report, baseline)
-        for failure in failures:
-            print(f"  GATE FAILED: {failure}")
-        if not failures:
-            print("  all gates passed")
-        return 1 if failures else 0
+        return harness.conclude(
+            args, report, METRICS, correctness, shape=("rows",)
+        )
 
 
 if __name__ == "__main__":

@@ -29,7 +29,8 @@ round-robin.  Two focused sections ride along:
   few payloads wide — evictions must actually occur and reads must keep
   succeeding (foreground fallback, not errors).
 
-Every run emits a ``BENCH_load.json`` trajectory artifact and gates:
+Every run emits a ``BENCH_load.json`` trajectory artifact and gates
+through ``harness.py``:
 
 - **hard** (correctness, even under ``--update-baseline``): at least one
   429 with a sane ``Retry-After`` under forced saturation, sampled
@@ -51,13 +52,13 @@ Run directly (CI runs ``--quick``)::
 (``BENCH_load_fault.json``): the same mixed workload runs over the
 *sharded multi-process tier* (2 workers + snapshot persistence behind
 the real HTTP router) while one worker is SIGKILLed mid-workload and
-restarted.  Hard gates (no baseline): requests routed to the dead shard
+restarted.  Gates (no baseline): requests routed to the dead shard
 answer **503 + Retry-After** (never errors on the live shard), the
 restarted worker recovers **warm** from session snapshots — its first
-read is a store hit **>= 10x** faster than an unloaded cold foreground
-pass and bit-identical to the pre-kill payload — and after the drain
-every session's recommendations match the unloaded single-process
-reference byte-for-byte.
+read is a store hit bit-identical to the pre-kill payload and
+**>= 10x** faster than an unloaded cold foreground pass (a floor) — and
+after the drain every session's recommendations match the unloaded
+single-process reference byte-for-byte.
 """
 
 from __future__ import annotations
@@ -67,8 +68,6 @@ import bisect
 import contextlib
 import itertools
 import json
-import os
-import platform
 import random
 import sys
 import threading
@@ -79,7 +78,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bench_shared_scan import load_baseline  # noqa: E402
+import harness  # noqa: E402
 
 from repro import config, config_overlay  # noqa: E402
 from repro.core import telemetry  # noqa: E402
@@ -101,13 +100,20 @@ MAX_SLOWDOWN = 4.0
 #: single 2-second window, while the matrix-wide totals are stable.
 FAIRNESS_FLOOR = 0.5
 
-BASELINE_PATH = Path(__file__).parent / "baselines" / "BENCH_load.json"
-
 #: ``--fault`` recovery gate: the restarted worker's first canary read
 #: (a store hit rehydrated from its session snapshot) must beat an
 #: unloaded cold foreground pass over the same frame by at least this
-#: factor.  Mirrors ``bench_service.py``'s RECOVERY_FLOOR.
+#: factor.
 RECOVERY_FLOOR = 10.0
+
+METRICS = (
+    harness.Metric("aggregate.fairness_jain", "higher", tolerance=None, floor=FAIRNESS_FLOOR),
+    harness.Metric("aggregate.latency_ms.p95", "lower", tolerance=1 / MAX_SLOWDOWN),
+)
+
+FAULT_METRICS = (
+    harness.Metric("recovery.speedup", "higher", tolerance=None, floor=RECOVERY_FLOOR),
+)
 
 #: Mixed-workload op mix (cumulative probability thresholds).
 P_MUTATE = 0.15       # touch write: bumps the version, arms precompute
@@ -580,7 +586,7 @@ def run_eviction(rows: int, n_sessions: int, rounds: int) -> dict:
 # Fault injection: kill/restart a shard worker mid-workload
 # ----------------------------------------------------------------------
 def fault_failures(report: dict) -> list[str]:
-    """Hard gates for ``--fault`` — all correctness, no baseline."""
+    """Correctness gates for ``--fault`` (its recovery floor is a metric)."""
     failures: list[str] = []
     if report["ops"]["unavailable"] < 1:
         failures.append("killing a worker produced no 503 on its shard")
@@ -619,12 +625,6 @@ def fault_failures(report: dict) -> list[str]:
             "post-drain recommendations differ from the unloaded "
             "single-process reference"
         )
-    if recovery["speedup"] < RECOVERY_FLOOR:
-        failures.append(
-            f"warm recovery {recovery['speedup']:.1f}x below the "
-            f"{RECOVERY_FLOOR}x floor (cold {recovery['cold_ms']} ms, "
-            f"warm {recovery['warm_ms']} ms)"
-        )
     return failures
 
 
@@ -657,8 +657,7 @@ def run_fault(args: argparse.Namespace) -> int:
     rows = 30_000 if args.quick else 60_000
     duration = max(args.duration, 6.0)
     n_workers = 2
-    cpu_count = os.cpu_count() or 1
-    mode = "quick" if args.quick else "full"
+    head = harness.record("load_fault", args)
     snapshot_dir = tempfile.mkdtemp(prefix="lux-bench-fault-")
     with contextlib.ExitStack() as stack:
         stack.callback(computation_cache.clear)
@@ -680,7 +679,8 @@ def run_fault(args: argparse.Namespace) -> int:
         base = server.address
         print(
             f"load --fault: {n_workers} workers, {rows} rows, "
-            f"{duration:.0f}s workload ({mode}), {cpu_count} cores, "
+            f"{duration:.0f}s workload ({head['mode']}), "
+            f"{head['cpu_count']} cores, "
             f"serving on {base}"
         )
 
@@ -898,17 +898,13 @@ def run_fault(args: argparse.Namespace) -> int:
                 post_drain = False
 
         report = {
-            "schema": 1,
-            "benchmark": "load_fault",
-            "mode": mode,
+            **head,
             "workers": n_workers,
             "sessions": len(sessions) + len(canaries),
             "canaries_on_victim": len(victim_canaries),
             "rows": rows,
             "duration_s": duration,
             "seed": args.seed,
-            "cpu_count": cpu_count,
-            "python": platform.python_version(),
             "victim_shard": victim,
             "workload_sessions_per_shard": shard_counts,
             "ops": ops,
@@ -930,9 +926,6 @@ def run_fault(args: argparse.Namespace) -> int:
             "errors": errors[:10],
             "error_count": len(errors),
         }
-        args.out.write_text(
-            json.dumps(report, indent=2) + "\n", encoding="utf-8"
-        )
         print(
             f"  workload  ops={ops} shard_sessions={shard_counts} "
             f"victim={victim}"
@@ -950,28 +943,15 @@ def run_fault(args: argparse.Namespace) -> int:
             f"origin={warm_origin!r}) canary_identical={canary_identical} "
             f"post_drain_identical={post_drain}"
         )
-        print(f"  wrote {args.out}")
-
-        failures = fault_failures(report)
-        for failure in failures:
-            print(f"  GATE FAILED: {failure}")
-        if not failures:
-            print("  all gates passed")
-        return 1 if failures else 0
+        return harness.conclude(
+            args, report, FAULT_METRICS, fault_failures(report),
+            keeps_baseline=False,
+        )
 
 
 # ----------------------------------------------------------------------
-# Gating
+# Correctness
 # ----------------------------------------------------------------------
-def comparable(baseline: dict | None, report: dict) -> bool:
-    return (
-        baseline is not None
-        and baseline.get("benchmark") == report["benchmark"]
-        and baseline.get("mode") == report["mode"]
-        and baseline.get("sessions") == report["sessions"]
-    )
-
-
 def hard_failures(report: dict) -> list[str]:
     """Correctness gates — these refuse even ``--update-baseline``."""
     failures: list[str] = []
@@ -1004,56 +984,36 @@ def hard_failures(report: dict) -> list[str]:
     return failures
 
 
-def gate(report: dict, baseline: dict | None) -> list[str]:
-    failures = hard_failures(report)
-    fairness = report["aggregate"]["fairness_jain"]
-    if fairness < FAIRNESS_FLOOR:
-        failures.append(
-            f"matrix-wide fairness {fairness:.3f} below the "
-            f"{FAIRNESS_FLOOR} floor"
-        )
-    if comparable(baseline, report):
-        base_p95 = baseline["aggregate"]["latency_ms"]["p95"]
-        p95 = report["aggregate"]["latency_ms"]["p95"]
-        if base_p95 > 0 and p95 > base_p95 * MAX_SLOWDOWN:
-            failures.append(
-                f"aggregate read p95 {p95:.1f} ms exceeds "
-                f"{MAX_SLOWDOWN}x baseline {base_p95:.1f} ms"
-            )
-    return failures
-
-
 # ----------------------------------------------------------------------
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def build_parser() -> argparse.ArgumentParser:
+    parser = harness.parser(
+        __doc__,
+        quick="small smoke run for CI (smaller frames, 2s per scenario)",
+        sized=False,
+    )
     parser.add_argument("--sessions", type=int, default=4,
                         help="concurrent sessions per scenario (default 4)")
     parser.add_argument("--duration", type=float, default=6.0,
                         help="seconds of mixed workload per scenario")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--quick", action="store_true",
-                        help="small smoke run for CI (smaller frames, "
-                        "2s per scenario)")
     parser.add_argument("--scenarios", default=None,
                         help="comma-separated subset of "
                         f"{sorted(SCENARIOS)} (default: all)")
     parser.add_argument("--fault", action="store_true",
                         help="fault-injection mode: mixed workload over "
                         "the sharded multi-process tier with a mid-run "
-                        "worker kill/restart (hard gates, no baseline)")
-    parser.add_argument("--out", type=Path, default=None)
+                        "worker kill/restart (no baseline)")
     parser.add_argument("--metrics-out", type=Path, default=None,
                         help="also write the end-of-run /metrics scrape "
                         "(Prometheus text) to this path")
-    parser.add_argument("--baseline", type=Path, default=BASELINE_PATH)
-    parser.add_argument("--update-baseline", action="store_true")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = harness.parse(parser, argv)
     if args.quick:
         args.duration = 2.0
-    if args.out is None:
-        args.out = Path(
-            "BENCH_load_fault.json" if args.fault else "BENCH_load.json"
-        )
     if args.fault:
         return run_fault(args)
     names = (
@@ -1077,10 +1037,10 @@ def main(argv: list[str] | None = None) -> int:
         server.serve_background()
         base = server.address
 
-        cpu_count = os.cpu_count() or 1
-        mode = "quick" if args.quick else "full"
+        head = harness.record("load", args, sessions=args.sessions)
         print(f"load: {args.sessions} sessions x {args.duration}s per "
-              f"scenario ({mode}), {cpu_count} cores, serving on {base}")
+              f"scenario ({head['mode']}), {head['cpu_count']} cores, "
+              f"serving on {base}")
 
         scenarios: dict[str, dict] = {}
         for name in names:
@@ -1157,14 +1117,9 @@ def main(argv: list[str] | None = None) -> int:
         }
 
         report = {
-            "schema": 1,
-            "benchmark": "load",
-            "mode": mode,
-            "sessions": args.sessions,
+            **head,
             "duration_s": args.duration,
             "seed": args.seed,
-            "cpu_count": cpu_count,
-            "python": platform.python_version(),
             "scenarios": scenarios,
             "aggregate": aggregate,
             "saturation": saturation,
@@ -1175,34 +1130,9 @@ def main(argv: list[str] | None = None) -> int:
                 "failures": metrics_failures,
             },
         }
-        args.out.write_text(json.dumps(report, indent=2) + "\n",
-                            encoding="utf-8")
-        print(f"  wrote {args.out}")
-
-        blockers = hard_failures(report)
-        if blockers:
-            # Correctness precedes every mode, including --update-baseline.
-            for failure in blockers:
-                print(f"  GATE FAILED: {failure}")
-            return 1
-
-        if args.update_baseline:
-            args.baseline.parent.mkdir(parents=True, exist_ok=True)
-            args.baseline.write_text(
-                json.dumps(report, indent=2) + "\n", encoding="utf-8"
-            )
-            print(f"  wrote baseline {args.baseline}")
-            return 0
-
-        baseline = load_baseline(args.baseline)
-        if not comparable(baseline, report):
-            print("  no comparable baseline; gating on absolute floors")
-        failures = gate(report, baseline)
-        for failure in failures:
-            print(f"  GATE FAILED: {failure}")
-        if not failures:
-            print("  all gates passed")
-        return 1 if failures else 0
+        return harness.conclude(
+            args, report, METRICS, hard_failures(report), shape=("sessions",)
+        )
 
 
 if __name__ == "__main__":

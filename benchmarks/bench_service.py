@@ -1,30 +1,36 @@
-"""Always-on service benchmark: cold vs precomputed reads, with gating.
+"""Always-on service benchmark: cold vs store-hit reads, with gating.
 
 Measures the service's read path over the same frame shape as the
 shared-scan benchmark (6 measures x 3 dims, a 40+-candidate
-recommendation pass) under two conditions:
+recommendation pass):
 
-- ``cold_read``:        the store has nothing for the current version; a
+- ``cold_read``: the store has nothing for the current version; a
   ``session.recommendations()`` call runs a full foreground pass
   (compile, execute, rank, serialize) before returning — the
-  compute-on-demand world the paper argues against.
-- ``precomputed_read``: the frame was mutated, the background engine ran
-  its pass during the idle gap, and the read returns from the versioned
-  store — the always-on world.  This is a dictionary lookup and must be
-  **>= 5x** faster than the cold read (it is typically >100x).
+  compute-on-demand world the paper argues against.  Best of the rounds.
+- after each mutation the background engine runs its pass during the
+  idle gap, and reads return from the versioned store — the always-on
+  world.  ``precomputed_read`` is the first read after each pass (best
+  of the rounds); ``store_hit_read`` is the median of the
+  ``STORE_HIT_READS`` reads that follow it in every pass.
 
 A multi-session section precomputes N sessions concurrently through the
-fair-share pool and reports store-hit read throughput — the serving-side
-number the ROADMAP's multi-user north star cares about.
+fair-share pool and reports store-hit read throughput (``reads_per_s``)
+— the serving-side number a multi-user deployment cares about.
 
-Every run emits a ``BENCH_service.json`` trajectory artifact and gates:
+Every run emits a ``BENCH_service.json`` trajectory artifact and gates
+through ``harness.py``:
 
-- the precomputed read must be a store hit (``origin == "precompute"``)
-  and its payload byte-identical to a foreground recomputation of the
-  same version;
-- the precompute speedup must clear the 5x acceptance floor, and must not
-  regress below ``TOLERANCE`` of the committed baseline
-  (``benchmarks/baselines/BENCH_service.json``) when one is comparable.
+- the reads after each pass must hit the store, and the stored payload
+  must be byte-identical to a foreground recomputation of the same
+  version;
+- the precompute speedup (cold read / first read after a pass) must
+  clear the 5x acceptance floor;
+- against a comparable committed baseline
+  (``benchmarks/baselines/BENCH_service.json``) the cold read, the
+  store-hit read and the multi-session ``reads_per_s`` each hold their
+  own trajectory, so a regression names its term and a faster cold read
+  cannot fail the gate.
 
 Run directly (CI runs ``--quick``)::
 
@@ -36,9 +42,9 @@ Run directly (CI runs ``--quick``)::
 (supervisor with 1 vs 4 worker processes; precompute wall-clock and
 threaded store-read throughput must both scale **>= 1.8x** — measured
 only on hosts with >= 4 cores, loudly skipped otherwise) and a restart
-recovery section (warm restore from session snapshots must be **>= 10x**
-faster than a cold rebuild, with bit-identical payloads) that runs on
-every host.
+recovery section that runs on every host: restored payloads must be
+bit-identical, and the cold rebuild and the warm restore each hold their
+own trajectory against ``benchmarks/baselines/BENCH_service_multiproc.json``.
 """
 
 from __future__ import annotations
@@ -46,39 +52,48 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
-import platform
+import statistics
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bench_shared_scan import build_frame, load_baseline  # noqa: E402
+import harness  # noqa: E402
+from bench_shared_scan import build_frame  # noqa: E402
 
 from repro import LuxDataFrame, config, config_overlay  # noqa: E402
 from repro.core import pool  # noqa: E402
 from repro.core.executor.cache import computation_cache  # noqa: E402
 from repro.service import SessionManager  # noqa: E402
 
-#: Allowed fraction of the baseline speedup before the gate trips.
-TOLERANCE = 0.6
-
 #: Acceptance floor: precomputed reads must be at least this much faster
 #: than cold reads (the issue's bar; in practice the ratio is >100x).
 PRECOMPUTE_FLOOR = 5.0
-
-#: Warm restart (snapshot restore + first store-hit read) vs cold start
-#: (rebuild the data + foreground pass) acceptance floor.
-RECOVERY_FLOOR = 10.0
 
 #: Required speedup at 4 workers vs 1 for both precompute wall-clock and
 #: read throughput (gated only on hosts with >= 4 cores).
 SCALING_FLOOR = 1.8
 
-BASELINE_PATH = Path(__file__).parent / "baselines" / "BENCH_service.json"
-MULTIPROC_BASELINE_PATH = (
-    Path(__file__).parent / "baselines" / "BENCH_service_multiproc.json"
+#: Store-hit reads timed after each pass's first read.
+STORE_HIT_READS = 100
+
+METRICS = (
+    harness.Metric("speedups.precompute", "higher", tolerance=None, floor=PRECOMPUTE_FLOOR),
+    harness.Metric("timings_ms.cold_read", "lower"),
+    harness.Metric("timings_ms.store_hit_read", "lower"),
+    harness.Metric("multi_session.reads_per_s", "higher"),
+)
+
+MULTIPROC_METRICS = (
+    harness.Metric(
+        "scaling.precompute_scaling", "higher", tolerance=None, floor=SCALING_FLOOR, min_cpus=4
+    ),
+    harness.Metric(
+        "scaling.read_scaling", "higher", tolerance=None, floor=SCALING_FLOOR, min_cpus=4
+    ),
+    harness.Metric("recovery.cold_ms", "lower"),
+    harness.Metric("recovery.warm_ms", "lower"),
 )
 
 
@@ -110,25 +125,34 @@ def measure_cold(manager: SessionManager, rows: int, rounds: int) -> float:
 
 def measure_precomputed(
     manager: SessionManager, rows: int, rounds: int
-) -> tuple[float, bool]:
-    """Store-hit read latency after a mutation + idle period."""
+) -> tuple[float, list[float], bool]:
+    """Store-hit read latencies after a mutation + idle period.
+
+    Returns the best first read after a pass, every later read's time,
+    and whether the stored pass equals a foreground recomputation.
+    """
     config.precompute = True
     session = manager.create(build_lux_frame(rows))
-    times = []
-    identical = True
+    first: list[float] = []
+    later: list[float] = []
     for _ in range(rounds):
         touch(session)
         assert manager.engine.wait_idle(120), "precompute never settled"
-        start = time.perf_counter()
-        response = session.recommendations()
-        times.append(time.perf_counter() - start)
-        # Incremental passes mix recomputed and carried provenance; any
-        # of the three store-served origins means zero foreground work.
-        assert response["provenance"]["origin"] in (
-            "precompute",
-            "carried",
-            "mixed",
-        ), "read did not hit the store"
+        for times in [first] + [later] * STORE_HIT_READS:
+            start = time.perf_counter()
+            response = session.recommendations()
+            times.append(time.perf_counter() - start)
+            # Incremental passes mix recomputed and carried provenance; any
+            # of the three store-served origins means zero foreground work.
+            assert response["provenance"]["origin"] in (
+                "precompute",
+                "carried",
+                "mixed",
+            ), "read did not hit the store"
+            # Dropped untimed: the next pass's first read would otherwise
+            # pay for freeing this pass's decoded payloads.
+            del response
+    stored = session.recommendations(compute=False)
     # Correctness: the stored payload must match a true foreground
     # recomputation of the very same version (store dropped AND the
     # frame's memoized set expired, so nothing is reused).
@@ -136,15 +160,20 @@ def measure_precomputed(
     session.frame.expire_recommendations()
     recomputed = session.recommendations()
     assert recomputed["provenance"]["origin"] == "foreground"
-    identical = recomputed["actions"] == response["actions"]
+    identical = recomputed["actions"] == stored["actions"]
     manager.close(session.id)
-    return min(times), identical
+    return min(first), later, identical
 
 
 def measure_multi_session(
-    manager: SessionManager, rows: int, n_sessions: int, reads: int = 200
+    manager: SessionManager, rows: int, n_sessions: int, reads: int = 2_000
 ) -> dict[str, float]:
-    """Concurrent precompute across sessions + store-hit read throughput."""
+    """Concurrent precompute across sessions + store-hit read throughput.
+
+    ``reads`` spans tens of milliseconds: 200 reads took about one
+    5 ms interpreter switch interval, so one stall on another thread
+    moved ``reads_per_s`` by up to 4x between runs.
+    """
     config.precompute = True
     sessions = [
         manager.create(build_lux_frame(rows, seed=i), overrides={"top_k": 5})
@@ -337,38 +366,9 @@ def measure_recovery(rows: int, n_sessions: int = 3) -> dict:
     }
 
 
-def gate_multiproc(report: dict, baseline: dict | None) -> list[str]:
-    failures: list[str] = []
-    recovery = report["recovery"]
-    if not recovery["identical"]:
-        failures.append(
-            "restored payloads differ from the pre-restart reference"
-        )
-    if recovery["speedup"] < RECOVERY_FLOOR:
-        failures.append(
-            f"warm recovery {recovery['speedup']:.1f}x below the "
-            f"{RECOVERY_FLOOR}x acceptance floor"
-        )
-    scaling = report["scaling"]
-    if not scaling.get("skipped"):
-        for metric in ("precompute_scaling", "read_scaling"):
-            if scaling[metric] < SCALING_FLOOR:
-                failures.append(
-                    f"{metric} {scaling[metric]:.2f}x at 4 workers below "
-                    f"the {SCALING_FLOOR}x floor"
-                )
-    if comparable(baseline, report):
-        base = baseline["recovery"]["speedup"]
-        if recovery["speedup"] < base * TOLERANCE:
-            failures.append(
-                f"warm recovery {recovery['speedup']:.1f}x regressed below "
-                f"{TOLERANCE:.0%} of baseline {base:.1f}x"
-            )
-    return failures
-
-
 def run_multiproc(args: argparse.Namespace) -> int:
-    cpu_count = os.cpu_count() or 1
+    head = harness.record("service_multiproc", args, rows=args.rows)
+    cpu_count = head["cpu_count"]
     n_sessions = max(4, 2 * args.sessions)
     print(
         f"service multiproc: {args.rows} rows, {n_sessions} sessions, "
@@ -419,110 +419,28 @@ def run_multiproc(args: argparse.Namespace) -> int:
         f"({recovery['speedup']:.1f}x), identical={recovery['identical']}"
     )
 
-    report = {
-        "schema": 1,
-        "benchmark": "service_multiproc",
-        "mode": "quick" if args.quick else "full",
-        "rows": args.rows,
-        "cpu_count": cpu_count,
-        "python": platform.python_version(),
-        "scaling": scaling,
-        "recovery": recovery,
-    }
-    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(f"  wrote {args.out}")
-
-    if not recovery["identical"]:
-        # Correctness precedes every mode, including --update-baseline.
-        print(
-            "  GATE FAILED: restored payloads differ from the "
-            "pre-restart reference"
-        )
-        return 1
-
-    if args.update_baseline:
-        args.baseline.parent.mkdir(parents=True, exist_ok=True)
-        args.baseline.write_text(
-            json.dumps(report, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"  wrote baseline {args.baseline}")
-        return 0
-
-    baseline = load_baseline(args.baseline)
-    if not comparable(baseline, report):
-        print("  no comparable baseline; gating on absolute floors")
-    failures = gate_multiproc(report, baseline)
-    for failure in failures:
-        print(f"  GATE FAILED: {failure}")
-    if not failures:
-        print("  all gates passed")
-    return 1 if failures else 0
-
-
-def comparable(baseline: dict | None, report: dict) -> bool:
-    return (
-        baseline is not None
-        and baseline.get("benchmark") == report["benchmark"]
-        and baseline.get("mode") == report["mode"]
-        and baseline.get("rows") == report["rows"]
+    report = {**head, "scaling": scaling, "recovery": recovery}
+    correctness = (
+        [] if recovery["identical"]
+        else ["restored payloads differ from the pre-restart reference"]
+    )
+    return harness.conclude(
+        args, report, MULTIPROC_METRICS, correctness, shape=("rows",)
     )
 
 
-def gate(report: dict, baseline: dict | None) -> list[str]:
-    failures: list[str] = []
-    speedup = report["speedups"]["precompute"]
-    if not report["identical"]:
-        failures.append(
-            "precomputed payload differs from foreground recomputation"
-        )
-    if speedup < PRECOMPUTE_FLOOR:
-        failures.append(
-            f"precomputed read speedup {speedup:.1f}x below the "
-            f"{PRECOMPUTE_FLOOR}x acceptance floor"
-        )
-    if comparable(baseline, report):
-        base = baseline["speedups"]["precompute"]
-        if speedup < base * TOLERANCE:
-            failures.append(
-                f"precompute speedup {speedup:.1f}x regressed below "
-                f"{TOLERANCE:.0%} of baseline {base:.1f}x"
-            )
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rows", type=int, default=50_000,
-                        help="frame size (default 50k)")
-    parser.add_argument("--rounds", type=int, default=3,
-                        help="timed rounds per condition; best is reported")
+def build_parser() -> argparse.ArgumentParser:
+    parser = harness.parser(__doc__)
     parser.add_argument("--sessions", type=int, default=4,
                         help="session count for the throughput section")
-    parser.add_argument("--quick", action="store_true",
-                        help="small smoke run for CI (20k rows, 2 rounds)")
     parser.add_argument("--multiproc", action="store_true",
                         help="benchmark the sharded multi-process tier "
                         "(worker scaling + snapshot recovery) instead")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="trajectory artifact path (default "
-                        "BENCH_service.json / BENCH_service_multiproc.json)")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="committed baseline to gate against")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the committed baseline from this run")
-    args = parser.parse_args(argv)
-    if args.quick:
-        args.rows, args.rounds = 20_000, 2
-    if args.out is None:
-        args.out = Path(
-            "BENCH_service_multiproc.json"
-            if args.multiproc
-            else "BENCH_service.json"
-        )
-    if args.baseline is None:
-        args.baseline = (
-            MULTIPROC_BASELINE_PATH if args.multiproc else BASELINE_PATH
-        )
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = harness.parse(build_parser(), argv)
     if args.multiproc:
         return run_multiproc(args)
 
@@ -532,15 +450,20 @@ def main(argv: list[str] | None = None) -> int:
         manager = SessionManager()
         stack.callback(manager.shutdown)
 
-        cpu_count = os.cpu_count() or 1
+        head = harness.record("service", args, rows=args.rows)
         print(f"service: {args.rows} rows, best of {args.rounds}, "
-              f"{args.sessions} sessions, {cpu_count} cores, "
+              f"{args.sessions} sessions, {head['cpu_count']} cores, "
               f"{pool.worker_count()} workers")
 
         cold = measure_cold(manager, args.rows, args.rounds)
         print(f"  cold_read       : {cold * 1e3:9.1f} ms")
-        warm, identical = measure_precomputed(manager, args.rows, args.rounds)
-        print(f"  precomputed_read: {warm * 1e3:9.3f} ms")
+        warm, later, identical = measure_precomputed(
+            manager, args.rows, args.rounds
+        )
+        store_hit = statistics.median(later)
+        print(f"  precomputed_read: {warm * 1e3:9.3f} ms (first read after a pass)")
+        print(f"  store_hit_read  : {store_hit * 1e3:9.4f} ms "
+              f"(median of {len(later)})")
         multi = measure_multi_session(manager, args.rows, args.sessions)
         print(f"  multi-session   : {multi['sessions']} sessions precomputed "
               f"in {multi['precompute_wall_ms']:.0f} ms, "
@@ -548,17 +471,14 @@ def main(argv: list[str] | None = None) -> int:
 
         speedup = cold / warm if warm > 0 else float("inf")
         report = {
-            "schema": 1,
-            "benchmark": "service",
-            "mode": "quick" if args.quick else "full",
-            "rows": args.rows,
+            **head,
             "rounds": args.rounds,
-            "cpu_count": cpu_count,
-            "python": platform.python_version(),
             "timings_ms": {
                 "cold_read": round(cold * 1e3, 3),
                 "precomputed_read": round(warm * 1e3, 3),
+                "store_hit_read": round(store_hit * 1e3, 4),
             },
+            "store_hit_reads": len(later),
             "speedups": {"precompute": round(speedup, 1)},
             "multi_session": multi,
             "identical": identical,
@@ -566,32 +486,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  precompute speedup: {speedup:9.1f}x")
         print(f"  identical         : {identical}")
 
-        args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-        print(f"  wrote {args.out}")
-
-        if not identical:
-            # Correctness precedes every mode, including --update-baseline.
-            print("  GATE FAILED: precomputed payload differs from "
-                  "foreground recomputation")
-            return 1
-
-        if args.update_baseline:
-            args.baseline.parent.mkdir(parents=True, exist_ok=True)
-            args.baseline.write_text(
-                json.dumps(report, indent=2) + "\n", encoding="utf-8"
-            )
-            print(f"  wrote baseline {args.baseline}")
-            return 0
-
-        baseline = load_baseline(args.baseline)
-        if not comparable(baseline, report):
-            print("  no comparable baseline; gating on absolute floors")
-        failures = gate(report, baseline)
-        for failure in failures:
-            print(f"  GATE FAILED: {failure}")
-        if not failures:
-            print("  all gates passed")
-        return 1 if failures else 0
+        correctness = (
+            [] if identical
+            else ["precomputed payload differs from foreground recomputation"]
+        )
+        return harness.conclude(
+            args, report, METRICS, correctness, shape=("rows",)
+        )
 
 
 if __name__ == "__main__":

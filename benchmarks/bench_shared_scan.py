@@ -13,7 +13,8 @@ under three conditions:
   shared worker pool (``config.parallel_execute``).
 
 Every run emits a ``BENCH_shared_scan.json`` trajectory artifact (timings,
-speedups, candidate/worker/core counts, cache bytes) and gates on it:
+speedups, candidate/worker/core counts, cache bytes) and gates on it
+through ``harness.py``:
 
 - parallel results must be bit-identical to serial results;
 - cache memory must respect ``config.computation_cache_budget_mb``;
@@ -21,8 +22,8 @@ speedups, candidate/worker/core counts, cache bytes) and gates on it:
   (``benchmarks/baselines/BENCH_shared_scan.json``), falling back to the
   historical 1.5x floor when no comparable baseline exists;
 - on hosts with >= 4 cores, the parallel condition must clear 1.5x over
-  the serial cached path (raised by the baseline trajectory when one was
-  recorded on a comparable host).
+  the serial cached path (and its baseline trajectory when one was
+  recorded on a >= 4-core host).
 
 Run directly (CI runs ``--quick``)::
 
@@ -34,28 +35,25 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
-import os
-import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro import config, config_overlay
-from repro.core.executor.cache import computation_cache
-from repro.core.executor.df_exec import DataFrameExecutor
-from repro.dataframe import DataFrame
-from repro.vis.encoding import Encoding
-from repro.vis.spec import VisSpec
+sys.path.insert(0, str(Path(__file__).parent))
+
+import harness  # noqa: E402
+
+from repro import config, config_overlay  # noqa: E402
+from repro.core.executor.cache import computation_cache  # noqa: E402
+from repro.core.executor.df_exec import DataFrameExecutor  # noqa: E402
+from repro.dataframe import DataFrame  # noqa: E402
+from repro.vis.encoding import Encoding  # noqa: E402
+from repro.vis.spec import VisSpec  # noqa: E402
 
 N_MEASURES = 6
 N_DIMS = 3
-
-#: Allowed fraction of the baseline speedup before the gate trips: absorbs
-#: host-to-host noise while still catching real trajectory regressions.
-TOLERANCE = 0.6
 
 #: Historical absolute floor (the PR-1 acceptance bar), used when no
 #: comparable baseline entry exists.
@@ -64,7 +62,8 @@ CACHE_FLOOR = 1.5
 #: Acceptance bar for the parallel condition on multi-core hosts.
 PARALLEL_FLOOR = 1.5
 
-BASELINE_PATH = Path(__file__).parent / "baselines" / "BENCH_shared_scan.json"
+#: Report keys a baseline must share to be comparable.
+SHAPE = ("rows", "candidates")
 
 
 def build_frame(rows: int, seed: int = 0) -> DataFrame:
@@ -148,87 +147,33 @@ def run_pass(frame: DataFrame, condition: str) -> tuple[float, list]:
     return elapsed, results
 
 
-def load_baseline(path: Path) -> dict | None:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
+def metrics(report: dict) -> list[harness.Metric]:
+    """The gated metrics of one run.
 
-
-def comparable(baseline: dict | None, report: dict) -> bool:
-    """Whether the committed baseline measured the same workload shape."""
-    return (
-        baseline is not None
-        and baseline.get("benchmark") == report["benchmark"]
-        and baseline.get("mode") == report["mode"]
-        and baseline.get("rows") == report["rows"]
-        and baseline.get("candidates") == report["candidates"]
-    )
-
-
-def gate(report: dict, baseline: dict | None) -> list[str]:
-    """Evaluate every acceptance gate; returns the list of failures."""
-    failures: list[str] = []
-    speedups = report["speedups"]
-
-    if not report["identical"]:
-        failures.append("parallel results differ from serial results")
-
+    The cache budget is a ceiling only when one is set, and the parallel
+    condition is gated only when it fans out over two or more workers.
+    """
+    declared = [harness.Metric("speedups.cache", "higher", fallback=CACHE_FLOOR)]
     budget = report["cache_budget_bytes"]
-    if budget and report["cache_bytes"] > budget:
-        failures.append(
-            f"cache bytes {report['cache_bytes']} exceed budget {budget}"
+    if budget:
+        declared.append(harness.Metric("cache_bytes", "lower", tolerance=None, floor=budget))
+    if report["workers"] >= 2:
+        declared.append(
+            harness.Metric("speedups.parallel", "higher", floor=PARALLEL_FLOOR, min_cpus=4)
         )
-
-    if comparable(baseline, report):
-        base_cache = baseline["speedups"]["cache"]
-        threshold = base_cache * TOLERANCE
-        if speedups["cache"] < threshold:
-            failures.append(
-                f"cache speedup {speedups['cache']:.2f}x regressed below "
-                f"{TOLERANCE:.0%} of baseline {base_cache:.2f}x"
-            )
-    elif speedups["cache"] < CACHE_FLOOR:
-        failures.append(
-            f"cache speedup {speedups['cache']:.2f}x below the "
-            f"{CACHE_FLOOR}x floor (no comparable baseline)"
-        )
-
-    if report["cpu_count"] >= 4 and report["workers"] >= 2:
-        threshold = PARALLEL_FLOOR
-        if comparable(baseline, report) and baseline.get("cpu_count", 0) >= 4:
-            threshold = max(
-                PARALLEL_FLOOR, baseline["speedups"]["parallel"] * TOLERANCE
-            )
-        if speedups["parallel"] < threshold:
-            failures.append(
-                f"parallel speedup {speedups['parallel']:.2f}x below "
-                f"{threshold:.2f}x on a {report['cpu_count']}-core host"
-            )
-    return failures
+    return declared
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rows", type=int, default=50_000,
-                        help="frame size (default 50k)")
-    parser.add_argument("--rounds", type=int, default=3,
-                        help="timed rounds per condition; best is reported")
-    parser.add_argument("--quick", action="store_true",
-                        help="small smoke run for CI (20k rows, 2 rounds)")
+def build_parser() -> argparse.ArgumentParser:
+    parser = harness.parser(__doc__)
     parser.add_argument("--workers", type=int, default=0,
                         help="pool workers for the parallel condition "
                              "(default: config, i.e. the host core count)")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_shared_scan.json"),
-                        help="trajectory artifact path")
-    parser.add_argument("--baseline", type=Path, default=BASELINE_PATH,
-                        help="committed baseline to gate against")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the committed baseline from this run")
-    args = parser.parse_args(argv)
-    if args.quick:
-        args.rows, args.rounds = 20_000, 2
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = harness.parse(build_parser(), argv)
 
     with contextlib.ExitStack() as stack:
         # config_overlay() rolls back every knob the run mutates on exit
@@ -241,9 +186,12 @@ def main(argv: list[str] | None = None) -> int:
         workers = max(int(config.action_pool_workers), 1)
         frame = build_frame(args.rows)
         candidates = len(build_candidates())
-        cpu_count = os.cpu_count() or 1
+        head = harness.record(
+            "shared_scan", args, rows=args.rows, candidates=candidates
+        )
         print(f"shared-scan: {candidates} candidates, {args.rows} rows, "
-              f"best of {args.rounds}, {workers} workers, {cpu_count} cores")
+              f"best of {args.rounds}, {workers} workers, "
+              f"{head['cpu_count']} cores")
 
         best: dict[str, float] = {}
         results: dict[str, list] = {}
@@ -263,15 +211,9 @@ def main(argv: list[str] | None = None) -> int:
             return best[a] / best[b] if best[b] > 0 else float("inf")
 
         report = {
-            "schema": 1,
-            "benchmark": "shared_scan",
-            "mode": "quick" if args.quick else "full",
-            "rows": args.rows,
-            "candidates": candidates,
+            **head,
             "rounds": args.rounds,
             "workers": workers,
-            "cpu_count": cpu_count,
-            "python": platform.python_version(),
             "timings_ms": {k: round(v * 1e3, 3) for k, v in best.items()},
             "speedups": {
                 "cache": round(ratio("serial_uncached", "serial_cached"), 3),
@@ -288,33 +230,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  cache bytes     : {cache_bytes} "
               f"(budget {report['cache_budget_bytes']})")
 
-        args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-        print(f"  wrote {args.out}")
-
-        if not identical:
-            # Correctness precedes every mode, including --update-baseline:
-            # a baseline refresh must never go green while recording a
-            # parallel-vs-serial divergence.
-            print("  GATE FAILED: parallel results differ from serial results")
-            return 1
-
-        if args.update_baseline:
-            args.baseline.parent.mkdir(parents=True, exist_ok=True)
-            args.baseline.write_text(
-                json.dumps(report, indent=2) + "\n", encoding="utf-8"
-            )
-            print(f"  wrote baseline {args.baseline}")
-            return 0
-
-        baseline = load_baseline(args.baseline)
-        if not comparable(baseline, report):
-            print("  no comparable baseline; gating on absolute floors")
-        failures = gate(report, baseline)
-        for failure in failures:
-            print(f"  GATE FAILED: {failure}")
-        if not failures:
-            print("  all gates passed")
-        return 1 if failures else 0
+        correctness = (
+            [] if identical else ["parallel results differ from serial results"]
+        )
+        return harness.conclude(
+            args, report, metrics(report), correctness, shape=SHAPE
+        )
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ conditions:
   connection resolved once for the whole batch.
 
 Every run emits a ``BENCH_sql_scan.json`` trajectory artifact (timings,
-speedup, candidate count, sqlite version) and gates on it:
+speedup, candidate count, sqlite version) and gates on it through
+``harness.py``:
 
 - batched results must be bit-identical to the per-spec results;
 - the batch speedup must not regress against the committed baseline
@@ -34,8 +35,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
-import platform
 import sqlite3
 import sys
 import time
@@ -43,20 +42,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bench_shared_scan import build_candidates, build_frame, load_baseline  # noqa: E402
+import harness  # noqa: E402
+from bench_shared_scan import SHAPE, build_candidates, build_frame  # noqa: E402
 
 from repro import config, config_overlay  # noqa: E402
 from repro.core.executor.cache import computation_cache  # noqa: E402
 from repro.core.executor.sql_exec import SQLExecutor  # noqa: E402
 from repro.dataframe import DataFrame  # noqa: E402
 
-#: Allowed fraction of the baseline speedup before the gate trips.
-TOLERANCE = 0.6
-
 #: Acceptance floor when no comparable baseline exists (the PR-3 bar).
 BATCH_FLOOR = 2.0
 
-BASELINE_PATH = Path(__file__).parent / "baselines" / "BENCH_sql_scan.json"
+METRICS = (harness.Metric("speedups.batch", "higher", fallback=BATCH_FLOOR),)
 
 CONDITIONS = ("per_spec", "batched")
 
@@ -76,58 +73,12 @@ def run_pass(frame: DataFrame, condition: str) -> tuple[float, list]:
     return elapsed, results
 
 
-def comparable(baseline: dict | None, report: dict) -> bool:
-    """Whether the committed baseline measured the same workload shape."""
-    return (
-        baseline is not None
-        and baseline.get("benchmark") == report["benchmark"]
-        and baseline.get("mode") == report["mode"]
-        and baseline.get("rows") == report["rows"]
-        and baseline.get("candidates") == report["candidates"]
-    )
-
-
-def gate(report: dict, baseline: dict | None) -> list[str]:
-    """Evaluate every acceptance gate; returns the list of failures."""
-    failures: list[str] = []
-    speedup = report["speedups"]["batch"]
-
-    if not report["identical"]:
-        failures.append("batched results differ from per-spec results")
-
-    if comparable(baseline, report):
-        base = baseline["speedups"]["batch"]
-        threshold = base * TOLERANCE
-        if speedup < threshold:
-            failures.append(
-                f"batch speedup {speedup:.2f}x regressed below "
-                f"{TOLERANCE:.0%} of baseline {base:.2f}x"
-            )
-    elif speedup < BATCH_FLOOR:
-        failures.append(
-            f"batch speedup {speedup:.2f}x below the "
-            f"{BATCH_FLOOR}x floor (no comparable baseline)"
-        )
-    return failures
+def build_parser() -> argparse.ArgumentParser:
+    return harness.parser(__doc__)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rows", type=int, default=50_000,
-                        help="frame size (default 50k)")
-    parser.add_argument("--rounds", type=int, default=3,
-                        help="timed rounds per condition; best is reported")
-    parser.add_argument("--quick", action="store_true",
-                        help="small smoke run for CI (20k rows, 2 rounds)")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_sql_scan.json"),
-                        help="trajectory artifact path")
-    parser.add_argument("--baseline", type=Path, default=BASELINE_PATH,
-                        help="committed baseline to gate against")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the committed baseline from this run")
-    args = parser.parse_args(argv)
-    if args.quick:
-        args.rows, args.rounds = 20_000, 2
+    args = harness.parse(build_parser(), argv)
 
     with contextlib.ExitStack() as stack:
         # config_overlay() rolls back every knob the run mutates on exit
@@ -164,13 +115,10 @@ def main(argv: list[str] | None = None) -> int:
         )
 
         report = {
-            "schema": 1,
-            "benchmark": "sql_scan",
-            "mode": "quick" if args.quick else "full",
-            "rows": args.rows,
-            "candidates": candidates,
+            **harness.record(
+                "sql_scan", args, rows=args.rows, candidates=candidates
+            ),
             "rounds": args.rounds,
-            "python": platform.python_version(),
             "sqlite": sqlite3.sqlite_version,
             "timings_ms": {k: round(v * 1e3, 3) for k, v in best.items()},
             "speedups": {"batch": round(speedup, 3)},
@@ -179,33 +127,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  batch speedup   : {speedup:9.2f}x")
         print(f"  identical       : {identical}")
 
-        args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-        print(f"  wrote {args.out}")
-
-        if not identical:
-            # Correctness precedes every mode, including --update-baseline:
-            # a baseline refresh must never go green while recording a
-            # batched-vs-serial divergence.
-            print("  GATE FAILED: batched results differ from per-spec results")
-            return 1
-
-        if args.update_baseline:
-            args.baseline.parent.mkdir(parents=True, exist_ok=True)
-            args.baseline.write_text(
-                json.dumps(report, indent=2) + "\n", encoding="utf-8"
-            )
-            print(f"  wrote baseline {args.baseline}")
-            return 0
-
-        baseline = load_baseline(args.baseline)
-        if not comparable(baseline, report):
-            print("  no comparable baseline; gating on absolute floors")
-        failures = gate(report, baseline)
-        for failure in failures:
-            print(f"  GATE FAILED: {failure}")
-        if not failures:
-            print("  all gates passed")
-        return 1 if failures else 0
+        correctness = (
+            [] if identical else ["batched results differ from per-spec results"]
+        )
+        return harness.conclude(args, report, METRICS, correctness, shape=SHAPE)
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@
 # budget, and gate the speedup trajectories against the committed
 # baselines (benchmarks/baselines/BENCH_*.json) — so regressions in the
 # hottest paths fail fast even when no unit test exercises the exact
-# combination.  Each run's BENCH_*.json is left in the repo root for the
-# workflow to upload as artifacts.
+# combination.  All seven benchmark modes share benchmarks/harness.py.
+# Each run's BENCH_*.json is left in the repo root for the workflow to
+# upload as artifacts.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,6 +53,13 @@ python benchmarks/bench_sql_scan.py --quick --out BENCH_sql_scan.json
 echo "== service benchmark gate =="
 python benchmarks/bench_service.py --quick --out BENCH_service.json
 
+echo "== multi-process service benchmark gate =="
+# Restart recovery (cold rebuild and warm restore, each on its own
+# trajectory; restored payloads bit-identical) on every host; the
+# 1-vs-4-worker scaling floors only on >= 4-core hosts.
+python benchmarks/bench_service.py --multiproc --quick \
+  --out BENCH_service_multiproc.json
+
 echo "== incremental benchmark gate =="
 python benchmarks/bench_incremental.py --quick --out BENCH_incremental.json
 
@@ -63,6 +71,12 @@ echo "== load benchmark gate =="
 # the client-observed latency histogram (same fixed buckets).
 python benchmarks/bench_load.py --quick --out BENCH_load.json \
   --metrics-out METRICS_snapshot.txt
+
+echo "== fault-injection load benchmark gate =="
+# A shard worker is SIGKILLed mid-workload and restarted: 503 +
+# Retry-After on its shard only, a warm bit-identical recovery, and
+# post-drain payloads identical to the unloaded reference.
+python benchmarks/bench_load.py --fault --quick --out BENCH_load_fault.json
 
 echo "== metrics snapshot gate =="
 # The scraped exposition must be non-empty and parseable; a broken

@@ -236,14 +236,20 @@ class DataFrameExecutor(Executor):
 
         n_helpers = min(pool.worker_count(), len(work)) - 1
         futures = [pool.submit(drain) for _ in range(n_helpers)]
-        drain()
-        # The queue is drained; a helper still waiting behind unrelated
-        # long-running pool tasks (streamed laggard actions) would only run
-        # a no-op — cancel it rather than let background work stall this
-        # interactive batch.  Helpers already running are joined as usual.
-        for future in futures:
-            if not future.cancel():
-                future.result()
+        try:
+            drain()
+            # The queue is drained; a helper still waiting behind unrelated
+            # long-running pool tasks (streamed laggard actions) would only
+            # run a no-op — cancel it rather than let background work stall
+            # this interactive batch.  Helpers already running are joined.
+            for future in futures:
+                if not future.cancel():
+                    future.result()
+        finally:
+            # A cancelled helper stays queued in the pool until a worker
+            # pops it, and its ``drain`` closure holds ``subframes``: drop
+            # the row copies now, not when the queue reaches it.
+            subframes.clear()
         if errors:
             raise errors[0]
 

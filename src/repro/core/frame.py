@@ -400,15 +400,24 @@ class LuxDataFrame(DataFrame):
         return self.recommendations
 
     def _compute_recommendations(self) -> None:
-        from .actions.registry import default_registry
-
         # Same version-stamping rationale as ``_compute_metadata``: a pass
         # racing a mutation must not mark its (possibly torn) result fresh.
         start_version = (self._data_version, self._intent_epoch)
+        self._recs_cache = self._run_recommendations()
+        self._recs_version = start_version
+        self._recs_fresh = (
+            self._data_version,
+            self._intent_epoch,
+        ) == start_version
+
+    def _run_recommendations(self) -> RecommendationSet:
+        """One recommendation pass under the current config; memoizes nothing."""
+        from .actions.registry import default_registry
+
         metadata = self.metadata
         try:
             applicable = default_registry.applicable(self)
-            recs = run_actions(applicable, self, metadata)
+            return run_actions(applicable, self, metadata)
         except Exception as exc:
             # Failproofing (§10.3): never break the display.
             warnings.warn(
@@ -418,12 +427,7 @@ class LuxDataFrame(DataFrame):
             )
             recs = RecommendationSet()
             recs._done.set()
-        self._recs_cache = recs
-        self._recs_version = start_version
-        self._recs_fresh = (
-            self._data_version,
-            self._intent_epoch,
-        ) == start_version
+            return recs
 
     # ------------------------------------------------------------------
     # Widget export (§3)

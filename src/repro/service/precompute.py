@@ -768,10 +768,8 @@ class PrecomputeEngine:
             version,
             {name: hits[name].payload if name in hits else views[name] for name in names},
         )
-        if not session.overrides:
-            # Memoize on the frame so in-process prints are free — only
-            # under stock config: overlay-shaped results (say top_k=5)
-            # must not masquerade as the frame's plain recommendations.
+        if session.shares_frame_memo:
+            # Memoize on the frame so in-process prints are free.
             frame = session.frame
             frame._recs_cache = recs
             frame._recs_version = version

@@ -192,6 +192,16 @@ class Session:
         """
         return bool(self.overrides.get("precompute", config.precompute))
 
+    @property
+    def shares_frame_memo(self) -> bool:
+        """Whether this session's passes may read and write the frame's memo.
+
+        Only with no overrides: the frame memoizes its recommendations
+        under stock config, so an overlay-shaped pass (say ``top_k=2``)
+        must neither be served the memo nor leave its result in it.
+        """
+        return not self.overrides
+
     # ------------------------------------------------------------------
     def set_intent(self, intent: Any) -> None:
         """Set (or clear with None/[]) the frame's intent, session-scoped."""
@@ -417,9 +427,13 @@ class Session:
         with telemetry.span(
             "session.foreground_pass", session=self.id
         ), self.lock, self.overlay():
-            # The property path memoizes on the frame and carries the
-            # repr's failproofing (a broken action yields an empty tab).
-            recs = self.frame.recommendations
+            # Both paths carry the repr's failproofing (a broken action
+            # yields an empty tab).
+            recs = (
+                self.frame.recommendations
+                if self.shares_frame_memo
+                else self.frame._run_recommendations()
+            )
             ran_at = self.version
             payloads = encode_recommendations(recs)
             if self.store is not None and ran_at == version:

@@ -164,6 +164,29 @@ class TestConcurrentBatches:
         assert stats["hits"] > stats["misses"]
         assert stats["hits"] >= 3 * stats["misses"]
 
+    def test_cancelled_helpers_release_subframes(self, frame):
+        """A batch whose helpers never started frees its filtered subframes."""
+        config.parallel_execute = True
+        config.action_pool_workers = 2
+        release = threading.Event()
+        started = [threading.Event() for _ in range(2)]
+
+        def block(event: threading.Event) -> None:
+            event.set()
+            release.wait(30.0)
+
+        blockers = [pool.submit(lambda e=e: block(e)) for e in started]
+        try:
+            assert all(event.wait(10.0) for event in started)
+            DataFrameExecutor().execute_many(build_specs(), frame)
+            # The filter groups' subframes are gone; only the frame's slot
+            # is left, though the cancelled helper is still queued.
+            assert computation_cache.stats()["frames"] == 1
+        finally:
+            release.set()
+            for blocker in blockers:
+                blocker.result(timeout=30.0)
+
     def test_nested_batch_inside_pool_worker_completes(self, frame):
         """A batch issued from a pool thread runs inline (deadlock rule)."""
         expected = run_serial(frame)

@@ -38,6 +38,14 @@ def make_frame(n: int = 2_000, seed: int = 0) -> LuxDataFrame:
     )
 
 
+def make_wide_frame() -> LuxDataFrame:
+    """6 measures and 1 dimension: 6 Distribution and 15 Correlation charts."""
+    rng = np.random.default_rng(3)
+    data = {f"m{i}": np.round(rng.normal(0, 1, 300), 6) for i in range(6)}
+    data["d0"] = rng.choice(["a", "b", "c"], 300).tolist()
+    return LuxDataFrame(data)
+
+
 @pytest.fixture
 def manager():
     config.precompute_debounce_s = 0.0
@@ -164,6 +172,21 @@ class TestSession:
         with pytest.raises(KeyError, match="Bogus"):
             session.recommendations(action="Bogus")
         assert session.frame._recs_cache is memoized
+
+    def test_override_session_is_not_served_the_printed_memo(self, manager):
+        frame = make_wide_frame()
+        repr(frame)  # memoizes the stock recommendations on the frame
+        session = manager.create(frame, overrides={"top_k": 2, "precompute": False})
+        response = session.recommendations()
+        assert response["provenance"]["origin"] == "foreground"
+        assert len(response["actions"]["Correlation"]["specs"]) == 2
+
+    def test_override_session_leaves_no_memo(self, manager):
+        frame = make_wide_frame()
+        session = manager.create(frame, overrides={"top_k": 2, "precompute": False})
+        assert session.recommendations()["provenance"]["origin"] == "foreground"
+        recs = frame.recommendations
+        assert (len(recs["Distribution"]), len(recs["Correlation"])) == (6, 15)
 
     def test_overrides_validated(self, manager):
         with pytest.raises(ValueError, match="unknown config field"):
