@@ -94,6 +94,7 @@ import functools
 import hmac
 import json
 import re
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -180,9 +181,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ServiceServer"
     protocol_version = "HTTP/1.1"
-    # TCP_NODELAY: a response goes out as two sends (headers, then body),
-    # and with Nagle on the second waits for the client's delayed ACK
-    # (~40 ms) on every small keep-alive reply.
+    # TCP_NODELAY: a response is one send, but a body larger than the
+    # socket buffer still leaves in several segments, and with Nagle on
+    # the last one waits for the client's delayed ACK (~40 ms).
     disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
@@ -198,16 +199,29 @@ class _Handler(BaseHTTPRequestHandler):
         body: "dict[str, Any] | bytes | str",
         headers: dict[str, str] | None = None,
     ) -> None:
+        """Write one response: status line, headers and body in one send.
+
+        Bytes are an encoded recommendations body, sent as they are; a str
+        is the /metrics exposition text; a dict goes through the one wire
+        writer (:func:`repro.service.wire.dumps`).  The status line and
+        headers are built by ``send_response``/``send_header`` and leave
+        with the body in one ``socket.sendmsg`` loop, so the body is not
+        copied again.  This is the only method that writes to the client
+        (``tools/check`` rule ``one-writer``).
+
+        A socket error means the client is gone: the connection is closed
+        and nothing more is written on it.  The request is still observed
+        once, by ``_route``, under the status it was sending, and its span
+        names the error.
+        """
         # Keep-alive discipline: any declared request body must be fully
         # consumed before the response, or its bytes would be parsed as
         # the connection's next request line (error paths can respond
         # before the route ever called _body()).
         self._read_body_bytes()
-        # Bytes are an encoded recommendations body, sent as they are; a
-        # str is the /metrics exposition text.  A dict goes through the
-        # one wire writer.
         data = body.encode("utf-8") if isinstance(body, str) else wire.dumps(body)
         self._status_sent = status
+        self._body_bytes = len(data)
         extra = dict(headers or {})
         if self.close_connection:
             extra.setdefault("Connection", "close")
@@ -220,8 +234,15 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(data)))
         for name, value in extra.items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
+        # What end_headers() would write, taken from the buffer instead.
+        self._headers_buffer.append(b"\r\n")
+        head = b"".join(self._headers_buffer)
+        self._headers_buffer = []
+        try:
+            _send_all(self.connection, [head, data])
+        except OSError as exc:
+            self.close_connection = True
+            self._send_error = type(exc).__name__
 
     def _read_body_bytes(self) -> bytes:
         """The raw request body, read exactly once per request.
@@ -282,6 +303,8 @@ class _Handler(BaseHTTPRequestHandler):
         self._body_cache = None
         self._route_name = "unrouted"
         self._status_sent = 0
+        self._body_bytes = 0
+        self._send_error = ""
         started = time.perf_counter()
         with telemetry.span(
             "http.request", method=method, path=self.path
@@ -322,10 +345,16 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
             root.attrs["route"] = self._route_name
             root.attrs["status"] = self._status_sent
+            if self._send_error:
+                root.attrs["error"] = self._send_error
         # Central per-route observation: runs after the except-ladder so
         # error statuses land in the same labelled series as successes.
         service_metrics.observe_request(
-            self._route_name, method, self._status_sent, time.perf_counter() - started
+            self._route_name,
+            method,
+            self._status_sent,
+            time.perf_counter() - started,
+            self._body_bytes,
         )
 
     def _resolve(self, method: str) -> tuple[Callable[..., Any], tuple]:
@@ -443,6 +472,22 @@ def _parse_query(query: str) -> dict[str, str]:
     return dict(parse_qsl(query))
 
 
+def _send_all(sock: Any, buffers: list[bytes]) -> None:
+    """``sendmsg`` ``buffers`` in order until every byte is sent.
+
+    A short send (a signal, or a socket with a timeout) resumes from the
+    first unsent byte through memoryview slices, so nothing is copied.
+    """
+    views = [memoryview(buffer) for buffer in buffers if buffer]
+    while views:
+        sent = sock.sendmsg(views)
+        while sent:
+            if sent < len(views[0]):
+                views[0] = views[0][sent:]
+                break
+            sent -= len(views.pop(0))
+
+
 class ServiceServer(ThreadingHTTPServer):
     """ThreadingHTTPServer bound to one backend (in-process or sharded)."""
 
@@ -475,6 +520,15 @@ class ServiceServer(ThreadingHTTPServer):
             config.service_auth_token if auth_token is None else auth_token
         )
         self._thread: threading.Thread | None = None
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        # A client that resets its connection while its handler waits for
+        # the next request is not a server error: drop it without the
+        # default traceback.  Errors inside a request never get here:
+        # _route answers them, and _send closes a dead connection.
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            return
+        super().handle_error(request, client_address)
 
     @property
     def address(self) -> str:

@@ -276,8 +276,15 @@ def summaries(snapshot: Optional[Dict[str, Dict[str, Any]]] = None) -> Dict[str,
     return out
 
 
-def observe_request(route: str, method: str, status: int, seconds: float) -> None:
-    """Record one HTTP request (called centrally by the HTTP router)."""
+def observe_request(
+    route: str, method: str, status: int, seconds: float, body_bytes: int
+) -> None:
+    """Record one HTTP request (called centrally by the HTTP router).
+
+    ``body_bytes`` is the response body's length (its ``Content-Length``).
+    In shard mode only the router's HTTP handler records requests, so the
+    supervisor's merge of these series is a plain sum.
+    """
 
     telemetry.counter(
         "lux_http_requests_total",
@@ -289,6 +296,11 @@ def observe_request(route: str, method: str, status: int, seconds: float) -> Non
         "HTTP request latency by route",
         ("route",),
     ).observe(seconds, (route,))
+    telemetry.counter(
+        "lux_http_response_bytes_total",
+        "HTTP response body bytes by route",
+        ("route",),
+    ).inc(body_bytes, (route,))
 
 
 def _slot_total(field: str):

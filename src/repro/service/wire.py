@@ -15,7 +15,10 @@ instead of re-encoding decoded dicts on every read.
 default settings, except that a ``bytes`` value is taken as already
 encoded JSON and spliced in verbatim.  Because the writer's bytes equal
 ``json.dumps`` of the same values, a spliced response is byte-identical
-to ``json.dumps`` of the fully decoded response.
+to ``json.dumps`` of the fully decoded response.  It walks the response
+once into a flat list of byte pieces, holding each stored payload by
+reference, and joins that list once: a stored payload byte is copied
+once per response, into the body the HTTP handler sends as it is.
 """
 
 from __future__ import annotations
@@ -62,15 +65,29 @@ def dumps(value: Any) -> bytes:
 
     Only dicts that hold raw bytes (directly or in a nested dict) are
     walked in Python; every other subtree is one ``json.dumps`` call.
-    Dict keys must be strings.
+    The pieces are joined once, so the output is the only new copy of
+    the spliced bytes.  Dict keys must be strings.
     """
     if isinstance(value, bytes):
         return value
-    if isinstance(value, dict) and _holds_raw(value):
-        return b"{%s}" % b", ".join(
-            encode(key) + b": " + dumps(item) for key, item in value.items()
-        )
-    return encode(value)
+    pieces: list[bytes] = []
+    _splice(value, pieces)
+    return b"".join(pieces)
+
+
+def _splice(value: Any, pieces: "list[bytes]") -> None:
+    """Append ``value``'s JSON to ``pieces``; ``bytes`` go in by reference."""
+    if isinstance(value, bytes):
+        pieces.append(value)
+    elif isinstance(value, dict) and _holds_raw(value):
+        separator = b"{"
+        for key, item in value.items():
+            pieces.append(b"%s%s: " % (separator, encode(key)))
+            _splice(item, pieces)
+            separator = b", "
+        pieces.append(b"}")
+    else:
+        pieces.append(encode(value))
 
 
 def _holds_raw(value: dict) -> bool:

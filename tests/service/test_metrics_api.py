@@ -169,6 +169,23 @@ class TestMetricsEndpoint:
 
         call(base, "DELETE", f"/v1/sessions/{sid}")
 
+    def test_response_bytes_add_each_body(self, server):
+        base = server.address
+        status, body, _ = call(base, "POST", "/v1/sessions", {"csv": CSV})
+        sid = json.loads(body)["session"]
+        assert server.manager.engine.wait_idle(30)
+        path = f"/v1/sessions/{sid}/recommendations"
+
+        def sent() -> float:
+            parsed = parse_metrics(call(base, "GET", "/v1/metrics")[1])
+            return parsed["lux_http_response_bytes_total"].get('route="recommendations"', 0.0)
+
+        before = sent()
+        bodies = [call(base, "GET", path)[1].encode("utf-8") for _ in range(4)]
+        assert len(set(bodies)) == 1  # store hits: one body, read four times
+        assert sent() - before == 4 * len(bodies[0])
+        call(base, "DELETE", f"/v1/sessions/{sid}")
+
     def test_metrics_cli_accepts_a_real_scrape(self, server, tmp_path):
         _, text, _ = call(server.address, "GET", "/v1/metrics")
         snapshot = tmp_path / "snap.txt"
@@ -280,7 +297,7 @@ class TestShardedObservability:
             status, body, _ = call(base, "POST", "/v1/sessions", {"csv": CSV})
             assert status == 201
             sid = json.loads(body)["session"]
-            status, _, read_headers = call(
+            status, read_body, read_headers = call(
                 base, "GET", f"/v1/sessions/{sid}/recommendations"
             )
             assert status == 200
@@ -320,6 +337,13 @@ class TestShardedObservability:
             name = "lux_precompute_pass_seconds"
             assert manual[name] == merged[name]
             assert merged["lux_worker_up"]["values"] == {"0": 1.0, "1": 1.0}
+            # Only the router's HTTP handler counts response bytes, so the
+            # merged series is its count alone: the one read's body.
+            sent = merged["lux_http_response_bytes_total"]["values"]
+            assert sent["recommendations"] == len(read_body.encode("utf-8"))
+            assert not any(
+                "lux_http_response_bytes_total" in snap for snap in worker_snaps
+            )
 
             status, text, _ = call(base, "GET", "/v1/metrics")
             assert status == 200

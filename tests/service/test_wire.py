@@ -5,20 +5,33 @@ exactly once (``ResultStore.put``), the store holds only those bytes and
 accounts for exactly their length, and every wire reader — the HTTP
 handler, the shard RPC, snapshot files — splices them into the response
 with :func:`repro.service.wire.dumps`, producing the same bytes
-``json.dumps`` would produce for the decoded response.  In-process reads
-keep getting dicts, from the session's view of its last published pass.
+``json.dumps`` would produce for the decoded response.  The splice copies
+each stored payload byte once, and ``_Handler._send`` writes status line,
+headers and body in one ``sendmsg`` loop; a client that goes away
+mid-response gets no second response.  In-process reads keep getting
+dicts, from the session's view of its last published pass.
 """
 
 from __future__ import annotations
 
+import builtins
 import http.client
+import io
 import json
 import socket
 import statistics
+import struct
+import sys
 import time
+import tracemalloc
+from email.message import Message
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from repro import LuxDataFrame
+from repro.core import telemetry
 from repro.core.config import config_overlay
 from repro.data.synthetic import make_scenario
 from repro.service import (
@@ -29,7 +42,8 @@ from repro.service import (
     make_server,
     wire,
 )
-from repro.service.http_api import MAX_BODY_BYTES
+from repro.service import metrics as service_metrics
+from repro.service.http_api import MAX_BODY_BYTES, _Handler
 from repro.service.persist import read_results
 from repro.service.shard import decode_frame, encode_frame
 
@@ -59,6 +73,131 @@ class TestWriter:
         assert wire.dumps(b'{"x": 1}') == b'{"x": 1}'
         assert wire.dumps({"outer": {"inner": b"[1, 2]"}}) == b'{"outer": {"inner": [1, 2]}}'
         assert wire.dumps({}) == b"{}"
+
+    def test_splice_copies_the_payload_once(self):
+        """The response is the only new copy of a stored payload's bytes."""
+        payload = b'{"count": 1, "specs": ["' + b"x" * (4 << 20) + b'"]}'
+        response = {
+            "session": "s1",
+            "data_version": [3, 1],
+            "actions": {"A": payload, "B": wire.encode({"count": 0, "specs": []})},
+            "provenance": {"origin": "precompute", "actions": {"A": {"vis": None}}},
+        }
+        tracemalloc.start()
+        try:
+            body = wire.dumps(response)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(body) + (64 << 10), (peak, len(body))
+        decoded = dict(response, actions={k: json.loads(v) for k, v in response["actions"].items()})
+        assert body == json.dumps(decoded).encode("utf-8")
+
+
+# ----------------------------------------------------------------------
+# The sender: one sendmsg per response, no second response to a dead client
+# ----------------------------------------------------------------------
+DATE = "Sat, 17 Oct 2026 12:00:00 GMT"
+
+
+class FakeConnection:
+    """A socket stand-in that records ``sendmsg`` calls.
+
+    It accepts at most ``limit`` bytes a call (all of them when None), or
+    raises ``error`` on every call.
+    """
+
+    def __init__(self, limit: int | None = None, error: OSError | None = None):
+        self.limit = limit
+        self.error = error
+        self.calls: list[list[bytes]] = []
+        self.received = b""
+
+    def sendmsg(self, buffers):
+        buffers = [bytes(buffer) for buffer in buffers]
+        self.calls.append(buffers)
+        if self.error is not None:
+            raise self.error
+        offered = b"".join(buffers)
+        taken = offered if self.limit is None else offered[: self.limit]
+        self.received += taken
+        return len(taken)
+
+
+def fake_handler(connection: FakeConnection, path: str = "/v1/healthz") -> _Handler:
+    """A ``_Handler`` over ``connection`` for a bodiless ``GET path``."""
+    handler = _Handler.__new__(_Handler)
+    backend = SimpleNamespace(request=lambda method, params=None: {"status": "ok"})
+    handler.server = SimpleNamespace(verbose=False, auth_token="", backend=backend)
+    handler.connection = connection
+    handler.rfile = io.BytesIO()
+    handler.headers = Message()
+    handler.command, handler.path = "GET", path
+    handler.request_version = "HTTP/1.1"
+    handler.requestline = f"GET {path} HTTP/1.1"
+    handler.close_connection = False
+    handler._body_cache = None
+    handler._request_id = "0123456789abcdef"
+    return handler
+
+
+def expected_response(handler: _Handler, body: bytes) -> bytes:
+    """Status line, headers in the order the server writes them, CRLF, body."""
+    head = (
+        "HTTP/1.1 200 OK\r\n"
+        f"Server: {handler.version_string()}\r\n"
+        f"Date: {DATE}\r\n"
+        "Content-Type: application/json\r\n"
+        "X-Request-Id: 0123456789abcdef\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        "\r\n"
+    )
+    return head.encode("latin-1") + body
+
+
+@pytest.fixture
+def fixed_date(monkeypatch):
+    monkeypatch.setattr(_Handler, "date_time_string", lambda self, timestamp=None: DATE)
+
+
+class TestSend:
+    def test_one_sendmsg_per_response(self, fixed_date):
+        connection = FakeConnection()
+        handler = fake_handler(connection)
+        body = wire.encode({"count": 1, "specs": [{"title": "x"}]})
+        handler._send(200, body)
+        assert len(connection.calls) == 1
+        assert b"".join(connection.calls[0]) == expected_response(handler, body)
+        assert connection.calls[0][-1] == body
+
+    @pytest.mark.parametrize("limit", [1, 7, 100, 4096])
+    def test_short_sends_complete(self, fixed_date, limit):
+        connection = FakeConnection(limit=limit)
+        handler = fake_handler(connection)
+        body = b'{"blob": "' + b"y" * 10_000 + b'"}'
+        handler._send(200, body)
+        expected = expected_response(handler, body)
+        assert connection.received == expected
+        assert len(connection.calls) == -(-len(expected) // limit)
+
+    def test_dead_client_gets_no_second_response(self):
+        """A send error closes the connection; the request is observed
+        once, as the status it was sending, and its span names the error."""
+        telemetry.reset()
+        try:
+            connection = FakeConnection(error=BrokenPipeError(32, "Broken pipe"))
+            handler = fake_handler(connection)
+            handler._route("GET")
+            assert len(connection.calls) == 1
+            assert handler.close_connection
+            requests = service_metrics.collect_process()["lux_http_requests_total"]
+            assert requests["values"] == {"healthz\x1fGET\x1f200": 1.0}
+            (root,) = [s for s in telemetry.spans() if s["name"] == "http.request"]
+            assert root["attrs"]["route"] == "healthz"
+            assert root["attrs"]["status"] == 200
+            assert root["attrs"]["error"] == "BrokenPipeError"
+        finally:
+            telemetry.reset()
 
 
 # ----------------------------------------------------------------------
@@ -363,3 +502,119 @@ class TestTransport:
         assert head.startswith(f"HTTP/1.1 {status} ".encode())
         assert b"Connection: close" in head
         assert "Content-Length" in json.loads(body)["error"]
+
+
+# ----------------------------------------------------------------------
+# Large bodies over real sockets: slow readers and clients that leave
+# ----------------------------------------------------------------------
+def measure_frame(rows: int) -> LuxDataFrame:
+    """Six normal measures and three nominal dimensions (the edit_read shape)."""
+    rng = np.random.default_rng(0)
+    data = {f"q{i}": rng.normal(0.0, 1.0, rows) for i in range(6)}
+    for name, card in {"d0": 6, "d1": 12, "d2": 24}.items():
+        data[name] = [f"v{i % card}" for i in range(rows)]
+    return LuxDataFrame(data)
+
+
+def small_buffer_socket(server) -> socket.socket:
+    """A client socket whose receive buffer is 4 KiB, connected to ``server``."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.settimeout(60)
+    sock.connect(server.server_address[:2])
+    return sock
+
+
+def request_count(route: str, status: int) -> float:
+    values = service_metrics.collect_process().get("lux_http_requests_total", {})
+    return values.get("values", {}).get(f"{route}\x1fGET\x1f{status}", 0.0)
+
+
+@pytest.fixture(scope="class")
+def large_read():
+    """A server holding one stored ~4 MB recommendations body (5,000 rows)."""
+    server = make_server().serve_background()
+    try:
+        sid = server.manager.create(measure_frame(5_000)).id
+        assert server.manager.engine.wait_idle(120)
+        params = {"session": sid, "action": None}
+        body = server.backend.request("recommendations", params)["payload_json"]
+        yield server, f"/v1/sessions/{sid}/recommendations", body
+    finally:
+        server.manager.shutdown()
+        server.stop()
+
+
+@pytest.mark.slow
+class TestLargeBody:
+    def test_slow_reader_receives_the_whole_body(self, large_read):
+        server, path, expected = large_read
+        assert len(expected) > 3_000_000
+        with small_buffer_socket(server) as sock:
+            sock.sendall(f"GET {path} HTTP/1.1\r\nHost: test\r\n\r\n".encode())
+            with sock.makefile("rb") as reader:
+                assert reader.readline().startswith(b"HTTP/1.1 200 ")
+                headers = {}
+                for line in iter(reader.readline, b"\r\n"):
+                    name, _, value = line.decode("latin-1").partition(":")
+                    headers[name.lower()] = value.strip()
+                body = reader.read(int(headers["content-length"]))
+        assert body == expected
+
+    def test_client_gone_mid_response(self, large_read, capsys):
+        """Three clients read 100 bytes and reset: each request is observed
+        once, as the 200 it was sending, no 500 is attempted, no traceback
+        is printed, and the next client is served."""
+        server, path, expected = large_read
+        before = request_count("recommendations", 200)
+        for _ in range(3):
+            with small_buffer_socket(server) as sock:
+                sock.sendall(f"GET {path} HTTP/1.1\r\nHost: test\r\n\r\n".encode())
+                assert sock.recv(100)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        deadline = time.monotonic() + 30
+        while request_count("recommendations", 200) < before + 3 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert request_count("recommendations", 200) == before + 3
+        assert request_count("recommendations", 500) == 0
+
+        roots = [s for s in telemetry.spans() if s["attrs"].get("path") == path][-3:]
+        assert [root["name"] for root in roots] == ["http.request"] * 3
+        for root in roots:
+            assert root["attrs"]["route"] == "recommendations"
+            assert root["attrs"]["status"] == 200
+            # Whether the send fails depends on the kernel's send buffer;
+            # when it does, the span names the socket error.
+            if "error" in root["attrs"]:
+                assert issubclass(getattr(builtins, root["attrs"]["error"]), ConnectionError)
+
+        conn = http.client.HTTPConnection(*server.server_address[:2], timeout=60)
+        try:
+            status, body = get(conn, path)
+        finally:
+            conn.close()
+        assert status == 200 and body == expected
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_client_reset_between_requests_is_quiet(self, large_read, capsys, monkeypatch):
+        """A client that resets its idle keep-alive connection is dropped
+        without a traceback."""
+        server, _, _ = large_read
+        dropped = []
+        handle_error = server.handle_error
+
+        def recording(request, client_address):
+            handle_error(request, client_address)
+            dropped.append(sys.exc_info()[0])
+
+        monkeypatch.setattr(server, "handle_error", recording)
+        with small_buffer_socket(server) as sock:
+            conn = http.client.HTTPConnection(*server.server_address[:2], timeout=60)
+            conn.sock = sock
+            assert get(conn, "/v1/healthz")[0] == 200
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        deadline = time.monotonic() + 10
+        while not dropped and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert dropped and all(issubclass(error, ConnectionError) for error in dropped)
+        assert "Traceback" not in capsys.readouterr().err

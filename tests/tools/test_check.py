@@ -35,6 +35,7 @@ RULE_FIXTURES = {
     "unstable-key": "unstable_key",
     "route-auth": "route_auth",
     "telemetry-hygiene": "telemetry_hygiene",
+    "one-writer": "one_writer",
 }
 
 

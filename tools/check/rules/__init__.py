@@ -4,6 +4,7 @@ from .config_mutation import ConfigMutationRule
 from .footprint import FootprintRule
 from .guarded_by import GuardedByRule, ResultUnderLockRule
 from .mutation_delta import MutationDeltaRule
+from .one_writer import OneWriterRule
 from .route_auth import RouteAuthRule
 from .sql_hygiene import SqlHygieneRule
 from .telemetry_hygiene import TelemetryHygieneRule
@@ -19,6 +20,7 @@ ALL_RULES = [
     UnstableKeyRule(),
     RouteAuthRule(),
     TelemetryHygieneRule(),
+    OneWriterRule(),
 ]
 
 __all__ = ["ALL_RULES"]
