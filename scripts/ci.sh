@@ -33,6 +33,10 @@ echo "== static analysis (tools/check) =="
 # missing dependency.  The JSON report is uploaded as a CI artifact.
 python -m tools.check src --json CHECK_report.json
 
+echo "== src/ line count (reported, not gated) =="
+# Each change reports the net size of src/; this line carries the number.
+echo "src/ python lines: $(find src -name '*.py' -print0 | xargs -0 cat | wc -l)"
+
 echo "== tier-1 tests =="
 python -m pytest -x -q
 

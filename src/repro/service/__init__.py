@@ -3,8 +3,9 @@
 Turns the library into a server: sessions isolate analysts (own frame,
 history, frozen config overlay), a background engine precomputes
 recommendation passes on every mutation so results are ready *before* the
-analyst looks, a versioned byte-budgeted store makes the read path a
-dictionary lookup, and a stdlib HTTP JSON API exposes the whole thing.
+analyst looks, a byte-budgeted store of each session's latest pass makes
+the read path a dictionary lookup, and a stdlib HTTP JSON API exposes the
+whole thing.
 
 Quickstart (in-process)::
 

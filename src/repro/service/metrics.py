@@ -335,7 +335,7 @@ def register_service_gauges(manager: Any) -> None:
     g = telemetry.gauge
     g("lux_store_bytes", "result store resident bytes").set_function(lambda: store._nbytes)
     g("lux_store_bytes_peak", "result store peak bytes").set_function(lambda: store._bytes_peak)
-    g("lux_store_entries", "result store entries").set_function(lambda: len(store._entries))
+    g("lux_store_entries", "result store action payloads").set_function(lambda: store._entries)
     g("lux_store_hits_total", "result store hits").set_function(lambda: store._hits)
     g("lux_store_misses_total", "result store misses").set_function(lambda: store._misses)
     g("lux_store_evictions_total", "result store evictions").set_function(

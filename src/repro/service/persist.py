@@ -3,13 +3,13 @@
 A :class:`SnapshotStore` serializes everything a worker needs to resume a
 session exactly where it left off — the frame's columns (numpy arrays +
 validity masks), its intent clauses, its operation history, the explicit
-data-type overrides, the frozen config overrides, and the
-:class:`~repro.service.store.ResultStore` payloads of the last completed
-pass — into one directory per session::
+data-type overrides, the frozen config overrides, and the session's
+pass in the :class:`~repro.service.store.ResultStore` at its current
+version — into one directory per session::
 
     <root>/<session_id>/
         frame-<data_version>.npz             # v::<col> / m::<col> arrays
-        results-<data_version>-<epoch>.jsonl # manifest + per-action records
+        results-<data_version>-<epoch>.jsonl # action order + per-action records
         snapshot.json                        # the commit record, written last
 
 Every file is version-stamped with the ``(data_version, intent_epoch)``
@@ -21,11 +21,12 @@ leftover and is pruned after the commit.  An intent-only change (data
 version unchanged) reuses the existing frame file instead of rewriting
 the column data.
 
-A results file is JSON lines: the first line holds the manifest and each
-action's provenance (origin, ``computed_at``, per-vis origins), and one
-line per action follows with that action's payload — the store's JSON
-bytes, written and read back verbatim, never decoded (``json.dumps``
-output contains no raw newline).  See :func:`write_results` and
+A results file holds the session's stored pass as JSON lines: the first
+line lists the action order (under ``manifest``) and each action's
+provenance (origin, ``computed_at``, per-vis origins), and one line per
+action follows with that action's payload — the store's JSON bytes,
+written and read back verbatim, never decoded (``json.dumps`` output
+contains no raw newline).  See :func:`write_results` and
 :func:`read_results`.
 
 Restores are *lazy about payloads*: :meth:`SnapshotStore.restore_session`
@@ -191,12 +192,10 @@ def _rebuild_frame(meta: dict[str, Any], arrays: Mapping[str, np.ndarray]) -> Lu
 # ----------------------------------------------------------------------
 # Results file: one header line, then one payload line per action
 # ----------------------------------------------------------------------
-def write_results(
-    records: Mapping[str, Mapping[str, Any]], manifest: "list[str] | None"
-) -> bytes:
+def write_results(records: Mapping[str, Mapping[str, Any]]) -> bytes:
     """A stored pass's records as results-file bytes (payloads verbatim)."""
     header = {
-        "manifest": manifest,
+        "manifest": list(records),
         "records": {
             name: {k: v for k, v in record.items() if k != "payload"}
             for name, record in records.items()
@@ -207,8 +206,8 @@ def write_results(
     return b"\n".join(lines)
 
 
-def read_results(path: "str | Path") -> "tuple[list[str] | None, dict[str, dict]]":
-    """``(manifest, records)`` from a results file; payloads stay bytes."""
+def read_results(path: "str | Path") -> "dict[str, dict]":
+    """The records of a results file, in action order; payloads stay bytes."""
     header, *payloads = Path(path).read_bytes().split(b"\n")
     meta = json.loads(header)
     records = meta["records"]
@@ -218,7 +217,7 @@ def read_results(path: "str | Path") -> "tuple[list[str] | None, dict[str, dict]
         )
     for record, payload in zip(records.values(), payloads):
         record["payload"] = payload
-    return meta["manifest"], records
+    return records
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -272,21 +271,14 @@ class SnapshotStore:
     # ------------------------------------------------------------------
     # Save
     # ------------------------------------------------------------------
-    def save(
-        self,
-        session: "Session",
-        results: Mapping[str, dict[str, Any]] | None = None,
-        manifest: list[str] | None = None,
-        force: bool = False,
-    ) -> bool:
+    def save(self, session: "Session", force: bool = False) -> bool:
         """Persist the session's current state; True when a commit happened.
 
         Rate-limited by ``config.service_snapshot_interval_s`` unless
-        ``force`` (shutdown flushes force).  ``results`` are the stored
-        records of the pass at the session's current version (fetched
-        from the live store when omitted); a session with no stored pass
-        still snapshots its frame — recovery is then warm-frame /
-        cold-results, which beats rebuilding from nothing.
+        ``force`` (shutdown flushes force).  The results file holds the
+        store's pass at the session's current version; a session with no
+        stored pass still snapshots its frame — recovery is then
+        warm-frame / cold-results, which beats rebuilding from nothing.
         """
         now = time.monotonic()
         interval = self.interval_s()
@@ -298,7 +290,7 @@ class SnapshotStore:
                     return False
         try:
             with session.lock:
-                self._save_locked(session, results, manifest)
+                self._save_locked(session)
         except Exception as exc:
             self._bump("save_failed")
             warnings.warn(f"snapshot save failed for {session.id}: {exc}", LuxWarning)
@@ -308,19 +300,13 @@ class SnapshotStore:
             self._counters["saved"] += 1
         return True
 
-    def _save_locked(
-        self,
-        session: "Session",
-        results: Mapping[str, dict[str, Any]] | None,
-        manifest: list[str] | None,
-    ) -> None:
+    def _save_locked(self, session: "Session") -> None:
         frame = session.frame
         version = session.version
         dv, epoch = version
-        if results is None and session.store is not None:
-            results = session.store.get_pass(session.id, version)
-        if results is not None and manifest is None:
-            manifest = list(results)
+        stored = None
+        if session.store is not None:
+            stored = session.store.get_pass(session.id, version)
 
         directory = self.session_dir(session.id)
         directory.mkdir(parents=True, exist_ok=True)
@@ -337,9 +323,9 @@ class SnapshotStore:
             self._bump("frame_rewrites")
 
         results_file = None
-        if results is not None:
+        if stored is not None:
             results_file = f"results-{dv}-{epoch}.jsonl"
-            _atomic_write(directory / results_file, write_results(results, manifest))
+            _atomic_write(directory / results_file, write_results(stored[0]))
 
         if frame._metadata_cache is not None:
             type_overrides = dict(getattr(frame._metadata_cache, "_overrides", {}))

@@ -53,13 +53,13 @@ switch off a pass looks nothing up but still records its results, so
 switching it back on reuses them.
 
 A completed pass lands in the :class:`~repro.service.store.ResultStore`
-keyed on the version it computed — *only* if that version is still
-current, so the store can never be populated with results for data that
-no longer exists.  Each missed spec is written to its JSON wire bytes
-once, by the vega-lite writer (a column several missed specs show is
-formatted once for all of them), and each action's bytes are joined from
-its specs' bytes.  Publishing decodes the new spec bytes for the
-session's view of the pass
+as one unit, replacing the session's previous pass there, at the version
+it computed — *only* if that version is still current, so the store can
+never be populated with results for data that no longer exists.  Each
+missed spec is written to its JSON wire bytes once, by the vega-lite
+writer (a column several missed specs show is formatted once for all of
+them), and each action's bytes are joined from its specs' bytes.
+Publishing decodes the new spec bytes for the session's view of the pass
 (:meth:`~repro.service.session.Session.publish_view`); the view, the
 frame's own memoized recommendation set and the session's table are
 replaced under the same guard, making in-process reads and prints free
@@ -728,46 +728,41 @@ class PrecomputeEngine:
         """
         now = time.time()
         table: dict[str, _ActionResult] = {}
-        blobs: dict[str, bytes] = {}
+        stored: dict[str, dict[str, Any]] = {}
         views: dict[str, Any] = {}
-        vis_origins: dict[str, dict[str, str]] = {}
-        for name, (blobs[name], slices, reused) in fresh.items():
+        for name in recs.keys():
+            hit = hits.get(name)
+            if hit is not None:
+                # The bytes object and computed_at an earlier pass stored.
+                stored[name] = {
+                    "payload": hit.wire,
+                    "origin": "carried",
+                    "computed_at": hit.computed_at,
+                }
+                views[name] = hit.payload
+                table[name] = hit
+                continue
+            blob, slices, reused = fresh[name]
             specs = [
                 json.loads(bytes(view)) if prior is None else prior.payload
                 for view, prior in zip(slices, reused)
             ]
             payload = views[name] = {"count": len(recs[name]), "specs": specs}
+            record = stored[name] = {"payload": blob, "origin": "precompute", "computed_at": now}
             if any(prior is not None for prior in reused):
-                vis_origins[name] = {
+                record["origin"] = "mixed"
+                record["vis_origins"] = {
                     spec["key"]: "precompute" if prior is None else "carried"
                     for spec, prior in zip(specs, reused)
                 }
             result = _record(
-                keys.get(name), recs[name], payload, blobs[name], slices,
+                keys.get(name), recs[name], payload, blob, slices,
                 records.get(name), now,
             )
             if result is not None:
                 table[name] = result
-        for name, hit in hits.items():
-            self.store.put(
-                session.id, version, name, hit.wire,
-                origin="carried", computed_at=hit.computed_at,
-            )
-            table[name] = hit
-        names = recs.keys()
-        self.store.put_pass(
-            session.id,
-            version,
-            blobs,
-            manifest=names,
-            origins={name: "mixed" for name in vis_origins},
-            vis_origins=vis_origins,
-            computed_at=now,
-        )
-        session.publish_view(
-            version,
-            {name: hits[name].payload if name in hits else views[name] for name in names},
-        )
+        self.store.put_pass(session.id, version, stored)
+        session.publish_view(version, views)
         if session.shares_frame_memo:
             # Memoize on the frame so in-process prints are free.
             frame = session.frame

@@ -10,10 +10,14 @@ frame's current state.
 
 Reads go store-first: :meth:`Session.recommendations` returns straight
 from the :class:`~repro.service.store.ResultStore` when the background
-precompute engine already ran a pass at the current version (a dictionary
-lookup — zero executor work), and falls back to a synchronous foreground
-pass that back-fills the store otherwise.  A pass the store cannot hold
-(its byte budget) is answered from the bytes that pass wrote.
+precompute engine already ran a pass at the current version (one
+lookup of the session's pass — zero executor work), and falls back to a
+synchronous foreground pass that back-fills the store otherwise.  A pass
+the store cannot hold (its byte budget) is answered from the bytes that
+pass wrote.  The store keeps one pass per session, and its three writers
+(the foreground back-fill, the engine's publish and snapshot
+rehydration) each replace it while holding the session's lock, and only
+at the session's current version.
 
 Both passes produce bytes, never payload dicts (:func:`encode_pass`):
 each displayed spec is written by the vega-lite writer
@@ -48,7 +52,6 @@ from ..vis.spec import candidate_key
 from ..vis.vegalite import SharedColumns, spec_payload
 from .persist import read_results
 from .provenance import envelope
-from .store import MANIFEST
 from .wire import encode_action
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -272,12 +275,6 @@ class Session:
     ) -> dict[str, Any] | None:
         self._hydrate_results()
         version = self.version
-        if action is not None and self.store is not None:
-            # A completed pass knows its action set: reject unknown names
-            # without burning a foreground recomputation per request.
-            names = self.store.manifest(self.id, version)
-            if names is not None and action not in names:
-                raise KeyError(f"no such action: {action!r}")
         stored = self._read_store(version, action, raw)
         if stored is not None:
             return stored
@@ -316,8 +313,7 @@ class Session:
             if self.store is None or self.version != version:
                 return
             try:
-                manifest, records = read_results(path)
-                self.store.restore_pass(self.id, version, records, manifest)
+                self.store.put_pass(self.id, version, read_results(path))
             except Exception as exc:
                 telemetry.get_logger("session").warning(
                     "rehydration_failed", session=self.id, error=str(exc)
@@ -331,25 +327,23 @@ class Session:
     ) -> dict[str, Any] | None:
         if self.store is None:
             return None
+        stored = self.store.get_pass(self.id, version)
+        if stored is None:
+            return None
+        records, origin = stored
         if action is not None:
-            record = self.store.get(self.id, version, action)
-            if record is None:
-                return None
-            records = {action: record}
-        else:
-            records = self.store.get_pass(self.id, version)
-            if records is None:
-                return None
+            # A stored pass knows its action set: reject unknown names
+            # without burning a foreground recomputation per request.
+            if action not in records:
+                raise KeyError(f"no such action: {action!r}")
+            records = {action: records[action]}
         origins = {name: r["origin"] for name, r in records.items()}
-        distinct = set(origins.values())
         # An incremental pass mixes recomputed ("precompute") and
         # carried-forward ("carried") actions; the overall origin reports
         # "mixed" and the per-action map tells the two apart.  A pass with
-        # no actions (a frame with no recommendations) stored only its
-        # manifest, which keeps the pass's origin.
-        if not records:
-            manifest = self.store.get(self.id, version, MANIFEST)
-            distinct = {manifest["origin"] if manifest else "foreground"}
+        # no actions (a frame with no recommendations) reports the pass's
+        # own origin.
+        distinct = set(origins.values()) or {origin}
         origin = distinct.pop() if len(distinct) == 1 else "mixed"
         if raw:
             payloads = {name: r["payload"] for name, r in records.items()}
@@ -357,7 +351,7 @@ class Session:
             payloads = self._decode(version, records)
         oldest = min((r["computed_at"] for r in records.values()), default=None)
         vis_origins = {
-            name: r["vis_origins"]
+            name: dict(r["vis_origins"])
             for name, r in records.items()
             if r.get("vis_origins")
         }
@@ -437,7 +431,12 @@ class Session:
             ran_at = self.version
             payloads = encode_recommendations(recs)
             if self.store is not None and ran_at == version:
-                self.store.put_pass(self.id, version, payloads, origin="foreground")
+                now = time.time()
+                records = {
+                    name: {"payload": blob, "origin": "foreground", "computed_at": now}
+                    for name, blob in payloads.items()
+                }
+                self.store.put_pass(self.id, version, records, origin="foreground")
             return ran_at, payloads
 
     # ------------------------------------------------------------------

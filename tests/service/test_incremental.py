@@ -22,7 +22,6 @@ import pytest
 
 from repro import LuxDataFrame, config
 from repro.service import ResultStore, SessionManager
-from repro.service.store import MANIFEST
 from repro.service.wire import encode
 
 
@@ -142,11 +141,11 @@ class TestIncrementalPartition:
 
     def test_action_key_hit_stores_the_same_bytes_object(self, manager):
         session = settled_session(manager)
-        v1 = session.version
-        first = manager.store.get(session.id, v1, "Correlation")
+        # Read before the edit: the edit's pass replaces this one.
+        first = manager.store.get_pass(session.id, session.version)[0]["Correlation"]
         session.frame["d0"] = session.frame["d0"].to_list()[::-1]
         assert manager.engine.wait_idle(60)
-        carried = manager.store.get(session.id, session.version, "Correlation")
+        carried = manager.store.get_pass(session.id, session.version)[0]["Correlation"]
         assert carried["origin"] == "carried"
         assert carried["payload"] is first["payload"]
         assert carried["computed_at"] == first["computed_at"]
@@ -170,7 +169,7 @@ class TestIncrementalPartition:
         session = settled_session(manager)
         session.frame["q0"] = session.frame["q0"] * 2
         assert manager.engine.wait_idle(60)
-        records = manager.store.get_pass(session.id, session.version)
+        records, _ = manager.store.get_pass(session.id, session.version)
         assert records["Distribution"]["origin"] == "mixed"
         for record in records.values():
             stored = record["payload"]
@@ -303,46 +302,29 @@ class TestIncrementalFallbacks:
 
 
 class TestCarryForwardStore:
-    def test_manifest_purged_when_member_evicted(self):
-        """Regression: LRU-evicting a pass member must purge its manifest.
-
-        Before the fix, the manifest row survived its members, dangling
-        forever: unreachable as a pass (``get_pass`` reported the gap) yet
-        resident in the LRU, consuming budget and answering
-        action-existence probes for payloads that no longer existed.
-        """
-        store = ResultStore(budget_bytes=600)
-        store.put_pass(
-            "s", (1, 0), {"A": encode({"blob": "x" * 120}), "B": encode({"blob": "y" * 120})}
-        )
-        assert store.get("s", (1, 0), MANIFEST) is not None
-        # Inserting at a newer version evicts the oldest member of v1...
-        store.put("s", (2, 0), "A", encode({"blob": "z" * 200}))
-        store.put("s", (2, 0), "B", encode({"blob": "w" * 200}))
-        assert store.get("s", (1, 0), "A") is None
-        # ...and the v1 manifest went with it instead of dangling.
-        assert store.get("s", (1, 0), MANIFEST) is None
-        stats = store.stats()
-        assert stats["bytes"] <= 600
-
-    def test_manifest_not_written_over_evicted_members(self):
-        """A pass bigger than the whole budget never publishes a manifest
-        naming entries that were already evicted during its own insert."""
-        store = ResultStore(budget_bytes=300)
+    def test_incremental_pass_lists_carried_actions(self):
+        """A carried record keeps its bytes object and its ``computed_at``."""
+        store = ResultStore()
+        kept = encode({"n": 2})
         store.put_pass(
             "s",
             (1, 0),
-            {name: encode({"blob": "x" * 120}) for name in ("A", "B", "C")},
+            {
+                "A": {"payload": encode({"n": 1}), "origin": "precompute", "computed_at": 1.0},
+                "B": {"payload": kept, "origin": "precompute", "computed_at": 1.0},
+            },
         )
-        assert store.get("s", (1, 0), MANIFEST) is None
-        assert store.get_pass("s", (1, 0)) is None
-
-    def test_incremental_manifest_lists_carried_actions(self):
-        store = ResultStore()
-        store.put_pass("s", (1, 0), {"A": encode({"n": 1}), "B": encode({"n": 2})})
-        store.put("s", (2, 0), "B", encode({"n": 2}), origin="carried")
-        store.put_pass("s", (2, 0), {"A": encode({"n": 9})}, manifest=["A", "B"])
-        records = store.get_pass("s", (2, 0))
-        assert records is not None and set(records) == {"A", "B"}
+        store.put_pass(
+            "s",
+            (2, 0),
+            {
+                "A": {"payload": encode({"n": 9}), "origin": "precompute", "computed_at": 2.0},
+                "B": {"payload": kept, "origin": "carried", "computed_at": 1.0},
+            },
+        )
+        records, _ = store.get_pass("s", (2, 0))
+        assert list(records) == ["A", "B"]
         assert records["A"]["origin"] == "precompute"
         assert records["B"]["origin"] == "carried"
+        assert records["B"]["payload"] is kept
+        assert records["B"]["computed_at"] == 1.0

@@ -2,13 +2,16 @@
 
 A hypothesis state machine drives one watched session through random
 mutations — column edits, schema changes, row-set changes, intent and
-type-override changes — interleaved with config flips and store wipes.
-After every step, once the precompute engine is idle, the served
-recommendations must equal those of a *cold* ``LuxDataFrame`` rebuilt
-from the session frame's current columns, intent and type overrides:
-every reuse layer (metadata stamps, computation-cache migration,
-candidate and action reuse in the engine) is an equivalence claim
-against that cold, serial path.
+type-override changes — interleaved with config flips, store wipes and
+snapshot restarts (save, restore into a fresh manager, continue on the
+restored session).  After every step, once the precompute engine is
+idle, the served recommendations must equal those of a *cold*
+``LuxDataFrame`` rebuilt from the session frame's current columns, intent
+and type overrides: every reuse layer (metadata stamps, computation-cache
+migration, candidate and action reuse in the engine, the result store,
+snapshot rehydration) is an equivalence claim against that cold, serial
+path.  The store holds at most one pass per live session, at the current
+version once a pass has published.
 
 Profiles (``tests/conftest.py``): ``ci`` replays a small derandomized
 run; ``--hypothesis-profile soak`` runs the long randomized one.
@@ -16,7 +19,11 @@ run; ``--hypothesis-profile soak`` runs the long randomized one.
 
 from __future__ import annotations
 
+import shutil
+import tempfile
+
 import numpy as np
+from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -28,7 +35,7 @@ from hypothesis.stateful import (
 
 from repro import LuxDataFrame, config
 from repro.core.config import thread_overlay
-from repro.service import SessionManager, serialize_recommendations
+from repro.service import ResultStore, SessionManager, SnapshotStore, serialize_recommendations
 
 ROWS = 240
 
@@ -69,27 +76,40 @@ def cold_actions(frame: LuxDataFrame, intent: list, overrides: dict) -> dict:
 class ServiceOracle(RuleBasedStateMachine):
     #: Config overrides the session is created with.
     OVERRIDES: dict = {}
+    #: The result store's byte budget (None: the configured one).
+    STORE_BUDGET: "int | None" = None
 
     def __init__(self) -> None:
         super().__init__()
         config.precompute = True
         config.precompute_debounce_s = 0.0
         config.incremental_precompute = True
-        self.manager = SessionManager()
+        self.snapshot_dir = tempfile.mkdtemp(prefix="oracle-")
+        # Only forced saves write: a pass's own save is rate-limited away.
+        self.snapshots = SnapshotStore(self.snapshot_dir, interval_s=3600.0)
+        self.manager = self.new_manager()
         self.session = None
         self.intent: list[str] = []
         self.added = 0
         #: Whether the last step moved the session's version (a pass must
         #: then have published, not just a foreground fallback served).
         self.moved = False
+        #: The actions of a restored session's first read, checked against
+        #: the cold oracle by the next invariant.
+        self.restored_read: "dict | None" = None
 
     @initialize()
     def start(self) -> None:
         self.session = self.manager.create(make_frame(), overrides=self.OVERRIDES)
         self.moved = True
 
+    def new_manager(self) -> SessionManager:
+        store = ResultStore(budget_bytes=self.STORE_BUDGET)
+        return SessionManager(store=store, snapshots=self.snapshots)
+
     def teardown(self) -> None:
         self.manager.shutdown()
+        shutil.rmtree(self.snapshot_dir, ignore_errors=True)
 
     # ------------------------------------------------------------------
     @property
@@ -201,19 +221,52 @@ class ServiceOracle(RuleBasedStateMachine):
         self.manager.store.clear()
         self.moved = False
 
+    @rule()
+    def restart_from_snapshot(self) -> None:
+        """Save, restore into a fresh manager and go on with the restored session."""
+        assert self.manager.engine.wait_idle(60), self.manager.engine.stats()
+        sid, version = self.session.id, self.session.version
+        held = self.manager.store.get_pass(sid, version) is not None
+        self.manager.shutdown()  # force-saves every session's snapshot
+        self.manager = self.new_manager()
+        assert self.manager.restore_sessions() == [sid]
+        self.session = self.manager.get(sid)
+        assert self.session.version == version
+        # A pass stored before the restart answers the first read from the store.
+        first = self.session.recommendations(compute=not held)
+        assert first is not None
+        self.restored_read = first["actions"]
+        self.moved = False
+
     # ------------------------------------------------------------------
+    @invariant()
+    def one_pass_per_session(self) -> None:
+        if self.session is None:
+            return
+        assert self.manager.engine.wait_idle(60), self.manager.engine.stats()
+        store = self.manager.store
+        assert store.stats()["sessions"] <= len(self.manager.ids())
+        if self.moved and self.STORE_BUDGET is None:
+            assert store.get_pass(self.session.id, self.session.version) is not None
+
     @invariant()
     def served_equals_cold(self) -> None:
         if self.session is None:
             return
         assert self.manager.engine.wait_idle(60), self.manager.engine.stats()
-        if self.moved:
+        if self.moved and self.STORE_BUDGET is None:
             stored = self.session.recommendations(compute=False)
             assert stored is not None, self.manager.engine.stats()
         served = self.session.recommendations()
         assert served["data_version"] == list(self.session.version)
         expected = cold_actions(self.frame, self.intent, self.OVERRIDES)
         assert served["actions"] == expected
+        if self.restored_read is not None:
+            assert self.restored_read == expected
+            self.restored_read = None
+        if self.STORE_BUDGET is not None and served["actions"]:
+            assert served["provenance"]["origin"] == "foreground"
+            assert self.manager.store.stats()["entries"] == 0
 
 
 class OverrideOracle(ServiceOracle):
@@ -227,5 +280,19 @@ class OverrideOracle(ServiceOracle):
     OVERRIDES = {"top_k": 3, "sampling_start": 100, "sampling_cap": 80}
 
 
+class TinyStoreOracle(ServiceOracle):
+    """The same oracle over a store whose budget is below one pass.
+
+    No pass fits, so every read is a foreground pass and the store stays
+    empty.  It runs a sixth of the profile's examples.
+    """
+
+    STORE_BUDGET = 1_000
+
+
 TestServiceOracle = ServiceOracle.TestCase
 TestOverrideOracle = OverrideOracle.TestCase
+TestTinyStoreOracle = TinyStoreOracle.TestCase
+TestTinyStoreOracle.settings = settings(
+    settings.default, max_examples=max(1, settings.default.max_examples // 6)
+)

@@ -101,9 +101,9 @@ def bench_frame(rows: int = 20_000, seed: int = 0) -> LuxDataFrame:
 # ----------------------------------------------------------------------
 def stored_pass(manager: SessionManager, session: Any) -> dict[str, bytes]:
     """Every action's stored bytes at the session's current version."""
-    records = manager.store.get_pass(session.id, session.version)
-    assert records is not None, "no complete pass stored"
-    return {name: bytes(record["payload"]) for name, record in records.items()}
+    stored = manager.store.get_pass(session.id, session.version)
+    assert stored is not None, "no complete pass stored"
+    return {name: bytes(record["payload"]) for name, record in stored[0].items()}
 
 
 def displayed(session: Any) -> list[tuple[Any, Any]]:

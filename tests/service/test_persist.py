@@ -18,7 +18,7 @@ import pytest
 from repro.core.config import config_overlay
 from repro.data.synthetic import SCENARIOS, make_scenario
 from repro.service import SessionManager, SnapshotStore
-from repro.service.persist import SNAPSHOT_FILE
+from repro.service.persist import SNAPSHOT_FILE, write_results
 
 #: One real (queryable) column per scenario, used as the intent anchor.
 ANCHOR = {
@@ -244,3 +244,83 @@ def test_snapshot_files_are_versioned_and_pruned(tmp_path):
         assert len(results) <= 1
         assert not [p for p in os.listdir(directory) if p.startswith(".tmp-")]
         manager.shutdown()
+
+
+# ----------------------------------------------------------------------
+# Results files written by earlier releases
+# ----------------------------------------------------------------------
+def earlier_results_file(records):
+    """A results file in the layout earlier releases wrote, built by hand.
+
+    The header names the action order under ``manifest`` and each
+    action's provenance; one payload line per action follows.
+    """
+    header = {"manifest": list(records), "records": {}}
+    for name, record in records.items():
+        meta = {"origin": record["origin"], "computed_at": record["computed_at"]}
+        if "vis_origins" in record:
+            meta["vis_origins"] = record["vis_origins"]
+        header["records"][name] = meta
+    lines = [json.dumps(header, separators=(",", ":")).encode("utf-8")]
+    return b"\n".join(lines + [record["payload"] for record in records.values()])
+
+
+def test_write_results_keeps_the_earlier_layout():
+    records = {
+        "Distribution": {
+            "payload": b'{"count": 2, "specs": [{"key": "a"}, {"key": "b"}]}',
+            "origin": "mixed",
+            "computed_at": 1700000000.25,
+            "vis_origins": {"a": "precompute", "b": "carried"},
+        },
+        "Correlation": {
+            "payload": b'{"count": 0, "specs": []}',
+            "origin": "carried",
+            "computed_at": 1699999999.5,
+        },
+    }
+    assert write_results(records) == earlier_results_file(records)
+
+
+def test_earlier_results_file_restores_warm(tmp_path):
+    """Origins, ``computed_at``, per-vis origins and bytes all come back,
+    and the first read is a store hit."""
+    with config_overlay(precompute_debounce_s=0.0):
+        manager, _ = build_manager(tmp_path)
+        session = manager.create(make_scenario("skewed", n_rows=120))
+        assert manager.engine.wait_idle(30)
+        session.mutate("heavy_tail")
+        assert manager.engine.wait_idle(30)
+        stored, _ = manager.store.get_pass(session.id, session.version)
+        sid = session.id
+        manager.shutdown()
+
+        # New times, so what the restore reports can only come from the file.
+        records = {
+            name: dict(record, computed_at=1000.0 + i)
+            for i, (name, record) in enumerate(stored.items())
+        }
+        assert {"carried", "mixed"} <= {record["origin"] for record in records.values()}
+        (path,) = (tmp_path / sid).glob("results-*.jsonl")
+        path.write_bytes(earlier_results_file(records))
+
+        restored, _ = build_manager(tmp_path)
+        try:
+            assert restored.restore_sessions() == [sid]
+            twin = restored.get(sid)
+            first = twin.recommendations(compute=False, raw=True)
+            assert first is not None
+            assert restored.store.stats()["hits"] == 1
+            assert first["actions"] == {name: r["payload"] for name, r in records.items()}
+            assert list(first["actions"]) == list(records)
+            provenance = first["provenance"]
+            assert provenance["computed_at"] == 1000.0
+            for name, record in records.items():
+                assert provenance["actions"][name] == {
+                    "origin": record["origin"],
+                    "vis": record.get("vis_origins"),
+                }
+            back, _ = restored.store.get_pass(sid, twin.version)
+            assert back == records
+        finally:
+            restored.shutdown()

@@ -22,8 +22,8 @@ from repro import LuxDataFrame, config, config_overlay, register_action, remove_
 from repro.core.errors import LuxError
 from repro.core.executor.df_exec import DataFrameExecutor
 from repro.core.vislist import VisList
+from repro.data.synthetic import make_scenario
 from repro.service import ResultStore, SessionManager
-from repro.service.store import MANIFEST
 from repro.service.wire import encode
 
 
@@ -62,47 +62,129 @@ def serial_payloads(frame: LuxDataFrame, **overrides):
         return serialize_recommendations(frame.recommendations)
 
 
+def records(payloads):
+    """Store records for ``{action: bytes}``, in the given order."""
+    return {
+        name: {"payload": blob, "origin": "precompute", "computed_at": 1.0}
+        for name, blob in payloads.items()
+    }
+
+
 class TestResultStore:
     def test_get_put_versioned(self):
         store = ResultStore()
         blob = encode({"count": 1})
-        store.put("s", (1, 0), "A", blob)
-        # The entry is the payload's JSON bytes, as handed in.
-        assert store.get("s", (1, 0), "A")["payload"] is blob
-        assert store.get("s", (2, 0), "A") is None
-        assert store.get("other", (1, 0), "A") is None
+        assert store.put_pass("s", (1, 0), records({"A": blob}))
+        stored, origin = store.get_pass("s", (1, 0))
+        # The record holds the payload's JSON bytes, as handed in.
+        assert stored["A"]["payload"] is blob
+        assert origin == "precompute"
+        assert store.get_pass("s", (2, 0)) is None
+        assert store.get_pass("other", (1, 0)) is None
+        # Each lookup is one hit or one miss.
+        assert (store.stats()["hits"], store.stats()["misses"]) == (1, 2)
 
-    def test_pass_roundtrip_and_manifest_gap(self):
+    def test_pass_keeps_display_order(self):
         store = ResultStore()
-        store.put_pass("s", (1, 0), {"A": encode({"count": 1}), "B": encode({"count": 2})})
-        records = store.get_pass("s", (1, 0))
-        assert set(records) == {"A", "B"}
-        # Simulate eviction of one member: the pass read reports a gap.
-        store._entries.pop(("s", (1, 0), "A"))
+        store.put_pass("s", (1, 0), records({"B": encode(2), "A": encode(1), "C": encode(3)}))
+        stored, _ = store.get_pass("s", (1, 0))
+        assert list(stored) == ["B", "A", "C"]
+
+    def test_put_replaces_the_sessions_pass(self):
+        store = ResultStore()
+        store.put_pass("s", (1, 0), records({"A": encode({"n": 1}), "B": encode({"n": 2})}))
+        blob = encode({"n": 3})
+        store.put_pass("s", (2, 0), records({"A": blob}))
+        # The superseded version holds no budget: only v2 is resident.
         assert store.get_pass("s", (1, 0)) is None
+        assert store.stats()["entries"] == 1
+        assert store.stats()["bytes"] == len(blob)
+
+    def test_empty_pass_reports_its_origin(self):
+        store = ResultStore()
+        store.put_pass("s", (1, 0), {}, origin="foreground")
+        assert store.get_pass("s", (1, 0)) == ({}, "foreground")
 
     def test_byte_budget_evicts_lru(self):
+        """Whole passes are evicted, least recently used session first."""
         store = ResultStore(budget_bytes=400)
-        store.put("s", (1, 0), "A", encode({"blob": "x" * 150}))
-        store.put("s", (1, 0), "B", encode({"blob": "y" * 150}))
-        store.put("s", (1, 0), "C", encode({"blob": "z" * 150}))  # evicts A
-        assert store.get("s", (1, 0), "A") is None
-        assert store.get("s", (1, 0), "C") is not None
+        for sid in ("s1", "s2"):
+            store.put_pass(sid, (1, 0), records({"A": encode({"blob": "x" * 150})}))
+        assert store.get_pass("s1", (1, 0)) is not None  # s2 is now the LRU
+        store.put_pass("s3", (1, 0), records({"A": encode({"blob": "z" * 150})}))
+        assert store.get_pass("s2", (1, 0)) is None
+        assert store.get_pass("s1", (1, 0)) is not None
+        assert store.get_pass("s3", (1, 0)) is not None
         assert store.stats()["bytes"] <= 400
-        assert store.stats()["evictions"] >= 1
+        assert store.stats()["evictions"] == 1
 
     def test_oversized_entry_rejected(self):
+        """A pass over the whole budget is not stored, and the session's
+        previous pass goes all the same."""
         store = ResultStore(budget_bytes=100)
-        assert store.put("s", (1, 0), "A", encode({"blob": "x" * 500})) is False
-        assert store.stats()["entries"] == 0
+        assert store.put_pass("s", (1, 0), records({"A": encode({"n": 1})}))
+        big = records({"A": encode({"blob": "x" * 60}), "B": encode({"blob": "y" * 60})})
+        assert store.put_pass("s", (2, 0), big) is False
+        assert store.get_pass("s", (1, 0)) is None
+        assert store.get_pass("s", (2, 0)) is None
+        assert store.stats()["entries"] == store.stats()["bytes"] == 0
 
     def test_drop_session(self):
         store = ResultStore()
-        store.put_pass("s1", (1, 0), {"A": encode({})})
-        store.put_pass("s2", (1, 0), {"A": encode({})})
-        assert store.drop_session("s1") == 2  # entry + manifest
+        store.put_pass("s1", (1, 0), records({"A": encode({}), "B": encode({})}))
+        store.put_pass("s2", (1, 0), records({"A": encode({})}))
+        assert store.drop_session("s1") == 2  # its action payloads
         assert store.get_pass("s1", (1, 0)) is None
         assert store.get_pass("s2", (1, 0)) is not None
+        assert store.stats()["sessions"] == store.stats()["entries"] == 1
+
+
+class TestOnePassPerSession:
+    """The store keeps each session's latest pass, so dead versions hold no budget."""
+
+    @staticmethod
+    def edit(manager, session, times):
+        for i in range(times):
+            name = session.frame.columns[i % len(session.frame.columns)]
+            session.mutate(name, session.frame[name].to_list()[::-1])
+            assert manager.engine.wait_idle(60), manager.engine.stats()
+
+    def test_dead_versions_never_evict_an_idle_sessions_pass(self, manager):
+        manager.create(make_scenario("skewed", n_rows=300))
+        assert manager.engine.wait_idle(60)
+        one_pass = manager.store.stats()["bytes"]
+        bounded = SessionManager(store=ResultStore(budget_bytes=int(2.5 * one_pass)))
+        try:
+            idle = bounded.create(make_scenario("skewed", n_rows=300))
+            assert bounded.engine.wait_idle(60)
+            busy = bounded.create(make_scenario("skewed", n_rows=300, seed=1))
+            self.edit(bounded, busy, 4)
+            assert idle.recommendations(compute=False) is not None
+            stats = bounded.store.stats()
+            assert (stats["sessions"], stats["evictions"]) == (2, 0)
+        finally:
+            bounded.shutdown()
+
+    def test_a_session_holds_one_pass_after_edits(self, manager):
+        session = manager.create(make_scenario("skewed", n_rows=300))
+        assert manager.engine.wait_idle(60)
+        self.edit(manager, session, 5)
+        response = session.recommendations(compute=False, raw=True)
+        assert response is not None
+        stats = manager.store.stats()
+        assert stats["sessions"] == 1
+        assert stats["entries"] == len(response["actions"])
+        assert stats["bytes"] == sum(len(blob) for blob in response["actions"].values())
+
+    def test_each_read_is_one_store_hit(self, manager):
+        session = manager.create(make_frame(n=300))
+        assert manager.engine.wait_idle(60)
+        hits = manager.store.stats()["hits"]
+        assert session.recommendations(compute=False) is not None
+        assert manager.store.stats()["hits"] == hits + 1
+        assert session.recommendations(action="Correlation", compute=False) is not None
+        assert manager.store.stats()["hits"] == hits + 2
+        assert manager.store.stats()["misses"] == 0
 
 
 class TestSession:
@@ -129,11 +211,11 @@ class TestSession:
         config.precompute = False  # manual control
         session = manager.create(make_frame())
         v0 = session.version
-        manager.store.put_pass(session.id, v0, {"A": encode({"count": 1})})
+        manager.store.put_pass(session.id, v0, records({"A": encode({"count": 1})}))
         assert session.recommendations(compute=False) is not None
         session.frame["derived"] = session.frame["q0"]
-        # Old entry still in the store but unreachable at the new version.
-        assert manager.store.get(session.id, v0, MANIFEST) is not None
+        # The old pass is still in the store but unreachable at the new version.
+        assert manager.store.stats()["entries"] == 1
         assert session.recommendations(compute=False) is None
 
     def test_intent_change_invalidates_reads(self, manager):
@@ -165,8 +247,8 @@ class TestSession:
         session = manager.create(make_frame())
         with pytest.raises(KeyError, match="Bogus"):
             session.recommendations(action="Bogus")
-        # With a completed pass stored, the rejection is manifest-based:
-        # no foreground recomputation happens per bad request.
+        # With a completed pass stored, the stored pass's action set
+        # rejects it: no foreground recomputation happens per bad request.
         session.recommendations()
         memoized = session.frame._recs_cache
         with pytest.raises(KeyError, match="Bogus"):
@@ -340,7 +422,7 @@ class TestStaleCancellation:
             gate.set()
             assert manager.engine.wait_idle(60), manager.engine.stats()
             # Nothing was ever published for the superseded version...
-            assert manager.store.get(session.id, v0, MANIFEST) is None
+            assert manager.store.get_pass(session.id, v0) is None
             # ...and the redo at the new version completed.
             response = session.recommendations(compute=False)
             assert response is not None

@@ -133,8 +133,9 @@ def test_engine_pass_formats_each_distinct_written_column_once(formats):
             session.mutate("q0", frame["q0"].to_numpy()[::-1].tolist())
             assert manager.engine.wait_idle(60)
             formatted = list(formats)
-            records = manager.store.get_pass(session.id, session.version)
-            assert records is not None
+            stored = manager.store.get_pass(session.id, session.version)
+            assert stored is not None
+            records, _ = stored
             recs = frame.recommendations  # the engine memoized its pass
             shown = displayed(recs)
             written = []

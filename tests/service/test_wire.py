@@ -205,33 +205,47 @@ class TestSend:
 # ----------------------------------------------------------------------
 def live_bytes(store: ResultStore) -> int:
     with store._lock:
-        return sum(len(entry.payload) for entry in store._entries.values())
+        return sum(
+            len(record["payload"])
+            for stored in store._passes.values()
+            for record in stored.records.values()
+        )
+
+
+def records(payloads):
+    return {
+        name: {"payload": blob, "origin": "precompute", "computed_at": 1.0}
+        for name, blob in payloads.items()
+    }
 
 
 class TestStoreBytes:
     def test_entries_are_wire_bytes(self):
         store = ResultStore()
         blob = wire.encode({"count": 1, "specs": [{"score": 0.5, "title": "x"}]})
-        store.put("s", (1, 0), "A", blob)
+        store.put_pass("s", (1, 0), records({"A": blob}))
         # The store keeps the bytes it was handed; it encodes nothing.
-        assert store.get("s", (1, 0), "A")["payload"] is blob
+        assert store.get_pass("s", (1, 0))[0]["A"]["payload"] is blob
 
     def test_stats_bytes_equal_live_entry_lengths(self):
         store = ResultStore()
-        store.put_pass(
-            "s", (1, 0), {"A": wire.encode({"n": 1}), "B": wire.encode({"blob": "x" * 50})}
-        )
-        store.put_pass("s", (2, 0), {"A": wire.encode({"n": 2})}, manifest=["A", "B"])
+        pair = {"A": wire.encode({"n": 1}), "B": wire.encode({"blob": "x" * 50})}
+        store.put_pass("s", (1, 0), records(pair))
+        store.put_pass("t", (1, 0), records({"A": wire.encode({"n": 2})}))
+        assert store.stats()["bytes"] == live_bytes(store)
+        store.put_pass("s", (2, 0), records({"A": wire.encode({"n": 3})}))
         assert store.stats()["bytes"] == live_bytes(store)
         store.drop_session("s")
+        store.drop_session("t")
         assert store.stats()["bytes"] == live_bytes(store) == 0
 
     def test_budget_rejects_on_byte_length(self):
         payload = wire.encode({"blob": "x" * 100})
         size = len(payload)
-        assert ResultStore(budget_bytes=size - 1).put("s", (1, 0), "A", payload) is False
+        one = records({"A": payload})
+        assert ResultStore(budget_bytes=size - 1).put_pass("s", (1, 0), one) is False
         store = ResultStore(budget_bytes=size)
-        assert store.put("s", (1, 0), "A", payload) is True
+        assert store.put_pass("s", (1, 0), one) is True
         assert store.stats()["bytes"] == size
 
     def test_eviction_keeps_bytes_within_budget(self):
@@ -239,8 +253,8 @@ class TestStoreBytes:
         size = len(payloads["A"])
         store = ResultStore(budget_bytes=2 * size)
         for name, payload in payloads.items():
-            store.put("s", (1, 0), name, payload)
-        assert store.get("s", (1, 0), "A") is None  # LRU went first
+            store.put_pass(name, (1, 0), records({name: payload}))
+        assert store.get_pass("A", (1, 0)) is None  # LRU went first
         assert store.stats()["evictions"] == 1
         assert store.stats()["bytes"] == live_bytes(store) == 2 * size
 
@@ -323,14 +337,14 @@ def test_snapshot_results_round_trip_store_bytes(tmp_path):
         manager = SessionManager(snapshots=SnapshotStore(str(tmp_path)))
         session = manager.create(make_scenario("skewed", n_rows=120))
         assert manager.engine.wait_idle(30)
-        stored = manager.store.get_pass(session.id, session.version)
+        stored, _ = manager.store.get_pass(session.id, session.version)
         manager.shutdown()
         payloads = {name: record["payload"] for name, record in stored.items()}
 
         (path,) = (tmp_path / session.id).glob("results-*.jsonl")
-        manifest, records = read_results(path)
-        assert manifest == list(payloads)
-        assert {name: record["payload"] for name, record in records.items()} == payloads
+        saved = read_results(path)
+        assert list(saved) == list(payloads)
+        assert {name: record["payload"] for name, record in saved.items()} == payloads
 
         restored = SessionManager(snapshots=SnapshotStore(str(tmp_path)))
         try:
