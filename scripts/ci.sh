@@ -33,9 +33,11 @@ echo "== static analysis (tools/check) =="
 # missing dependency.  The JSON report is uploaded as a CI artifact.
 python -m tools.check src --json CHECK_report.json
 
-echo "== src/ line count (reported, not gated) =="
+echo "== src/ line count and import time (reported, not gated) =="
 # Each change reports the net size of src/; this line carries the number.
+# Every process pays the import, each spawned shard worker included.
 echo "src/ python lines: $(find src -name '*.py' -print0 | xargs -0 cat | wc -l)"
+python -c 'import time; t = time.perf_counter(); import repro; print(f"import repro: {time.perf_counter() - t:.2f} s")'
 
 echo "== tier-1 tests =="
 python -m pytest -x -q

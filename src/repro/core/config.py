@@ -76,13 +76,6 @@ class Config:
     #: degrades to fewer memoized scans instead of pinning gigabytes.
     computation_cache_budget_mb: int = 64
 
-    #: Register a computation-cache link for every filtered / sampled /
-    #: sliced LuxDataFrame child, so its floats and filter masks derive
-    #: from the parent's cached vectors (warm start) and survive
-    #: column-scoped parent mutations via link migration.  Off, children
-    #: cold-start and only the explicit ranking-sample link is kept.
-    derived_cache_links: bool = True
-
     #: Fan ``DataFrameExecutor.execute_many`` out across the shared pool.
     #: Each filter group's subframe materializes once; specs then execute
     #: concurrently against the per-slot-locked computation cache.  The

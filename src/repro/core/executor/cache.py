@@ -41,26 +41,20 @@ cheapest-to-recompute sections first, coldest frame slots first — so on a
 10M-row frame the cache degrades to fewer memoized scans instead of
 pinning gigabytes the way a fixed 64-masks bound would.
 
-Derived-frame links
--------------------
+Sample links
+------------
 :meth:`link_sample` registers a row sample cut by ``get_sample`` together
 with its parent frame and row indices.  While both stay unmutated, the
-sample's floats, factorizations, and filter masks are *derived* from the
-parent's cached vectors by fancy indexing — so the approximate scoring
-pass (pass 1, on the sample) performs its scans on the parent and thereby
-pre-warms the exact pass (pass 2, on the full frame).  Derived values are
-bit-identical to direct computation for floats and masks; factorizations
-reuse the parent's label table (a valid factorization with the parent's
-label order), which downstream groupings compact to observed groups.
-
-:meth:`link_derived` generalizes the mechanism to any filtered / sampled /
-sliced child (``LuxDataFrame._init_derived`` registers one per row-subset
-derivation): floats and masks derive from the parent so children start
-warm, while factorize/grouping derivation stays off to keep grouped record
-order byte-identical to an unlinked child.  Links are *delta-aware*: a
-column-scoped parent mutation migrates its children's links (the changed
-columns go stale, everything else keeps deriving) instead of severing
-them — see :meth:`_migrate`.
+sample's floats, factorizations, groupings and filter masks are *derived*
+from the parent's cached vectors by fancy indexing — so the approximate
+scoring pass (pass 1, on the sample) performs its scans on the parent and
+thereby pre-warms the exact pass (pass 2, on the full frame).  Derived
+values are bit-identical to direct computation for floats and masks;
+factorizations reuse the parent's label table (a valid factorization with
+the parent's label order), which downstream groupings compact to observed
+groups.  Every other child frame (filtered, sliced, sampled by the user)
+has no link: it computes its primitives from its own columns in its own
+slot.
 
 All public methods honor ``config.computation_cache``: when the toggle is
 off they compute the requested primitive directly without reading or
@@ -80,7 +74,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Any, Callable, TYPE_CHECKING
+from typing import Any, Callable, NamedTuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -200,48 +194,14 @@ class _FrameSlot:
         return False
 
 
-class _DerivedLink:
-    """A registered child -> parent row-subset relationship.
+class _SampleLink(NamedTuple):
+    """A registered ranking sample -> parent row-subset relationship."""
 
-    ``stale`` names parent columns that mutated *after* registration with a
-    column-scoped delta: the link survives the parent's version bump
-    (``parent_version`` is advanced in step) but those columns must no
-    longer be derived — the child's snapshot predates the mutation.
-
-    ``derive_groupings`` gates factorize/grouping derivation.  Deriving a
-    factorization reuses the parent's label table, whose order can differ
-    from the child's own first-occurrence order; that is valid for scoring
-    (the sample-link path) but would reorder grouped display records, so
-    generic derived-frame links keep it off and derive only the
-    order-insensitive primitives (floats, masks).
-    """
-
-    __slots__ = (
-        "sample_ref",
-        "parent_ref",
-        "indices",
-        "sample_version",
-        "parent_version",
-        "stale",
-        "derive_groupings",
-    )
-
-    def __init__(
-        self,
-        sample_ref: "weakref.ref",
-        parent_ref: "weakref.ref",
-        indices: np.ndarray,
-        sample_version: int,
-        parent_version: int,
-        derive_groupings: bool = True,
-    ) -> None:
-        self.sample_ref = sample_ref
-        self.parent_ref = parent_ref
-        self.indices = indices
-        self.sample_version = sample_version
-        self.parent_version = parent_version
-        self.stale: set[str] = set()  # guarded-by: cache _lock
-        self.derive_groupings = derive_groupings
+    sample_ref: "weakref.ref"
+    parent_ref: "weakref.ref"
+    indices: np.ndarray
+    sample_version: int
+    parent_version: int
 
 
 class ComputationCache:
@@ -249,7 +209,7 @@ class ComputationCache:
 
     def __init__(self, max_frames: int = 8, budget_bytes: int | None = None) -> None:
         self._slots: "OrderedDict[int, _FrameSlot]" = OrderedDict()  # guarded-by: _lock
-        self._links: dict[int, _DerivedLink] = {}  # guarded-by: _lock
+        self._links: dict[int, _SampleLink] = {}  # guarded-by: _lock
         self._lock = threading.RLock()
         self._max_frames = max_frames
         self._budget_override = budget_bytes
@@ -324,28 +284,12 @@ class ComputationCache:
 
         Safe because the caller guarantees the row set is unchanged: a
         cached vector over an untouched column is bit-identical at the new
-        version.  Links from derived children to this frame are migrated
-        with it: their ``parent_version`` advances in step and the changed
-        columns join the link's ``stale`` set, so a child keeps deriving
-        untouched columns instead of cold-starting after every parent
-        mutation.  (A child's *own* mutation still kills its link: the
-        child diverged from ``parent.iloc[indices]`` entirely.)
+        version.
         """
         # Weakref-validated identity key (see _slot).  check: ignore[unstable-key]
         key = id(frame)
         version = getattr(frame, "_data_version", 0)
         with self._lock:
-            for link in self._links.values():
-                if (
-                    link.parent_ref() is frame
-                    and link.parent_version == version - 1
-                ):
-                    # Stale-first write order: a reader that observes the
-                    # advanced parent_version is guaranteed to see the
-                    # stale columns too (both writes are under _lock; the
-                    # reader snapshots under _lock in _parent_view).
-                    link.stale.update(columns)
-                    link.parent_version = version
             slot = self._slots.get(key)
             if slot is None or slot.ref() is not frame:
                 return
@@ -375,7 +319,10 @@ class ComputationCache:
             self._links.clear()
 
     def stats(self) -> dict[str, int]:
-        """Occupancy / traffic counters, summed across slots (introspection)."""
+        """Occupancy / traffic counters, summed across slots (introspection).
+
+        ``links`` counts the live ranking-sample links (:meth:`link_sample`).
+        """
         with self._lock:
             slots = list(self._slots.values())
             links = len(self._links)
@@ -447,47 +394,23 @@ class ComputationCache:
         vectors (computing them on the parent first), so a sampled ranking
         pass pre-warms the full-frame pass that follows it.
         """
-        self._link(sample, parent, indices, derive_groupings=True)
-
-    def link_derived(
-        self, child: "DataFrame", parent: "DataFrame", indices: np.ndarray
-    ) -> None:
-        """Register a filtered/sampled/sliced child as ``parent.iloc[indices]``.
-
-        The generic derived-frame link: the child's floats and filter
-        masks are sliced from the parent's cached vectors instead of
-        rescanning the child's copied columns, so derived frames start
-        warm.  Factorizations and groupings are *not* derived (see
-        :class:`_DerivedLink.derive_groupings`) so grouped record order is
-        byte-identical to an unlinked child.
-        """
-        self._link(child, parent, indices, derive_groupings=False)
-
-    def _link(
-        self,
-        child: "DataFrame",
-        parent: "DataFrame",
-        indices: np.ndarray,
-        derive_groupings: bool,
-    ) -> None:
-        if child is parent:
+        if sample is parent:
             return
         # Weakref-validated identity key (see _slot).  check: ignore[unstable-key]
-        key = id(child)
+        key = id(sample)
         try:
-            sample_ref = weakref.ref(child, lambda _, k=key: self._unlink(k))
+            sample_ref = weakref.ref(sample, lambda _, k=key: self._unlink(k))
             parent_ref = weakref.ref(parent)
         except TypeError:  # pragma: no cover - all repo frames weakref
             return
         indices = np.asarray(indices, dtype=np.int64)
         indices.setflags(write=False)
-        link = _DerivedLink(
+        link = _SampleLink(
             sample_ref,
             parent_ref,
             indices,
-            getattr(child, "_data_version", 0),
+            getattr(sample, "_data_version", 0),
             getattr(parent, "_data_version", 0),
-            derive_groupings=derive_groupings,
         )
         with self._lock:
             self._links[key] = link
@@ -496,38 +419,19 @@ class ComputationCache:
         with self._lock:
             self._links.pop(key, None)
 
-    def _parent_view(
-        self,
-        frame: "DataFrame",
-        columns: "tuple[str, ...]" = (),
-        grouping: bool = False,
-    ) -> "tuple[DataFrame, np.ndarray] | None":
-        """(parent, row indices) when ``frame`` is a still-valid derived cut.
-
-        ``columns`` are the parent columns the caller wants to derive from;
-        the view is refused when any of them went stale (the parent mutated
-        that column after the link was cut).  ``grouping`` marks an
-        order-sensitive derivation (factorize/grouping), refused on links
-        registered with ``derive_groupings=False``.
-        """
+    def _parent_view(self, frame: "DataFrame") -> "tuple[DataFrame, np.ndarray] | None":
+        """(parent, row indices) when ``frame`` is a still-valid sample cut."""
         with self._lock:
             # Weakref-validated identity key (see _slot).  check: ignore[unstable-key]
             link = self._links.get(id(frame))
-            if link is None:
-                return None
-            if link.stale and any(c in link.stale for c in columns):
-                return None
-            parent_version = link.parent_version
-        if link.sample_ref() is not frame:
-            return None
-        if grouping and not link.derive_groupings:
+        if link is None or link.sample_ref() is not frame:
             return None
         parent = link.parent_ref()
         if parent is None:
             return None
         if getattr(frame, "_data_version", 0) != link.sample_version:
             return None
-        if getattr(parent, "_data_version", 0) != parent_version:
+        if getattr(parent, "_data_version", 0) != link.parent_version:
             return None
         return parent, link.indices
 
@@ -547,7 +451,7 @@ class ComputationCache:
             out = slot._get("floats", name)
         if out is not _MISSING:
             return out
-        view = self._parent_view(frame, (name,))
+        view = self._parent_view(frame)
         if view is not None:
             parent, idx = view
             out = self.to_float(parent, name)[idx]
@@ -572,7 +476,7 @@ class ComputationCache:
             out = slot._get("factorized", name)
         if out is not _MISSING:
             return out
-        view = self._parent_view(frame, (name,), grouping=True)
+        view = self._parent_view(frame)
         if view is not None:
             parent, idx = view
             parent_codes, labels = self.factorize(parent, name)
@@ -603,7 +507,7 @@ class ComputationCache:
             out = slot._get("groupings", keys)
         if out is not _MISSING:
             return out
-        view = self._parent_view(frame, keys, grouping=True)
+        view = self._parent_view(frame)
         if view is not None:
             parent, idx = view
             out = _Grouping.from_parent(self.grouping(parent, keys), idx)
@@ -709,7 +613,7 @@ class ComputationCache:
             out = slot._get("masks", sig)
         if out is not _MISSING:
             return out
-        view = self._parent_view(frame, tuple(attr for attr, _, _ in sig))
+        view = self._parent_view(frame)
         if view is not None:
             parent, idx = view
             out = self.filter_mask(parent, filters, compute)[idx]

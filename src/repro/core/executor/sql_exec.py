@@ -38,7 +38,6 @@ from .sql_compile import (
     grouped_parts,
     quote as _quote,
     rect_parts,
-    sql_literal as _sql_literal,  # noqa: F401 - re-exported legacy name
     where_clause as _where_clause,
 )
 
@@ -90,30 +89,12 @@ def translate_vis_to_sql(spec: VisSpec, frame: DataFrame) -> str:
 
     Shape detection and rendering fragments are shared with the batch
     compiler (:mod:`~repro.core.executor.sql_compile`) so the per-spec and
-    consolidated translations can never drift apart.
+    consolidated translations can never drift apart.  Histograms have no
+    translation (``ExecutorError``): per-spec execution bins them in the
+    dataframe engine and batches through ``sql_compile.bucket_expr``.
     """
     where = _where_clause(spec.filters)
 
-    if spec.mark == "histogram":
-        # Legacy single-statement form (integer bucket arithmetic over the
-        # *unfiltered* table extent).  The executor itself never runs this:
-        # per-spec execution delegates histograms to the dataframe engine
-        # for exact numpy edge parity, and batch execution bins through
-        # sql_compile.bucket_expr against numpy-computed edges.
-        x, y = spec.x, spec.y
-        enc = x if x is not None and x.bin else y
-        if enc is None:
-            raise ExecutorError("histogram requires a binned axis")
-        q = _quote(enc.field)
-        b = enc.resolved_bin_size
-        not_null = f"{q} IS NOT NULL"
-        where_h = f"{where} AND {not_null}" if where else f" WHERE {not_null}"
-        return (
-            f"SELECT CAST(MIN(({q} - (SELECT MIN({q}) FROM {_TABLE})) * {b} / "
-            f"NULLIF((SELECT MAX({q}) - MIN({q}) FROM {_TABLE}), 0), {b - 1}) "
-            f"AS INTEGER) AS bucket, COUNT(*) AS count "
-            f"FROM {_TABLE}{where_h} GROUP BY bucket ORDER BY bucket"
-        )
     if spec.mark in ("point", "tick"):
         fields = [enc.field for enc in spec.encodings if enc.field]
         cols = ", ".join(_quote(f) for f in fields)

@@ -3,8 +3,9 @@
 Subclasses the substrate DataFrame so *every* dataframe operation keeps
 working unchanged, while two hooks implement the paper's machinery:
 
-- ``_init_derived`` propagates intent + history to derived frames and marks
-  derivation flags (filtered / aggregated);
+- ``_init_derived`` propagates intent + history to derived frames and
+  keeps a weak reference to the parent (``parent_frame``); a derived
+  frame shares no computation-cache entries with its parent;
 - ``_notify_mutation`` expires metadata, recommendations, the cached
   sample, and the executor's shared computation cache whenever the frame's
   content changes (the *wflow* expiry rules: inplace ops, column updates
@@ -20,8 +21,6 @@ from __future__ import annotations
 import warnings
 import weakref
 from typing import Any
-
-import numpy as np
 
 from ..dataframe import DataFrame, Series
 from ..dataframe import observe
@@ -41,26 +40,6 @@ from .vis import Vis
 from .vislist import VisList
 
 __all__ = ["LuxDataFrame", "LuxSeries", "read_csv"]
-
-
-def _selector_indices(rows: tuple) -> "np.ndarray | None":
-    """Parent row indices for a ``_wrap`` row selector; None if unusable.
-
-    Conversion is deferred to link time (the substrate passes the raw
-    selector) so derivations that never link pay nothing.
-    """
-    try:
-        tag = rows[0]
-        if tag == "mask":
-            return np.flatnonzero(np.asarray(rows[1], dtype=bool))
-        if tag == "take":
-            return np.asarray(rows[1], dtype=np.int64)
-        if tag == "slice":
-            sl, n = rows[1], rows[2]
-            return np.arange(*sl.indices(n), dtype=np.int64)
-    except Exception:
-        return None
-    return None
 
 
 class LuxSeries(Series):
@@ -161,21 +140,8 @@ class LuxDataFrame(DataFrame):
         #: consumes it to rescan only the columns that actually changed.
         object.__setattr__(self, "_metadata_delta", None)
 
-    def _init_derived(
-        self,
-        parent: DataFrame | None,
-        op: str,
-        rows: tuple | None = None,
-    ) -> None:
-        """Propagate Lux state from parent to derived frames (§6, history).
-
-        When the derivation is a pure row subset (``rows`` carries the
-        selector), the child is linked to the parent in the computation
-        cache: its floats and filter masks derive from the parent's cached
-        vectors instead of rescanning the copied columns, and the link
-        *migrates* across column-scoped parent mutations (only the changed
-        columns stop deriving) rather than cold-starting the child.
-        """
+    def _init_derived(self, parent: DataFrame | None, op: str) -> None:
+        """Propagate Lux state from parent to derived frames (§6, history)."""
         if not hasattr(self, "_history"):
             self._setup_lux_state()
         if isinstance(parent, LuxDataFrame):
@@ -183,14 +149,6 @@ class LuxDataFrame(DataFrame):
             self._history.extend_from(parent._history)
             self._intent_clauses = [c.copy() for c in parent._intent_clauses]
             self._parent_ref = weakref.ref(parent)
-            if (
-                rows is not None
-                and config.computation_cache
-                and config.derived_cache_links
-            ):
-                indices = _selector_indices(rows)
-                if indices is not None:
-                    computation_cache.link_derived(self, parent, indices)
         if op and op not in ("copy", "select_columns"):
             self._history.append(op)
 

@@ -22,7 +22,6 @@ import math
 from typing import Any
 
 import numpy as np
-from scipy import stats
 
 from ..dataframe import DataFrame
 from ..dataframe.dtypes import BOOL, FLOAT64, INT64
@@ -78,12 +77,34 @@ def _pearson(frame: DataFrame, a: str, b: str) -> float:
     return _clamp(abs(float(np.corrcoef(x, y)[0, 1])))
 
 
+#: Relative precision below which the second moment counts as zero.
+_EPS = np.finfo(np.float64).eps
+
+
+def _skew(v: np.ndarray) -> float:
+    """The biased Fisher-Pearson skewness ``m3 / m2**1.5`` of ``v``.
+
+    Bit-identical to ``scipy.stats.skew(v)``: the moments are computed in
+    scipy's operation order, and the result is NaN where scipy's guard
+    treats ``m2`` as zero against the mean (near-constant data).
+    """
+    with np.errstate(all="ignore"):
+        mean = v.mean()
+        d = v - mean
+        sq = d**2
+        m2 = sq.mean()
+        m3 = (sq * d).mean()
+        if m2 <= (_EPS * mean) ** 2:
+            return math.nan
+        return float(m3 / m2**1.5)
+
+
 def _skewness(frame: DataFrame, attr: str) -> float:
     v = _cache.to_float(frame, attr)
     v = v[~np.isnan(v)]
     if len(v) < 3 or v.std() == 0:
         return 0.0
-    skew = abs(float(stats.skew(v)))
+    skew = abs(_skew(v))
     # Map |skew| in [0, inf) to [0, 1); |skew|=2 is already very skewed.
     return _clamp(skew / (1.0 + skew))
 

@@ -1,10 +1,12 @@
 """DataFrame: the columnar table at the heart of the substrate.
 
 The class is deliberately subclass-friendly: every operation that produces a
-new frame routes through :meth:`DataFrame._wrap`, and every in-place
-mutation calls :meth:`DataFrame._notify_mutation`.  ``repro.core.frame``
-builds ``LuxDataFrame`` on these two hooks to implement the paper's history
-tracking and metadata-expiry (``wflow``) without touching operator logic.
+new frame routes through :meth:`DataFrame._wrap`, which hands the subclass
+hook :meth:`DataFrame._init_derived` the parent and the operation's name,
+and every in-place mutation calls :meth:`DataFrame._notify_mutation`.
+``repro.core.frame`` builds ``LuxDataFrame`` on these two hooks to
+implement the paper's history tracking and metadata-expiry (``wflow``)
+without touching operator logic.
 """
 
 from __future__ import annotations
@@ -136,30 +138,16 @@ class DataFrame:
     # ------------------------------------------------------------------
     # Subclass hooks
     # ------------------------------------------------------------------
-    def _wrap(
-        self,
-        data: dict[str, Column],
-        index: Index,
-        op: str,
-        rows: tuple | None = None,
-    ) -> "DataFrame":
-        """Construct a derived frame.  Subclasses propagate state here.
-
-        ``rows`` describes how the child's rows map onto the parent's when
-        the derivation is a pure row subset — a tagged selector
-        ``("mask", keep)`` / ``("take", indices)`` / ``("slice", sl, n)``
-        left raw so subclasses that don't consume it pay no conversion.
-        """
+    def _wrap(self, data: dict[str, Column], index: Index, op: str) -> "DataFrame":
+        """Construct a derived frame.  Subclasses propagate state here."""
         out = type(self).__new__(type(self))
         object.__setattr__(out, "_data", data)
         object.__setattr__(out, "_column_order", list(data.keys()))
         object.__setattr__(out, "_index", index)
-        out._init_derived(parent=self, op=op, rows=rows)
+        out._init_derived(parent=self, op=op)
         return out
 
-    def _init_derived(
-        self, parent: "DataFrame", op: str, rows: tuple | None = None
-    ) -> None:
+    def _init_derived(self, parent: "DataFrame", op: str) -> None:
         """Hook for subclasses; base frames carry no extra state."""
 
     def _notify_mutation(self, op: str, delta: "observe.Delta | None" = None) -> None:
@@ -299,22 +287,15 @@ class DataFrame:
     # ------------------------------------------------------------------
     def _filter_rows(self, keep: np.ndarray) -> "DataFrame":
         data = {name: self._data[name].filter(keep) for name in self._column_order}
-        return self._wrap(
-            data, self._index.filter(keep), op="filter", rows=("mask", keep)
-        )
+        return self._wrap(data, self._index.filter(keep), op="filter")
 
     def _take_rows(self, indices: np.ndarray) -> "DataFrame":
         data = {name: self._data[name].take(indices) for name in self._column_order}
-        return self._wrap(
-            data, self._index.take(indices), op="take", rows=("take", indices)
-        )
+        return self._wrap(data, self._index.take(indices), op="take")
 
     def _slice_rows(self, sl: slice) -> "DataFrame":
-        n = len(self)
         data = {name: self._data[name].slice(sl) for name in self._column_order}
-        return self._wrap(
-            data, self._index.slice(sl), op="slice", rows=("slice", sl, n)
-        )
+        return self._wrap(data, self._index.slice(sl), op="slice")
 
     # ------------------------------------------------------------------
     # Convenience views

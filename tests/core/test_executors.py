@@ -6,6 +6,7 @@ import pytest
 
 from repro import Clause, Vis, config
 from repro.core.compiler import compile_intent
+from repro.core.errors import ExecutorError
 from repro.core.executor.base import get_executor
 from repro.core.executor.df_exec import DataFrameExecutor
 from repro.core.executor.sql_exec import SQLExecutor, translate_vis_to_sql
@@ -174,14 +175,20 @@ class TestSQLTranslation:
         assert 'AVG("Age")' in sql
 
     def test_filter_where_clause(self, employees):
-        spec = _spec(["Age", "Department=Sales"], employees)
+        spec = _spec(["Age", "Education", "Department=Sales"], employees)
         sql = translate_vis_to_sql(spec, employees)
         assert "WHERE" in sql and "'Sales'" in sql
 
     def test_string_values_escaped(self, employees):
-        from repro.core.executor.sql_exec import _sql_literal
+        from repro.core.executor.sql_compile import sql_literal
 
-        assert _sql_literal("O'Brien") == "'O''Brien'"
+        assert sql_literal("O'Brien") == "'O''Brien'"
+
+    def test_histogram_has_no_translation(self, employees):
+        spec = _spec(["Age"], employees)
+        assert spec.mark == "histogram"
+        with pytest.raises(ExecutorError, match="histogram"):
+            translate_vis_to_sql(spec, employees)
 
     def test_executor_factory(self):
         config.executor = "sql"

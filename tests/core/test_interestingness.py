@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.core.interestingness import (
     _dispersion,
     _group_separation,
     _pearson,
+    _skew,
     _skewness,
     _unevenness,
     score_vis,
@@ -52,6 +55,45 @@ class TestPearson:
         assert _pearson(frame, "a", "b") == pytest.approx(1.0)
         frame["b"] = [3.0, 1.0, 2.0]  # bumps _data_version -> cache invalid
         assert _pearson(frame, "a", "b") < 1.0
+
+
+def skew_inputs() -> dict[str, np.ndarray]:
+    """Random, infinite, constant and near-constant arrays for the skew diff."""
+    rng = np.random.default_rng(5)
+    draws = {
+        "normal": lambda n: rng.normal(0, 1, n),
+        "lognormal": lambda n: rng.lognormal(0, 1, n),
+        "integer": lambda n: rng.integers(-50, 50, n).astype(np.float64),
+        "offset": lambda n: rng.normal(0, 1, n) + 1e6,
+    }
+    inputs = {
+        f"{kind}-{n}": draw(n)
+        for kind, draw in draws.items()
+        for n in (3, 4, 17, 1_000, 20_000)
+    }
+    for sign in (1, -1):
+        values = rng.normal(0, 1, 500)
+        values[123] = sign * np.inf
+        inputs[f"inf{sign:+d}"] = values
+    inputs["constant"] = np.full(50, 7.25)
+    inputs["constant-large"] = np.full(50, 1e6)
+    inputs["one-ulp-off"] = np.r_[np.full(49, 1e6), np.nextafter(1e6, 2e6)]
+    inputs["near-constant"] = 1e6 + rng.normal(0, 1e-3, 200)
+    return inputs
+
+
+SKEW_INPUTS = skew_inputs()
+
+
+class TestSkewMatchesScipy:
+    @pytest.mark.parametrize("name", list(SKEW_INPUTS))
+    def test_bit_identical(self, name):
+        stats = pytest.importorskip("scipy.stats")
+        values = SKEW_INPUTS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = np.float64(stats.skew(values))
+        assert np.float64(_skew(values)).tobytes() == expected.tobytes()
 
 
 class TestShapeScores:

@@ -1,11 +1,11 @@
-"""Per-column metadata versioning and derived-frame cache links.
+"""Per-column metadata versioning, and child frames without cache links.
 
 The frame-level halves of the incremental floor work: a column-scoped
 mutation rescans only the named columns (everything else keeps its
-``AttributeMeta`` object *and* its per-column version stamp), intent
-changes never touch metadata at all, and a row-subset child keeps
-deriving untouched columns from its parent's cache slot across the
-parent's column-scoped mutations.
+``AttributeMeta`` object *and* its per-column version stamp), and intent
+changes never touch metadata at all.  A filtered, sliced or sampled
+child shares no computation-cache slot with its parent: only the ranking
+sample cut by ``get_sample`` is linked.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import pytest
 
 from repro import LuxDataFrame, config
 from repro.core.executor.cache import computation_cache
+from repro.core.optimizer.sampling import get_sample
+from repro.service.session import encode_recommendations
 
 
 @pytest.fixture(autouse=True)
@@ -113,49 +115,42 @@ class TestPerColumnVersions:
         assert after["q9"].max == before["q1"].max
 
 
-class TestDerivedLinkMigration:
-    def test_filtered_child_derives_from_parent_slot(self):
+CHILDREN = {
+    "mask": lambda f: f[np.asarray(f["q0"].to_list()) > 0],
+    "head": lambda f: f.head(50),
+    "iloc_slice": lambda f: f.iloc[10:200],
+    "iloc_indices": lambda f: f.iloc[np.arange(0, len(f), 3)],
+    "sample": lambda f: f.sample(n=100, random_state=1),
+}
+
+
+class TestChildCacheLinks:
+    @pytest.mark.parametrize("derive", list(CHILDREN.values()), ids=list(CHILDREN))
+    def test_child_registers_no_link(self, derive):
         parent = make_frame()
-        mask = np.asarray(parent["q0"].to_list()) > 0
-        child = parent[mask]
+        computation_cache.to_float(parent, "q1")
+        child = derive(parent)
+        assert computation_cache.stats()["links"] == 0
+        assert computation_cache._parent_view(child) is None
+        np.testing.assert_array_equal(
+            computation_cache.to_float(child, "q1"), child.column("q1").to_float()
+        )
 
-        view = computation_cache._parent_view(child, ("q0",))
-        assert view is not None
-        linked_parent, indices = view
-        assert linked_parent is parent
-        np.testing.assert_array_equal(indices, np.flatnonzero(mask))
-        # Derived floats are bit-identical to a direct scan of the child.
-        derived = computation_cache.to_float(child, "q1")
-        np.testing.assert_array_equal(derived, child.column("q1").to_float())
-
-    def test_link_migrates_across_parent_column_mutation(self):
+    def test_ranking_sample_still_links(self):
+        config.sampling_start = 100
+        config.sampling_cap = 80
         parent = make_frame()
-        child = parent[np.asarray(parent["q0"].to_list()) > 0]
-        assert computation_cache._parent_view(child, ("q1",)) is not None
+        sample = get_sample(parent)
+        assert computation_cache.stats()["links"] == 1
+        linked_parent, indices = computation_cache._parent_view(sample)
+        assert linked_parent is parent and len(indices) == 80
 
-        parent["q0"] = [-v for v in parent["q0"].to_list()]
-
-        # The link survives the parent's version bump: untouched columns
-        # keep deriving, the mutated column is refused (the child's copy
-        # predates the mutation).
-        assert computation_cache._parent_view(child, ("q1",)) is not None
-        assert computation_cache._parent_view(child, ("d0",)) is not None
-        assert computation_cache._parent_view(child, ("q0",)) is None
-        derived = computation_cache.to_float(child, "q1")
-        np.testing.assert_array_equal(derived, child.column("q1").to_float())
-
-    def test_child_mutation_severs_the_link(self):
+    def test_filtered_child_bytes_do_not_depend_on_the_cache(self):
         parent = make_frame()
-        child = parent[np.asarray(parent["q0"].to_list()) > 0]
-        child["q1"] = [0.0] * len(child)
-        # The child diverged from parent.iloc[indices] entirely.
-        assert computation_cache._parent_view(child, ("d0",)) is None
-
-    def test_knob_disables_linking(self):
-        config.derived_cache_links = False
-        parent = make_frame()
-        child = parent[np.asarray(parent["q0"].to_list()) > 0]
-        assert computation_cache._parent_view(child, ("q0",)) is None
-        # Unlinked children still compute correctly, just cold.
-        out = computation_cache.to_float(child, "q0")
-        np.testing.assert_array_equal(out, child.column("q0").to_float())
+        parent.recommendations  # warms the parent's slot
+        child = CHILDREN["mask"](parent)
+        warm = encode_recommendations(child.recommendations)
+        assert warm
+        computation_cache.clear()
+        child.expire_recommendations()
+        assert encode_recommendations(child.recommendations) == warm

@@ -3,7 +3,9 @@
 The knob table is the operator-facing registry of every ``config.*``
 field.  This test parses it back out of the markdown and holds it equal
 to the dataclass — names AND defaults — so adding, removing, or
-re-defaulting a knob without updating the docs fails CI.
+re-defaulting a knob without updating the docs fails CI.  Every field
+must also be read somewhere in the library, so a knob nothing consults
+cannot linger.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from pathlib import Path
 
 from repro.core.config import Config
 
-DOC = Path(__file__).resolve().parents[2] / "docs" / "configuration.md"
+ROOT = Path(__file__).resolve().parents[2]
+DOC = ROOT / "docs" / "configuration.md"
+PACKAGE = ROOT / "src" / "repro"
 
 #: Table row: | `knob` | `default` | effect | gated by |
 ROW = re.compile(r"^\|\s*`(\w+)`\s*\|\s*(`[^`]*`|[^|]+?)\s*\|")
@@ -68,3 +72,19 @@ class TestConfigDocs:
             assert value == defaults[name], (
                 f"{name}: docs say {value!r}, Config() has {defaults[name]!r}"
             )
+
+    def test_every_field_is_read_by_the_library(self):
+        read = set()
+        for path in PACKAGE.rglob("*.py"):
+            if path == PACKAGE / "core" / "config.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "config"
+                ):
+                    read.add(node.attr)
+        unread = set(Config().__dict__) - read
+        assert not unread, f"config fields no module reads as config.<field>: {sorted(unread)}"

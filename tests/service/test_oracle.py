@@ -2,16 +2,18 @@
 
 A hypothesis state machine drives one watched session through random
 mutations — column edits, schema changes, row-set changes, intent and
-type-override changes — interleaved with config flips, store wipes and
-snapshot restarts (save, restore into a fresh manager, continue on the
-restored session).  After every step, once the precompute engine is
-idle, the served recommendations must equal those of a *cold*
-``LuxDataFrame`` rebuilt from the session frame's current columns, intent
-and type overrides: every reuse layer (metadata stamps, computation-cache
-migration, candidate and action reuse in the engine, the result store,
-snapshot rehydration) is an equivalence claim against that cold, serial
-path.  The store holds at most one pass per live session, at the current
-version once a pass has published.
+type-override changes — interleaved with config flips (incremental
+precompute, the computation cache), store wipes and snapshot restarts
+(save, restore into a fresh manager, continue on the restored session).
+After every step, once the precompute engine is idle, the served
+recommendations must equal those of a *cold* ``LuxDataFrame`` rebuilt
+from the session frame's current columns, intent and type overrides:
+every reuse layer (metadata stamps, computation-cache migration,
+candidate and action reuse in the engine, the result store, snapshot
+rehydration) is an equivalence claim against that cold, serial path.
+The store holds at most one pass per live session, at the current
+version once a pass has published, and the computation cache's byte
+accounting equals the sizes of the entries it holds.
 
 Profiles (``tests/conftest.py``): ``ci`` replays a small derandomized
 run; ``--hypothesis-profile soak`` runs the long randomized one.
@@ -19,6 +21,7 @@ run; ``--hypothesis-profile soak`` runs the long randomized one.
 
 from __future__ import annotations
 
+import gc
 import shutil
 import tempfile
 
@@ -35,6 +38,7 @@ from hypothesis.stateful import (
 
 from repro import LuxDataFrame, config
 from repro.core.config import thread_overlay
+from repro.core.executor.cache import _FrameSlot, computation_cache
 from repro.service import ResultStore, SessionManager, SnapshotStore, serialize_recommendations
 
 ROWS = 240
@@ -84,6 +88,7 @@ class ServiceOracle(RuleBasedStateMachine):
         config.precompute = True
         config.precompute_debounce_s = 0.0
         config.incremental_precompute = True
+        config.computation_cache = True
         self.snapshot_dir = tempfile.mkdtemp(prefix="oracle-")
         # Only forced saves write: a pass's own save is rate-limited away.
         self.snapshots = SnapshotStore(self.snapshot_dir, interval_s=3600.0)
@@ -217,6 +222,11 @@ class ServiceOracle(RuleBasedStateMachine):
         self.moved = False
 
     @rule()
+    def flip_computation_cache(self) -> None:
+        config.computation_cache = not config.computation_cache
+        self.moved = False
+
+    @rule()
     def clear_store(self) -> None:
         self.manager.store.clear()
         self.moved = False
@@ -248,6 +258,27 @@ class ServiceOracle(RuleBasedStateMachine):
         assert store.stats()["sessions"] <= len(self.manager.ids())
         if self.moved and self.STORE_BUDGET is None:
             assert store.get_pass(self.session.id, self.session.version) is not None
+
+    @invariant()
+    def cache_bytes_add_up(self) -> None:
+        assert self.manager.engine.wait_idle(60), self.manager.engine.stats()
+        # A cyclic collection mid-check would run a dead frame's weakref
+        # callback, dropping its slot between the walk and stats().
+        gc.disable()
+        try:
+            total = 0
+            for slot in list(computation_cache._slots.values()):
+                with slot.lock:
+                    held = sum(
+                        _FrameSlot._SIZERS[section](value)
+                        for section in _FrameSlot.SECTIONS
+                        for value in getattr(slot, section).values()
+                    )
+                    assert slot.nbytes == held
+                total += slot.nbytes
+            assert computation_cache.stats()["bytes"] == total
+        finally:
+            gc.enable()
 
     @invariant()
     def served_equals_cold(self) -> None:
