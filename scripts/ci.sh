@@ -42,6 +42,13 @@ python -c 'import time; t = time.perf_counter(); import repro; print(f"import re
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
+echo "== pool stress =="
+# The shared pool's thread lifecycle (grow on submit, shrink as threads
+# finish, slot freed on a crash, no exit join) is timing-dependent: run
+# its tests 20 times in one process so a rare interleaving fails CI.
+python -m pytest -q -p no:cacheprovider --keep-duplicates \
+  $(for _ in $(seq 20); do echo tests/core/test_pool_fairshare.py; done)
+
 echo "== examples =="
 # Each example drives the public API end to end (vis.data, to_vegalite,
 # HTML export, the service); each must exit 0 within its timeout.

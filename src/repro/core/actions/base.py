@@ -161,22 +161,7 @@ class Action(ABC):
     # ------------------------------------------------------------------
     def generate(self, ldf: "LuxDataFrame") -> VisList:
         """Produce the ranked, processed VisList for display."""
-        cands = self.candidates(ldf)
-        if not cands:
-            return VisList(visualizations=[], source=ldf)
-        if self.ranked:
-            return rank_candidates(cands, ldf, k=config.top_k)
-        from ..executor.base import get_executor
-        from ..vis import Vis
-
-        executor = get_executor()
-        chosen = cands[: config.top_k]
-        pending = [c.spec for c in chosen if c.spec.data is None]
-        if pending:
-            # Batch the display pass so the candidates share scans.
-            executor.execute_many(pending, ldf)
-        out = [Vis.from_compiled(c, source=ldf, process=False) for c in chosen]
-        return VisList(visualizations=out, source=ldf)
+        return self.generate_cached(ldf, {})
 
     def generate_cached(
         self,
@@ -191,23 +176,25 @@ class Action(ABC):
         found unchanged — their content keys match a previous pass.  Those
         candidates reuse their previous scores and, when displayed, their
         previous processed Vis; everything else is recomputed.  The output
-        is bit-identical to :meth:`generate` — reused values are exactly
-        what a cold pass would recompute.  ``records`` collects
-        per-candidate state for the next pass to reuse.
+        is bit-identical to a cold pass (an empty ``prior``) — reused
+        values are exactly what a cold pass would recompute.  ``records``
+        collects per-candidate state for the next pass to reuse.
         """
         cands = self.candidates(ldf)
         if not cands:
             return VisList(visualizations=[], source=ldf)
         if self.ranked:
+            # No prior and no records: ``rank_candidates`` computes no keys.
             return rank_candidates(
-                cands, ldf, k=config.top_k, prior=prior, records=records
+                cands, ldf, k=config.top_k, prior=prior or None, records=records
             )
         from ..executor.base import get_executor
         from ..vis import Vis
 
         executor = get_executor()
         chosen = cands[: config.top_k]
-        keys = [candidate_key(c.spec) for c in chosen]
+        keyed = bool(prior) or records is not None
+        keys = [candidate_key(c.spec) if keyed else "" for c in chosen]
         carried: dict[int, "Vis"] = {}
         pending = []
         for key, cand in zip(keys, chosen):

@@ -15,7 +15,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
-__all__ = ["Config", "config", "config_overlay", "current_overlay", "thread_overlay"]
+__all__ = [
+    "PROCESS_WIDE",
+    "Config",
+    "config",
+    "config_overlay",
+    "current_overlay",
+    "thread_overlay",
+]
 
 #: Per-thread stack of overlay dicts consulted (top first) before the
 #: singleton's own attributes.  Overlays are *reads-only* isolation: they
@@ -31,6 +38,26 @@ def _overlay_stack() -> list[dict[str, Any]]:
         stack = []
         _OVERLAYS.stack = stack
     return stack
+
+
+#: Fields that size or wire the process rather than shape a pass.  A
+#: session's overlay of one would act on every session (its store budget
+#: evicts the others' passes), so sessions refuse them; ``config_overlay``
+#: still accepts them, for tests and benchmarks scoping process settings.
+PROCESS_WIDE = frozenset({
+    "action_pool_workers",
+    "computation_cache_budget_mb",
+    "service_store_budget_mb",
+    "precompute_queue_limit",
+    "service_auth_token",
+    "service_shards",
+    "service_snapshot_dir",
+    "service_snapshot_interval_s",
+    "service_rpc_timeout_s",
+    "telemetry_sample_rate",
+    "telemetry_span_buffer",
+    "telemetry_histogram_buckets",
+})
 
 
 @dataclass
@@ -58,7 +85,8 @@ class Config:
     #: Worker count of the process-wide shared pool (``repro.core.pool``)
     #: that both streams laggard actions and fans out batch execution.
     #: Defaults to the host's core count so a recommendation pass can use
-    #: all available hardware; resizes apply on the next submission.
+    #: all available hardware.  A larger value takes effect as submissions
+    #: start threads, a smaller one as surplus threads finish their items.
     action_pool_workers: int = field(
         default_factory=lambda: max(2, os.cpu_count() or 1)
     )
@@ -76,11 +104,12 @@ class Config:
     #: degrades to fewer memoized scans instead of pinning gigabytes.
     computation_cache_budget_mb: int = 64
 
-    #: Fan ``DataFrameExecutor.execute_many`` out across the shared pool.
-    #: Each filter group's subframe materializes once; specs then execute
-    #: concurrently against the per-slot-locked computation cache.  The
-    #: serial batch path is used when off, when the batch has a single
-    #: spec, or from inside a pool worker (deadlock rule).
+    #: Let shared-pool helpers drain ``DataFrameExecutor.execute_many``'s
+    #: work queue alongside the calling thread.  Each filter group's
+    #: subframe materializes once; specs then execute concurrently against
+    #: the per-slot-locked computation cache.  The calling thread drains
+    #: alone when off, when the batch has a single spec, with one worker,
+    #: or from inside a pool worker (deadlock rule).
     parallel_execute: bool = True
 
     #: Frames smaller than this execute batches serially: thread fan-out

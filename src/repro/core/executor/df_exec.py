@@ -23,25 +23,25 @@ views, and histogram bin edges are each computed once per
 ``(frame, _data_version)`` and shared across the whole candidate set.
 :meth:`DataFrameExecutor.execute_many` is the batch entry point — it
 groups specs by filter signature so each distinct filter materializes
-exactly one subframe, held only for the batch (subframes are full row
-copies and are deliberately never pinned in the process-wide cache).
+exactly one subframe, held only until its group's last spec has run
+(subframes are full row copies and are deliberately never pinned in the
+process-wide cache).
 Stale entries are impossible by construction: the cache keys on the frame's
 ``_data_version``, which every in-place mutation bumps.
 
-Parallel batch execution
-------------------------
-Under ``config.parallel_execute`` the batch fans out across the shared
-worker pool (:mod:`repro.core.pool`): the work queue holds one item per
-spec, each filter group materializes its subframe exactly once behind a
-per-group lock, and the *calling thread drains the queue alongside the
-pool helpers* — so a saturated or single-worker pool degrades to the
-serial batch path's throughput instead of deadlocking.  Results are
-bit-identical to serial execution: every spec writes only its own
-``results`` cell, and the computation cache's per-slot locks make
-concurrent primitive lookups race-free (a lost race recomputes, never
-tears).  Fan-out is skipped inside a pool worker (a streamed action's
-nested batch), for single-spec batches, and below
-``config.parallel_min_rows``.
+Draining a batch
+----------------
+A batch is one work queue with one item per spec, and the *calling thread
+drains it*.  Under ``config.parallel_execute`` pool helpers
+(:mod:`repro.core.pool`) drain it alongside, so a saturated pool degrades
+to the calling thread's own throughput instead of deadlocking; with no
+helpers the drain is the serial loop, in group order.  There are none
+inside a pool worker (a streamed action's or a background pass's nested
+batch), for single-spec batches, with one worker, and below
+``config.parallel_min_rows``.  Results are bit-identical whoever pops an
+item: every spec writes only its own ``results`` cell, and the computation
+cache's per-slot locks make concurrent primitive lookups race-free (a lost
+race recomputes, never tears).
 """
 
 from __future__ import annotations
@@ -144,64 +144,27 @@ class DataFrameExecutor(Executor):
         evaluates its mask and materializes its subframe exactly once, then
         every handler runs against the shared subframe — whose group-by
         factorizations, float views, and bin edges are in turn shared
-        through the computation cache.  Falls back to the sequential path
-        when ``config.computation_cache`` is off so ablations stay honest.
+        through the computation cache.  With ``config.computation_cache``
+        off every spec is its own group (a mask and a subframe per spec),
+        so ablations stay honest.
 
-        With ``config.parallel_execute`` the batch additionally fans out
-        across the shared worker pool (see the module docstring); results
-        are identical to the serial batch path.
+        The calling thread drains one work item per spec, and
+        :meth:`_helpers` pool helpers drain with it (see the module
+        docstring).  A subframe materializes behind its group's lock
+        (double-checked, so same-group specs popped by different threads
+        share the row copy) and is dropped once its group's last spec has
+        run.  Helpers that never get scheduled cost correctness nothing,
+        and waiting on them cannot deadlock: the queue they would drain
+        is empty by the time this thread blocks.
         """
-        if not _cache.enabled:
-            return [self.execute(spec, frame) for spec in specs]
+        if _cache.enabled:
+            groups = group_indices_by_filter(specs)
+        else:
+            groups = [[i] for i in range(len(specs))]
         results: list[ColumnTable | None] = [None] * len(specs)
-        groups = group_indices_by_filter(specs)
-        if self._should_fan_out(groups, frame):
-            self._execute_parallel(specs, frame, groups, results)
-            return results  # type: ignore[return-value]
-        for indices in groups:
-            # One materialization per distinct filter, held only for the
-            # batch: same-filter candidates share the subframe (and, via
-            # its live cache slot, its factorizations and float views)
-            # without the process-wide cache pinning any row copies.
-            subframe = self.apply_filters(frame, specs[indices[0]].filters)
-            for i in indices:
-                spec = specs[i]
-                table = self._handler(spec.mark)(spec, subframe)
-                spec.data = table
-                results[i] = table
-        return results  # type: ignore[return-value]
-
-    @staticmethod
-    def _should_fan_out(groups: list[list[int]], frame: DataFrame) -> bool:
-        """Whether this batch is worth spreading over the worker pool."""
-        n_specs = sum(len(g) for g in groups)
-        return (
-            config.parallel_execute
-            and n_specs > 1
-            and len(frame) >= config.parallel_min_rows
-            and pool.worker_count() > 1
-            and not pool.in_worker()  # never wait on the pool from inside it
-        )
-
-    def _execute_parallel(
-        self,
-        specs: Sequence[VisSpec],
-        frame: DataFrame,
-        groups: list[list[int]],
-        results: list,
-    ) -> None:
-        """Drain one work item per spec across pool helpers + this thread.
-
-        Each filter group's subframe materializes exactly once behind a
-        per-group lock (double-checked, so same-group specs claimed by
-        different workers share the row copy rather than re-filtering).
-        The calling thread participates in the drain: helpers that never
-        get scheduled — a saturated pool — cost correctness nothing, and
-        ``wait`` on them cannot deadlock because the queue they would
-        drain is already empty by the time this thread blocks.
-        """
         subframes: dict[int, DataFrame] = {}
         group_locks = [threading.Lock() for _ in groups]
+        left = [len(indices) for indices in groups]
         work: "deque[tuple[int, int]]" = deque(
             (gi, i) for gi, indices in enumerate(groups) for i in indices
         )
@@ -233,9 +196,12 @@ class DataFrameExecutor(Executor):
                 except BaseException as exc:
                     errors.append(exc)
                     return
+                with group_locks[gi]:
+                    left[gi] -= 1
+                    if not left[gi]:
+                        del subframes[gi]
 
-        n_helpers = min(pool.worker_count(), len(work)) - 1
-        futures = [pool.submit(drain) for _ in range(n_helpers)]
+        futures = [pool.submit(drain) for _ in range(self._helpers(len(specs), frame))]
         try:
             drain()
             # The queue is drained; a helper still waiting behind unrelated
@@ -252,6 +218,18 @@ class DataFrameExecutor(Executor):
             subframes.clear()
         if errors:
             raise errors[0]
+        return results  # type: ignore[return-value]
+
+    @staticmethod
+    def _helpers(n_specs: int, frame: DataFrame) -> int:
+        """How many pool helpers drain a batch alongside the calling thread."""
+        if (
+            not config.parallel_execute
+            or len(frame) < config.parallel_min_rows
+            or pool.in_worker()  # never wait on the pool from inside it
+        ):
+            return 0
+        return max(min(pool.worker_count(), n_specs) - 1, 0)
 
     # ------------------------------------------------------------------
     # Histogram: bin + count

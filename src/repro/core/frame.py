@@ -91,10 +91,8 @@ class LuxDataFrame(DataFrame):
     _internal_names = DataFrame._internal_names | {
         "_intent_clauses",
         "_metadata_cache",
-        "_metadata_fresh",
         "_metadata_version",
         "_recs_cache",
-        "_recs_fresh",
         "_recs_version",
         "_history",
         "_parent_ref",
@@ -120,10 +118,8 @@ class LuxDataFrame(DataFrame):
     def _setup_lux_state(self) -> None:
         object.__setattr__(self, "_intent_clauses", [])
         object.__setattr__(self, "_metadata_cache", None)
-        object.__setattr__(self, "_metadata_fresh", False)
         object.__setattr__(self, "_metadata_version", -1)
         object.__setattr__(self, "_recs_cache", None)
-        object.__setattr__(self, "_recs_fresh", False)
         object.__setattr__(self, "_recs_version", (-1, -1))
         object.__setattr__(self, "_history", History())
         object.__setattr__(self, "_parent_ref", None)
@@ -167,8 +163,9 @@ class LuxDataFrame(DataFrame):
         """Expire cached metadata/recommendations/sample (wflow rules).
 
         Bumping ``_data_version`` is what makes every version-keyed cache
-        (the row sample, the executor's computation cache, its sample
-        links, the SQL executor's connection cache) unreachable.  The
+        (the metadata and recommendation memos, whose stamps it no longer
+        matches, the row sample, the executor's computation cache, its
+        sample links, the SQL executor's connection cache) unreachable.  The
         explicit ``invalidate`` below frees the executor cache's memory
         eagerly — and, when ``delta`` names the changed columns with the
         row set intact, *migrates* the slot instead: primitives keyed on
@@ -176,8 +173,6 @@ class LuxDataFrame(DataFrame):
         invalidation), so a single-column edit does not throw away every
         other column's floats, factorizations, and masks.
         """
-        self._metadata_fresh = False
-        self._recs_fresh = False
         self._sample_cache = None
         self._data_version += 1
         pending = delta if delta is not None else observe.Delta.unknown()
@@ -188,7 +183,7 @@ class LuxDataFrame(DataFrame):
         observe.emit(self, op, delta)
 
     def expire_recommendations(self) -> None:
-        self._recs_fresh = False
+        self._recs_version = (-1, -1)
 
     def _refresh_all(self) -> None:
         self._compute_metadata()
@@ -230,7 +225,6 @@ class LuxDataFrame(DataFrame):
         *intent-only* (no data dirty); callers that also shift semantics
         (``set_data_type``) pass a richer delta naming the columns.
         """
-        self._recs_fresh = False
         self._intent_epoch += 1
         observe.emit(self, "intent", delta or observe.Delta.intent())
 
@@ -252,7 +246,6 @@ class LuxDataFrame(DataFrame):
     def metadata(self) -> Metadata:
         if (
             self._metadata_cache is None
-            or not self._metadata_fresh
             or self._metadata_version != self._data_version
             or not config.lazy_maintain
         ):
@@ -260,16 +253,15 @@ class LuxDataFrame(DataFrame):
         return self._metadata_cache
 
     def _compute_metadata(self) -> None:
-        # Version-stamp the computation: a background pass may race an
-        # analyst mutating the frame, and without the stamp its late
-        # ``_metadata_fresh = True`` write would resurrect metadata the
-        # mutation already expired (served as current by the next pass).
-        # Freshness holds only if the version never moved while computing.
+        # Stamp the result with the version it started from: a background
+        # pass may race an analyst mutating the frame, and stamping the
+        # version current at the end would mark metadata the mutation
+        # already expired as fresh (served as current by the next pass).
         start_version = self._data_version
         # Snapshot-and-clear the accumulated delta: a mutation racing this
         # computation re-accumulates into a fresh delta AND moves the
-        # version, so the freshness check below forces another pass that
-        # rescans whatever the race touched.
+        # version, so the stamp check in ``metadata`` forces another pass
+        # that rescans whatever the race touched.
         pending = self._metadata_delta
         self._metadata_delta = None
         previous = self._metadata_cache
@@ -303,7 +295,6 @@ class LuxDataFrame(DataFrame):
         meta._overrides = dict(overrides)
         self._metadata_cache = meta
         self._metadata_version = start_version
-        self._metadata_fresh = self._data_version == start_version
 
     def set_data_type(self, types: dict[str, str]) -> None:
         """Override inferred semantic data types (§8.1)."""
@@ -345,7 +336,6 @@ class LuxDataFrame(DataFrame):
     def recommendations(self) -> RecommendationSet:
         if (
             self._recs_cache is None
-            or not self._recs_fresh
             or self._recs_version != (self._data_version, self._intent_epoch)
             or not config.lazy_maintain
         ):
@@ -358,15 +348,11 @@ class LuxDataFrame(DataFrame):
         return self.recommendations
 
     def _compute_recommendations(self) -> None:
-        # Same version-stamping rationale as ``_compute_metadata``: a pass
-        # racing a mutation must not mark its (possibly torn) result fresh.
+        # Same stamping rationale as ``_compute_metadata``: a pass racing a
+        # mutation must not stamp its (possibly torn) result as current.
         start_version = (self._data_version, self._intent_epoch)
         self._recs_cache = self._run_recommendations()
         self._recs_version = start_version
-        self._recs_fresh = (
-            self._data_version,
-            self._intent_epoch,
-        ) == start_version
 
     def _run_recommendations(self) -> RecommendationSet:
         """One recommendation pass under the current config; memoizes nothing."""

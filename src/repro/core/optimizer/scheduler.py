@@ -29,9 +29,10 @@ _LIVE: "weakref.WeakSet[RecommendationSet]" = weakref.WeakSet()
 
 # Laggard actions run on the process-wide shared pool (``repro.core.pool``),
 # the same pool ``execute_many`` fans out on — one global bound on
-# background parallelism instead of one per subsystem.  The pool's
-# resize hand-off guarantees a submitted action always runs, so a
-# RecommendationSet can never be stranded short of its expected put count.
+# background parallelism instead of one per subsystem.  A submitted action
+# stays in the pool's queue until a pool thread runs it, resizes included,
+# so a RecommendationSet can never be stranded short of its expected put
+# count.
 
 
 def drain_all(timeout: float | None = 120.0) -> None:

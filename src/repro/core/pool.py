@@ -1,7 +1,6 @@
 """The process-wide worker pool shared by every parallel subsystem.
 
-One resizable :class:`~concurrent.futures.ThreadPoolExecutor` serves every
-consumer of background parallelism:
+One set of pool threads serves every consumer of background parallelism:
 
 - the action scheduler streams laggard actions through it
   (``optimizer/scheduler.py``),
@@ -12,13 +11,12 @@ consumer of background parallelism:
 
 Unifying them matters: independent pools would multiply steady-state
 thread count and let one subsystem oversubscribe the host while the others
-idle.  The pool is sized by ``config.action_pool_workers`` and resized
-lazily on the next submission after the knob changes.
+idle.  The pool is sized by ``config.action_pool_workers``.
 
 Fair-share admission
 --------------------
-Work is not handed to the executor's FIFO directly.  Each submission lands
-in a two-band fair queue and workers run *dispatchers* that drain it:
+Each submission lands in a two-band fair queue, and pool threads pop from
+it directly:
 
 - **Bands**: interactive (default) before background.  Background items —
   the service's always-on precompute passes — only run while no
@@ -34,15 +32,17 @@ session.  Submissions also capture the caller's config overlay
 (:func:`repro.core.config.current_overlay`) and re-apply it on the worker,
 so per-session config isolation survives fan-out.
 
-Resize semantics
-----------------
-A resize retires the old pool without waiting, so already-running tasks
-drain concurrently with the new pool (transient over-parallelism bounded
-by the old pool's *running* tasks).  Queued-but-unstarted dispatchers are
-cancelled and re-submitted to the new pool — dispatchers are
-interchangeable (each drains exactly one queue item), so no caller is ever
-stranded waiting on work that silently died with a retired pool.  Callers
-hold a stable outer :class:`Future` whose identity survives the hand-off.
+Threads
+-------
+Pool threads are daemon threads named ``lux-worker-<n>`` that wait on one
+condition for queued items.  A submission starts a thread while queued
+items outnumber idle threads and fewer than :func:`worker_count` threads
+are live, so the pool grows on submission.  A thread that finds more live
+threads than :func:`worker_count` exits before popping, so the pool
+shrinks as threads finish their items.  A queued item never leaves the
+fair queue until a thread runs it, so a resize strands nothing.  Exiting
+the interpreter does not wait for pool threads: ``SessionManager.shutdown``
+and ``scheduler.drain_all`` are the flush points.
 
 Deadlock rule
 -------------
@@ -54,16 +54,17 @@ this and degrade to inline execution instead.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from typing import Any, Callable
 
 from . import telemetry
 from .config import config, current_overlay, thread_overlay
 
-__all__ = ["submit", "worker_count", "in_worker", "shutdown", "stats"]
+__all__ = ["submit", "worker_count", "in_worker", "stats"]
 
 #: Thread-name prefix identifying pool threads (see :func:`in_worker`).
 _THREAD_PREFIX = "lux-worker"
@@ -71,17 +72,16 @@ _THREAD_PREFIX = "lux-worker"
 #: Band indices: interactive drains strictly before background.
 INTERACTIVE, BACKGROUND = 0, 1
 
-_POOL: ThreadPoolExecutor | None = None  # guarded-by: _LOCK
-_POOL_SIZE: int = 0  # guarded-by: _LOCK
+_LOCK = threading.Lock()
 
-#: Reentrant because a done-callback can fire synchronously on the
-#: submitting thread while it still holds the lock (see :func:`_forget`).
-_LOCK = threading.RLock()
+#: Idle pool threads wait here; every submission notifies it.
+_WAKE = threading.Condition(_LOCK)
 
-#: Inner future -> dispatcher, for every dispatcher not yet started.  A
-#: resize snapshots this map to re-submit whatever the retired pool
-#: cancelled.
-_PENDING: dict[Future, Callable[[], None]] = {}  # guarded-by: _LOCK
+#: Live pool threads, and how many of them are waiting on ``_WAKE``.
+_THREADS: set[threading.Thread] = set()  # guarded-by: _LOCK
+_IDLE = 0  # guarded-by: _LOCK
+
+_NAMES = itertools.count()  # guarded-by: _LOCK
 
 #: The tag/band the *currently running* work item was submitted under;
 #: nested submissions inherit it so fan-out stays attributed.
@@ -145,7 +145,7 @@ _QUEUE = _FairQueue()  # guarded-by: _LOCK
 
 
 def worker_count() -> int:
-    """The pool size the next submission will enforce."""
+    """The number of pool threads the pool keeps live at most."""
     return max(int(config.action_pool_workers), 1)
 
 
@@ -168,7 +168,7 @@ def submit(
     tag: str | None = None,
     background: bool | None = None,
 ) -> "Future[Any]":
-    """Run ``fn`` on the shared pool; returns a resize-stable future.
+    """Run ``fn`` on the shared pool; returns its future.
 
     ``tag`` buckets the item for round-robin fair-share (the service
     passes the session id); ``background`` demotes it to the band drained
@@ -178,11 +178,9 @@ def submit(
     defaults are ``""`` and interactive.
 
     The caller's config overlay is captured here and re-applied around
-    ``fn`` on the worker, so per-session settings survive fan-out.  The
-    returned future is completed by whichever pool generation ends up
-    running ``fn``; cancellation of the *inner* dispatcher during a resize
-    is invisible to the caller.  Cancelling the returned future before the
-    item starts prevents ``fn`` from running at all.
+    ``fn`` on the worker, so per-session settings survive fan-out.
+    Cancelling the returned future before the item starts prevents ``fn``
+    from running at all.
     """
     if tag is None:
         tag = getattr(_CONTEXT, "tag", "")
@@ -224,78 +222,58 @@ def submit(
 
     with _LOCK:
         _QUEUE.push(BACKGROUND if background else INTERACTIVE, tag, run)
-        _submit_locked(_dispatch)
+        _WAKE.notify()
+        _grow_locked()
     return outer
 
 
-def _dispatch() -> None:
-    """Drain one item from the fair queue (runs on a pool worker).
+def _grow_locked() -> None:  # requires-lock: _LOCK
+    """Start threads while queued items outnumber the idle threads."""
+    unserved = sum(_QUEUE.counts()) - _IDLE
+    while unserved > 0 and len(_THREADS) < worker_count():
+        thread = threading.Thread(
+            target=_work, name=f"{_THREAD_PREFIX}-{next(_NAMES)}", daemon=True
+        )
+        thread.start()  # it waits for _LOCK before looking at _THREADS
+        _THREADS.add(thread)
+        unserved -= 1  # a new thread pops before it ever waits
 
-    Dispatchers are interchangeable: each submission enqueues one item and
-    one dispatcher, so counts always match and a dispatcher never races an
-    empty queue except transiently during a resize hand-off (where the
-    pop simply returns None and the re-submitted dispatcher finds the
-    item).
-    """
-    with _LOCK:
+
+def _next_locked(me: threading.Thread) -> Callable[[], None] | None:  # requires-lock: _LOCK
+    """The next queued item, or None once the pool has shrunk past ``me``."""
+    global _IDLE
+    while len(_THREADS) <= worker_count():
         item = _QUEUE.pop()
-    if item is not None:
-        item()
+        if item is not None:
+            return item
+        _IDLE += 1
+        _WAKE.wait()
+        _IDLE -= 1
+    _THREADS.discard(me)
+    # This thread may have taken the wake-up meant for a queued item.
+    _WAKE.notify()
+    return None
 
 
-def _forget(inner: "Future[None]") -> None:
-    """Done-callback dropping a finished dispatcher from the pending map.
-
-    Runs on whatever thread completes the inner future — usually a pool
-    worker, but synchronously on the submitting thread when the future is
-    already done at ``add_done_callback`` time.  That thread still holds
-    ``_LOCK`` (hence the reentrant lock), and a worker-thread callback
-    takes it here: ``_retire_locked`` snapshots ``_PENDING`` under the
-    same lock, so an unlocked pop would race the resize hand-off.
-    """
-    with _LOCK:
-        _PENDING.pop(inner, None)
-
-
-def _submit_locked(run: Callable[[], None]) -> None:  # requires-lock: _LOCK
-    """Enqueue ``run`` on the current pool, resizing first if needed."""
-    global _POOL, _POOL_SIZE
-    workers = worker_count()
-    if _POOL is not None and _POOL_SIZE != workers:
-        _retire_locked()
-    if _POOL is None:
-        _POOL = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix=_THREAD_PREFIX
-        )
-        _POOL_SIZE = workers
-    inner = _POOL.submit(run)
-    _PENDING[inner] = run
-    inner.add_done_callback(_forget)
-
-
-def _retire_locked() -> None:  # requires-lock: _LOCK
-    """Retire the current pool, handing unstarted tasks to the successor.
-
-    ``cancel_futures`` stops the retired pool's queue cold — its workers
-    exit as soon as their running task finishes — and the cancelled tasks
-    are re-queued on the replacement pool by the caller.
-    """
-    global _POOL, _POOL_SIZE
-    assert _POOL is not None
-    snapshot = list(_PENDING.items())
-    _POOL.shutdown(wait=False, cancel_futures=True)
-    _POOL = None
-    _POOL_SIZE = 0
-    orphans = [run for inner, run in snapshot if inner.cancelled()]
-    if orphans:
-        _POOL = ThreadPoolExecutor(
-            max_workers=worker_count(), thread_name_prefix=_THREAD_PREFIX
-        )
-        _POOL_SIZE = worker_count()
-        for run in orphans:
-            inner = _POOL.submit(run)
-            _PENDING[inner] = run
-            inner.add_done_callback(_forget)
+def _work() -> None:
+    """A pool thread: run queued items until the pool shrinks past it."""
+    me = threading.current_thread()
+    try:
+        while True:
+            with _LOCK:
+                item = _next_locked(me)
+            if item is None:
+                return
+            item()
+            # Waiting must not keep the finished item's closure (its future's
+            # result, a batch's tables) alive until the next item arrives.
+            del item
+    finally:
+        # Whatever ended the loop, free this thread's slot, and replace
+        # it if queued items would otherwise wait for the next submission.
+        with _LOCK:
+            _THREADS.discard(me)
+            _grow_locked()
 
 
 def stats() -> dict[str, Any]:
@@ -304,8 +282,8 @@ def stats() -> dict[str, Any]:
         interactive, background = _QUEUE.counts()
         depth_interactive, depth_background = _QUEUE.depths()
         return {
-            "workers": _POOL_SIZE or worker_count(),
-            "alive": _POOL is not None,
+            "workers": worker_count(),
+            "alive": bool(_THREADS),
             "queued_interactive": interactive,
             "queued_background": background,
             "queued_tags": _QUEUE.tags(),
@@ -316,12 +294,3 @@ def stats() -> dict[str, Any]:
                 "background": depth_background,
             },
         }
-
-
-def shutdown(wait: bool = True) -> None:
-    """Tear the pool down (tests / interpreter exit); next submit recreates."""
-    global _POOL, _POOL_SIZE
-    with _LOCK:
-        pool, _POOL, _POOL_SIZE = _POOL, None, 0
-    if pool is not None:
-        pool.shutdown(wait=wait)

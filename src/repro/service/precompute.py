@@ -768,7 +768,6 @@ class PrecomputeEngine:
             frame = session.frame
             frame._recs_cache = recs
             frame._recs_version = version
-            frame._recs_fresh = True
         reused = sum(len(found) for found in priors.values())
         keyed = sum(len(keys[name]) for name in records)
         with self._lock:

@@ -44,7 +44,7 @@ import warnings
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
 from ..core import telemetry
-from ..core.config import config, thread_overlay
+from ..core.config import PROCESS_WIDE, config, thread_overlay
 from ..core.errors import LuxWarning
 from ..core.frame import LuxDataFrame
 from ..dataframe import DataFrame
@@ -143,6 +143,11 @@ class Session:
         self.overrides: dict[str, Any] = config.validate_overrides(
             overrides or {}
         )
+        shared = sorted(PROCESS_WIDE.intersection(self.overrides))
+        if shared:
+            raise ValueError(
+                f"process-wide config field(s) {shared} cannot be set per session"
+            )
         self.store = store
         self.created_at = time.time()
         #: Serializes this session's passes (foreground vs background) so

@@ -89,7 +89,7 @@ class TestPerColumnVersions:
         # Intent bumps the recommendation epoch only: same metadata cache
         # object, same stamps, no pending delta, data version unmoved.
         assert frame._metadata_cache is meta
-        assert frame._metadata_fresh
+        assert frame._metadata_version == frame._data_version
         assert frame._metadata_delta is None
         assert meta.column_versions == versions
         assert frame._data_version == 0 and frame._intent_epoch == 1

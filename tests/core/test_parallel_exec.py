@@ -17,7 +17,6 @@ import pytest
 from repro import config
 from repro.core import pool
 from repro.core.errors import ExecutorError
-from repro.core.executor.base import group_indices_by_filter
 from repro.core.executor.cache import computation_cache
 from repro.core.executor.df_exec import DataFrameExecutor
 from repro.dataframe import DataFrame
@@ -104,12 +103,13 @@ class TestParallelEquivalence:
     def test_fan_out_gating(self, frame):
         config.parallel_execute = True
         config.action_pool_workers = 4
-        groups = group_indices_by_filter(build_specs())
-        assert DataFrameExecutor._should_fan_out(groups, frame)
+        n_specs = len(build_specs())
+        assert DataFrameExecutor._helpers(n_specs, frame) == 3
+        assert DataFrameExecutor._helpers(1, frame) == 0
         small = DataFrame({"v": np.arange(10, dtype=float)})
-        assert not DataFrameExecutor._should_fan_out(groups, small)
+        assert DataFrameExecutor._helpers(n_specs, small) == 0
         config.parallel_execute = False
-        assert not DataFrameExecutor._should_fan_out(groups, frame)
+        assert DataFrameExecutor._helpers(n_specs, frame) == 0
 
     def test_parallel_error_propagates(self, frame):
         config.parallel_execute = True
@@ -244,7 +244,8 @@ class TestSharedPool:
         assert started.wait(10.0)
         queued = [pool.submit(lambda i=i: i) for i in range(8)]
         # Resize while the single worker is busy and eight tasks are queued:
-        # the retired pool's queue is cancelled and re-submitted.
+        # they stay in the fair queue, and the next submission starts
+        # threads for them.
         config.action_pool_workers = 3
         trigger = pool.submit(lambda: "resized")
         release.set()

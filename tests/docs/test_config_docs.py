@@ -15,7 +15,7 @@ import os
 import re
 from pathlib import Path
 
-from repro.core.config import Config
+from repro.core.config import PROCESS_WIDE, Config
 
 ROOT = Path(__file__).resolve().parents[2]
 DOC = ROOT / "docs" / "configuration.md"
@@ -88,3 +88,8 @@ class TestConfigDocs:
                     read.add(node.attr)
         unread = set(Config().__dict__) - read
         assert not unread, f"config fields no module reads as config.<field>: {sorted(unread)}"
+
+    def test_process_wide_fields_are_listed(self):
+        section = DOC.read_text().split("## Validation and introspection", 1)[1]
+        named = set(re.findall(r"`(\w+)`", section)) & set(Config().__dict__)
+        assert named == PROCESS_WIDE

@@ -160,6 +160,35 @@ class TestHTTPApi:
         status, listing = call(server, "GET", "/v1/sessions")
         assert status == 200 and listing["sessions"] == []
 
+    def test_process_wide_override_is_refused(self, server):
+        """A session may not override a process-wide setting: a 1 MiB store
+        budget would act on every session and evict another's pass."""
+        body = {
+            "dataset": "synthetic-skewed",
+            "rows": 2000,
+            "config": {"precompute": False},
+        }
+        status, info = call(server, "POST", "/v1/sessions", body)
+        assert status == 201
+        path = f"/v1/sessions/{info['session']}/recommendations"
+        assert call(server, "GET", path)[0] == 200  # stores the pass
+        status, err = call(
+            server,
+            "POST",
+            "/v1/sessions",
+            {"csv": CSV, "config": {"service_store_budget_mb": 1}},
+        )
+        assert status == 400 and "service_store_budget_mb" in err["error"]
+        manager = server.manager
+        with pytest.raises(ValueError, match="process-wide"):
+            manager.create(
+                manager.get(info["session"]).frame.copy(),
+                overrides={"service_store_budget_mb": 1},
+            )
+        assert manager.ids() == [info["session"]]
+        assert manager.store.stats()["evictions"] == 0
+        assert manager.get(info["session"]).recommendations(compute=False) is not None
+
     @pytest.mark.parametrize("precompute", [True, False])
     def test_frame_without_recommendations_is_served(self, server, precompute):
         """A header-only CSV has no recommendations: every read answers

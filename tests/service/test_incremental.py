@@ -181,7 +181,6 @@ class TestIncrementalPartition:
         assert manager.engine.wait_idle(60)
         # The frame's memoized set is the pass's whole result, carried
         # VisLists included: an in-process read does no recomputation.
-        assert session.frame._recs_fresh
         assert session.frame._recs_version == session.version
         recs = session.frame.recommendations
         assert set(recs.keys()) == {"Correlation", "Distribution", "Occurrence"}

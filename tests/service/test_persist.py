@@ -191,6 +191,27 @@ def test_corrupt_snapshot_is_skipped_not_fatal(tmp_path):
         restored_manager.shutdown()
 
 
+def test_snapshot_overriding_a_process_wide_field_is_skipped(tmp_path):
+    with config_overlay(precompute_debounce_s=0.0):
+        manager, snaps = build_manager(tmp_path)
+        session = manager.create(make_scenario("wide", n_rows=100))
+        snaps.save(session, force=True)
+        sid = session.id
+        manager.shutdown()
+
+        record = os.path.join(str(tmp_path), sid, SNAPSHOT_FILE)
+        with open(record, encoding="utf-8") as fh:
+            meta = json.load(fh)
+        meta["overrides"] = {"service_store_budget_mb": 1}
+        with open(record, "w", encoding="utf-8") as fh:
+            json.dump(meta, fh)
+        restored_manager, restored_snaps = build_manager(tmp_path)
+        with pytest.warns(Warning, match="process-wide"):
+            assert restored_manager.restore_sessions() == []
+        assert restored_snaps.stats()["restore_failed"] == 1
+        restored_manager.shutdown()
+
+
 def test_stray_files_are_not_sessions(tmp_path):
     (tmp_path / "notes.txt").write_text("scratch")
     (tmp_path / "empty-dir").mkdir()

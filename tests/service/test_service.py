@@ -328,7 +328,7 @@ class TestAlwaysOn:
         assert response["provenance"]["origin"] in ("precompute", "mixed")
         # In-process prints are free too: the pass refreshed the frame's
         # memoized recommendation cache.
-        assert session.frame._recs_fresh
+        assert session.frame._recs_version == session.version
 
     def test_foreground_fallback_when_precompute_off(self, manager):
         config.precompute = False
