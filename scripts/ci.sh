@@ -44,10 +44,14 @@ python -m pytest -x -q
 
 echo "== pool stress =="
 # The shared pool's thread lifecycle (grow on submit, shrink as threads
-# finish, slot freed on a crash, no exit join) is timing-dependent: run
-# its tests 20 times in one process so a rare interleaving fails CI.
+# finish, slot freed on a crash, no exit join) and concurrent batches over
+# one computation-cache slot (each primitive computed once) are
+# timing-dependent: run their tests 20 times in one process so a rare
+# interleaving fails CI.
 python -m pytest -q -p no:cacheprovider --keep-duplicates \
-  $(for _ in $(seq 20); do echo tests/core/test_pool_fairshare.py; done)
+  $(for _ in $(seq 20); do
+      echo tests/core/test_pool_fairshare.py tests/core/test_parallel_exec.py
+    done)
 
 echo "== examples =="
 # Each example drives the public API end to end (vis.data, to_vegalite,

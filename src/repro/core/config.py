@@ -170,8 +170,10 @@ class Config:
 
     #: Seconds the precompute engine waits after a mutation before
     #: scheduling a background pass, coalescing bursts of edits (a cell
-    #: loop mutating row-by-row triggers one pass, not thousands).
-    precompute_debounce_s: float = 0.05
+    #: loop mutating row-by-row triggers one pass, not thousands).  A
+    #: service write also cancels its session's running pass, so service
+    #: writes that arrive before that pass completes still coalesce.
+    precompute_debounce_s: float = 0.005
 
     #: Master switch for background precomputation; off, the service
     #: computes recommendations only on demand (foreground).

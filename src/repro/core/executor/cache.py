@@ -63,10 +63,12 @@ writing the store, so ablation benchmarks measure the true uncached cost.
 Thread safety: the slot map is guarded by a cache-wide lock, but each
 frame slot carries **its own lock** so concurrent filter groups fanned out
 by ``DataFrameExecutor.execute_many`` contend per-frame, not globally.
-Primitives are computed outside any lock with an insert-time recheck, so
-concurrent workers may occasionally duplicate a computation but can never
-observe a torn entry; lock order is always cache lock -> slot lock.
-Cached arrays are marked read-only before they are shared.
+Primitives are computed outside any lock behind a per-key single flight:
+a miss marks its key in flight under the slot lock, and a concurrent
+lookup of that key waits for that computation and takes its value as a
+hit.  So concurrent batches over one frame compute each primitive once,
+and none observes a torn entry; lock order is always cache lock -> slot
+lock.  Cached arrays are marked read-only before they are shared.
 """
 
 from __future__ import annotations
@@ -99,6 +101,24 @@ def _factorized_nbytes(entry: tuple[np.ndarray, list[Any]]) -> int:
 
 def _array_nbytes(value: np.ndarray | None) -> int:
     return 0 if value is None else int(value.nbytes)
+
+
+def _frozen(value: np.ndarray | None) -> np.ndarray | None:
+    """``value`` marked read-only, so it can be shared."""
+    if value is not None:
+        value.setflags(write=False)
+    return value
+
+
+class _Flight:
+    """What waiters on a slot entry's computation wait on, and its value."""
+
+    __slots__ = ("done", "value")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        #: The computed entry, or ``_MISSING`` if the computation raised.
+        self.value: Any = _MISSING
 
 
 class _FrameSlot:
@@ -136,6 +156,7 @@ class _FrameSlot:
         "standardized",
         "edges",
         "masks",
+        "flights",
     )
 
     def __init__(self, ref: "weakref.ref", version: int) -> None:
@@ -159,6 +180,9 @@ class _FrameSlot:
         self.edges: "OrderedDict[tuple[str, int], np.ndarray]" = OrderedDict()  # guarded-by: lock
         #: filter signature -> boolean row mask
         self.masks: "OrderedDict[tuple, np.ndarray]" = OrderedDict()  # guarded-by: lock
+        #: (section, key) -> the computation of that entry in progress:
+        #: None, or the _Flight its first waiter attached
+        self.flights: "dict[tuple[str, Any], _Flight | None]" = {}  # guarded-by: lock
 
     # The caller holds ``self.lock`` for all three helpers below.
     def _get(self, section: str, key: Any) -> Any:  # requires-lock: lock
@@ -167,21 +191,12 @@ class _FrameSlot:
             store.move_to_end(key)
             self.hits += 1
             return store[key]
-        self.misses += 1
         return _MISSING
 
-    def _put(self, section: str, key: Any, value: Any) -> Any:  # requires-lock: lock
-        """Insert unless a concurrent worker won the race; returns winner."""
-        store: OrderedDict = getattr(self, section)
-        existing = store.get(key, _MISSING)
-        if existing is not _MISSING:
-            # The winner's entry is in active use right now: refresh its
-            # recency so byte pressure doesn't evict it from the LRU front.
-            store.move_to_end(key)
-            return existing
-        store[key] = value
+    def _put(self, section: str, key: Any, value: Any) -> None:  # requires-lock: lock
+        """Insert an entry; its key's single flight means it is not there yet."""
+        getattr(self, section)[key] = value
         self.nbytes += self._SIZERS[section](value)
-        return value
 
     def _evict_one(self) -> bool:  # requires-lock: lock
         """Drop the LRU entry of the first non-empty section; False if empty."""
@@ -337,21 +352,75 @@ class ComputationCache:
             "links": links,
         }
 
-    def _store(self, slot: _FrameSlot, section: str, key: Any, value: Any) -> Any:
-        """Insert ``value`` and enforce the budget; returns the cached winner.
+    def _memo(
+        self,
+        frame: "DataFrame",
+        section: str,
+        key: Any,
+        compute: Callable[[], Any],
+        direct: Callable[[], Any],
+    ) -> Any:
+        """The ``section`` entry for ``key`` in ``frame``'s slot, computed once.
 
-        Entries whose size alone exceeds the whole budget are handed back
-        *uncached*: storing one would evict every smaller entry and then be
-        evicted itself, degrading the cache to zero hits (the 10M-row case,
-        where one float64 view is 80MB against the 64MiB default budget).
+        With the cache off, ``direct()`` is the answer.  Otherwise a miss
+        marks the key in flight under the slot lock and runs ``compute()``
+        outside it, and a concurrent lookup of the key waits for that
+        computation and counts a hit.  A computation that raises clears
+        the mark and wakes its waiters, who look the key up again.  The
+        mark is a bare ``None`` until a lookup waits on it, so a miss
+        nobody waits for allocates no event.
+        """
+        slot = self._slot(frame) if self.enabled else None
+        if slot is None:
+            return direct()
+        mark = (section, key)
+        while True:
+            with slot.lock:
+                out = slot._get(section, key)
+                if out is not _MISSING:
+                    return out
+                if mark not in slot.flights:
+                    slot.flights[mark] = None
+                    slot.misses += 1
+                    break
+                flight = slot.flights[mark]
+                if flight is None:
+                    flight = slot.flights[mark] = _Flight()
+            flight.done.wait()
+            if flight.value is not _MISSING:
+                with slot.lock:
+                    slot.hits += 1
+                return flight.value
+        value = _MISSING
+        try:
+            value = compute()
+        finally:
+            self._land(slot, section, key, value)
+        return value
+
+    def _land(self, slot: _FrameSlot, section: str, key: Any, value: Any) -> None:
+        """Store a computed entry, end its flight and enforce the budget.
+
+        ``value`` is ``_MISSING`` when the computation raised: nothing is
+        stored.  An entry whose size alone exceeds the whole budget goes to
+        its waiters but is not stored: storing one would evict every
+        smaller entry and then be evicted itself, degrading the cache to
+        zero hits (the 10M-row case, where one float64 view is 80MB
+        against the 64MiB default budget).
         """
         budget = self.budget_bytes()
-        if budget and _FrameSlot._SIZERS[section](value) > budget:
-            return value
+        keep = value is not _MISSING and not (
+            budget and _FrameSlot._SIZERS[section](value) > budget
+        )
         with slot.lock:
-            value = slot._put(section, key, value)
-        self._enforce_budget()
-        return value
+            if keep:
+                slot._put(section, key, value)
+            flight = slot.flights.pop((section, key))
+        if flight is not None:
+            flight.value = value
+            flight.done.set()
+        if keep:
+            self._enforce_budget()
 
     def _enforce_budget(self) -> None:
         """Evict LRU entries until total bytes fit the configured budget.
@@ -444,21 +513,17 @@ class ComputationCache:
         The returned array is shared and read-only; fancy indexing (the way
         every caller consumes it) copies, so downstream code is unaffected.
         """
-        slot = self._slot(frame) if self.enabled else None
-        if slot is None:
-            return frame.column(name).to_float()
-        with slot.lock:
-            out = slot._get("floats", name)
-        if out is not _MISSING:
-            return out
-        view = self._parent_view(frame)
-        if view is not None:
-            parent, idx = view
-            out = self.to_float(parent, name)[idx]
-        else:
-            out = frame.column(name).to_float()
-        out.setflags(write=False)
-        return self._store(slot, "floats", name, out)
+
+        def compute() -> np.ndarray:
+            view = self._parent_view(frame)
+            if view is not None:
+                parent, idx = view
+                return _frozen(self.to_float(parent, name)[idx])
+            return _frozen(frame.column(name).to_float())
+
+        return self._memo(
+            frame, "floats", name, compute, lambda: frame.column(name).to_float()
+        )
 
     def factorize(
         self, frame: "DataFrame", name: str
@@ -469,22 +534,19 @@ class ComputationCache:
         factorization (reusing its label table), so the scan happens on —
         and stays cached for — the parent.
         """
-        slot = self._slot(frame) if self.enabled else None
-        if slot is None:
-            return frame.column(name).factorize()
-        with slot.lock:
-            out = slot._get("factorized", name)
-        if out is not _MISSING:
-            return out
-        view = self._parent_view(frame)
-        if view is not None:
-            parent, idx = view
-            parent_codes, labels = self.factorize(parent, name)
-            codes = parent_codes[idx]
-        else:
+
+        def compute() -> tuple[np.ndarray, list[Any]]:
+            view = self._parent_view(frame)
+            if view is not None:
+                parent, idx = view
+                parent_codes, labels = self.factorize(parent, name)
+                return _frozen(parent_codes[idx]), labels
             codes, labels = frame.column(name).factorize()
-        codes.setflags(write=False)
-        return self._store(slot, "factorized", name, (codes, labels))
+            return _frozen(codes), labels
+
+        return self._memo(
+            frame, "factorized", name, compute, lambda: frame.column(name).factorize()
+        )
 
     def grouping(self, frame: "DataFrame", keys: tuple[str, ...]) -> _Grouping:
         """A prepared :class:`_Grouping` (factorized + combined group ids).
@@ -500,22 +562,17 @@ class ComputationCache:
         or re-uniquing anything.
         """
         keys = tuple(keys)
-        slot = self._slot(frame) if self.enabled else None
-        if slot is None:
-            return _Grouping(frame, keys)
-        with slot.lock:
-            out = slot._get("groupings", keys)
-        if out is not _MISSING:
-            return out
-        view = self._parent_view(frame)
-        if view is not None:
-            parent, idx = view
-            out = _Grouping.from_parent(self.grouping(parent, keys), idx)
-        else:
-            out = _Grouping(
+
+        def compute() -> _Grouping:
+            view = self._parent_view(frame)
+            if view is not None:
+                parent, idx = view
+                return _Grouping.from_parent(self.grouping(parent, keys), idx)
+            return _Grouping(
                 frame, keys, factorize=lambda name: self.factorize(frame, name)
             )
-        return self._store(slot, "groupings", keys, out)
+
+        return self._memo(frame, "groupings", keys, compute, lambda: _Grouping(frame, keys))
 
     def standardized(self, frame: "DataFrame", name: str) -> np.ndarray | None:
         """Zero-mean vector scaled so pairwise Pearson is a dot product.
@@ -525,17 +582,13 @@ class ComputationCache:
         derived from a sample link: standardization constants (mean, std)
         differ between a sample and its parent.
         """
-        slot = self._slot(frame) if self.enabled else None
-        if slot is None:
-            return self._compute_standardized(frame, name)
-        with slot.lock:
-            out = slot._get("standardized", name)
-        if out is not _MISSING:
-            return out
-        out = self._compute_standardized(frame, name)
-        if out is not None:
-            out.setflags(write=False)
-        return self._store(slot, "standardized", name, out)
+        return self._memo(
+            frame,
+            "standardized",
+            name,
+            lambda: _frozen(self._compute_standardized(frame, name)),
+            lambda: self._compute_standardized(frame, name),
+        )
 
     def _compute_standardized(
         self, frame: "DataFrame", name: str
@@ -563,17 +616,13 @@ class ComputationCache:
         not twice.  Never derived from a sample link: edges depend on the
         subset's min/max, not just its rows.
         """
-        slot = self._slot(frame) if self.enabled else None
-        if slot is None:
-            return self._compute_edges(frame, name, bins, valid_values)
-        key = (name, int(bins))
-        with slot.lock:
-            out = slot._get("edges", key)
-        if out is not _MISSING:
-            return out
-        out = self._compute_edges(frame, name, bins, valid_values)
-        out.setflags(write=False)
-        return self._store(slot, "edges", key, out)
+        return self._memo(
+            frame,
+            "edges",
+            (name, int(bins)),
+            lambda: _frozen(self._compute_edges(frame, name, bins, valid_values)),
+            lambda: self._compute_edges(frame, name, bins, valid_values),
+        )
 
     def _compute_edges(
         self,
@@ -605,22 +654,17 @@ class ComputationCache:
         subframe sharing hold the subframe locally for the duration of
         their batch (see ``DataFrameExecutor.execute_many``).
         """
-        slot = self._slot(frame) if self.enabled else None
-        if slot is None:
-            return compute(frame)
-        sig = filter_signature(filters)
-        with slot.lock:
-            out = slot._get("masks", sig)
-        if out is not _MISSING:
-            return out
-        view = self._parent_view(frame)
-        if view is not None:
-            parent, idx = view
-            out = self.filter_mask(parent, filters, compute)[idx]
-        else:
-            out = compute(frame)
-        out.setflags(write=False)
-        return self._store(slot, "masks", sig, out)
+
+        def derive() -> np.ndarray:
+            view = self._parent_view(frame)
+            if view is not None:
+                parent, idx = view
+                return _frozen(self.filter_mask(parent, filters, compute)[idx])
+            return _frozen(compute(frame))
+
+        return self._memo(
+            frame, "masks", filter_signature(filters), derive, lambda: compute(frame)
+        )
 
 
 #: Sentinel distinguishing "not cached yet" from a cached None.

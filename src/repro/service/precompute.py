@@ -11,15 +11,30 @@ or API reads.
 
 Scheduling discipline per session:
 
-- **Debounce** (``config.precompute_debounce_s``): a burst of mutations
-  (a loop writing row-by-row) coalesces into one pass.
-- **In-flight dedup**: while a pass for the current version is queued or
-  running, further triggers at that version are no-ops.
+- **Debounce** (``config.precompute_debounce_s``, 5 ms): a pass starts
+  once the session's writes pause that long.  The window is short so an
+  edit's pass is stored soon after the edit, and long enough that the
+  pass does not compete with the write's reply for the interpreter.
+- **Preemption**: a mutation-facing write runs inside
+  :meth:`PrecomputeEngine.writing`, which sets the cancel event of the
+  session's live pass before the write waits on the session lock.  The
+  pass stops at its next checkpoint (between actions in ``run_actions``
+  and between encoded actions here, raising
+  :class:`~repro.core.errors.PassCancelled`), so a burst of writes
+  coalesces into the pass after its last write instead of each write
+  waiting out a whole pass.  A timer that fires while a write is in
+  progress submits nothing, so no pass runs at the version the write is
+  replacing.  A write that fails leaves the version where it was and
+  re-arms the session, so the cancelled pass is redone.
+- **In-flight dedup**: while an uncancelled pass for the current version
+  is queued or running, further triggers at that version are no-ops.
 - **Stale cancellation**: when the version moves, the superseded pass is
-  cancelled — before start via ``Future.cancel``, mid-run cooperatively
-  via the cancel event ``run_actions`` polls between actions
-  (:class:`~repro.core.errors.PassCancelled`) — and a fresh pass is
-  scheduled.
+  cancelled (before start via ``Future.cancel``, mid-run through its
+  cancel event) and a fresh pass is scheduled.
+- **Idle**: :meth:`PrecomputeEngine.wait_idle` waits on a condition the
+  engine notifies as pending work goes (a pass's future completes, a
+  timer or deferred session is dropped without a pass, or a write
+  settles the pass it held back).
 
 Incremental recomputation (``config.incremental_precompute``)
 -------------------------------------------------------------
@@ -104,7 +119,8 @@ import threading
 import time
 import warnings
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Iterator
 
 from ..core import pool, telemetry
 from ..core.actions.registry import default_registry
@@ -342,9 +358,19 @@ class PrecomputeEngine:
         #: acquisition (no check-then-act window), which nests into
         #: ``_submit_locked``.
         self._lock = threading.RLock()
+        #: Notified under ``_lock`` as pending work goes: a pass's future
+        #: completes, a timer or deferred session is dropped without a
+        #: pass, or the last write to a session settles what it was owed.
+        #: :meth:`wait_idle` waits on it.
+        self._settled = threading.Condition(self._lock)
         self._unsubscribe: dict[str, Any] = {}  # guarded-by: _lock
         self._timers: dict[str, threading.Timer] = {}  # guarded-by: _lock
         self._inflight: dict[str, _Inflight] = {}  # guarded-by: _lock
+        #: Writes in progress per session (inside :meth:`writing`).
+        self._writes: dict[str, int] = {}  # guarded-by: _lock
+        #: Sessions owed a pass by their writes in progress: a write
+        #: cancelled the session's pass, or its timer fired mid-write.
+        self._owed: set[str] = set()  # guarded-by: _lock
         #: Each watched session's last published pass: action name ->
         #: result, whose key must match for reuse.  Built whole by one
         #: pass and never changed afterwards.
@@ -415,6 +441,8 @@ class PrecomputeEngine:
             self._tables.pop(session.id, None)
             self._deferred.pop(session.id, None)
             self._debounce_armed.pop(session.id, None)
+            self._owed.discard(session.id)
+            self._settled.notify_all()
         if unsubscribe is not None:
             unsubscribe()
         if timer is not None:
@@ -482,6 +510,7 @@ class PrecomputeEngine:
             ):
                 self._timers.pop(sid).cancel()
                 self._counters["shed_stale"] += 1
+                self._settled.notify_all()
 
     def _saturated_locked(self) -> bool:  # requires-lock: _lock
         """Whether the backlog is at its bound, after shedding stale work.
@@ -511,6 +540,43 @@ class PrecomputeEngine:
             if self._deferred or self._saturated_locked():
                 self._counters["rejected"] += 1
                 raise QueueSaturated(self._retry_after_locked())
+
+    @contextmanager
+    def writing(self, session: "Session") -> Iterator[None]:
+        """Scope of one mutation-facing write to ``session``.
+
+        Runs :meth:`admit`, then sets the cancel event of the session's
+        live pass before the write waits on the session lock, so the pass
+        stops at its next checkpoint instead of holding the write up.  A
+        debounce timer that fires inside the scope submits nothing (see
+        :meth:`_submit`).  The last write to leave re-arms the session if
+        such a timer fired or a pass was cancelled, and the write armed no
+        timer of its own (it failed, leaving the version where it was).
+        """
+        self.admit()
+        with self._lock:
+            self._writes[session.id] = self._writes.get(session.id, 0) + 1
+            inflight = self._inflight.get(session.id)
+            if (
+                inflight is not None
+                and not inflight.future.done()
+                and not inflight.cancel.is_set()
+            ):
+                inflight.cancel.set()
+                self._owed.add(session.id)
+        try:
+            yield
+        finally:
+            with self._lock:
+                left = self._writes.pop(session.id) - 1
+                if left:
+                    self._writes[session.id] = left
+                elif session.id in self._owed:
+                    self._owed.discard(session.id)
+                    if session.id not in self._timers and session.id in self._unsubscribe:
+                        with session.overlay():
+                            self.schedule(session)
+                    self._settled.notify_all()
 
     def _retry_after_locked(self) -> int:  # requires-lock: _lock
         """Seconds until a retry plausibly finds a free slot."""
@@ -564,8 +630,22 @@ class PrecomputeEngine:
             pending.cancel()
 
     def _submit(self, session: "Session") -> None:
+        """A debounce timer fired (on its own thread): submit the pass.
+
+        A timer that is no longer the session's armed one was superseded
+        or dropped while it fired, and does nothing.  While a write to the
+        session is in progress the timer leaves the pass to the write (see
+        :meth:`writing`): a pass submitted now would run at the version
+        the write is about to replace, or take the session lock ahead of it.
+        """
         with self._lock:
-            self._submit_locked(session)
+            if self._timers.get(session.id) is not threading.current_thread():
+                return
+            if session.id in self._writes:
+                del self._timers[session.id]
+                self._owed.add(session.id)
+            else:
+                self._submit_locked(session)
 
     def _submit_locked(self, session: "Session") -> None:  # requires-lock: _lock
         self._timers.pop(session.id, None)
@@ -575,9 +655,9 @@ class PrecomputeEngine:
         version = session.version
         inflight = self._inflight.get(session.id)
         if inflight is not None and not inflight.future.done():
-            if inflight.version == version and not inflight.shed:
+            if inflight.version == version and not inflight.cancel.is_set():
                 return  # dedup: same state already queued/running
-            # Stale: the version moved while a pass was in flight.
+            # Stale: the version moved, or a write (or a shed) cancelled it.
             inflight.cancel.set()
             inflight.future.cancel()
             self._counters["cancelled"] += 1
@@ -589,10 +669,18 @@ class PrecomputeEngine:
         )
         self._inflight[session.id] = _Inflight(version, future, cancel, session)
         self._counters["scheduled"] += 1
-        # A completing (or cancelled) pass frees a backlog slot: resume
-        # the oldest deferred session.  Runs on whatever thread completes
-        # the future, never while it still counts toward the backlog.
-        future.add_done_callback(lambda _f: self._resume_deferred())
+        future.add_done_callback(lambda _f: self._pass_done())
+
+    def _pass_done(self) -> None:
+        """A pass's future completed or was cancelled, freeing its slot.
+
+        Resumes the oldest deferred session and wakes :meth:`wait_idle`.
+        Runs on whatever thread completes the future, never while it
+        still counts toward the backlog.
+        """
+        self._resume_deferred()
+        with self._lock:
+            self._settled.notify_all()
 
     # ------------------------------------------------------------------
     # The pass itself (runs on a pool worker, background band)
@@ -663,12 +751,13 @@ class PrecomputeEngine:
                         records=records or None,
                         done={n: r.vislist for n, r in hits.items()} or None,
                     )
-                    fresh = {
-                        name: written
-                        for name, *written in encode_pass(
-                            recs, [name for name in recs.keys() if name not in hits], priors
-                        )
-                    }
+                    fresh = {}
+                    for name, *written in encode_pass(
+                        recs, [name for name in recs.keys() if name not in hits], priors
+                    ):
+                        fresh[name] = written
+                        if cancel.is_set():
+                            raise PassCancelled(f"pass cancelled after encoding {name!r}")
                     _observe_phase("actions", time.perf_counter() - phase_t0)
             except PassCancelled:
                 self._bump("cancelled")
@@ -786,21 +875,22 @@ class PrecomputeEngine:
     # Introspection / lifecycle
     # ------------------------------------------------------------------
     def wait_idle(self, timeout: float = 30.0) -> bool:
-        """Block until no timer is armed and no pass is in flight."""
-        end = time.monotonic() + timeout
-        while time.monotonic() < end:
-            with self._lock:
-                busy = (
-                    bool(self._timers)
-                    or bool(self._deferred)
-                    or any(
-                        not i.future.done() for i in self._inflight.values()
-                    )
-                )
-            if not busy:
-                return True
-            time.sleep(0.005)
-        return False
+        """Block until no pass is pending (no timer armed, no session
+        deferred or owed a pass by a write) or in flight; False if
+        ``timeout`` passes first.
+
+        Woken by the engine as work leaves the backlog, not by polling.
+        """
+        with self._lock:
+            return self._settled.wait_for(self._idle_locked, timeout)
+
+    def _idle_locked(self) -> bool:  # requires-lock: _lock
+        return not (
+            self._timers
+            or self._owed
+            or self._deferred
+            or any(not i.future.done() for i in self._inflight.values())
+        )
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
@@ -829,6 +919,8 @@ class PrecomputeEngine:
             self._tables.clear()
             self._deferred.clear()
             self._debounce_armed.clear()
+            self._owed.clear()
+            self._settled.notify_all()
         for unsubscribe in unsubs:
             unsubscribe()
         for timer in timers:

@@ -62,6 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "Session",
     "SessionManager",
+    "check_overrides",
     "encode_pass",
     "encode_recommendations",
     "serialize_recommendations",
@@ -127,6 +128,22 @@ def serialize_recommendations(recs: Any) -> dict[str, Any]:
     }
 
 
+def check_overrides(overrides: "Mapping[str, Any] | None") -> dict[str, Any]:
+    """A session's config overrides, checked; returns a copy.
+
+    Raises ``ValueError`` for an unknown field, and for a process-wide one
+    (:data:`~repro.core.config.PROCESS_WIDE`): a session's overlay of it
+    would act on every session.
+    """
+    checked = config.validate_overrides(overrides or {})
+    shared = sorted(PROCESS_WIDE.intersection(checked))
+    if shared:
+        raise ValueError(
+            f"process-wide config field(s) {shared} cannot be set per session"
+        )
+    return checked
+
+
 class Session:
     """One analyst's live context inside the service."""
 
@@ -140,14 +157,7 @@ class Session:
         self.id = session_id
         self.frame = frame
         #: Frozen at creation; every pass for this session runs under it.
-        self.overrides: dict[str, Any] = config.validate_overrides(
-            overrides or {}
-        )
-        shared = sorted(PROCESS_WIDE.intersection(self.overrides))
-        if shared:
-            raise ValueError(
-                f"process-wide config field(s) {shared} cannot be set per session"
-            )
+        self.overrides = check_overrides(overrides)
         self.store = store
         self.created_at = time.time()
         #: Serializes this session's passes (foreground vs background) so

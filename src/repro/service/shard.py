@@ -62,7 +62,7 @@ from ..dataframe.io import read_csv_string
 from . import metrics as service_metrics
 from . import wire
 from .precompute import QueueSaturated
-from .session import Session, SessionManager
+from .session import Session, SessionManager, check_overrides
 
 if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.connection import Connection
@@ -354,13 +354,14 @@ class ShardService:
         shard); absent, the manager generates one.
         """
         check_body(params)
-        # Admission before any work: a rejected create must not even
-        # build the frame, let alone register a session.
+        # Admission and the override check before any work: a refused
+        # create must not even build the frame, let alone register a session.
         self.manager.engine.admit()
         dataset = params.get("dataset")
         csv_text = params.get("csv")
         if bool(dataset) == bool(csv_text):
             raise RequestError(400, "provide exactly one of 'dataset' or 'csv'")
+        check_overrides(params.get("config"))
         if dataset:
             makers = _datasets()
             if dataset not in makers:
@@ -394,20 +395,21 @@ class ShardService:
 
     def _intent(self, params: dict[str, Any]) -> dict[str, Any]:
         session = self._session(params)
-        self.manager.engine.admit()
-        session.set_intent(check_body(params).get("intent"))
+        intent = check_body(params).get("intent")
+        with self.manager.engine.writing(session):
+            session.set_intent(intent)
         return session.info()
 
     def _mutate(self, params: dict[str, Any]) -> dict[str, Any]:
         session = self._session(params)
-        self.manager.engine.admit()
         column = params.get("column")
         if not isinstance(column, str) or not column:
             raise RequestError(400, "provide 'column' (string) to mutate")
         values = params.get("values")
         if values is not None and not isinstance(values, list):
             raise RequestError(400, "'values' must be a JSON array")
-        session.mutate(column, values)
+        with self.manager.engine.writing(session):
+            session.mutate(column, values)
         return session.info()
 
     def _recommendations(self, params: dict[str, Any]) -> dict[str, bytes]:

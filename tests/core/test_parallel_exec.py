@@ -9,7 +9,10 @@ pool resize hand-off, and byte-budget enforcement under concurrency.
 
 from __future__ import annotations
 
+import random
+import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ import pytest
 from repro import config
 from repro.core import pool
 from repro.core.errors import ExecutorError
+from repro.core.executor import cache as cache_module
 from repro.core.executor.cache import computation_cache
 from repro.core.executor.df_exec import DataFrameExecutor
 from repro.dataframe import DataFrame
@@ -128,6 +132,7 @@ class TestConcurrentBatches:
     def test_overlapping_execute_many_threads(self, frame):
         """Stress: concurrent batch passes agree with serial, no deadlock."""
         expected = run_serial(frame)
+        serial_misses = computation_cache.stats()["misses"]
         config.parallel_execute = True
         config.action_pool_workers = 4
         computation_cache.clear()
@@ -163,6 +168,8 @@ class TestConcurrentBatches:
         assert stats["frames"] == 1
         assert stats["hits"] > stats["misses"]
         assert stats["hits"] >= 3 * stats["misses"]
+        # Single flight: each primitive is computed once, as in one batch.
+        assert stats["misses"] == serial_misses
 
     def test_cancelled_helpers_release_subframes(self, frame):
         """A batch whose helpers never started frees its filtered subframes."""
@@ -221,6 +228,138 @@ class TestConcurrentBatches:
             t.join(timeout=60.0)
             assert not t.is_alive()
         assert computation_cache.stats()["bytes"] <= 1 << 20
+
+
+@pytest.fixture
+def waits(monkeypatch):
+    """A semaphore released each time a lookup waits on another's computation."""
+    waiting = threading.Semaphore(0)
+
+    class Done(threading.Event):
+        def wait(self, timeout=None):
+            waiting.release()
+            return super().wait(timeout)
+
+    init = cache_module._Flight.__init__
+
+    def counted(flight) -> None:
+        init(flight)
+        flight.done = Done()
+
+    monkeypatch.setattr(cache_module._Flight, "__init__", counted)
+    return waiting
+
+
+class TestSingleFlight:
+    FILTERS = [("d0", "=", "a")]
+
+    def _lookups(self, frame, compute, n=3):
+        """Start ``n`` lookups of one mask; the first computes it."""
+        results: list = []
+        errors: list = []
+
+        def lookup() -> None:
+            try:
+                results.append(computation_cache.filter_mask(frame, self.FILTERS, compute))
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        return [threading.Thread(target=lookup, daemon=True) for _ in range(n)], results, errors
+
+    def test_concurrent_lookups_wait_for_one_computation(self, frame, waits):
+        entered, release = threading.Event(), threading.Event()
+        calls = []
+
+        def compute(f):
+            calls.append(f)
+            entered.set()
+            release.wait(30.0)
+            return np.ones(len(f), dtype=bool)
+
+        threads, results, _ = self._lookups(frame, compute)
+        threads[0].start()
+        assert entered.wait(30.0)
+        for t in threads[1:]:
+            t.start()
+        assert waits.acquire(timeout=30.0) and waits.acquire(timeout=30.0)
+        release.set()
+        for t in threads:
+            t.join(30.0)
+        assert len(calls) == 1
+        assert len(results) == 3 and all(r is results[0] for r in results)
+        stats = computation_cache.stats()
+        assert (stats["misses"], stats["hits"]) == (1, 2)
+
+    def test_a_failed_computation_wakes_its_waiters(self, frame, waits):
+        entered, release = threading.Event(), threading.Event()
+        calls = []
+
+        def compute(f):
+            calls.append(f)
+            if len(calls) == 1:
+                entered.set()
+                release.wait(30.0)
+                raise RuntimeError("the first computation fails")
+            return np.ones(len(f), dtype=bool)
+
+        threads, results, errors = self._lookups(frame, compute)
+        threads[0].start()
+        assert entered.wait(30.0)
+        for t in threads[1:]:
+            t.start()
+        assert waits.acquire(timeout=30.0) and waits.acquire(timeout=30.0)
+        release.set()
+        for t in threads:
+            t.join(30.0)
+            assert not t.is_alive()
+        # The owner's error reaches only the owner; one waiter recomputes
+        # and the other takes its value.
+        assert len(errors) == 1
+        assert len(results) == 2 and results[0] is results[1]
+        assert len(calls) == 2
+        stats = computation_cache.stats()
+        assert (stats["misses"], stats["hits"]) == (2, 1)
+        assert all(not slot.flights for slot in computation_cache._slots.values())
+
+    def test_stress_each_key_computed_once(self, frame):
+        """Eight threads look up seven masks in shuffled orders, 20 rounds."""
+        keys = [[("d0", "=", v)] for v in "abcd"] + [[("d1", "=", v)] for v in "xyz"]
+        calls: Counter = Counter()
+        counted = threading.Lock()
+
+        def compute(filters):
+            def mask(f):
+                with counted:
+                    calls[repr(filters)] += 1
+                return DataFrameExecutor._filter_mask(f, filters)
+
+            return mask
+
+        def lookups(seed: int) -> None:
+            order = random.Random(seed).sample(keys, len(keys))
+            for filters in order:
+                computation_cache.filter_mask(frame, filters, compute(filters))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_ in range(20):
+                computation_cache.clear()
+                calls.clear()
+                threads = [
+                    threading.Thread(target=lookups, args=(8 * round_ + i,), daemon=True)
+                    for i in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(30.0)
+                    assert not t.is_alive()
+                assert sorted(calls.values()) == [1] * len(keys)
+                stats = computation_cache.stats()
+                assert (stats["misses"], stats["hits"]) == (7, 7 * 8 - 7)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSharedPool:

@@ -9,7 +9,7 @@ import urllib.request
 import pytest
 
 from repro import config
-from repro.service import make_server
+from repro.service import make_server, shard
 
 # Each test boots (and tears down) a real threaded HTTP server; the CI
 # smoke job skips these and leaves them to the full matrix.
@@ -159,6 +159,19 @@ class TestHTTPApi:
         assert status == 400 and "nope" in err["error"]
         status, listing = call(server, "GET", "/v1/sessions")
         assert status == 200 and listing["sessions"] == []
+
+    def test_refused_create_parses_no_csv(self, server, monkeypatch):
+        """The override check runs before the frame is built."""
+
+        def parse(*_args, **_kwargs):
+            raise AssertionError("a refused create parsed its CSV")
+
+        monkeypatch.setattr(shard, "read_csv_string", parse)
+        for overrides in ({"service_store_budget_mb": 1}, {"no_such_field": 1}):
+            body = {"csv": CSV, "config": overrides}
+            status, err = call(server, "POST", "/v1/sessions", body)
+            assert status == 400 and list(overrides)[0] in err["error"]
+        assert server.manager.ids() == []
 
     def test_process_wide_override_is_refused(self, server):
         """A session may not override a process-wide setting: a 1 MiB store

@@ -5,6 +5,8 @@ mutations — column edits, schema changes, row-set changes, intent and
 type-override changes — interleaved with config flips (incremental
 precompute, the computation cache), store wipes and snapshot restarts
 (save, restore into a fresh manager, continue on the restored session).
+One machine keeps the shipped debounce and sends bursts of writes through
+the service dispatcher, so writes land on armed timers and running passes.
 After every step, once the precompute engine is idle, the served
 recommendations must equal those of a *cold* ``LuxDataFrame`` rebuilt
 from the session frame's current columns, intent and type overrides:
@@ -37,9 +39,10 @@ from hypothesis.stateful import (
 )
 
 from repro import LuxDataFrame, config
-from repro.core.config import thread_overlay
+from repro.core.config import Config, thread_overlay
 from repro.core.executor.cache import _FrameSlot, computation_cache
 from repro.service import ResultStore, SessionManager, SnapshotStore, serialize_recommendations
+from repro.service.shard import ShardService
 
 ROWS = 240
 
@@ -82,11 +85,14 @@ class ServiceOracle(RuleBasedStateMachine):
     OVERRIDES: dict = {}
     #: The result store's byte budget (None: the configured one).
     STORE_BUDGET: "int | None" = None
+    #: The precompute debounce: 0 submits each pass at once, so no timer
+    #: is ever armed.
+    DEBOUNCE_S = 0.0
 
     def __init__(self) -> None:
         super().__init__()
         config.precompute = True
-        config.precompute_debounce_s = 0.0
+        config.precompute_debounce_s = self.DEBOUNCE_S
         config.incremental_precompute = True
         config.computation_cache = True
         self.snapshot_dir = tempfile.mkdtemp(prefix="oracle-")
@@ -321,9 +327,40 @@ class TinyStoreOracle(ServiceOracle):
     STORE_BUDGET = 1_000
 
 
+class DebouncedOracle(ServiceOracle):
+    """The same oracle at the shipped debounce, with bursts of writes.
+
+    Writes arm timers, and a write that arrives while its session's pass
+    runs cancels that pass.  The ``burst`` rule sends two to four column
+    writes back to back through the service dispatcher; every example
+    starts with one, on the session's first pass.  It runs a sixth of the
+    profile's examples.
+    """
+
+    DEBOUNCE_S = Config.precompute_debounce_s
+
+    @initialize(data=st.data(), writes=st.integers(2, 4))
+    def start(self, data, writes) -> None:
+        super().start()
+        self.burst(data, writes)
+
+    @rule(data=st.data(), writes=st.integers(2, 4))
+    def burst(self, data, writes) -> None:
+        service = ShardService(self.manager)
+        for _ in range(writes):
+            name = data.draw(st.sampled_from(self.columns()))
+            values = self.frame[name].to_list()[::-1]
+            service.request(
+                "mutate", {"session": self.session.id, "column": name, "values": values}
+            )
+        self.moved = True
+
+
 TestServiceOracle = ServiceOracle.TestCase
 TestOverrideOracle = OverrideOracle.TestCase
 TestTinyStoreOracle = TinyStoreOracle.TestCase
+TestDebouncedOracle = DebouncedOracle.TestCase
 TestTinyStoreOracle.settings = settings(
     settings.default, max_examples=max(1, settings.default.max_examples // 6)
 )
+TestDebouncedOracle.settings = TestTinyStoreOracle.settings

@@ -1,0 +1,185 @@
+"""Precompute scheduling at the shipped debounce: preemption and idle waits.
+
+A write runs inside :meth:`PrecomputeEngine.writing`: it sets the cancel
+event of its session's live pass before it waits on the session lock, so
+a burst of writes ends in one pass and no write waits out a whole pass.
+A write that fails after preempting re-arms the session.
+:meth:`PrecomputeEngine.wait_idle` is woken by the engine, not polled.
+"""
+
+from __future__ import annotations
+
+import http.client
+import json
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from repro import LuxDataFrame, register_action, remove_action
+from repro.core.vislist import VisList
+from repro.service import SessionManager, make_server
+from repro.service.shard import ShardService
+
+ROWS = 2_000
+
+
+def make_frame() -> LuxDataFrame:
+    """Four measures and two dimensions over 2,000 rows, as in perfbench's edit_read."""
+    rng = np.random.default_rng(5)
+    columns = {f"q{i}": np.round(rng.normal(0, 1, ROWS), 6) for i in range(4)}
+    columns["d0"] = [f"v{i % 6}" for i in range(ROWS)]
+    columns["d1"] = [f"w{i % 12}" for i in range(ROWS)]
+    return LuxDataFrame(columns)
+
+
+@pytest.fixture
+def manager():
+    m = SessionManager()
+    yield m
+    m.shutdown()
+
+
+@pytest.fixture
+def parked():
+    """A registered action that parks the next pass inside it, once armed.
+
+    Yields ``(arm, entered, release)``: set ``arm`` and the next pass sets
+    ``entered`` and waits for ``release`` inside the action, holding its
+    session's lock.
+    """
+    arm, entered, release = threading.Event(), threading.Event(), threading.Event()
+
+    def park(ldf):
+        if arm.is_set():
+            arm.clear()
+            entered.set()
+            release.wait(30)
+        return VisList(visualizations=[])
+
+    register_action("Parker", park, condition=lambda ldf: "q0" in ldf.columns)
+    try:
+        yield arm, entered, release
+    finally:
+        release.set()
+        remove_action("Parker")
+
+
+def test_burst_of_http_writes_completes_one_pass(manager):
+    """Ten back-to-back 2,000-value writes coalesce into one pass."""
+    session = manager.create(make_frame())
+    server = make_server(manager, port=0).serve_background()
+    host, port = server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=60)
+    try:
+        assert manager.engine.wait_idle(60)
+        completed = manager.engine.stats()["completed"]
+        values = session.frame["q0"].to_list()
+        bodies = [
+            json.dumps({"column": "q0", "values": values[::-1] if i % 2 == 0 else values})
+            for i in range(10)
+        ]
+        statuses = []
+        for body in bodies:
+            conn.request(
+                "POST",
+                f"/v1/sessions/{session.id}/mutate",
+                body,
+                {"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            response.read()
+            statuses.append(response.status)
+        assert statuses == [200] * 10
+        assert manager.engine.wait_idle(60)
+        assert manager.engine.stats()["completed"] == completed + 1
+        stored = session.recommendations(compute=False)
+        assert stored is not None
+        assert stored["data_version"] == list(session.version)
+    finally:
+        conn.close()
+        server.stop()
+
+
+def test_write_preempts_the_running_pass(manager, parked):
+    arm, entered, release = parked
+    service = ShardService(manager)
+    session = manager.create(make_frame())
+    assert manager.engine.wait_idle(60)
+    arm.set()
+    service.request("mutate", {"session": session.id, "column": "q0"})
+    assert entered.wait(30)  # the edit's pass is parked, holding the lock
+    running = manager.engine._inflight[session.id]
+    completed = manager.engine.stats()["completed"]
+    answers: list = []
+    writer = threading.Thread(
+        target=lambda: answers.append(
+            service.request("mutate", {"session": session.id, "column": "q1"})
+        )
+    )
+    writer.start()
+    try:
+        # The write cancels the pass before it waits on the session lock,
+        # which the parked pass still holds.
+        assert running.cancel.wait(30)
+        assert writer.is_alive() and not answers
+    finally:
+        release.set()
+        writer.join(30)
+    assert answers, "the write never answered"
+    assert manager.engine.wait_idle(60)
+    # Only the write's own pass completed: the parked one published nothing.
+    assert manager.engine.stats()["completed"] == completed + 1
+    stored = session.recommendations(compute=False)
+    assert stored is not None
+    assert stored["data_version"] == answers[0]["data_version"] == list(session.version)
+
+
+def test_failed_write_after_preempting_rearms_the_pass(manager, parked):
+    arm, entered, release = parked
+    service = ShardService(manager)
+    session = manager.create(make_frame())
+    assert manager.engine.wait_idle(60)
+    arm.set()
+    service.request("mutate", {"session": session.id, "column": "q0"})
+    assert entered.wait(30)
+    version = session.version
+    running = manager.engine._inflight[session.id]
+    errors: list = []
+
+    def unknown_column() -> None:
+        try:
+            service.request("mutate", {"session": session.id, "column": "nope"})
+        except KeyError as exc:  # 404 over HTTP, raised under the session lock
+            errors.append(exc)
+
+    writer = threading.Thread(target=unknown_column)
+    writer.start()
+    try:
+        assert running.cancel.wait(30)
+    finally:
+        release.set()
+        writer.join(30)
+    assert errors, "the write to an unknown column did not fail"
+    assert manager.engine.wait_idle(60)
+    assert session.version == version
+    assert manager.store.get_pass(session.id, version) is not None
+    stored = session.recommendations(compute=False)
+    assert stored is not None and stored["data_version"] == list(version)
+
+
+def test_wait_idle_is_woken_not_polled(manager, monkeypatch):
+    session = manager.create(make_frame())
+    assert manager.engine.wait_idle(60)
+
+    def no_sleep(_seconds: float) -> None:
+        raise AssertionError("wait_idle slept")
+
+    completed = manager.engine.stats()["completed"]
+    monkeypatch.setattr(time, "sleep", no_sleep)
+    session.mutate("q0", session.frame["q0"].to_list()[::-1])
+    assert manager.engine.wait_idle(60)
+    assert manager.engine.stats()["completed"] == completed + 1
+    stored = session.recommendations(compute=False)
+    assert stored is not None and stored["data_version"] == list(session.version)
