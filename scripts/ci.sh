@@ -42,15 +42,17 @@ python -c 'import time; t = time.perf_counter(); import repro; print(f"import re
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
-echo "== pool stress =="
+echo "== pool and scheduling stress =="
 # The shared pool's thread lifecycle (grow on submit, shrink as threads
-# finish, slot freed on a crash, no exit join) and concurrent batches over
-# one computation-cache slot (each primitive computed once) are
-# timing-dependent: run their tests 20 times in one process so a rare
-# interleaving fails CI.
+# finish, slot freed on a crash, no exit join), concurrent batches over
+# one computation-cache slot (each primitive computed once), and the
+# precompute engine's preemption, per-spec cancel checkpoint and pass
+# counters are timing-dependent: run their tests 20 times in one process
+# so a rare interleaving fails CI.
 python -m pytest -q -p no:cacheprovider --keep-duplicates \
   $(for _ in $(seq 20); do
-      echo tests/core/test_pool_fairshare.py tests/core/test_parallel_exec.py
+      echo tests/core/test_pool_fairshare.py tests/core/test_parallel_exec.py \
+        tests/service/test_scheduling.py
     done)
 
 echo "== examples =="

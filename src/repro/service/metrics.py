@@ -356,8 +356,10 @@ def register_service_gauges(manager: Any) -> None:
         "precompute passes by outcome",
         ("result",),
     )
-    for key in ("completed", "cancelled", "failed", "shed", "deferred", "rejected"):
-        passes.set_function(_dict_reader(engine._counters, key), (key,))
+    for result in ("completed", "cancelled", "failed", "shed", "deferred", "rejected"):
+        # The engine counts shed passes as ``shed_stale``.
+        key = "shed_stale" if result == "shed" else result
+        passes.set_function(_dict_reader(engine._counters, key), (result,))
 
 
 def main(argv: Optional[List[str]] = None) -> int:

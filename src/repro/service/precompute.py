@@ -19,7 +19,8 @@ Scheduling discipline per session:
   :meth:`PrecomputeEngine.writing`, which sets the cancel event of the
   session's live pass before the write waits on the session lock.  The
   pass stops at its next checkpoint (between actions in ``run_actions``
-  and between encoded actions here, raising
+  and before each spec it writes in
+  :func:`~repro.service.session.encode_pass`, raising
   :class:`~repro.core.errors.PassCancelled`), so a burst of writes
   coalesces into the pass after its last write instead of each write
   waiting out a whole pass.  A timer that fires while a write is in
@@ -30,7 +31,9 @@ Scheduling discipline per session:
   is queued or running, further triggers at that version are no-ops.
 - **Stale cancellation**: when the version moves, the superseded pass is
   cancelled (before start via ``Future.cancel``, mid-run through its
-  cancel event) and a fresh pass is scheduled.
+  cancel event) and a fresh pass is scheduled.  A pass cancelled before
+  it started is counted ``cancelled`` here; a started one counts its own
+  outcome.
 - **Idle**: :meth:`PrecomputeEngine.wait_idle` waits on a condition the
   engine notifies as pending work goes (a pass's future completes, a
   timer or deferred session is dropped without a pass, or a write
@@ -51,15 +54,14 @@ footprint declares) and keys each one by a tuple of
 - a digest of the effective config (``incremental_precompute`` aside).
 
 An action's key is the tuple of its candidates' keys in enumeration
-order.  An action whose key is in the table is not run: its VisList,
-payload dict and stored bytes are published as they are (provenance
-``carried``, original ``computed_at``).  Any other action runs with the
-table's hits as :class:`~repro.core.optimizer.sampling.CandidatePrior`
-state — their sample and exact scores are reused, and a displayed hit
-also brings its Vis, its wire bytes and their decoded dict — so only
-the misses are executed, scored, written and decoded; an action whose
-displayed Vis were partly reused lands as ``mixed`` with a per-vis
-origin map.
+order.  An action whose key is in the table is not run: its VisList
+and stored bytes are published as they are (provenance ``carried``,
+original ``computed_at``).  Any other action runs with the table's hits
+as :class:`~repro.core.optimizer.sampling.CandidatePrior` state — their
+sample and exact scores are reused, and a displayed hit also brings its
+Vis and its wire bytes — so only the misses are executed, scored and
+written; an action whose displayed Vis were partly reused lands as
+``mixed`` with a per-vis origin map.
 Because every input of a result is in its key, a hit is bit-identical to
 what a cold pass would recompute, and there is no delta to accumulate
 between passes.  An action without candidate entries (an unknown read
@@ -74,9 +76,14 @@ never be populated with results for data that no longer exists.  Each
 missed spec is written to its JSON wire bytes once, by the vega-lite
 writer (a column several missed specs show is formatted once for all of
 them), and each action's bytes are joined from its specs' bytes.
-Publishing decodes the new spec bytes for the session's view of the pass
-(:meth:`~repro.service.session.Session.publish_view`); the view, the
-frame's own memoized recommendation set and the session's table are
+The table holds no decoded dicts: only a session whose latest read took
+dicts (:attr:`~repro.service.session.Session.reads_bytes` False, as for
+a session not yet read) gets its pass decoded into its view
+(:meth:`~repro.service.session.Session.publish_view`).  The new spec
+bytes are decoded, and the dicts of reused bytes are taken from the
+previous view where it holds those very bytes.  Any other session's
+view is dropped, since its readers splice the stored bytes.  The view,
+the frame's own memoized recommendation set and the session's table are
 replaced under the same guard, making in-process reads and prints free
 too.
 
@@ -192,22 +199,20 @@ class _Candidate(CandidatePrior):
 
     The ranker reads the scores and the displayed Vis through the
     :class:`CandidatePrior` interface; a displayed candidate also keeps
-    its wire bytes (a slice of its action's stored bytes) and their
-    decoded spec payload dict, so reusing it writes and decodes nothing.
+    its wire bytes (a slice of its action's stored bytes), so reusing it
+    writes nothing.
     """
 
-    __slots__ = ("payload", "wire")
+    __slots__ = ("wire",)
 
     def __init__(
         self,
         approx: "float | None",
         score: "float | None",
         vis: Any = None,
-        payload: "dict[str, Any] | None" = None,
         wire: "memoryview | None" = None,
     ) -> None:
         super().__init__(approx=approx, score=score, vis=vis)
-        self.payload = payload
         self.wire = wire
 
 
@@ -219,20 +224,18 @@ class _ActionResult:
     to reuse, looked up one by one when the action key differs.
     """
 
-    __slots__ = ("key", "vislist", "payload", "wire", "computed_at", "candidates")
+    __slots__ = ("key", "vislist", "wire", "computed_at", "candidates")
 
     def __init__(
         self,
         key: tuple,
         vislist: "VisList",
-        payload: dict[str, Any],
         wire: bytes,
         computed_at: float,
         candidates: "tuple[_Candidate | None, ...]",
     ) -> None:
         self.key = key
         self.vislist = vislist
-        self.payload = payload
         self.wire = wire
         self.computed_at = computed_at
         self.candidates = candidates
@@ -309,25 +312,22 @@ def _lookup(
 def _record(
     key: "tuple | None",
     vislist: "VisList",
-    payload: dict[str, Any],
     blob: bytes,
     slices: "list[memoryview]",
+    spec_keys: "list[str]",
     recmap: "dict[str, dict] | None",
     computed_at: float,
 ) -> "_ActionResult | None":
     """The table entry of one executed action, or None if it has no key.
 
     A failed action discards its candidate records and is not recorded
-    either.  A displayed candidate keeps its Vis, its spec payload dict
-    and its slice of the action's bytes.
+    either.  A displayed candidate keeps its Vis and its slice of the
+    action's bytes, found by the spec's key.
     """
     if key is None or recmap is None or (key and not recmap):
         return None
     visible = [vis for vis in vislist if vis.spec is not None]
-    displayed = {
-        spec["key"]: (vis, spec, view)
-        for vis, spec, view in zip(visible, payload["specs"], slices)
-    }
+    displayed = {spec_key: (vis, view) for vis, spec_key, view in zip(visible, spec_keys, slices)}
     candidates: list[_Candidate | None] = []
     for k in key:
         rec = recmap.get(k[1])
@@ -336,7 +336,28 @@ def _record(
             continue
         shown = displayed.get(k[1]) if rec["displayed"] else None
         candidates.append(_Candidate(rec["approx"], rec["score"], *(shown or ())))
-    return _ActionResult(key, vislist, payload, blob, computed_at, tuple(candidates))
+    return _ActionResult(key, vislist, blob, computed_at, tuple(candidates))
+
+
+def _decode_action(
+    count: int,
+    slices: "list[memoryview]",
+    reused: "list[_Candidate | None]",
+    spec_keys: "list[str]",
+    previous: "dict[str, Any] | None",
+) -> dict[str, Any]:
+    """One written action's payload dict, for a dict-reading session's view.
+
+    ``previous`` is the previous view's dict of the action bytes the
+    reused specs were sliced from, if the view holds it: a reused spec's
+    dict is taken from it.  Every other spec's bytes are decoded.
+    """
+    carried = {spec["key"]: spec for spec in previous["specs"]} if previous else {}
+    specs = [
+        carried[key] if prior is not None and key in carried else json.loads(bytes(view))
+        for view, prior, key in zip(slices, reused, spec_keys)
+    ]
+    return {"count": count, "specs": specs}
 
 
 class PrecomputeEngine:
@@ -658,9 +679,10 @@ class PrecomputeEngine:
             if inflight.version == version and not inflight.cancel.is_set():
                 return  # dedup: same state already queued/running
             # Stale: the version moved, or a write (or a shed) cancelled it.
+            # A started pass counts its own outcome when it stops.
             inflight.cancel.set()
-            inflight.future.cancel()
-            self._counters["cancelled"] += 1
+            if inflight.future.cancel():
+                self._counters["cancelled"] += 1
         cancel = threading.Event()
         future = pool.submit(
             lambda: self._run_pass(session, version, cancel),
@@ -751,13 +773,12 @@ class PrecomputeEngine:
                         records=records or None,
                         done={n: r.vislist for n, r in hits.items()} or None,
                     )
-                    fresh = {}
-                    for name, *written in encode_pass(
-                        recs, [name for name in recs.keys() if name not in hits], priors
-                    ):
-                        fresh[name] = written
-                        if cancel.is_set():
-                            raise PassCancelled(f"pass cancelled after encoding {name!r}")
+                    fresh = {
+                        name: written
+                        for name, *written in encode_pass(
+                            recs, [n for n in recs.keys() if n not in hits], priors, cancel
+                        )
+                    }
                     _observe_phase("actions", time.perf_counter() - phase_t0)
             except PassCancelled:
                 self._bump("cancelled")
@@ -805,20 +826,21 @@ class PrecomputeEngine:
         hits: "dict[str, _ActionResult]",
         priors: "dict[str, dict[str, _Candidate]]",
         records: "dict[str, dict]",
-        fresh: "dict[str, tuple[bytes, list[memoryview], list[Any]]]",
+        fresh: "dict[str, tuple[bytes, list[memoryview], list[Any], list[str]]]",
     ) -> None:
         """Land one completed pass: store, view, memo and table.
 
         ``fresh`` holds each executed action's bytes, each spec's slice of
-        them and the table candidate each spec was reused from (see
-        :func:`~repro.service.session.encode_pass`).  The action's view
-        dict is built from the reused specs' dicts plus the decoded new
-        spec bytes.
+        them, the table candidate each spec was reused from and each
+        spec's key (see :func:`~repro.service.session.encode_pass`).  Only
+        a session whose latest read took dicts gets a view of the pass;
+        any other session's view is dropped.
         """
         now = time.time()
+        decode = not session.reads_bytes
         table: dict[str, _ActionResult] = {}
         stored: dict[str, dict[str, Any]] = {}
-        views: dict[str, Any] = {}
+        views: dict[str, tuple[bytes, dict[str, Any]]] = {}
         for name in recs.keys():
             hit = hits.get(name)
             if hit is not None:
@@ -828,30 +850,34 @@ class PrecomputeEngine:
                     "origin": "carried",
                     "computed_at": hit.computed_at,
                 }
-                views[name] = hit.payload
+                if decode:
+                    payload = session.decoded(name, hit.wire) or json.loads(hit.wire)
+                    views[name] = (hit.wire, payload)
                 table[name] = hit
                 continue
-            blob, slices, reused = fresh[name]
-            specs = [
-                json.loads(bytes(view)) if prior is None else prior.payload
-                for view, prior in zip(slices, reused)
-            ]
-            payload = views[name] = {"count": len(recs[name]), "specs": specs}
+            blob, slices, reused, spec_keys = fresh[name]
             record = stored[name] = {"payload": blob, "origin": "precompute", "computed_at": now}
             if any(prior is not None for prior in reused):
                 record["origin"] = "mixed"
                 record["vis_origins"] = {
-                    spec["key"]: "precompute" if prior is None else "carried"
-                    for spec, prior in zip(specs, reused)
+                    key: "precompute" if prior is None else "carried"
+                    for key, prior in zip(spec_keys, reused)
                 }
+            if decode:
+                # Reused specs are slices of the previous pass's bytes of this action.
+                source = next((prior.wire.obj for prior in reused if prior is not None), None)
+                previous = session.decoded(name, source)
+                views[name] = (
+                    blob,
+                    _decode_action(len(recs[name]), slices, reused, spec_keys, previous),
+                )
             result = _record(
-                keys.get(name), recs[name], payload, blob, slices,
-                records.get(name), now,
+                keys.get(name), recs[name], blob, slices, spec_keys, records.get(name), now
             )
             if result is not None:
                 table[name] = result
         self.store.put_pass(session.id, version, stored)
-        session.publish_view(version, views)
+        session.publish_view(views if decode else None)
         if session.shares_frame_memo:
             # Memoize on the frame so in-process prints are free.
             frame = session.frame

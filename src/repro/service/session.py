@@ -25,10 +25,14 @@ each displayed spec is written by the vega-lite writer
 table, a column several specs of the pass show is formatted once, and
 each action's bytes are joined from its specs' bytes
 (:func:`~repro.service.wire.encode_action`).  Wire readers take the
-stored bytes as they are (``raw=True``).  In-process readers get
-dicts from the session's *view*: the engine publishes the decoded payloads
-of each pass it stores, and a read at a version with no view decodes the
-stored bytes once (``json.loads``) and keeps them as the view.
+stored bytes as they are (``raw=True``).  In-process readers get dicts
+from the session's *view*, which holds each action's stored bytes
+object with its decoded dict.  A session records whether its latest
+read took dicts or bytes (:attr:`Session.reads_bytes`; a session not yet
+read counts as a dict reader).  The engine decodes the passes it stores
+into the view only for a dict reader, and drops the view of any other
+session.  A read whose bytes the view does not hold decodes them once
+(``json.loads``) into the view.
 
 :class:`SessionManager` wires the three service pieces together (registry,
 store, precompute engine) and is what the HTTP API holds.
@@ -45,7 +49,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
 from ..core import telemetry
 from ..core.config import PROCESS_WIDE, config, thread_overlay
-from ..core.errors import LuxWarning
+from ..core.errors import LuxWarning, PassCancelled
 from ..core.frame import LuxDataFrame
 from ..dataframe import DataFrame
 from ..vis.spec import candidate_key
@@ -73,11 +77,14 @@ def encode_pass(
     recs: Any,
     names: Iterable[str],
     known: "Mapping[str, Mapping[str, Any]] | None" = None,
-) -> "Iterator[tuple[str, bytes, list[memoryview], list[Any]]]":
-    """``(action, bytes, spec slices, reused)`` for the named actions of a pass.
+    cancel: "threading.Event | None" = None,
+) -> "Iterator[tuple[str, bytes, list[memoryview], list[Any], list[str]]]":
+    """``(action, bytes, spec slices, reused, spec keys)`` for the named actions of a pass.
 
     Shared by the foreground read path and the precompute engine so a
     store entry is byte-identical no matter which path produced it.
+    Each displayed spec's :func:`~repro.vis.spec.candidate_key` is
+    computed once, here, and yielded in ``spec keys``.
     ``known`` maps action names to vis keys to candidate results of the
     engine's previous pass: a displayed Vis that is the very object a
     candidate holds keeps that candidate's stored bytes, and ``reused``
@@ -87,11 +94,17 @@ def encode_pass(
     (:class:`~repro.vis.vegalite.SharedColumns`), so a column several of
     them show is formatted once.  Each action is written and joined
     (:func:`~repro.service.wire.encode_action`) when the iteration
-    reaches it.
+    reaches it.  ``cancel`` is checked before each spec is written: once
+    it is set, the iteration raises
+    :class:`~repro.core.errors.PassCancelled`.
     """
     shown = {name: [vis for vis in recs[name] if vis.spec is not None] for name in names}
+    keys = {name: [candidate_key(vis.spec) for vis in visible] for name, visible in shown.items()}
     reused = {
-        name: [_reused(vis, known.get(name) if known else None) for vis in visible]
+        name: [
+            _reused(vis, key, known.get(name) if known else None)
+            for vis, key in zip(visible, keys[name])
+        ]
         for name, visible in shown.items()
     }
     shared = SharedColumns(
@@ -104,21 +117,28 @@ def encode_pass(
         # A generator, so no local holds this action's spec bytes while
         # the next action is written.
         wires = (
-            spec_payload(vis.spec, vis.score, shared) if prior is None else prior.wire
-            for vis, prior in zip(visible, reused[name])
+            _write(vis, key, shared, cancel) if prior is None else prior.wire
+            for vis, key, prior in zip(visible, keys[name], reused[name])
         )
-        yield (name, *encode_action(len(recs[name]), list(wires)), reused[name])
+        yield (name, *encode_action(len(recs[name]), list(wires)), reused[name], keys[name])
 
 
-def _reused(vis: Any, known: "Mapping[str, Any] | None") -> Any:
+def _write(vis: Any, key: str, shared: SharedColumns, cancel: "threading.Event | None") -> bytes:
+    """One displayed spec's bytes, unless its pass was cancelled."""
+    if cancel is not None and cancel.is_set():
+        raise PassCancelled(f"pass cancelled before writing spec {key}")
+    return spec_payload(vis.spec, vis.score, shared, key)
+
+
+def _reused(vis: Any, key: str, known: "Mapping[str, Any] | None") -> Any:
     """The previous pass's candidate result that holds this very Vis, or None."""
-    candidate = known.get(candidate_key(vis.spec)) if known else None
+    candidate = known.get(key) if known else None
     return candidate if candidate is not None and candidate.vis is vis else None
 
 
 def encode_recommendations(recs: Any) -> dict[str, bytes]:
     """RecommendationSet -> each action's JSON wire bytes."""
-    return {name: blob for name, blob, _, _ in encode_pass(recs, recs.keys())}
+    return {name: blob for name, blob, *_ in encode_pass(recs, recs.keys())}
 
 
 def serialize_recommendations(recs: Any) -> dict[str, Any]:
@@ -167,10 +187,15 @@ class Session:
         #: Lazily-rehydrated snapshot results: ``(path, version)`` set by
         #: a snapshot restore, consumed by the first read.
         self._pending_results: "tuple[Any, tuple[int, int]] | None" = None  # guarded-by: lock
-        #: ``(version, {action: payload dict})``: the decoded payloads of
-        #: the last published or decoded pass, so in-process store-hit
-        #: reads at that version are dict lookups.
-        self._view: "tuple[tuple[int, int], dict[str, Any]] | None" = None  # guarded-by: lock
+        #: ``{action: (stored bytes, payload dict)}``: the decoded payloads
+        #: of the stored pass, each with the very bytes object it was
+        #: decoded from, so in-process store-hit reads are dict lookups.
+        self._view: "dict[str, tuple[bytes, dict[str, Any]]] | None" = None  # guarded-by: lock
+        #: Whether the latest :meth:`recommendations` call took bytes
+        #: (``raw=True``).  The engine decodes a pass into the view only
+        #: when this is False; a session not yet read counts as a dict
+        #: reader.
+        self.reads_bytes = False
 
     # ------------------------------------------------------------------
     @property
@@ -277,8 +302,10 @@ class Session:
         frame); ``compute=False`` returns None on a store miss (the probe
         the benchmarks and tests use).  ``raw`` leaves each stored payload
         as its JSON bytes, for the wire writer
-        (:func:`repro.service.wire.dumps`) to splice in.
+        (:func:`repro.service.wire.dumps`) to splice in, and records the
+        session as a bytes reader (:attr:`reads_bytes`).
         """
+        self.reads_bytes = raw
         with telemetry.span("session.read", session=self.id) as read_span:
             response = self._recommendations_inner(action, compute, raw)
             if response is not None:
@@ -346,12 +373,17 @@ class Session:
         if stored is None:
             return None
         records, origin = stored
+        whole = records
         if action is not None:
             # A stored pass knows its action set: reject unknown names
             # without burning a foreground recomputation per request.
             if action not in records:
                 raise KeyError(f"no such action: {action!r}")
             records = {action: records[action]}
+        if raw:
+            payloads = {name: r["payload"] for name, r in records.items()}
+        else:
+            payloads = self._decode(whole, records)
         origins = {name: r["origin"] for name, r in records.items()}
         # An incremental pass mixes recomputed ("precompute") and
         # carried-forward ("carried") actions; the overall origin reports
@@ -360,10 +392,6 @@ class Session:
         # own origin.
         distinct = set(origins.values()) or {origin}
         origin = distinct.pop() if len(distinct) == 1 else "mixed"
-        if raw:
-            payloads = {name: r["payload"] for name, r in records.items()}
-        else:
-            payloads = self._decode(version, records)
         oldest = min((r["computed_at"] for r in records.values()), default=None)
         vis_origins = {
             name: dict(r["vis_origins"])
@@ -379,30 +407,42 @@ class Session:
             vis_origins=vis_origins or None,
         )
 
-    def _decode(
-        self, version: tuple[int, int], records: dict[str, dict[str, Any]]
-    ) -> dict[str, Any]:
-        """Stored records -> payload dicts, from the view where it matches.
+    def _decode(self, records: dict[str, dict[str, Any]], names: Iterable[str]) -> dict[str, Any]:
+        """The named actions of a stored pass as payload dicts.
 
-        Bytes the view lacks are decoded here and join the view while
-        ``version`` is still current, so the next read is a lookup.
+        A view entry serves an action when it was decoded from the very
+        bytes object ``records`` holds.  Bytes the view lacks are decoded
+        here and join the view, which keeps only entries of ``records``,
+        so the next read is a lookup.
         """
         with self.lock:
             view = self._view
-        known = view[1] if view is not None and view[0] == version else {}
+        kept = {
+            name: entry
+            for name, entry in (view or {}).items()
+            if name in records and entry[0] is records[name]["payload"]
+        }
         missing = {
-            name: json.loads(r["payload"]) for name, r in records.items() if name not in known
+            name: (records[name]["payload"], json.loads(records[name]["payload"]))
+            for name in names
+            if name not in kept
         }
         if missing:
             with self.lock:
-                if self.version == version and self._view is view:
-                    self._view = (version, {**known, **missing})
-        return {name: known[name] if name in known else missing[name] for name in records}
+                if self._view is view:
+                    self._view = {**kept, **missing}
+        return {name: (kept.get(name) or missing[name])[1] for name in names}
 
-    def publish_view(self, version: tuple[int, int], payloads: dict[str, Any]) -> None:
-        """Record the decoded payloads of the pass just stored at ``version``."""
+    def decoded(self, action: str, blob: Any) -> "dict[str, Any] | None":
+        """The view's payload dict of ``action`` if it was decoded from ``blob``."""
         with self.lock:
-            self._view = (version, dict(payloads))
+            entry = (self._view or {}).get(action)
+        return entry[1] if entry is not None and entry[0] is blob else None
+
+    def publish_view(self, view: "dict[str, tuple[bytes, dict[str, Any]]] | None") -> None:
+        """Replace the view with the decoded pass just stored, or drop it (None)."""
+        with self.lock:
+            self._view = view
 
     def _respond(
         self,

@@ -50,7 +50,10 @@ _PLAIN = (str, int, bool, type(None))
 
 
 def spec_payload(
-    spec: VisSpec, score: float | None = None, shared: "SharedColumns | None" = None
+    spec: VisSpec,
+    score: float | None = None,
+    shared: "SharedColumns | None" = None,
+    key: str | None = None,
 ) -> bytes:
     """The service's wire bytes for one recommended visualization.
 
@@ -60,12 +63,13 @@ def spec_payload(
     without rendering them.  ``key`` is the stable candidate identity
     (:func:`~repro.vis.spec.candidate_key`) that per-vis provenance maps
     are keyed on; it is a pure function of the spec's signature, so the
-    foreground and background paths emit identical keys.  ``shared`` holds
-    the columns this spec shares with the rest of its pass; the bytes are
-    the same with or without it.
+    foreground and background paths emit identical keys; a caller that
+    already computed it passes it as ``key``.  ``shared`` holds the
+    columns this spec shares with the rest of its pass; the bytes are the
+    same with or without it.
     """
     head = {
-        "key": candidate_key(spec),
+        "key": candidate_key(spec) if key is None else key,
         "title": spec.title,
         "mark": spec.mark,
         "fields": spec.fields(),

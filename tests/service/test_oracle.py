@@ -3,8 +3,9 @@
 A hypothesis state machine drives one watched session through random
 mutations — column edits, schema changes, row-set changes, intent and
 type-override changes — interleaved with config flips (incremental
-precompute, the computation cache), store wipes and snapshot restarts
-(save, restore into a fresh manager, continue on the restored session).
+precompute, the computation cache), reader flips (bytes as the wire
+reads them, or dicts), store wipes and snapshot restarts (save, restore
+into a fresh manager, continue on the restored session).
 One machine keeps the shipped debounce and sends bursts of writes through
 the service dispatcher, so writes land on armed timers and running passes.
 After every step, once the precompute engine is idle, the served
@@ -15,7 +16,9 @@ candidate and action reuse in the engine, the result store, snapshot
 rehydration) is an equivalence claim against that cold, serial path.
 The store holds at most one pass per live session, at the current
 version once a pass has published, and the computation cache's byte
-accounting equals the sizes of the entries it holds.
+accounting equals the sizes of the entries it holds.  A pass published
+after a bytes read leaves no decoded dicts behind: the session holds no
+view and no engine table entry holds a dict.
 
 Profiles (``tests/conftest.py``): ``ci`` replays a small derandomized
 run; ``--hypothesis-profile soak`` runs the long randomized one.
@@ -24,6 +27,7 @@ run; ``--hypothesis-profile soak`` runs the long randomized one.
 from __future__ import annotations
 
 import gc
+import json
 import shutil
 import tempfile
 
@@ -80,6 +84,18 @@ def cold_actions(frame: LuxDataFrame, intent: list, overrides: dict) -> dict:
         return serialize_recommendations(cold.recommendations)
 
 
+def holds_dict(entry) -> bool:
+    """Whether an engine table entry, or a candidate result in it, holds a dict."""
+    held = [getattr(entry, slot) for slot in entry.__slots__]
+    held += [
+        getattr(candidate, slot)
+        for candidate in entry.candidates
+        if candidate is not None
+        for slot in candidate.__slots__
+    ]
+    return any(isinstance(value, dict) for value in held)
+
+
 class ServiceOracle(RuleBasedStateMachine):
     #: Config overrides the session is created with.
     OVERRIDES: dict = {}
@@ -108,6 +124,11 @@ class ServiceOracle(RuleBasedStateMachine):
         #: The actions of a restored session's first read, checked against
         #: the cold oracle by the next invariant.
         self.restored_read: "dict | None" = None
+        #: Whether reads take bytes (``raw=True``, as the wire reads) and
+        #: decode them here, or take the session's dicts.
+        self.raw_reads = False
+        #: The engine's completed passes when the invariants last looked.
+        self.completed_seen = 0
 
     @initialize()
     def start(self) -> None:
@@ -121,6 +142,14 @@ class ServiceOracle(RuleBasedStateMachine):
     def teardown(self) -> None:
         self.manager.shutdown()
         shutil.rmtree(self.snapshot_dir, ignore_errors=True)
+
+    def read(self, compute: bool = True) -> "dict | None":
+        """The session's recommendations, with each action as a dict."""
+        response = self.session.recommendations(compute=compute, raw=self.raw_reads)
+        if response is not None and self.raw_reads:
+            actions = response["actions"]
+            response["actions"] = {name: json.loads(blob) for name, blob in actions.items()}
+        return response
 
     # ------------------------------------------------------------------
     @property
@@ -233,6 +262,11 @@ class ServiceOracle(RuleBasedStateMachine):
         self.moved = False
 
     @rule()
+    def flip_reader(self) -> None:
+        self.raw_reads = not self.raw_reads
+        self.moved = False
+
+    @rule()
     def clear_store(self) -> None:
         self.manager.store.clear()
         self.moved = False
@@ -245,11 +279,12 @@ class ServiceOracle(RuleBasedStateMachine):
         held = self.manager.store.get_pass(sid, version) is not None
         self.manager.shutdown()  # force-saves every session's snapshot
         self.manager = self.new_manager()
+        self.completed_seen = 0
         assert self.manager.restore_sessions() == [sid]
         self.session = self.manager.get(sid)
         assert self.session.version == version
         # A pass stored before the restart answers the first read from the store.
-        first = self.session.recommendations(compute=not held)
+        first = self.read(compute=not held)
         assert first is not None
         self.restored_read = first["actions"]
         self.moved = False
@@ -287,14 +322,29 @@ class ServiceOracle(RuleBasedStateMachine):
             gc.enable()
 
     @invariant()
+    def bytes_reader_holds_no_dicts(self) -> None:
+        if self.session is None:
+            return
+        engine = self.manager.engine
+        assert engine.wait_idle(60), engine.stats()
+        completed = engine.stats()["completed"]
+        published, self.completed_seen = completed > self.completed_seen, completed
+        if self.raw_reads and published:
+            # A pass published in this step, after the last step's reads,
+            # which took bytes: a flip of the reader publishes nothing.
+            assert self.session._view is None
+            table = engine._tables.get(self.session.id, {})
+            assert not any(holds_dict(entry) for entry in table.values())
+
+    @invariant()
     def served_equals_cold(self) -> None:
         if self.session is None:
             return
         assert self.manager.engine.wait_idle(60), self.manager.engine.stats()
         if self.moved and self.STORE_BUDGET is None:
-            stored = self.session.recommendations(compute=False)
+            stored = self.read(compute=False)
             assert stored is not None, self.manager.engine.stats()
-        served = self.session.recommendations()
+        served = self.read()
         assert served["data_version"] == list(self.session.version)
         expected = cold_actions(self.frame, self.intent, self.OVERRIDES)
         assert served["actions"] == expected

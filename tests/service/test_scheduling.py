@@ -3,8 +3,11 @@
 A write runs inside :meth:`PrecomputeEngine.writing`: it sets the cancel
 event of its session's live pass before it waits on the session lock, so
 a burst of writes ends in one pass and no write waits out a whole pass.
-A write that fails after preempting re-arms the session.
+A write that fails after preempting re-arms the session.  A pass checks
+its cancel event before it writes each spec, so a preempting write waits
+for one spec's encode, not a whole action's.
 :meth:`PrecomputeEngine.wait_idle` is woken by the engine, not polled.
+``lux_precompute_passes_total`` counts each pass's outcome once.
 """
 
 from __future__ import annotations
@@ -17,9 +20,12 @@ import time
 import numpy as np
 import pytest
 
-from repro import LuxDataFrame, register_action, remove_action
+from repro import LuxDataFrame, config, register_action, remove_action
+from repro.core import telemetry
 from repro.core.vislist import VisList
 from repro.service import SessionManager, make_server
+from repro.service import session as session_module
+from repro.service.metrics import register_service_gauges
 from repro.service.shard import ShardService
 
 ROWS = 2_000
@@ -183,3 +189,85 @@ def test_wait_idle_is_woken_not_polled(manager, monkeypatch):
     assert manager.engine.stats()["completed"] == completed + 1
     stored = session.recommendations(compute=False)
     assert stored is not None and stored["data_version"] == list(session.version)
+
+
+def test_a_cancelled_pass_stops_before_its_next_spec(manager, monkeypatch):
+    # Reusing nothing, the edit's pass writes every spec of every action.
+    config.incremental_precompute = False
+    session = manager.create(make_frame())
+    assert manager.engine.wait_idle(60)
+    before = manager.engine.stats()
+    version = session.version
+    write = session_module.spec_payload
+    written: list = []
+
+    def cancel_on_first_write(*args, **kwargs):
+        if not written:
+            manager.engine._inflight[session.id].cancel.set()
+        written.append(args[0])
+        return write(*args, **kwargs)
+
+    monkeypatch.setattr(session_module, "spec_payload", cancel_on_first_write)
+    session.mutate("q0", session.frame["q0"].to_list()[::-1])
+    assert manager.engine.wait_idle(60)
+    after = manager.engine.stats()
+    assert len(written) == 1  # not the rest of the action
+    assert after["cancelled"] == before["cancelled"] + 1
+    assert after["completed"] == before["completed"]
+    assert after["stale"] == before["stale"]
+    # The cancelled pass published nothing: the store still holds the
+    # pass before the edit.
+    assert manager.store.get_pass(session.id, session.version) is None
+    assert manager.store.get_pass(session.id, version) is not None
+
+
+def _passes(engine) -> dict:
+    stats = engine.stats()
+    return {key: stats[key] for key in ("scheduled", "completed", "cancelled", "stale")}
+
+
+def test_a_superseded_running_pass_is_counted_once(manager, parked):
+    arm, entered, release = parked
+    session = manager.create(make_frame())
+    assert manager.engine.wait_idle(60)
+    before = _passes(manager.engine)
+    arm.set()
+    session.mutate("q0")
+    assert entered.wait(30)
+    running = manager.engine._inflight[session.id]
+    try:
+        # An in-process write that does not wait for the session lock:
+        # its pass supersedes the parked one.
+        session.frame["q1"] = session.frame["q1"]
+        assert running.cancel.wait(30)
+    finally:
+        release.set()
+    assert manager.engine.wait_idle(60)
+    after = _passes(manager.engine)
+    delta = {key: after[key] - before[key] for key in after}
+    assert delta["scheduled"] == 2
+    assert delta["completed"] == 1
+    assert delta["cancelled"] + delta["stale"] == 1, delta
+
+
+def test_shed_series_reads_the_shed_passes(manager, parked):
+    arm, entered, release = parked
+    register_service_gauges(manager)
+    config.precompute_queue_limit = 1
+    session = manager.create(make_frame())
+    assert manager.engine.wait_idle(60)
+    arm.set()
+    session.mutate("q0")
+    assert entered.wait(30)
+    try:
+        # With precompute off the next edit schedules nothing, so the
+        # parked pass is stale and holds the only backlog slot.
+        config.precompute = False
+        session.frame["q1"] = session.frame["q1"]
+        manager.engine.admit()  # sheds the parked pass
+    finally:
+        release.set()
+    assert manager.engine.wait_idle(60)
+    assert manager.engine.stats()["shed_stale"] == 1
+    series = telemetry.gauge("lux_precompute_passes_total").snapshot()["values"]
+    assert series["shed"] == 1.0

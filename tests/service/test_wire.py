@@ -9,7 +9,8 @@ with :func:`repro.service.wire.dumps`, producing the same bytes
 each stored payload byte once, and ``_Handler._send`` writes status line,
 headers and body in one ``sendmsg`` loop; a client that goes away
 mid-response gets no second response.  In-process reads keep getting
-dicts, from the session's view of its last published pass.
+dicts, from the session's view; a session whose latest read took bytes
+has its passes stored as bytes only, and holds about their size.
 """
 
 from __future__ import annotations
@@ -327,6 +328,88 @@ class TestSessionView:
                 assert {k: json.loads(v) for k, v in raw.items()} == expected
             finally:
                 manager.shutdown()
+
+
+    def test_view_answers_only_for_the_bytes_it_decoded(self):
+        """A view decoded from one pass never answers for another's bytes."""
+        manager = SessionManager()
+        try:
+            session = manager.create(
+                make_scenario("skewed", n_rows=120), overrides={"precompute": False}
+            )
+            first = session.recommendations()["actions"]
+            session.mutate("heavy_tail", session.frame["heavy_tail"].to_list()[::-1])
+            second = session.recommendations()["actions"]
+            raw = session.recommendations(compute=False, raw=True)["actions"]
+            assert second == {k: json.loads(v) for k, v in raw.items()}
+            assert second != first
+        finally:
+            manager.shutdown()
+
+    def test_bytes_reader_passes_store_bytes_only(self, monkeypatch):
+        """A pass for a session whose latest read took bytes decodes nothing.
+
+        A later dict read decodes the stored bytes, and the session's next
+        pass decodes into its view again.
+        """
+        with config_overlay(precompute_debounce_s=0.0):
+            manager = SessionManager()
+            try:
+                session = manager.create(make_scenario("skewed", n_rows=120))
+                assert manager.engine.wait_idle(30)
+                assert session._view  # not yet read: counted as a dict reader
+                session.recommendations(compute=False, raw=True)
+                session.mutate("heavy_tail")
+                assert manager.engine.wait_idle(30)
+                assert session._view is None
+                raw = session.recommendations(compute=False, raw=True)["actions"]
+                decoded = session.recommendations(compute=False)["actions"]
+                assert decoded == {k: json.loads(v) for k, v in raw.items()}
+                session.mutate("normal_ref")
+                assert manager.engine.wait_idle(30)
+                with monkeypatch.context() as patch:
+                    _forbid_loads(patch)
+                    response = session.recommendations(compute=False)
+                raw = session.recommendations(compute=False, raw=True)["actions"]
+                assert response["actions"] == {k: json.loads(v) for k, v in raw.items()}
+            finally:
+                manager.shutdown()
+
+    def test_bytes_reader_holds_about_its_stored_bytes(self):
+        """A session read as bytes grows by less than twice its stored pass.
+
+        Two measure edits on the 2,000-row shape of perfbench's edit_read,
+        traced from the first raw read: decoding each pass into dicts
+        would keep about four times its bytes.
+        """
+        with config_overlay(precompute_debounce_s=0.0):
+            manager = SessionManager()
+            try:
+                session = manager.create(measure_frame(2_000))
+                assert manager.engine.wait_idle(60)
+                session.recommendations(raw=True)
+                tracemalloc.start()
+                try:
+                    for name in ("q0", "q1"):
+                        session.mutate(name, session.frame[name].to_list()[::-1])
+                        assert manager.engine.wait_idle(60)
+                    grown = tracemalloc.get_traced_memory()[0]
+                finally:
+                    tracemalloc.stop()
+                stored, _ = manager.store.get_pass(session.id, session.version)
+                held = sum(len(record["payload"]) for record in stored.values())
+                assert grown < 2 * held, (grown, held)
+            finally:
+                manager.shutdown()
+
+
+def measure_frame(rows: int) -> LuxDataFrame:
+    """Six normal measures and three nominal dimensions, as in perfbench's edit_read."""
+    rng = np.random.default_rng(3)
+    columns = {f"q{i}": rng.normal(0.0, 1.0, rows) for i in range(6)}
+    for name, cardinality in {"d0": 6, "d1": 12, "d2": 24}.items():
+        columns[name] = [f"v{i}" for i in rng.integers(0, cardinality, rows)]
+    return LuxDataFrame(columns)
 
 
 # ----------------------------------------------------------------------
