@@ -45,13 +45,16 @@ python -m pytest -x -q
 echo "== pool and scheduling stress =="
 # The shared pool's thread lifecycle (grow on submit, shrink as threads
 # finish, slot freed on a crash, no exit join), concurrent batches over
-# one computation-cache slot (each primitive computed once), and the
-# precompute engine's preemption, per-spec cancel checkpoint and pass
-# counters are timing-dependent: run their tests 20 times in one process
-# so a rare interleaving fails CI.
+# one computation-cache slot (each primitive computed once), two threads
+# writing passes over one frame (each column's JSON tokens formatted
+# once), and the precompute engine's preemption, per-spec cancel
+# checkpoint and pass counters are timing-dependent: run their tests 20
+# times in one process so a rare interleaving fails CI.  Files, not test
+# ids: pytest runs a repeated test id once.
 python -m pytest -q -p no:cacheprovider --keep-duplicates \
   $(for _ in $(seq 20); do
       echo tests/core/test_pool_fairshare.py tests/core/test_parallel_exec.py \
+        tests/core/test_column_tokens.py \
         tests/service/test_scheduling.py
     done)
 

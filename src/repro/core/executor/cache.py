@@ -9,6 +9,12 @@ whole candidate set performs each scan exactly once — the in-process
 analogue of the shared-scan execution in the HTAP literature (Polynesia,
 arXiv:2103.00798).
 
+The last section is the service's, not the executor's: a frame column's
+JSON tokens, one per cell, as the vega-lite writer formats them
+(:meth:`ComputationCache.tokens`).  Scatter tables hold the frame's own
+``Column`` objects, so every spec of a pass, and every later pass, that
+shows an unchanged frame column writes it from one formatted tuple.
+
 Invalidation contract
 ---------------------
 Entries are keyed on *(frame identity, content version)*:
@@ -27,7 +33,8 @@ Entries are keyed on *(frame identity, content version)*:
   intact and the changed columns are known, the slot is *migrated* to the
   new version and only entries reading a changed column are evicted —
   everything keyed on untouched columns survives the bump (delta-aware
-  invalidation).  Row-set changes, unknown deltas, and plain frames (which
+  invalidation); a column's JSON tokens are dropped only when that column
+  changed.  Row-set changes, unknown deltas, and plain frames (which
   never call ``invalidate``) fall back to whole-slot drop/replacement.
 
 Byte budget
@@ -35,9 +42,12 @@ Byte budget
 The cache is bounded by **bytes**, not entry counts
 (``config.computation_cache_budget_mb``): every cached vector accounts its
 exact ``ndarray.nbytes`` (rows x dtype width), groupings account their
-``group_ids`` + ``valid`` arrays (~9 bytes/row).  When an insertion pushes
+``group_ids`` + ``valid`` arrays (~9 bytes/row), and a token tuple
+accounts 49 bytes plus its text per token (an ASCII ``str``) and 8 per
+tuple slot: ~60-75 bytes per cell.  When an insertion pushes
 the total over budget, entries are evicted least-recently-used first,
-cheapest-to-recompute sections first, coldest frame slots first — so on a
+cheapest-to-recompute sections first (tokens, a Python call per cell,
+last), coldest frame slots first — so on a
 10M-row frame the cache degrades to fewer memoized scans instead of
 pinning gigabytes the way a fixed 64-masks bound would.
 
@@ -76,7 +86,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Any, Callable, NamedTuple, TYPE_CHECKING
+from typing import Any, Callable, NamedTuple, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -86,6 +96,7 @@ from ..config import config
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...dataframe import DataFrame
+    from ...dataframe.column import Column
 
 __all__ = ["ComputationCache", "computation_cache", "filter_signature"]
 
@@ -101,6 +112,11 @@ def _factorized_nbytes(entry: tuple[np.ndarray, list[Any]]) -> int:
 
 def _array_nbytes(value: np.ndarray | None) -> int:
     return 0 if value is None else int(value.nbytes)
+
+
+def _tokens_nbytes(tokens: tuple[str, ...]) -> int:
+    """49 bytes and the text per ``str`` token, and a pointer per tuple slot."""
+    return 57 * len(tokens) + sum(map(len, tokens))
 
 
 def _frozen(value: np.ndarray | None) -> np.ndarray | None:
@@ -131,8 +147,17 @@ class _FrameSlot:
 
     #: Eviction order under byte pressure: cheapest to recompute first.
     #: A mask is one vectorized comparison, edges are O(1) after the float
-    #: view exists; groupings (a full factorize + unique pass) go last.
-    SECTIONS = ("masks", "edges", "standardized", "floats", "factorized", "groupings")
+    #: view exists; groupings (a full factorize + unique pass) come late,
+    #: and JSON tokens (a Python call per cell) last.
+    SECTIONS = (
+        "masks",
+        "edges",
+        "standardized",
+        "floats",
+        "factorized",
+        "groupings",
+        "tokens",
+    )
 
     _SIZERS: dict[str, Callable[[Any], int]] = {
         "masks": _array_nbytes,
@@ -141,6 +166,7 @@ class _FrameSlot:
         "floats": _array_nbytes,
         "factorized": _factorized_nbytes,
         "groupings": _grouping_nbytes,
+        "tokens": _tokens_nbytes,
     }
 
     __slots__ = (
@@ -156,6 +182,7 @@ class _FrameSlot:
         "standardized",
         "edges",
         "masks",
+        "tokens",
         "flights",
     )
 
@@ -180,6 +207,8 @@ class _FrameSlot:
         self.edges: "OrderedDict[tuple[str, int], np.ndarray]" = OrderedDict()  # guarded-by: lock
         #: filter signature -> boolean row mask
         self.masks: "OrderedDict[tuple, np.ndarray]" = OrderedDict()  # guarded-by: lock
+        #: column name -> the column's JSON tokens, one per cell
+        self.tokens: "OrderedDict[str, tuple[str, ...]]" = OrderedDict()  # guarded-by: lock
         #: (section, key) -> the computation of that entry in progress:
         #: None, or the _Flight its first waiter attached
         self.flights: "dict[tuple[str, Any], _Flight | None]" = {}  # guarded-by: lock
@@ -277,7 +306,7 @@ class ComputationCache:
         With a column-level delta the slot is *migrated* instead: it is
         re-keyed to the frame's new version and only the entries that read
         a changed column are evicted — floats, factorizations,
-        standardized vectors, and bin edges keyed on untouched columns,
+        standardized vectors, bin edges and JSON tokens keyed on untouched columns,
         groupings whose key columns are all untouched, and masks whose
         filter columns are all untouched survive the bump.  Intent-only
         deltas touch no data at all and keep the slot whole.
@@ -322,6 +351,7 @@ class ComputationCache:
                         "masks",
                         lambda k: any(attr in columns for attr, _, _ in k),
                     ),
+                    ("tokens", lambda k: k in columns),
                 ):
                     store: OrderedDict = getattr(slot, section)
                     for entry_key in [k for k in store if affected(k)]:
@@ -664,6 +694,27 @@ class ComputationCache:
 
         return self._memo(
             frame, "masks", filter_signature(filters), derive, lambda: compute(frame)
+        )
+
+    def tokens(
+        self,
+        frame: "DataFrame",
+        name: str,
+        format: Callable[["Column"], Sequence[str]],
+    ) -> Sequence[str]:
+        """``format(frame.column(name))``, the column's JSON tokens, once per version.
+
+        ``format`` is the vega-lite writer's cell formatter.  The cached
+        value is a tuple, so every spec and pass that shows the column
+        shares it.  Never derived from a sample link: the writer asks only
+        for the columns of the frame a pass ran on.
+        """
+        return self._memo(
+            frame,
+            "tokens",
+            name,
+            lambda: tuple(format(frame.column(name))),
+            lambda: format(frame.column(name)),
         )
 
 

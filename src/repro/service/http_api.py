@@ -93,6 +93,7 @@ from __future__ import annotations
 import functools
 import hmac
 import json
+import os
 import re
 import sys
 import threading
@@ -129,6 +130,9 @@ V1_PREFIX = "/v1"
 #: The largest request body the server reads (64 MiB).  A longer declared
 #: ``Content-Length`` answers 413 without the body being read.
 MAX_BODY_BYTES = 64 << 20
+
+#: The most buffers one ``sendmsg`` call takes.
+IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
 def authenticated(handler: Callable[..., Any]) -> Callable[..., Any]:
@@ -196,17 +200,20 @@ class _Handler(BaseHTTPRequestHandler):
     def _send(
         self,
         status: int,
-        body: "dict[str, Any] | bytes | str",
+        body: "dict[str, Any] | list[bytes] | bytes | str",
         headers: dict[str, str] | None = None,
     ) -> None:
         """Write one response: status line, headers and body in one send.
 
-        Bytes are an encoded recommendations body, sent as they are; a str
-        is the /metrics exposition text; a dict goes through the one wire
-        writer (:func:`repro.service.wire.dumps`).  The status line and
-        headers are built by ``send_response``/``send_header`` and leave
-        with the body in one ``socket.sendmsg`` loop, so the body is not
-        copied again.  This is the only method that writes to the client
+        A list is an encoded recommendations body as byte pieces (stored
+        payloads among them by reference), and bytes one the supervisor
+        forwarded (the shard RPC frame is the only place the pieces are
+        joined); both are sent as they are.  A str is the /metrics
+        exposition text; a dict goes through the one wire writer
+        (:func:`repro.service.wire.pieces`).  The status line and headers
+        are built by ``send_response``/``send_header`` and leave with the
+        body's pieces in one ``socket.sendmsg`` loop, so no body byte is
+        copied here.  This is the only method that writes to the client
         (``tools/check`` rule ``one-writer``).
 
         A socket error means the client is gone: the connection is closed
@@ -219,9 +226,15 @@ class _Handler(BaseHTTPRequestHandler):
         # the connection's next request line (error paths can respond
         # before the route ever called _body()).
         self._read_body_bytes()
-        data = body.encode("utf-8") if isinstance(body, str) else wire.dumps(body)
+        if isinstance(body, str):
+            pieces = [body.encode("utf-8")]
+        elif isinstance(body, list):
+            pieces = body
+        else:
+            pieces = wire.pieces(body)
+        length = sum(map(len, pieces))
         self._status_sent = status
-        self._body_bytes = len(data)
+        self._body_bytes = length
         extra = dict(headers or {})
         if self.close_connection:
             extra.setdefault("Connection", "close")
@@ -231,7 +244,7 @@ class _Handler(BaseHTTPRequestHandler):
         request_id = getattr(self, "_request_id", "")
         if request_id:
             self.send_header("X-Request-Id", request_id)
-        self.send_header("Content-Length", str(len(data)))
+        self.send_header("Content-Length", str(length))
         for name, value in extra.items():
             self.send_header(name, value)
         # What end_headers() would write, taken from the buffer instead.
@@ -239,7 +252,7 @@ class _Handler(BaseHTTPRequestHandler):
         head = b"".join(self._headers_buffer)
         self._headers_buffer = []
         try:
-            _send_all(self.connection, [head, data])
+            _send_all(self.connection, [head, *pieces])
         except OSError as exc:
             self.close_connection = True
             self._send_error = type(exc).__name__
@@ -455,7 +468,7 @@ class _Handler(BaseHTTPRequestHandler):
     @authenticated
     def _recommendations(
         self, session_id: str, query: dict[str, str]
-    ) -> tuple[int, bytes]:
+    ) -> "tuple[int, list[bytes] | bytes]":
         params = {"session": session_id, "action": query.get("action")}
         return 200, self.server.backend.request("recommendations", params)["payload_json"]
 
@@ -472,20 +485,25 @@ def _parse_query(query: str) -> dict[str, str]:
     return dict(parse_qsl(query))
 
 
-def _send_all(sock: Any, buffers: list[bytes]) -> None:
+def _send_all(sock: Any, buffers: "list[bytes]") -> None:
     """``sendmsg`` ``buffers`` in order until every byte is sent.
 
-    A short send (a signal, or a socket with a timeout) resumes from the
-    first unsent byte through memoryview slices, so nothing is copied.
+    Each call offers at most :data:`IOV_MAX` buffers, the most one
+    ``sendmsg`` takes.  A short send (a signal, or a socket with a
+    timeout) resumes from the first unsent byte through memoryview
+    slices, so nothing is copied.
     """
     views = [memoryview(buffer) for buffer in buffers if buffer]
-    while views:
-        sent = sock.sendmsg(views)
+    first = 0
+    while first < len(views):
+        sent = sock.sendmsg(views[first : first + IOV_MAX])
         while sent:
-            if sent < len(views[0]):
-                views[0] = views[0][sent:]
+            size = len(views[first])
+            if sent < size:
+                views[first] = views[first][sent:]
                 break
-            sent -= len(views.pop(0))
+            sent -= size
+            first += 1
 
 
 class ServiceServer(ThreadingHTTPServer):

@@ -776,7 +776,11 @@ class PrecomputeEngine:
                     fresh = {
                         name: written
                         for name, *written in encode_pass(
-                            recs, [n for n in recs.keys() if n not in hits], priors, cancel
+                            recs,
+                            [n for n in recs.keys() if n not in hits],
+                            priors,
+                            cancel,
+                            frame,
                         )
                     }
                     _observe_phase("actions", time.perf_counter() - phase_t0)

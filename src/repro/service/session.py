@@ -22,8 +22,8 @@ at the session's current version.
 Both passes produce bytes, never payload dicts (:func:`encode_pass`):
 each displayed spec is written by the vega-lite writer
 (:func:`~repro.vis.vegalite.spec_payload`) straight from its column
-table, a column several specs of the pass show is formatted once, and
-each action's bytes are joined from its specs' bytes
+table, the tokens of the frame's own columns come from the computation
+cache, and each action's bytes are joined from its specs' bytes
 (:func:`~repro.service.wire.encode_action`).  Wire readers take the
 stored bytes as they are (``raw=True``).  In-process readers get dicts
 from the session's *view*, which holds each action's stored bytes
@@ -53,7 +53,7 @@ from ..core.errors import LuxWarning, PassCancelled
 from ..core.frame import LuxDataFrame
 from ..dataframe import DataFrame
 from ..vis.spec import candidate_key
-from ..vis.vegalite import SharedColumns, spec_payload
+from ..vis.vegalite import spec_payload
 from .persist import read_results
 from .provenance import envelope
 from .wire import encode_action
@@ -78,6 +78,7 @@ def encode_pass(
     names: Iterable[str],
     known: "Mapping[str, Mapping[str, Any]] | None" = None,
     cancel: "threading.Event | None" = None,
+    frame: "DataFrame | None" = None,
 ) -> "Iterator[tuple[str, bytes, list[memoryview], list[Any], list[str]]]":
     """``(action, bytes, spec slices, reused, spec keys)`` for the named actions of a pass.
 
@@ -89,45 +90,36 @@ def encode_pass(
     engine's previous pass: a displayed Vis that is the very object a
     candidate holds keeps that candidate's stored bytes, and ``reused``
     names the candidate.  Every other vis is written by
-    :func:`spec_payload`, and ``reused`` holds None for it.  The columns
-    of the specs to write are counted before the first is written
-    (:class:`~repro.vis.vegalite.SharedColumns`), so a column several of
-    them show is formatted once.  Each action is written and joined
+    :func:`spec_payload`, and ``reused`` holds None for it.  ``frame`` is
+    the frame the pass ran on: a spec column that is one of its columns
+    is written from the computation cache's tokens, formatted once per
+    column version.  Each action is written and joined
     (:func:`~repro.service.wire.encode_action`) when the iteration
     reaches it.  ``cancel`` is checked before each spec is written: once
     it is set, the iteration raises
     :class:`~repro.core.errors.PassCancelled`.
     """
-    shown = {name: [vis for vis in recs[name] if vis.spec is not None] for name in names}
-    keys = {name: [candidate_key(vis.spec) for vis in visible] for name, visible in shown.items()}
-    reused = {
-        name: [
-            _reused(vis, key, known.get(name) if known else None)
-            for vis, key in zip(visible, keys[name])
-        ]
-        for name, visible in shown.items()
-    }
-    shared = SharedColumns(
-        vis.spec
-        for name, visible in shown.items()
-        for vis, prior in zip(visible, reused[name])
-        if prior is None
-    )
-    for name, visible in shown.items():
+    for name in names:
+        visible = [vis for vis in recs[name] if vis.spec is not None]
+        keys = [candidate_key(vis.spec) for vis in visible]
+        known_here = known.get(name) if known else None
+        reused = [_reused(vis, key, known_here) for vis, key in zip(visible, keys)]
         # A generator, so no local holds this action's spec bytes while
         # the next action is written.
         wires = (
-            _write(vis, key, shared, cancel) if prior is None else prior.wire
-            for vis, key, prior in zip(visible, keys[name], reused[name])
+            _write(vis, key, frame, cancel) if prior is None else prior.wire
+            for vis, key, prior in zip(visible, keys, reused)
         )
-        yield (name, *encode_action(len(recs[name]), list(wires)), reused[name], keys[name])
+        yield (name, *encode_action(len(recs[name]), list(wires)), reused, keys)
 
 
-def _write(vis: Any, key: str, shared: SharedColumns, cancel: "threading.Event | None") -> bytes:
+def _write(
+    vis: Any, key: str, frame: "DataFrame | None", cancel: "threading.Event | None"
+) -> bytes:
     """One displayed spec's bytes, unless its pass was cancelled."""
     if cancel is not None and cancel.is_set():
         raise PassCancelled(f"pass cancelled before writing spec {key}")
-    return spec_payload(vis.spec, vis.score, shared, key)
+    return spec_payload(vis.spec, vis.score, frame, key)
 
 
 def _reused(vis: Any, key: str, known: "Mapping[str, Any] | None") -> Any:
@@ -136,9 +128,14 @@ def _reused(vis: Any, key: str, known: "Mapping[str, Any] | None") -> Any:
     return candidate if candidate is not None and candidate.vis is vis else None
 
 
-def encode_recommendations(recs: Any) -> dict[str, bytes]:
-    """RecommendationSet -> each action's JSON wire bytes."""
-    return {name: blob for name, blob, *_ in encode_pass(recs, recs.keys())}
+def encode_recommendations(recs: Any, frame: "DataFrame | None" = None) -> dict[str, bytes]:
+    """RecommendationSet -> each action's JSON wire bytes.
+
+    ``frame`` is the frame the recommendations ran on (see
+    :func:`encode_pass`); without it every column is formatted where it
+    is written.
+    """
+    return {name: blob for name, blob, *_ in encode_pass(recs, recs.keys(), frame=frame)}
 
 
 def serialize_recommendations(recs: Any) -> dict[str, Any]:
@@ -302,7 +299,7 @@ class Session:
         frame); ``compute=False`` returns None on a store miss (the probe
         the benchmarks and tests use).  ``raw`` leaves each stored payload
         as its JSON bytes, for the wire writer
-        (:func:`repro.service.wire.dumps`) to splice in, and records the
+        (:func:`repro.service.wire.pieces`) to splice in, and records the
         session as a bytes reader (:attr:`reads_bytes`).
         """
         self.reads_bytes = raw
@@ -484,7 +481,7 @@ class Session:
                 else self.frame._run_recommendations()
             )
             ran_at = self.version
-            payloads = encode_recommendations(recs)
+            payloads = encode_recommendations(recs, self.frame)
             if self.store is not None and ran_at == version:
                 now = time.time()
                 records = {

@@ -34,12 +34,14 @@ This module holds, besides the dispatcher:
   (warm recovery), and serves until a ``shutdown`` request (which flushes
   snapshots) or pipe EOF (supervisor died).
 
-A recommendations result is ``{"payload_json": bytes}``: the response
-envelope with the stored payload bytes spliced in by
-:func:`repro.service.wire.dumps`.  The bytes cross the pipe after the
-frame's JSON envelope (:func:`encode_frame`) and stay bytes on the router
-side (:func:`decode_frame`), so the supervisor forwards them to the HTTP
-client without decoding or parsing the (potentially large) payloads.
+A recommendations result is ``{"payload_json": pieces}``: the response
+envelope as byte pieces, with the stored payload bytes in it by reference
+(:func:`repro.service.wire.pieces`), which the in-process HTTP handler
+sends as they are.  An RPC response (:meth:`ShardService.handle`) joins
+them into one bytes object, which crosses the pipe after the frame's JSON
+envelope (:func:`encode_frame`) and stays bytes on the router side
+(:func:`decode_frame`), so the supervisor forwards it to the HTTP client
+without decoding or parsing the (potentially large) payloads.
 """
 
 from __future__ import annotations
@@ -319,7 +321,11 @@ class ShardService:
                 if session_id:
                     rpc_span.attrs["session"] = str(session_id)
                 try:
-                    response = {"ok": True, "result": self.request(method, params)}
+                    result = self.request(method, params)
+                    if method == "recommendations":
+                        # A frame carries the body as one bytes object.
+                        result = {"payload_json": b"".join(result["payload_json"])}
+                    response = {"ok": True, "result": result}
                 except Exception as exc:
                     response = {"ok": False, "error": encode_error(exc)}
                 trace_id = rpc_span.trace_id
@@ -412,17 +418,17 @@ class ShardService:
             session.mutate(column, values)
         return session.info()
 
-    def _recommendations(self, params: dict[str, Any]) -> dict[str, bytes]:
+    def _recommendations(self, params: dict[str, Any]) -> "dict[str, list[bytes]]":
         session = self._session(params)
         action = params.get("action")
         try:
             response = session.recommendations(action=action, raw=True)
         except KeyError:
             raise RequestError(404, f"no such action: {action!r}") from None
-        # The stored payload bytes are spliced into the envelope here, once;
-        # the HTTP layer (and, in shard mode, the supervisor) forwards the
-        # result without parsing the payload structure.
-        return {"payload_json": wire.dumps(response)}
+        # The response's byte pieces hold the stored payload bytes by
+        # reference; the HTTP layer sends them without a copy, and an RPC
+        # response joins them once (see handle).
+        return {"payload_json": wire.pieces(response)}
 
     def _healthz(self, _params: dict[str, Any]) -> dict[str, Any]:
         """This process's liveness stanza (pool / caches / manager stats)."""

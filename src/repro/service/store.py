@@ -22,8 +22,9 @@ pass (see :mod:`repro.service.precompute`) keeps that pass's bytes
 object and ``computed_at``.  The store encodes nothing: both kinds of
 pass hand it bytes joined from the vega-lite writer's per-spec bytes
 (:func:`repro.service.wire.encode_action`), HTTP responses splice them
-into a small envelope (:func:`repro.service.wire.dumps`), and shard RPC
-frames and snapshot results files carry them through untouched.
+into a small envelope by reference (:func:`repro.service.wire.pieces`),
+and shard RPC frames and snapshot results files carry them through
+untouched.
 In-process readers that want dicts get them from the session's view of
 its last published pass (see :mod:`repro.service.session`).
 

@@ -11,14 +11,15 @@ bytes of the rest.  Every later consumer — the HTTP response, the shard
 RPC frame, the snapshot results file — carries those bytes through
 instead of re-encoding decoded dicts on every read.
 
-:func:`dumps` is the one response writer: ``json.dumps`` with the
+:func:`pieces` is the one response writer: ``json.dumps`` with the
 default settings, except that a ``bytes`` value is taken as already
 encoded JSON and spliced in verbatim.  Because the writer's bytes equal
 ``json.dumps`` of the same values, a spliced response is byte-identical
 to ``json.dumps`` of the fully decoded response.  It walks the response
-once into a flat list of byte pieces, holding each stored payload by
-reference, and joins that list once: a stored payload byte is copied
-once per response, into the body the HTTP handler sends as it is.
+once into a flat list of byte pieces and holds each stored payload by
+reference, so building a response copies no stored byte.  The HTTP
+handler sends the pieces as they are; only the shard RPC frame joins
+them, once.  :func:`dumps` is that join.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-__all__ = ["dumps", "encode", "encode_action"]
+__all__ = ["dumps", "encode", "encode_action", "pieces"]
 
 
 def encode(value: Any) -> bytes:
@@ -60,19 +61,24 @@ def encode_action(count: int, specs: list) -> "tuple[bytes, list[memoryview]]":
     return blob, [view[start:end] for start, end in bounds]
 
 
-def dumps(value: Any) -> bytes:
-    """Encode ``value``, splicing ``bytes`` values in as pre-encoded JSON.
+def pieces(value: Any) -> "list[bytes]":
+    """``value``'s JSON as byte pieces, splicing ``bytes`` values in as pre-encoded JSON.
 
     Only dicts that hold raw bytes (directly or in a nested dict) are
     walked in Python; every other subtree is one ``json.dumps`` call.
-    The pieces are joined once, so the output is the only new copy of
-    the spliced bytes.  Dict keys must be strings.
+    Each ``bytes`` value is a piece by reference.  Dict keys must be
+    strings.
     """
     if isinstance(value, bytes):
-        return value
-    pieces: list[bytes] = []
-    _splice(value, pieces)
-    return b"".join(pieces)
+        return [value]
+    out: list[bytes] = []
+    _splice(value, out)
+    return out
+
+
+def dumps(value: Any) -> bytes:
+    """:func:`pieces` joined: the only copy of the spliced bytes."""
+    return b"".join(pieces(value))
 
 
 def _splice(value: Any, pieces: "list[bytes]") -> None:

@@ -6,21 +6,24 @@ the bytes ``json.dumps`` gives for the same values.  The inline
 ``data.values`` come from the spec's :class:`~repro.vis.table.ColumnTable`
 column by column: each column is converted to Python scalars once
 (``tolist``) and formatted as JSON tokens, missing and non-finite cells
-become ``null``, and one row template per spec joins the tokens into row
-objects, so no row dict is built.  The small rest of the spec (title,
-encodings, filters) is plain-typed by :func:`json_safe` and encoded by
-``json.dumps``.  Non-finite floats are written as ``null`` everywhere,
-since RFC 8259 JSON has no ``NaN`` or ``Infinity``.
+become ``null``, and the separators and each column's tokens are
+slice-assigned into one list that is joined once, so no row dict is
+built.  The small rest of the spec (title, encodings, filters) is
+plain-typed by :func:`json_safe` and encoded by ``json.dumps``.
+Non-finite floats are written as ``null`` everywhere, since RFC 8259 JSON
+has no ``NaN`` or ``Infinity``.
 
-A pass writes many specs, and several of them can show the same
-``Column`` object: the dataframe executor hands a frame's own columns to
-its scatter tables, so each Correlation scatter shows two of the frame's
-measure columns.  :class:`SharedColumns` is counted over the specs a pass
-is about to write.  A column that appears more than once among them is
-formatted on its first use, each later use gets the same token list, and
-the list is dropped after the last use.  A column that appears once is
-formatted and freed with its spec.  The counts live as long as the pass
-that made them; a spec written alone gets an empty one.
+A spec written with the frame its pass ran on takes the tokens of that
+frame's columns from the computation cache
+(:meth:`~repro.core.executor.cache.ComputationCache.tokens`).  The
+dataframe executor hands a frame's own ``Column`` objects to its scatter
+tables, so each Correlation scatter shows two of the frame's measure
+columns: a column the table holds under its name in the frame, as that
+very object, is formatted once per column version and shared by every
+spec and pass that shows it.  Every other column (aggregates, filtered or
+sampled subsets, a column the frame has since replaced) is formatted
+where it is written, and so is every column of a spec written without a
+frame or with the cache off.
 
 :func:`to_vegalite` is ``json.loads`` of the writer's vega-lite text, so a
 notebook or HTML rendering holds exactly the values the service serves.
@@ -32,16 +35,20 @@ import datetime as _dt
 import json
 import math
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
+from ..core.executor.cache import computation_cache
 from ..dataframe.column import Column
 from ..dataframe.dtypes import BOOL, DATETIME, FLOAT64, INT64
 from .spec import VisSpec, candidate_key
 from .table import ColumnTable
 
-__all__ = ["SharedColumns", "to_vegalite", "json_safe", "spec_payload"]
+if TYPE_CHECKING:  # pragma: no cover
+    from ..dataframe import DataFrame
+
+__all__ = ["to_vegalite", "json_safe", "spec_payload"]
 
 _SCHEMA = "https://vega.github.io/schema/vega-lite/v5.json"
 
@@ -52,7 +59,7 @@ _PLAIN = (str, int, bool, type(None))
 def spec_payload(
     spec: VisSpec,
     score: float | None = None,
-    shared: "SharedColumns | None" = None,
+    frame: "DataFrame | None" = None,
     key: str | None = None,
 ) -> bytes:
     """The service's wire bytes for one recommended visualization.
@@ -64,9 +71,9 @@ def spec_payload(
     (:func:`~repro.vis.spec.candidate_key`) that per-vis provenance maps
     are keyed on; it is a pure function of the spec's signature, so the
     foreground and background paths emit identical keys; a caller that
-    already computed it passes it as ``key``.  ``shared`` holds the
-    columns this spec shares with the rest of its pass; the bytes are the
-    same with or without it.
+    already computed it passes it as ``key``.  ``frame`` is the frame
+    the spec's pass ran on: the tokens of its columns come from the
+    computation cache.  The bytes are the same with or without it.
     """
     head = {
         "key": candidate_key(spec) if key is None else key,
@@ -76,55 +83,14 @@ def spec_payload(
         "filters": json_safe([list(f) for f in spec.filters]),
         "score": None if score is None else json_safe(round(float(score), 6)),
     }
-    vegalite = _vegalite_json(spec, shared if shared is not None else SharedColumns())
+    vegalite = _vegalite_json(spec, frame)
     text = json.dumps(head)[:-1] + ', "vegalite": ' + vegalite + "}"
     return text.encode("utf-8")
 
 
 def to_vegalite(spec: VisSpec) -> dict[str, Any]:
     """The Vega-Lite spec dict; processed data is embedded inline."""
-    return json.loads(_vegalite_json(spec, SharedColumns()))
-
-
-class SharedColumns:
-    """The JSON tokens of the columns that several specs of one pass show.
-
-    Counted over the specs the pass will write, by column identity.  Only
-    a column with more than one use is held: its tokens are formatted on
-    the first use and dropped after the last.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, specs: Iterable[VisSpec] = ()) -> None:
-        columns: dict[int, Column] = {}
-        uses: dict[int, int] = {}
-        for spec in specs:
-            if spec.data is None or not len(spec.data):
-                continue  # written without formatting a column
-            for col in spec.data.columns.values():
-                # ``columns`` pins the column, so its id is not recycled
-                # while it is counted.  check: ignore[unstable-key]
-                key = id(col)
-                columns[key] = col
-                uses[key] = uses.get(key, 0) + 1
-        #: id -> [column, uses left, tokens once formatted]; the entry
-        #: pins its column
-        self._entries = {key: [columns[key], n, None] for key, n in uses.items() if n > 1}
-
-    def tokens(self, col: Column) -> list[str]:
-        """``col``'s cells as JSON tokens, formatted once per pass if shared."""
-        # Pinned by its entry and checked with ``is``.  check: ignore[unstable-key]
-        key = id(col)
-        entry = self._entries.get(key)
-        if entry is None or entry[0] is not col:
-            return _tokens(col)
-        if entry[2] is None:
-            entry[2] = _tokens(col)
-        entry[1] -= 1
-        if not entry[1]:
-            del self._entries[key]
-        return entry[2]
+    return json.loads(_vegalite_json(spec, None))
 
 
 def json_safe(value: Any) -> Any:
@@ -156,7 +122,7 @@ def json_safe(value: Any) -> Any:
 
 
 # ----------------------------------------------------------------------
-def _vegalite_json(spec: VisSpec, shared: SharedColumns) -> str:
+def _vegalite_json(spec: VisSpec, frame: "DataFrame | None") -> str:
     """The vega-lite spec as JSON text, key order as ``json.dumps`` writes it."""
     mark: Any = {"bar": "bar", "histogram": "bar"}.get(spec.mark, spec.mark)
     if spec.mark == "point":
@@ -172,7 +138,7 @@ def _vegalite_json(spec: VisSpec, shared: SharedColumns) -> str:
     if spec.data is None:
         data = '{"name": "table"}'
     else:
-        data = '{"values": ' + _values_json(spec.data, shared) + "}"
+        data = '{"values": ' + _values_json(spec.data, frame) + "}"
     text = json.dumps(json_safe(head))[:-1] + ', "data": ' + data
     if spec.filters:
         transform = [{"filter": _filter_expr(*f)} for f in spec.filters]
@@ -180,14 +146,37 @@ def _vegalite_json(spec: VisSpec, shared: SharedColumns) -> str:
     return text + "}"
 
 
-def _values_json(table: ColumnTable, shared: SharedColumns) -> str:
-    """The rows of ``table`` as a JSON array of objects."""
-    if not len(table):
+def _values_json(table: ColumnTable, frame: "DataFrame | None") -> str:
+    """The rows of ``table`` as a JSON array of objects.
+
+    One list holds each row's separators and tokens in order.  Each
+    column's separator and tokens are slice-assigned into it, and it is
+    joined once.
+    """
+    rows = len(table)
+    if not rows:
         return "[]"
-    keys = [_json_string(name).replace("%", "%%") for name in table.columns]
-    template = "{" + ", ".join(key + ": %s" for key in keys) + "}"
-    rows = zip(*map(shared.tokens, table.columns.values()))
-    return "[" + ", ".join(map(template.__mod__, rows)) + "]"
+    width = 2 * len(table.columns)
+    parts: list[str] = [""] * (width * rows)
+    for at, (name, col) in enumerate(table.columns.items()):
+        key = _json_string(name) + ": "
+        parts[2 * at :: width] = [(", " if at else "}, {") + key] * rows
+        parts[2 * at + 1 :: width] = _column_tokens(name, col, frame)
+        if not at:
+            parts[0] = "[{" + key
+    return "".join(parts) + "}]"
+
+
+def _column_tokens(name: str, col: Column, frame: "DataFrame | None") -> Sequence[str]:
+    """``col``'s tokens: from the cache when ``col`` is ``frame``'s column ``name``."""
+    if frame is not None:
+        try:
+            shown = frame.column(name)
+        except KeyError:
+            shown = None
+        if shown is col:
+            return computation_cache.tokens(frame, name, _tokens)
+    return _tokens(col)
 
 
 def _tokens(col: Column) -> list[str]:

@@ -15,8 +15,9 @@ every reuse layer (metadata stamps, computation-cache migration,
 candidate and action reuse in the engine, the result store, snapshot
 rehydration) is an equivalence claim against that cold, serial path.
 The store holds at most one pass per live session, at the current
-version once a pass has published, and the computation cache's byte
-accounting equals the sizes of the entries it holds.  A pass published
+version once a pass has published, the computation cache's byte
+accounting equals the sizes of the entries it holds, and every JSON token
+tuple it holds is a fresh format of its frame's current column.  A pass published
 after a bytes read leaves no decoded dicts behind: the session holds no
 view and no engine table entry holds a dict.
 
@@ -47,6 +48,7 @@ from repro.core.config import Config, thread_overlay
 from repro.core.executor.cache import _FrameSlot, computation_cache
 from repro.service import ResultStore, SessionManager, SnapshotStore, serialize_recommendations
 from repro.service.shard import ShardService
+from repro.vis import vegalite
 
 ROWS = 240
 
@@ -303,6 +305,7 @@ class ServiceOracle(RuleBasedStateMachine):
     @invariant()
     def cache_bytes_add_up(self) -> None:
         assert self.manager.engine.wait_idle(60), self.manager.engine.stats()
+        assert "tokens" in _FrameSlot.SECTIONS and "tokens" in _FrameSlot._SIZERS
         # A cyclic collection mid-check would run a dead frame's weakref
         # callback, dropping its slot between the walk and stats().
         gc.disable()
@@ -320,6 +323,20 @@ class ServiceOracle(RuleBasedStateMachine):
             assert computation_cache.stats()["bytes"] == total
         finally:
             gc.enable()
+
+    @invariant()
+    def cached_tokens_are_current(self) -> None:
+        """Each token tuple a live slot holds formats its frame's column now."""
+        assert self.manager.engine.wait_idle(60), self.manager.engine.stats()
+        for slot in list(computation_cache._slots.values()):
+            frame = slot.ref()
+            with slot.lock:
+                if frame is None or slot.version != getattr(frame, "_data_version", 0):
+                    continue  # unreachable: the next lookup replaces the slot
+                cached = dict(slot.tokens)
+            for name, tokens in cached.items():
+                assert name in frame.columns, name
+                assert tokens == tuple(vegalite._tokens(frame.column(name))), name
 
     @invariant()
     def bytes_reader_holds_no_dicts(self) -> None:

@@ -1,17 +1,20 @@
-"""One pass formats each chart column it shares once.
+"""A frame column is formatted once per column version, across passes.
 
 The dataframe executor hands a frame's own ``Column`` objects to scatter
 tables, so the Correlation scatters of a pass show each measure column
-several times.  A pass counts the columns of the specs it writes
-(``vegalite.SharedColumns``): a shared column is formatted into JSON
-tokens on its first use and dropped after its last, and a column shown
-once is formatted as when its spec is written alone.  These tests pin:
+several times.  The writer takes the tokens of such a column from the
+computation cache's ``tokens`` section, formatted once per column version
+and shared by every spec and pass that shows it; every other column is
+formatted where it is written.  These tests pin:
 
-- the foreground pass (five intents) and an engine pass (after a ``q0``
-  edit) format each distinct column object of the specs they write once;
+- the foreground pass (five intents) formats each distinct column of the
+  specs it writes once, and a repeated intent formats no frame column;
+- the engine pass after a ``q0`` edit on a 2,000-row frame formats the
+  2,000 cells of ``q0`` and 20 aggregate cells (12,020 before the cache
+  held tokens: the five other measures were formatted again);
 - every spec's bytes equal ``spec_payload(spec, score)`` written alone;
-- the count holds only shared columns, until their last use, and nothing
-  outlives the pass;
+- the cache holds the frame columns the scatters show, and a pass or
+  spec written without its frame holds nothing;
 - a pass the store cannot hold is written once per read, under the
   session's lock and overlay, with the same actions as an unbounded store.
 """
@@ -22,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro import LuxDataFrame, config_overlay
+from repro.core.executor.cache import computation_cache
 from repro.service import ResultStore, SessionManager
 from repro.service import session as session_module
 from repro.service.session import encode_recommendations
@@ -70,6 +74,21 @@ def distinct(columns) -> int:
     return len({id(col) for col in columns})
 
 
+def frame_columns(frame, columns) -> list:
+    """The ``columns`` that are one of ``frame``'s own columns."""
+    own = [frame.column(name) for name in frame.columns]
+    return [col for col in columns if any(col is c for c in own)]
+
+
+def held(frame) -> dict:
+    """The token tuples ``frame``'s live cache slot holds, by column name."""
+    slot = computation_cache._slots.get(id(frame))
+    if slot is None or slot.ref() is not frame:
+        return {}
+    with slot.lock:
+        return dict(slot.tokens)
+
+
 def displayed(recs) -> dict:
     """Action name -> ``(spec, score)`` of each displayed vis."""
     return {
@@ -104,6 +123,14 @@ def test_foreground_pass_formats_each_distinct_column_once(intent, formats):
         assert len(uses) > distinct(uses)  # the scatters share measure columns
         for name, pairs in shown.items():
             assert stored[name] == written_alone(len(recs[name]), pairs), name
+        # Steer away and back: the frame's columns come from the cache.
+        other = INTENTS[(INTENTS.index(intent) + 1) % len(INTENTS)]
+        session.set_intent(other)
+        session.recommendations(raw=True)
+        session.set_intent(intent)
+        formats.clear()
+        assert session.recommendations(raw=True)["actions"] == stored
+        assert not frame_columns(session.frame, formats)
     finally:
         manager.shutdown()
 
@@ -122,11 +149,11 @@ def test_correlation_scatters_share_the_frames_columns():
 # ----------------------------------------------------------------------
 # Engine pass
 # ----------------------------------------------------------------------
-def test_engine_pass_formats_each_distinct_written_column_once(formats):
+def test_engine_pass_after_a_measure_edit_formats_2020_cells(formats):
     with config_overlay(precompute_debounce_s=0.0):
         manager = SessionManager()
         try:
-            frame = cold_read_frame()
+            frame = cold_read_frame(2_000)
             session = manager.create(frame)
             assert manager.engine.wait_idle(60)
             formats.clear()
@@ -157,43 +184,47 @@ def test_engine_pass_formats_each_distinct_written_column_once(formats):
             ]
             assert len(rerun) == 5
             assert all(spec in written for spec in rerun)
-            uses = shown_columns(written)
-            assert len(formatted) == distinct(formatted) == distinct(uses)
-            assert len(uses) > distinct(uses)
+            # Of the measures the rerun scatters show, only q0 is formatted.
+            (edited,) = frame_columns(frame, formatted)
+            assert edited is q0
+            assert sum(map(len, formatted)) == 2_020
         finally:
             manager.shutdown()
 
 
 # ----------------------------------------------------------------------
-# What the count holds
+# What the cache holds
 # ----------------------------------------------------------------------
-def test_holds_shared_columns_only_until_their_last_use(formats):
+def test_cache_holds_the_frame_columns_the_scatters_show(formats):
     frame = cold_read_frame()
     with config_overlay(streaming=False):
         recs = frame.recommendations
     specs = [spec for pairs in displayed(recs).values() for spec, _ in pairs]
     uses = shown_columns(specs)
-    counts: dict = {}
-    for col in uses:
-        counts[id(col)] = counts.get(id(col), 0) + 1
-    shared = vegalite.SharedColumns(specs)
-    held = {id(entry[0]) for entry in shared._entries.values()}
-    assert held == {key for key, n in counts.items() if n > 1}
-    assert held == {id(frame.column(name)) for name in MEASURES}
-    for spec in specs:
-        vegalite.spec_payload(spec, None, shared)
-    assert not shared._entries
-    assert len(formats) == distinct(uses)
+    assert encode_recommendations(recs, frame) == encode_recommendations(recs)
+    # With the frame, its columns are formatted once and every other use
+    # where it is written; without it, every use.
+    shared = frame_columns(frame, uses)
+    assert len(formats) == distinct(shared) + (len(uses) - len(shared)) + len(uses)
+    cached = held(frame)
+    assert set(cached) == set(MEASURES)
+    for name, tokens in cached.items():
+        assert tokens == tuple(vegalite._tokens(frame.column(name)))
 
 
 def test_nothing_outlives_a_pass(formats):
+    """A pass written without its frame formats every column where it is
+    written and leaves nothing in the cache."""
     frame = cold_read_frame()
     with config_overlay(streaming=False):
         recs = frame.recommendations
     first = encode_recommendations(recs)
     once = len(formats)
+    specs = [spec for pairs in displayed(recs).values() for spec, _ in pairs]
+    assert once == len(shown_columns(specs))
     assert encode_recommendations(recs) == first
     assert len(formats) == 2 * once
+    assert held(frame) == {}
 
 
 def test_a_spec_written_alone_formats_every_column(formats):
@@ -202,7 +233,10 @@ def test_a_spec_written_alone_formats_every_column(formats):
         scatter = frame.recommendations["Correlation"][0].spec
     blob = vegalite.spec_payload(scatter, 0.5)
     assert len(formats) == 2
-    assert vegalite.spec_payload(scatter, 0.5, vegalite.SharedColumns([scatter])) == blob
+    assert held(frame) == {}
+    assert vegalite.spec_payload(scatter, 0.5, frame) == blob
+    assert len(formats) == 4
+    assert vegalite.spec_payload(scatter, 0.5, frame) == blob
     assert len(formats) == 4
 
 

@@ -1,14 +1,15 @@
 """Serialize once: stored payload bytes, spliced responses, decoded views.
 
 The contract under test: a pass encodes each action payload to JSON bytes
-exactly once (``ResultStore.put``), the store holds only those bytes and
-accounts for exactly their length, and every wire reader — the HTTP
+exactly once (``ResultStore.put_pass``), the store holds only those bytes
+and accounts for exactly their length, and every wire reader — the HTTP
 handler, the shard RPC, snapshot files — splices them into the response
-with :func:`repro.service.wire.dumps`, producing the same bytes
-``json.dumps`` would produce for the decoded response.  The splice copies
-each stored payload byte once, and ``_Handler._send`` writes status line,
-headers and body in one ``sendmsg`` loop; a client that goes away
-mid-response gets no second response.  In-process reads keep getting
+with :func:`repro.service.wire.pieces`, producing the same bytes
+``json.dumps`` would produce for the decoded response.  Building the
+pieces copies no stored payload byte, and ``_Handler._send`` writes status
+line, headers and the body's pieces in one ``sendmsg`` loop, at most
+``SC_IOV_MAX`` buffers a call; a client that goes away mid-response gets
+no second response.  In-process reads keep getting
 dicts, from the session's view; a session whose latest read took bytes
 has its passes stored as bytes only, and holds about their size.
 """
@@ -16,6 +17,7 @@ has its passes stored as bytes only, and holds about their size.
 from __future__ import annotations
 
 import builtins
+import errno
 import http.client
 import io
 import json
@@ -44,7 +46,7 @@ from repro.service import (
     wire,
 )
 from repro.service import metrics as service_metrics
-from repro.service.http_api import MAX_BODY_BYTES, _Handler
+from repro.service.http_api import IOV_MAX, MAX_BODY_BYTES, _Handler
 from repro.service.persist import read_results
 from repro.service.shard import decode_frame, encode_frame
 
@@ -75,8 +77,9 @@ class TestWriter:
         assert wire.dumps({"outer": {"inner": b"[1, 2]"}}) == b'{"outer": {"inner": [1, 2]}}'
         assert wire.dumps({}) == b"{}"
 
-    def test_splice_copies_the_payload_once(self):
-        """The response is the only new copy of a stored payload's bytes."""
+    def test_pieces_copy_no_payload_byte(self):
+        """A response's pieces hold a stored payload by reference: building
+        them allocates under 64 KiB around a 4 MiB payload."""
         payload = b'{"count": 1, "specs": ["' + b"x" * (4 << 20) + b'"]}'
         response = {
             "session": "s1",
@@ -86,13 +89,14 @@ class TestWriter:
         }
         tracemalloc.start()
         try:
-            body = wire.dumps(response)
+            pieces = wire.pieces(response)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= len(body) + (64 << 10), (peak, len(body))
+        assert peak < 64 << 10, peak
+        assert any(piece is payload for piece in pieces)
         decoded = dict(response, actions={k: json.loads(v) for k, v in response["actions"].items()})
-        assert body == json.dumps(decoded).encode("utf-8")
+        assert b"".join(pieces) == wire.dumps(response) == json.dumps(decoded).encode("utf-8")
 
 
 # ----------------------------------------------------------------------
@@ -117,6 +121,8 @@ class FakeConnection:
     def sendmsg(self, buffers):
         buffers = [bytes(buffer) for buffer in buffers]
         self.calls.append(buffers)
+        if len(buffers) > IOV_MAX:
+            raise OSError(errno.EMSGSIZE, "Message too long")
         if self.error is not None:
             raise self.error
         offered = b"".join(buffers)
@@ -180,6 +186,27 @@ class TestSend:
         expected = expected_response(handler, body)
         assert connection.received == expected
         assert len(connection.calls) == -(-len(expected) // limit)
+
+    @pytest.mark.parametrize("limit", [1, 7, 4096])
+    def test_multi_piece_short_sends_complete(self, fixed_date, limit):
+        """Short sends resume across piece boundaries, without a join."""
+        connection = FakeConnection(limit=limit)
+        handler = fake_handler(connection)
+        pieces = [b'{"a": ', b"1" * 5_000, b', "b": ', b"[", b"2" * 3, b"]", b"}"]
+        handler._send(200, pieces)
+        expected = expected_response(handler, b"".join(pieces))
+        assert connection.received == expected
+        assert len(connection.calls) == -(-len(expected) // limit)
+
+    def test_more_pieces_than_iov_max(self, fixed_date):
+        """Each ``sendmsg`` offers at most ``SC_IOV_MAX`` buffers."""
+        connection = FakeConnection()
+        handler = fake_handler(connection)
+        pieces = [b"["] + [b"%d, " % i for i in range(2 * IOV_MAX + 5)] + [b"0]"]
+        handler._send(200, pieces)
+        assert connection.received == expected_response(handler, b"".join(pieces))
+        # The status line and headers are one more buffer.
+        assert [len(call) for call in connection.calls] == [IOV_MAX, IOV_MAX, 8]
 
     def test_dead_client_gets_no_second_response(self):
         """A send error closes the connection; the request is observed
@@ -635,7 +662,7 @@ def large_read():
         sid = server.manager.create(measure_frame(5_000)).id
         assert server.manager.engine.wait_idle(120)
         params = {"session": sid, "action": None}
-        body = server.backend.request("recommendations", params)["payload_json"]
+        body = b"".join(server.backend.request("recommendations", params)["payload_json"])
         yield server, f"/v1/sessions/{sid}/recommendations", body
     finally:
         server.manager.shutdown()

@@ -7,7 +7,9 @@ decoded vega-lite part.  This holds on the service benchmark's frame
 shapes (6 measures x 3 dimensions; 500 rows under each intent of a
 steering cycle, and 2k rows without intent) and on every synthetic load
 scenario.  Cell-level cases (numpy types, missing and non-finite values,
-dates, filter literals) are pinned below.
+dates, filter literals) are pinned below, and a differential test holds
+the bytes written with the frame's cached column tokens equal to the bytes
+written without them.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ import numpy as np
 import pytest
 
 from repro import LuxDataFrame, config_overlay
+from repro.core.executor.cache import computation_cache
 from repro.data.synthetic import SCENARIOS, make_scenario
 from repro.dataframe import Column, DataFrame
 from repro.dataframe.dtypes import INT64
 from repro.vis import ColumnTable, Encoding, VisSpec
-from repro.vis.vegalite import spec_payload, to_vegalite
+from repro.vis.vegalite import json_safe, spec_payload, to_vegalite
 
 INTENTS = [["q0"], ["d0"], ["q1", "d1"], ["q2", "q3"], []]
 
@@ -146,3 +149,51 @@ def test_filter_literals_escape_quotes_and_backslashes():
     # Values with neither character are written as before.
     assert filter_expr([("Dept", "=", "Sales")]) == "datum['Dept'] == 'Sales'"
     assert filter_expr([("Age", ">", 30)]) == "datum['Age'] > 30"
+
+
+# ----------------------------------------------------------------------
+# With the frame's cached tokens, without them, and json.dumps: one text
+# ----------------------------------------------------------------------
+DATES = [
+    np.datetime64("2020-01-02T03:04:05.9"),
+    None,
+    np.datetime64("1969-12-31"),
+    np.datetime64("2020-02-29T23:59:59"),
+]
+TABLES = {
+    "typed cells": {
+        "f": [1.5, float("nan"), float("inf"), -float("inf")],
+        "g": [None, -0.0, 1e300, 2.5e-8],
+        "i": [1, None, -3, 2**40],
+        "b": [True, None, False, True],
+        "t": DATES,
+    },
+    "escaped text": {
+        "100% \"q\"": ["50% off", 'say "hi"', "back\\slash", None],
+        "caf\u00e9 \u4e2d": ["caf\u00e9", "\u4e2d\u6587 \U0001f600", "%s %d %%", "tab\tnewline\n"],
+    },
+    "single column": {"only": [3.25, None, 7.0, -1.0]},
+    "no rows": {"a": np.array([], dtype=float), "b": np.array([], dtype=np.int64)},
+}
+
+
+@pytest.mark.parametrize("name", list(TABLES))
+def test_cached_tokens_write_the_same_bytes(name):
+    frame = DataFrame(TABLES[name])
+    table = ColumnTable.from_frame(frame)
+    spec = VisSpec("point", [Encoding("x", frame.columns[0], "quantitative")])
+    spec.data = table
+    alone = spec_payload(spec, 0.5)
+    cached = spec_payload(spec, 0.5, frame)
+    decoded = strict_loads(alone)
+    assert cached == alone == json.dumps(decoded).encode("utf-8")
+    assert decoded["vegalite"]["data"]["values"] == json_safe(list(table))
+    # The cached write formatted each column once; the next takes them all
+    # from the cache.
+    slot = computation_cache._slots.get(id(frame))
+    held = dict(slot.tokens) if slot is not None else {}
+    assert set(held) == (set(frame.columns) if len(table) else set())
+    assert spec_payload(spec, 0.5, frame) == alone
+    assert all(slot.tokens[column] is tokens for column, tokens in held.items())
+    with config_overlay(computation_cache=False):
+        assert spec_payload(spec, 0.5, frame) == alone
