@@ -33,11 +33,30 @@ echo "== static analysis (tools/check) =="
 # missing dependency.  The JSON report is uploaded as a CI artifact.
 python -m tools.check src --json CHECK_report.json
 
-echo "== src/ line count and import time (reported, not gated) =="
+echo "== src/ line count, import time and column build (reported, not gated) =="
 # Each change reports the net size of src/; this line carries the number.
 # Every process pays the import, each spawned shard worker included.
+# Every column write builds a column from a list: the median of 5 shows
+# that kernel's cost next to the import time.  The metadata rescan of a
+# 20k-row, 9-column frame is bench_incremental's metadata_full_scan below.
 echo "src/ python lines: $(find src -name '*.py' -print0 | xargs -0 cat | wc -l)"
 python -c 'import time; t = time.perf_counter(); import repro; print(f"import repro: {time.perf_counter() - t:.2f} s")'
+python - <<'EOF'
+import statistics
+import time
+
+import numpy as np
+
+from repro.dataframe import Column
+
+floats = np.random.default_rng(0).normal(0, 1, 20_000).tolist()
+times = []
+for _ in range(5):
+    t = time.perf_counter()
+    Column.from_data(floats)
+    times.append(time.perf_counter() - t)
+print(f"column from a 20,000-float list: {statistics.median(times) * 1e3:.1f} ms")
+EOF
 
 echo "== tier-1 tests =="
 python -m pytest -x -q

@@ -7,6 +7,7 @@ which keeps null semantics in exactly one place.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -259,33 +260,29 @@ class Column:
     # ------------------------------------------------------------------
     # Uniques / cardinality
     # ------------------------------------------------------------------
+    def _valid_keys(self) -> list[Any]:
+        """Non-missing values as dict keys, in order: Python scalars for
+        numeric dtypes, the stored objects otherwise."""
+        valid = self.values[~self.mask]
+        return valid.tolist() if dtypes.is_numeric(self.dtype) else list(valid)
+
     def unique(self) -> list[Any]:
         """Distinct non-missing values in first-appearance order."""
-        seen: dict[Any, None] = {}
-        ok = ~self.mask
-        if self.dtype is STRING:
-            for v in self.values[ok]:
-                seen.setdefault(v)
-        elif self.dtype is DATETIME:
-            for v in self.values[ok]:
-                seen.setdefault(v)
-        else:
-            for v in self.values[ok]:
-                key = v.item() if hasattr(v, "item") else v
-                seen.setdefault(key)
-        return list(seen.keys())
+        return list(dict.fromkeys(self._valid_keys()))
 
     def nunique(self) -> int:
         return len(self.unique())
 
     def value_counts(self) -> list[tuple[Any, int]]:
-        """(value, count) pairs sorted by descending count then value order."""
-        counts: dict[Any, int] = {}
-        ok = ~self.mask
-        for v in self.values[ok]:
-            key = v.item() if hasattr(v, "item") and self.dtype is not DATETIME else v
-            counts[key] = counts.get(key, 0) + 1
-        return sorted(counts.items(), key=lambda kv: -kv[1])
+        """(value, count) pairs sorted by descending count then value order.
+
+        Values are Python scalars, except datetimes (``numpy.datetime64``).
+        """
+        counts = Counter(self._valid_keys()).most_common()
+        if self.dtype is not STRING:
+            return counts
+        # A string column may hold numpy strings: report them as str.
+        return [(v.item() if hasattr(v, "item") else v, c) for v, c in counts]
 
     def factorize(self) -> tuple[np.ndarray, list[Any]]:
         """Encode values as integer codes (missing = -1) plus unique labels.
@@ -294,11 +291,8 @@ class Column:
         first-appearance order.
         """
         labels: dict[Any, int] = {}
-        ok = ~self.mask
-        valid = self.values[ok]
-        keys = list(valid) if self.dtype is DATETIME else valid.tolist()
         codes = np.full(len(self), -1, dtype=np.int64)
-        codes[ok] = [labels.setdefault(key, len(labels)) for key in keys]
+        codes[~self.mask] = [labels.setdefault(key, len(labels)) for key in self._valid_keys()]
         return codes, list(labels)
 
     # ------------------------------------------------------------------

@@ -72,6 +72,8 @@ BOOL = DType("bool", np.bool_)
 STRING = DType("string", object)
 DATETIME = DType("datetime", "datetime64[ns]")
 
+_NAT = np.datetime64("NaT", "ns")
+
 _BY_NAME = {d.name: d for d in (INT64, FLOAT64, BOOL, STRING, DATETIME)}
 # Convenient aliases accepted anywhere a dtype name is accepted.
 _BY_NAME.update(
@@ -123,46 +125,54 @@ def result_dtype(left: DType, right: DType) -> DType:
     return INT64 if (left is BOOL and right is BOOL) else FLOAT64
 
 
-_DATETIME_TYPES = (np.datetime64, _dt.datetime, _dt.date)
+#: The kinds a scalar's type counts toward, in precedence order (``bool``
+#: subclasses ``int``).  Any other type but ``None``'s is a string's.
+_KINDS = (
+    ("bool", (bool, np.bool_)),
+    ("int", (int, np.integer)),
+    ("float", (float, np.floating)),
+    ("datetime", (np.datetime64, _dt.datetime, _dt.date)),
+)
+
+
+def _kind(t: type) -> str:
+    for kind, types in _KINDS:
+        if issubclass(t, types):
+            return kind
+    return "string"
 
 
 def infer_dtype(values: Iterable[Any]) -> DType:
     """Infer the logical dtype of a sequence of Python scalars.
 
     Missing markers (``None`` and float NaN) are ignored during inference.
-    Mixed numeric types promote to float; anything non-numeric falls back to
-    string, so the first such value decides.
+    Mixed numeric types promote to float; any non-numeric value makes the
+    column a string one.  The distinct types present decide: values are
+    read only when floats share the sequence with ints, bools or
+    datetimes, to tell NaN-only floats (missing markers) from real ones.
     """
-    saw_float = saw_int = saw_bool = saw_dt = False
-    for v in values:
-        if v is None:
-            continue
-        if isinstance(v, (bool, np.bool_)):
-            saw_bool = True
-        elif isinstance(v, (int, np.integer)):
-            saw_int = True
-        elif isinstance(v, (float, np.floating)):
-            if not np.isnan(v):
-                saw_float = True
-            else:
-                # NaN is a missing marker but implies a float container when
-                # it is the only thing present.
-                saw_float = saw_float or False
-        elif isinstance(v, _DATETIME_TYPES):
-            saw_dt = True
-        else:
-            return STRING
-    if saw_dt and not (saw_float or saw_int or saw_bool):
-        return DATETIME
-    if saw_dt:
+    if not isinstance(values, (list, tuple)):
+        values = list(values)  # read twice below
+    kinds = {t: _kind(t) for t in set(map(type, values)) if t is not type(None)}
+    present = set(kinds.values())
+    if "string" in present:
         return STRING
-    if saw_float:
+    if "float" in present and len(present) > 1:
+        floats = {t for t, kind in kinds.items() if kind == "float"}
+        # NaN is the only float unequal to itself.
+        if not any(v == v for v in values if type(v) in floats):
+            present.discard("float")
+    if "datetime" in present:
+        return DATETIME if present == {"datetime"} else STRING
+    if "float" in present or not present:
         return FLOAT64
-    if saw_int:
-        return INT64
-    if saw_bool:
-        return BOOL
-    return FLOAT64
+    return INT64 if "int" in present else BOOL
+
+
+def _missing(v: Any) -> bool:
+    """Whether a list cell is missing: ``None``, or a float that is NaN
+    (the only float unequal to itself)."""
+    return v is None or (isinstance(v, float) and v != v)
 
 
 def _mask_from_nan(values: np.ndarray) -> np.ndarray:
@@ -191,40 +201,24 @@ def coerce(
     data = list(data)
     if target is None:
         target = infer_dtype(data)
-    n = len(data)
-    mask = np.zeros(n, dtype=bool)
     if target is STRING:
-        values = np.empty(n, dtype=object)
-        for i, v in enumerate(data):
-            if v is None or (isinstance(v, float) and np.isnan(v)):
-                mask[i] = True
-                values[i] = None
-            else:
-                values[i] = v if isinstance(v, str) else str(v)
-        return values, mask, STRING
+        values = np.array(
+            [v if isinstance(v, str) else None if _missing(v) else str(v) for v in data],
+            dtype=object,
+        )
+        return values, np.equal(values, None), STRING
     if target is DATETIME:
-        values = np.empty(n, dtype="datetime64[ns]")
-        for i, v in enumerate(data):
-            if v is None or (isinstance(v, float) and np.isnan(v)):
-                mask[i] = True
-                values[i] = np.datetime64("NaT")
-            else:
-                values[i] = np.datetime64(v, "ns")
-        mask |= np.isnat(values)
-        return values, mask, DATETIME
+        values = np.array(
+            [_NAT if _missing(v) else np.datetime64(v, "ns") for v in data],
+            dtype="datetime64[ns]",
+        )
+        return values, np.isnat(values), DATETIME
 
     # Numeric path: collect into float first to tolerate None/NaN, then
     # narrow back to the requested integer/bool container where possible.
-    values_f = np.empty(n, dtype=np.float64)
-    for i, v in enumerate(data):
-        if v is None:
-            mask[i] = True
-            values_f[i] = np.nan
-        else:
-            fv = float(v)
-            values_f[i] = fv
-            if np.isnan(fv):
-                mask[i] = True
+    values_f = np.array([np.nan if v is None else float(v) for v in data], dtype=np.float64)
+    mask = np.isnan(values_f)
+    n = len(values_f)
     if target is FLOAT64:
         return values_f, mask, FLOAT64
     if mask.any() and target is INT64:

@@ -36,8 +36,9 @@ def _infer_cell(text: str) -> Any:
 
 
 def _build_column(cells: list[Any], parse_dates: bool) -> Column:
-    saw_str = any(isinstance(c, str) for c in cells if c is not None)
-    if saw_str:
+    # Cells are exactly int, float, str or None (see _infer_cell).
+    kinds = set(map(type, cells))
+    if str in kinds:
         as_str = [None if c is None else str(c) for c in cells]
         col = Column.from_data(as_str, STRING)
         if parse_dates:
@@ -50,9 +51,7 @@ def _build_column(cells: list[Any], parse_dates: bool) -> Column:
                 if parsed.null_count() == col.null_count():
                     return parsed
         return col
-    saw_float = any(isinstance(c, float) for c in cells if c is not None)
-    has_missing = any(c is None for c in cells)
-    if saw_float or has_missing:
+    if float in kinds or type(None) in kinds:
         return Column.from_data(cells, FLOAT64)
     return Column.from_data(cells, INT64)
 

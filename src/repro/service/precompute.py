@@ -18,8 +18,8 @@ Scheduling discipline per session:
 - **Preemption**: a mutation-facing write runs inside
   :meth:`PrecomputeEngine.writing`, which sets the cancel event of the
   session's live pass before the write waits on the session lock.  The
-  pass stops at its next checkpoint (between actions in ``run_actions``
-  and before each spec it writes in
+  pass stops at its next checkpoint (after its metadata phase, between
+  actions in ``run_actions`` and before each spec it writes in
   :func:`~repro.service.session.encode_pass`, raising
   :class:`~repro.core.errors.PassCancelled`), so a burst of writes
   coalesces into the pass after its last write instead of each write
@@ -745,6 +745,9 @@ class PrecomputeEngine:
                     phase_t0 = time.perf_counter()
                     metadata = frame.metadata
                     _observe_phase("metadata", time.perf_counter() - phase_t0)
+                    if cancel.is_set():
+                        # Before every action's candidates are enumerated.
+                        raise PassCancelled("pass cancelled after its metadata phase")
                     phase_t0 = time.perf_counter()
                     ordered = schedule_actions(
                         default_registry.applicable(frame), metadata

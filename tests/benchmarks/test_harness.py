@@ -204,6 +204,8 @@ INCREMENTAL = {
     "speedups.metadata_scan": 102.0,
     "timings_ms.full_pass": 1654.146,
     "timings_ms.incremental_pass": 38.022,
+    "timings_ms.metadata_full_scan": 94.52,
+    "timings_ms.metadata_delta_scan": 0.927,
 }
 
 
@@ -217,10 +219,25 @@ class TestIncremental:
         assert len(self.gate({"speedups.incremental": below(10.0)})) == 1
 
     def test_metadata_scan_floor_and_trajectory(self):
-        assert self.gate({"speedups.metadata_scan": 102.0 * 0.6}) == []
-        assert len(self.gate({"speedups.metadata_scan": below(102.0 * 0.6)})) == 1
+        # The ratio keeps its 2x floor; each scan is on its own trajectory.
+        assert self.gate({"speedups.metadata_scan": 2.0}) == []
+        assert len(self.gate({"speedups.metadata_scan": below(2.0)})) == 1
         assert self.gate({"speedups.metadata_scan": 2.0}, None) == []
         assert len(self.gate({"speedups.metadata_scan": below(2.0)}, None)) == 1
+        for term in ("timings_ms.metadata_full_scan", "timings_ms.metadata_delta_scan"):
+            limit = INCREMENTAL[term] / 0.6
+            assert self.gate({term: limit}) == []
+            assert [f.split()[0] for f in self.gate({term: above(limit)})] == [term]
+
+    def test_faster_full_metadata_scan_passes(self):
+        # 21.6 / 0.86 ms: a trajectory on the ratio (60% of 102x) failed
+        # this only because the full rescan got faster.
+        faster = {
+            "timings_ms.metadata_full_scan": 21.6,
+            "timings_ms.metadata_delta_scan": 0.86,
+            "speedups.metadata_scan": 25.1,
+        }
+        assert self.gate(faster) == []
 
     @pytest.mark.parametrize("term", ["timings_ms.full_pass", "timings_ms.incremental_pass"])
     def test_each_pass_on_its_own_trajectory(self, term):

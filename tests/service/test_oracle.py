@@ -14,7 +14,8 @@ from the session frame's current columns, intent and type overrides:
 every reuse layer (metadata stamps, computation-cache migration,
 candidate and action reuse in the engine, the result store, snapshot
 rehydration) is an equivalence claim against that cold, serial path.
-The store holds at most one pass per live session, at the current
+The frame's metadata, refreshed column by column, equals a cold rescan of
+the frame.  The store holds at most one pass per live session, at the current
 version once a pass has published, the computation cache's byte
 accounting equals the sizes of the entries it holds, and every JSON token
 tuple it holds is a fresh format of its frame's current column.  A pass published
@@ -46,6 +47,7 @@ from hypothesis.stateful import (
 from repro import LuxDataFrame, config
 from repro.core.config import Config, thread_overlay
 from repro.core.executor.cache import _FrameSlot, computation_cache
+from repro.core.metadata import compute_metadata
 from repro.service import ResultStore, SessionManager, SnapshotStore, serialize_recommendations
 from repro.service.shard import ShardService
 from repro.vis import vegalite
@@ -84,6 +86,14 @@ def cold_actions(frame: LuxDataFrame, intent: list, overrides: dict) -> dict:
         if intent:
             cold.intent = list(intent)
         return serialize_recommendations(cold.recommendations)
+
+
+def typed_fields(attr) -> dict:
+    """An AttributeMeta's fields, each value with its type."""
+    return {
+        name: [(type(v), v) for v in value] if isinstance(value, list) else (type(value), value)
+        for name, value in vars(attr).items()
+    }
 
 
 def holds_dict(entry) -> bool:
@@ -301,6 +311,27 @@ class ServiceOracle(RuleBasedStateMachine):
         assert store.stats()["sessions"] <= len(self.manager.ids())
         if self.moved and self.STORE_BUDGET is None:
             assert store.get_pass(self.session.id, self.session.version) is not None
+
+    @invariant()
+    def metadata_equals_a_cold_rescan(self) -> None:
+        """Every column's metadata equals a full rescan's, overrides applied.
+
+        Column version stamps are the refresh's own bookkeeping and are not
+        compared.
+        """
+        if self.session is None:
+            return
+        assert self.manager.engine.wait_idle(60), self.manager.engine.stats()
+        with self.session.lock:
+            meta = self.frame.metadata
+            cold = compute_metadata(self.frame)
+        for name, kind in getattr(meta, "_overrides", {}).items():
+            if name in cold:
+                cold.override(name, kind)
+        assert meta.n_rows == cold.n_rows
+        assert list(meta.attributes) == list(cold.attributes)
+        for name, attr in cold.attributes.items():
+            assert typed_fields(meta[name]) == typed_fields(attr), name
 
     @invariant()
     def cache_bytes_add_up(self) -> None:

@@ -4,8 +4,9 @@ A write runs inside :meth:`PrecomputeEngine.writing`: it sets the cancel
 event of its session's live pass before it waits on the session lock, so
 a burst of writes ends in one pass and no write waits out a whole pass.
 A write that fails after preempting re-arms the session.  A pass checks
-its cancel event before it writes each spec, so a preempting write waits
-for one spec's encode, not a whole action's.
+its cancel event after its metadata phase, before it enumerates any
+action's candidates, and before it writes each spec, so a preempting
+write waits for one spec's encode, not a whole action's.
 :meth:`PrecomputeEngine.wait_idle` is woken by the engine, not polled.
 ``lux_precompute_passes_total`` counts each pass's outcome once.
 """
@@ -21,9 +22,11 @@ import numpy as np
 import pytest
 
 from repro import LuxDataFrame, config, register_action, remove_action
+from repro.core import metadata as metadata_module
 from repro.core import telemetry
 from repro.core.vislist import VisList
 from repro.service import SessionManager, make_server
+from repro.service import precompute as precompute_module
 from repro.service import session as session_module
 from repro.service.metrics import register_service_gauges
 from repro.service.shard import ShardService
@@ -219,6 +222,60 @@ def test_a_cancelled_pass_stops_before_its_next_spec(manager, monkeypatch):
     # pass before the edit.
     assert manager.store.get_pass(session.id, session.version) is None
     assert manager.store.get_pass(session.id, version) is not None
+
+
+def test_a_pass_cancelled_in_its_metadata_phase_enumerates_nothing(manager, monkeypatch):
+    service = ShardService(manager)
+    session = manager.create(make_frame())
+    assert manager.engine.wait_idle(60)
+    arm, entered, release = threading.Event(), threading.Event(), threading.Event()
+    scan = metadata_module.compute_attribute_meta
+
+    def parking_scan(frame, name):
+        # Only a pass parks: pool threads run them.
+        if arm.is_set() and threading.current_thread().name.startswith("lux-worker"):
+            arm.clear()
+            entered.set()
+            release.wait(30)
+        return scan(frame, name)
+
+    enumerated: list = []  # the frame version of each candidate enumeration
+    action_key = precompute_module._action_key
+
+    def recording_action_key(action, frame, metadata, digest):
+        enumerated.append(frame._data_version)
+        return action_key(action, frame, metadata, digest)
+
+    monkeypatch.setattr(metadata_module, "compute_attribute_meta", parking_scan)
+    monkeypatch.setattr(precompute_module, "_action_key", recording_action_key)
+    before = _passes(manager.engine)
+    arm.set()
+    values = session.frame["q0"].to_list()[::-1]
+    service.request("mutate", {"session": session.id, "column": "q0", "values": values})
+    assert entered.wait(30)  # the edit's pass is rescanning q0, holding the lock
+    parked_version = session.frame._data_version
+    running = manager.engine._inflight[session.id]
+    answers: list = []
+    writer = threading.Thread(
+        target=lambda: answers.append(
+            service.request("mutate", {"session": session.id, "column": "q1"})
+        )
+    )
+    writer.start()
+    try:
+        assert running.cancel.wait(30)
+    finally:
+        release.set()
+        writer.join(30)
+    assert not writer.is_alive() and answers, "the write never answered"
+    assert manager.engine.wait_idle(60)
+    assert parked_version not in enumerated
+    after = _passes(manager.engine)
+    assert after["cancelled"] == before["cancelled"] + 1
+    assert after["completed"] == before["completed"] + 1
+    stored = session.recommendations(compute=False)
+    assert stored is not None
+    assert stored["data_version"] == answers[0]["data_version"] == list(session.version)
 
 
 def _passes(engine) -> dict:
