@@ -33,12 +33,15 @@ echo "== static analysis (tools/check) =="
 # missing dependency.  The JSON report is uploaded as a CI artifact.
 python -m tools.check src --json CHECK_report.json
 
-echo "== src/ line count, import time and column build (reported, not gated) =="
+echo "== src/ line count, import time, column build and CSV parse (reported, not gated) =="
 # Each change reports the net size of src/; this line carries the number.
 # Every process pays the import, each spawned shard worker included.
 # Every column write builds a column from a list: the median of 5 shows
-# that kernel's cost next to the import time.  The metadata rescan of a
-# 20k-row, 9-column frame is bench_incremental's metadata_full_scan below.
+# that kernel's cost next to the import time.  Every CSV session create
+# parses its CSV first: the median of 5 parses of a 20k-row CSV with six
+# float columns (written by repr) and three text columns; no benchmark
+# times the parse.  The metadata rescan of a 20k-row, 9-column frame is
+# bench_incremental's metadata_full_scan below.
 echo "src/ python lines: $(find src -name '*.py' -print0 | xargs -0 cat | wc -l)"
 python -c 'import time; t = time.perf_counter(); import repro; print(f"import repro: {time.perf_counter() - t:.2f} s")'
 python - <<'EOF'
@@ -47,15 +50,26 @@ import time
 
 import numpy as np
 
-from repro.dataframe import Column
+from repro.dataframe import Column, read_csv_string
+
+
+def median_ms(fn, *args):
+    times = []
+    for _ in range(5):
+        t = time.perf_counter()
+        fn(*args)
+        times.append(time.perf_counter() - t)
+    return statistics.median(times) * 1e3
+
 
 floats = np.random.default_rng(0).normal(0, 1, 20_000).tolist()
-times = []
-for _ in range(5):
-    t = time.perf_counter()
-    Column.from_data(floats)
-    times.append(time.perf_counter() - t)
-print(f"column from a 20,000-float list: {statistics.median(times) * 1e3:.1f} ms")
+print(f"column from a 20,000-float list: {median_ms(Column.from_data, floats):.1f} ms")
+measures = np.random.default_rng(1).normal(0, 1, (20_000, 6)).tolist()
+csv_text = "q0,q1,q2,q3,q4,q5,d0,d1,d2\n" + "".join(
+    ",".join(map(repr, row)) + f",v{i % 6},v{i % 12},v{i % 24}\n"
+    for i, row in enumerate(measures)
+)
+print(f"read_csv_string of a 20,000-row CSV: {median_ms(read_csv_string, csv_text):.1f} ms")
 EOF
 
 echo "== tier-1 tests =="

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import io as _io
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 from .column import Column
 from .datetimes import parse_datetime_scalar
@@ -14,6 +16,12 @@ from .frame import DataFrame
 __all__ = ["read_csv", "to_csv"]
 
 _MISSING = {"", "na", "n/a", "nan", "null", "none", "-"}
+
+#: Rows ``read_csv`` gathers before it transposes them and parses each
+#: column's texts in one call: big enough that the per-column work
+#: dominates, small enough that the row lists stay a fraction of the
+#: parsed frame.
+_CHUNK_ROWS = 4096
 
 
 def _infer_cell(text: str) -> Any:
@@ -33,6 +41,37 @@ def _infer_cell(text: str) -> Any:
         except ValueError:
             pass
     return stripped
+
+
+def _parse_cells(texts: Sequence[str]) -> list[Any]:
+    """``[_infer_cell(t) for t in texts]``, converting the column at once.
+
+    A column of ints is one ``map(int, ...)``.  A column of finite floats
+    is one ``map(float, ...)``; only its integral values can be texts
+    ``int`` accepts (``"3"``, ``"-0"``), and those take ``int`` as
+    ``_infer_cell`` would.  Anything else (missing markers, words,
+    ``inf``) is inferred once per distinct text, so equal text cells
+    share one ``str``.
+    """
+    try:
+        return list(map(int, texts))
+    except ValueError:
+        pass
+    try:
+        values = list(map(float, texts))
+    except ValueError:
+        pass
+    else:
+        floats = np.array(values)
+        if np.isfinite(floats).all():
+            for i in np.flatnonzero(floats == np.floor(floats)).tolist():
+                try:
+                    values[i] = int(texts[i])
+                except ValueError:  # "3.0", "1e3", or past int's digit limit
+                    pass
+            return values
+    table = {text: _infer_cell(text) for text in set(texts)}
+    return list(map(table.__getitem__, texts))
 
 
 def _build_column(cells: list[Any], parse_dates: bool) -> Column:
@@ -84,6 +123,7 @@ def read_csv(
             raise ValueError("empty CSV input") from None
         names = _dedupe([h.strip() for h in header])
         raw: list[list[Any]] = [[] for _ in names]
+        rows: list[list[str]] = []
         for row in reader:
             if not row:
                 continue
@@ -92,9 +132,13 @@ def read_csv(
                     f"CSV line {reader.line_num}: expected {len(names)} "
                     f"fields, saw {len(row)}"
                 )
-            for j in range(len(names)):
-                cell = row[j] if j < len(row) else ""
-                raw[j].append(_infer_cell(cell))
+            if len(row) < len(names):
+                row += [""] * (len(names) - len(row))
+            rows.append(row)
+            if len(rows) == _CHUNK_ROWS:
+                _parse_chunk(rows, raw)
+                rows = []
+        _parse_chunk(rows, raw)
     except csv.Error as exc:
         raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
     finally:
@@ -106,6 +150,12 @@ def read_csv(
     }
     cls = frame_cls or DataFrame
     return cls(data)
+
+
+def _parse_chunk(rows: list[list[str]], raw: list[list[Any]]) -> None:
+    """Transpose one chunk of equal-length rows and parse it column by column."""
+    for cells, texts in zip(raw, zip(*rows)):
+        cells += _parse_cells(texts)
 
 
 def _dedupe(names: Iterable[str]) -> list[str]:

@@ -78,7 +78,7 @@ writer (a column several missed specs show is formatted once for all of
 them), and each action's bytes are joined from its specs' bytes.
 The table holds no decoded dicts: only a session whose latest read took
 dicts (:attr:`~repro.service.session.Session.reads_bytes` False, as for
-a session not yet read) gets its pass decoded into its view
+an in-process session not yet read) gets its pass decoded into its view
 (:meth:`~repro.service.session.Session.publish_view`).  The new spec
 bytes are decoded, and the dicts of reused bytes are taken from the
 previous view where it holds those very bytes.  Any other session's

@@ -28,11 +28,12 @@ cache, and each action's bytes are joined from its specs' bytes
 stored bytes as they are (``raw=True``).  In-process readers get dicts
 from the session's *view*, which holds each action's stored bytes
 object with its decoded dict.  A session records whether its latest
-read took dicts or bytes (:attr:`Session.reads_bytes`; a session not yet
-read counts as a dict reader).  The engine decodes the passes it stores
-into the view only for a dict reader, and drops the view of any other
-session.  A read whose bytes the view does not hold decodes them once
-(``json.loads``) into the view.
+read took dicts or bytes (:attr:`Session.reads_bytes`).  A session not
+yet read counts as a dict reader, except a wire session (one created
+through the service), which starts as a bytes reader.  The engine
+decodes the passes it stores into the view only for a dict reader, and
+drops the view of any other session.  A read whose bytes the view does
+not hold decodes them once (``json.loads``) into the view.
 
 :class:`SessionManager` wires the three service pieces together (registry,
 store, precompute engine) and is what the HTTP API holds.
@@ -191,7 +192,8 @@ class Session:
         #: Whether the latest :meth:`recommendations` call took bytes
         #: (``raw=True``).  The engine decodes a pass into the view only
         #: when this is False; a session not yet read counts as a dict
-        #: reader.
+        #: reader unless it was created as one that reads bytes
+        #: (:meth:`SessionManager.create`).
         self.reads_bytes = False
 
     # ------------------------------------------------------------------
@@ -543,12 +545,16 @@ class SessionManager:
         overrides: Mapping[str, Any] | None = None,
         intent: Any = None,
         session_id: str | None = None,
+        reads_bytes: bool = False,
     ) -> Session:
         """Register a new session; schedules its first always-on pass.
 
         Plain frames are wrapped into :class:`LuxDataFrame` (copying —
         sessions own their data); LuxDataFrames are adopted as-is so an
         in-process caller keeps a live handle for mutations.
+        ``reads_bytes`` starts the session as a bytes reader
+        (:attr:`Session.reads_bytes`), so its first pass decodes nothing:
+        the service's wire sessions are only ever read as bytes.
         """
         if not isinstance(data, LuxDataFrame):
             frame = LuxDataFrame({name: data[name] for name in data.columns})
@@ -560,6 +566,7 @@ class SessionManager:
             overrides=overrides,
             store=self.store,
         )
+        session.reads_bytes = reads_bytes
         # Before registering: a bad intent must not leave a session behind.
         if intent:
             session.set_intent(intent)

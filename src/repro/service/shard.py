@@ -166,13 +166,18 @@ def check_body(body: dict[str, Any]) -> dict[str, Any]:
     """Answer 400 unless the body's fields have their JSON types.
 
     ``parse_intent`` raises ``TypeError`` for a malformed intent, which
-    suits in-process callers but must not answer 500 over the wire.  A
+    suits in-process callers but must not answer 500 over the wire.
+    ``rows`` sizes a dataset's frame, so it must be an integer of at least
+    1 (not a boolean, which JSON decodes to an ``int`` subclass).  A
     ``session_id`` must match :data:`SESSION_ID`: it names the session's
     route and its snapshot directory, and the supervisor hashes it.
     """
     for name, kind, label in _TYPED_FIELDS:
         if body.get(name) is not None and not isinstance(body[name], kind):
             raise RequestError(400, f"'{name}' must be {label}")
+    rows = body.get("rows")
+    if rows is not None and (type(rows) is not int or rows < 1):
+        raise RequestError(400, "'rows' must be a positive integer")
     if not _is_intent(body.get("intent")):
         raise RequestError(
             400, "'intent' must be a string or a list of strings and string lists"
@@ -188,7 +193,6 @@ def check_body(body: dict[str, Any]) -> dict[str, Any]:
 _TYPED_FIELDS = (
     ("dataset", str, "a string"),
     ("csv", str, "a string"),
-    ("rows", int, "an integer"),
     ("config", dict, "an object"),
 )
 
@@ -357,7 +361,9 @@ class ShardService:
 
         ``session_id`` is the supervisor's pre-assigned id in shard mode
         (it must pick the id *before* routing — the id determines the
-        shard); absent, the manager generates one.
+        shard); absent, the manager generates one.  Every read of a
+        session created here is a wire read, so it starts as a bytes
+        reader and its first pass decodes nothing.
         """
         check_body(params)
         # Admission and the override check before any work: a refused
@@ -385,6 +391,7 @@ class ShardService:
             overrides=params.get("config"),
             intent=params.get("intent"),
             session_id=params.get("session_id"),
+            reads_bytes=True,
         ).info()
 
     def _list(self, _params: dict[str, Any]) -> dict[str, Any]:

@@ -44,6 +44,10 @@ ROWS = [
     ("create-csv-list", "POST", CREATE, {"csv": ["x"]}, "create"),
     ("create-dataset-list", "POST", CREATE, {"dataset": ["hpi"]}, "create"),
     ("create-rows-list", "POST", CREATE, {"dataset": "hpi", "rows": [20]}, "create"),
+    ("create-rows-zero", "POST", CREATE, {"dataset": "synthetic-wide", "rows": 0}, "create"),
+    ("create-rows-negative", "POST", CREATE, {"dataset": "hpi", "rows": -3}, "create"),
+    ("create-rows-minus-one", "POST", CREATE, {"dataset": "airbnb", "rows": -1}, "create"),
+    ("create-rows-bool", "POST", CREATE, {"dataset": "hpi", "rows": True}, "create"),
     ("create-config-int", "POST", CREATE, {"csv": CSV, "config": 5}, "create"),
     ("create-session-id-traversal", "POST", CREATE, {"csv": CSV, "session_id": "../escaped"},
      "create"),

@@ -10,8 +10,9 @@ pieces copies no stored payload byte, and ``_Handler._send`` writes status
 line, headers and the body's pieces in one ``sendmsg`` loop, at most
 ``SC_IOV_MAX`` buffers a call; a client that goes away mid-response gets
 no second response.  In-process reads keep getting
-dicts, from the session's view; a session whose latest read took bytes
-has its passes stored as bytes only, and holds about their size.
+dicts, from the session's view; a session whose latest read took bytes,
+or that was created through the service, has its passes stored as bytes
+only, and holds about their size.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro import LuxDataFrame
 from repro.core import telemetry
 from repro.core.config import config_overlay
 from repro.data.synthetic import make_scenario
+from repro.dataframe import read_csv_string
 from repro.service import (
     ResultStore,
     SessionManager,
@@ -48,6 +50,7 @@ from repro.service import (
 from repro.service import metrics as service_metrics
 from repro.service.http_api import IOV_MAX, MAX_BODY_BYTES, _Handler
 from repro.service.persist import read_results
+from repro.service.session import encode_recommendations
 from repro.service.shard import decode_frame, encode_frame
 
 CSV = "a,b,c\n" + "\n".join(f"{i % 7},{i * 1.5},g{i % 3}" for i in range(300))
@@ -399,6 +402,42 @@ class TestSessionView:
                     response = session.recommendations(compute=False)
                 raw = session.recommendations(compute=False, raw=True)["actions"]
                 assert response["actions"] == {k: json.loads(v) for k, v in raw.items()}
+            finally:
+                manager.shutdown()
+
+    def test_wire_session_first_pass_is_bytes_only(self, monkeypatch):
+        """A session created through the service never decodes its first pass.
+
+        Its raw read is a cold encode of the same CSV, and a later dict
+        read decodes the stored bytes.  A session created in-process is
+        still a dict reader until read, so its first dict read is a lookup.
+        """
+        with config_overlay(precompute_debounce_s=0.0):
+            manager = SessionManager()
+            try:
+                sid = ShardService(manager).request("create", {"csv": CSV})["session"]
+                assert manager.engine.wait_idle(30)
+                session = manager.get(sid)
+                assert session._view is None
+                table = manager.engine._tables[sid]
+                held = [*table.values()]
+                held += [c for result in table.values() for c in result.candidates if c]
+                assert table and held
+                for item in held:
+                    slots = [n for cls in type(item).__mro__ for n in getattr(cls, "__slots__", ())]
+                    assert not any(isinstance(getattr(item, n), dict) for n in slots), item
+                raw = session.recommendations(compute=False, raw=True)["actions"]
+                cold = read_csv_string(CSV, frame_cls=LuxDataFrame)
+                assert raw == encode_recommendations(cold.recommendations)
+                decoded = session.recommendations(compute=False)["actions"]
+                assert decoded == {k: json.loads(v) for k, v in raw.items()}
+
+                local = manager.create(read_csv_string(CSV, frame_cls=LuxDataFrame))
+                assert manager.engine.wait_idle(30)
+                assert local._view
+                with monkeypatch.context() as patch:
+                    _forbid_loads(patch)
+                    assert local.recommendations(compute=False)["actions"] == decoded
             finally:
                 manager.shutdown()
 
