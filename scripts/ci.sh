@@ -33,7 +33,7 @@ echo "== static analysis (tools/check) =="
 # missing dependency.  The JSON report is uploaded as a CI artifact.
 python -m tools.check src --json CHECK_report.json
 
-echo "== src/ line count, import time, column build and CSV parse (reported, not gated) =="
+echo "== src/ line count, import time, column build, CSV parse and wide intent pass (reported, not gated) =="
 # Each change reports the net size of src/; this line carries the number.
 # Every process pays the import, each spawned shard worker included.
 # Every column write builds a column from a list: the median of 5 shows
@@ -41,7 +41,11 @@ echo "== src/ line count, import time, column build and CSV parse (reported, not
 # parses its CSV first: the median of 5 parses of a 20k-row CSV with six
 # float columns (written by repr) and three text columns; no benchmark
 # times the parse.  The metadata rescan of a 20k-row, 9-column frame is
-# bench_incremental's metadata_full_scan below.
+# bench_incremental's metadata_full_scan below.  A one-measure intent on
+# bench_load's 300-row, 500-column wide frame makes the Filter action rank
+# thousands of filtered candidates: the median of 3 such foreground passes
+# (target: under 1 s), each on a new session whose metadata one read
+# without intent has already computed.
 echo "src/ python lines: $(find src -name '*.py' -print0 | xargs -0 cat | wc -l)"
 python -c 'import time; t = time.perf_counter(); import repro; print(f"import repro: {time.perf_counter() - t:.2f} s")'
 python - <<'EOF'
@@ -70,6 +74,26 @@ csv_text = "q0,q1,q2,q3,q4,q5,d0,d1,d2\n" + "".join(
     for i, row in enumerate(measures)
 )
 print(f"read_csv_string of a 20,000-row CSV: {median_ms(read_csv_string, csv_text):.1f} ms")
+
+from repro import config_overlay
+from repro.data.synthetic import make_wide_scenario
+from repro.service import SessionManager
+
+with config_overlay(precompute_debounce_s=0.0):
+    manager = SessionManager()
+    try:
+        times = []
+        for _ in range(3):
+            session = manager.create(make_wide_scenario(300), overrides={"precompute": False})
+            session.recommendations(raw=True)
+            session.set_intent(["q_int_1"])
+            t = time.perf_counter()
+            session.recommendations(raw=True)
+            times.append(time.perf_counter() - t)
+            manager.close(session.id)
+    finally:
+        manager.shutdown()
+print(f"one-measure intent pass on the 300 x 500 wide frame: {statistics.median(times):.2f} s")
 EOF
 
 echo "== tier-1 tests =="

@@ -9,8 +9,9 @@ Recommendation passes execute whole candidate *sets* against one frame, so
 the interface also exposes :meth:`Executor.execute_many`, the batch entry
 point used by ``rank_candidates`` and the actions.  Backends override it to
 share work across the batch (``DataFrameExecutor`` shares filter masks,
-materialized subframes, group-key factorizations, and float conversions via
-the :mod:`~repro.core.executor.cache` computation cache, and fans the batch
+projected subframes, group-key factorizations, and float conversions, on
+the frame via the :mod:`~repro.core.executor.cache` computation cache and
+within a filter group via a memo that dies with the group, and fans the batch
 out over the shared worker pool under ``config.parallel_execute``;
 ``SQLExecutor`` compiles each filter group into one consolidated
 shared-WHERE CTE + UNION ALL statement via

@@ -16,16 +16,19 @@ Choropleth         Group-by aggregation keyed on a geo column
 Shared-scan execution
 ---------------------
 A recommendation pass runs dozens of these operations over one frame, so
-every relational primitive routes through the process-wide
+every relational primitive on that frame routes through the process-wide
 :data:`~repro.core.executor.cache.computation_cache`: filter masks,
 group-key factorizations (via prepared ``_Grouping`` objects), ``to_float``
 views, and histogram bin edges are each computed once per
 ``(frame, _data_version)`` and shared across the whole candidate set.
 :meth:`DataFrameExecutor.execute_many` is the batch entry point — it
 groups specs by filter signature so each distinct filter materializes
-exactly one subframe, held only until its group's last spec has run
-(subframes are full row copies and are deliberately never pinned in the
-process-wide cache).
+exactly one subframe, held only until its group's last spec has run.
+A filtered group's subframe is a plain, batch-local ``DataFrame`` holding
+only the columns its specs encode, and its primitives live in a memo
+that dies with the group (:class:`_GroupPrimitives`): the filter's cost
+does not grow with the frame's width, and no subframe takes a
+process-wide cache slot.  Only the filter mask is cached, on the frame.
 Stale entries are impossible by construction: the cache keys on the frame's
 ``_data_version``, which every in-place mutation bumps.
 
@@ -53,6 +56,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from ...dataframe import Column, DataFrame, GroupBy
+from ...dataframe.groupby import _Grouping
 from ...vis.encoding import Encoding
 from ...vis.spec import VisSpec
 from ...vis.table import ColumnTable
@@ -97,21 +101,50 @@ class DataFrameExecutor(Executor):
             mask &= cmp.values & ~cmp.mask
         return mask
 
+    def _cached_mask(
+        self, frame: DataFrame, filters: list[tuple[str, str, Any]]
+    ) -> np.ndarray:
+        # The compute callback takes the target frame: for a linked sample
+        # the cache evaluates it against the parent and slices the result,
+        # pre-warming the full-frame mask (see ComputationCache.filter_mask).
+        return _cache.filter_mask(
+            frame, filters, lambda f: self._filter_mask(f, filters)
+        )
+
     def apply_filters(
         self, frame: DataFrame, filters: list[tuple[str, str, Any]]
     ) -> DataFrame:
         if not filters:
             return frame
-        # The compute callback takes the target frame: for a linked sample
-        # the cache evaluates it against the parent and slices the result,
-        # pre-warming the full-frame mask (see ComputationCache.filter_mask).
-        mask = _cache.filter_mask(
-            frame, filters, lambda f: self._filter_mask(f, filters)
-        )
         # Only the mask is cached; the subframe is materialized per call so
-        # nothing pins full row copies process-wide.  Batch callers share
-        # the subframe locally instead (see execute_many).
-        return frame[mask]
+        # nothing pins full row copies process-wide.  Batch callers build
+        # a projected subframe per group instead (see _group_frame).
+        return frame[self._cached_mask(frame, filters)]
+
+    def _group_frame(
+        self, frame: DataFrame, group: Sequence[VisSpec]
+    ) -> "tuple[DataFrame, Any]":
+        """The frame one filter group's specs run on, and its primitives.
+
+        An unfiltered group runs on ``frame`` itself, through the
+        computation cache.  A filtered group runs on a plain ``DataFrame``
+        holding only the columns its specs encode, cut by the mask cached
+        on ``frame``, with primitives memoized for the group alone (or
+        computed directly with the cache off).  Every handler reads only
+        encoded fields, so its output is the whole-frame subset's.
+        """
+        filters = group[0].filters
+        if not filters:
+            return frame, _cache
+        keep = self._cached_mask(frame, filters)
+        names = dict.fromkeys(
+            enc.field for spec in group for enc in spec.encodings if enc.field in frame
+        )
+        sub = DataFrame(
+            {name: frame.column(name).filter(keep) for name in names},
+            index=frame.index.filter(keep),
+        )
+        return sub, _GroupPrimitives() if _cache.enabled else _cache
 
     # ------------------------------------------------------------------
     def _handler(self, mark: str):
@@ -131,7 +164,7 @@ class DataFrameExecutor(Executor):
 
     def execute(self, spec: VisSpec, frame: DataFrame) -> ColumnTable:
         frame = self.apply_filters(frame, spec.filters)
-        table = self._handler(spec.mark)(spec, frame)
+        table = self._handler(spec.mark)(spec, frame, _cache)
         spec.data = table
         return table
 
@@ -144,9 +177,9 @@ class DataFrameExecutor(Executor):
         evaluates its mask and materializes its subframe exactly once, then
         every handler runs against the shared subframe — whose group-by
         factorizations, float views, and bin edges are in turn shared
-        through the computation cache.  With ``config.computation_cache``
-        off every spec is its own group (a mask and a subframe per spec),
-        so ablations stay honest.
+        across the group (see :meth:`_group_frame`).  With
+        ``config.computation_cache`` off every spec is its own group (a
+        mask and a subframe per spec), so ablations stay honest.
 
         The calling thread drains one work item per spec, and
         :meth:`_helpers` pool helpers drain with it (see the module
@@ -162,7 +195,7 @@ class DataFrameExecutor(Executor):
         else:
             groups = [[i] for i in range(len(specs))]
         results: list[ColumnTable | None] = [None] * len(specs)
-        subframes: dict[int, DataFrame] = {}
+        subframes: "dict[int, tuple[DataFrame, Any]]" = {}
         group_locks = [threading.Lock() for _ in groups]
         left = [len(indices) for indices in groups]
         work: "deque[tuple[int, int]]" = deque(
@@ -170,15 +203,13 @@ class DataFrameExecutor(Executor):
         )
         errors: list[BaseException] = []
 
-        def subframe_for(gi: int) -> DataFrame:
+        def subframe_for(gi: int) -> "tuple[DataFrame, Any]":
             sub = subframes.get(gi)
             if sub is None:
                 with group_locks[gi]:
                     sub = subframes.get(gi)
                     if sub is None:
-                        sub = self.apply_filters(
-                            frame, specs[groups[gi][0]].filters
-                        )
+                        sub = self._group_frame(frame, [specs[i] for i in groups[gi]])
                         subframes[gi] = sub
             return sub
 
@@ -190,7 +221,7 @@ class DataFrameExecutor(Executor):
                     return
                 try:
                     spec = specs[i]
-                    table = self._handler(spec.mark)(spec, subframe_for(gi))
+                    table = self._handler(spec.mark)(spec, *subframe_for(gi))
                     spec.data = table
                     results[i] = table
                 except BaseException as exc:
@@ -234,17 +265,17 @@ class DataFrameExecutor(Executor):
     # ------------------------------------------------------------------
     # Histogram: bin + count
     # ------------------------------------------------------------------
-    def _execute_histogram(self, spec: VisSpec, frame: DataFrame) -> ColumnTable:
+    def _execute_histogram(self, spec: VisSpec, frame: DataFrame, prims: Any) -> ColumnTable:
         enc = spec.x if spec.x is not None and spec.x.bin else spec.y
         if enc is None or enc.field not in frame:
             raise ExecutorError("histogram requires a binned axis")
-        values = _cache.to_float(frame, enc.field)
+        values = prims.to_float(frame, enc.field)
         # NaN (missing) and +-inf both stay out: an infinite value would
         # make the bin range infinite and fail the whole histogram.
         values = values[np.isfinite(values)]
         if len(values) == 0:
             return ColumnTable()
-        edges = _cache.bin_edges(
+        edges = prims.bin_edges(
             frame, enc.field, enc.resolved_bin_size, valid_values=values
         )
         counts, edges = np.histogram(values, bins=edges)
@@ -271,8 +302,8 @@ class DataFrameExecutor(Executor):
         return dim, measure
 
     @staticmethod
-    def _groupby(frame: DataFrame, keys: list[str]) -> GroupBy:
-        """A GroupBy sharing both halves of the scan through the cache.
+    def _groupby(frame: DataFrame, keys: list[str], prims: Any) -> GroupBy:
+        """A GroupBy sharing both halves of the scan through ``prims``.
 
         The factorization pass comes from the memoized ``_Grouping`` and
         the value-column float conversion is injected so aggregation stops
@@ -280,11 +311,11 @@ class DataFrameExecutor(Executor):
         """
         return GroupBy.from_grouping(
             frame,
-            _cache.grouping(frame, tuple(keys)),
-            to_float=lambda name: _cache.to_float(frame, name),
+            prims.grouping(frame, tuple(keys)),
+            to_float=lambda name: prims.to_float(frame, name),
         )
 
-    def _execute_grouped(self, spec: VisSpec, frame: DataFrame) -> ColumnTable:
+    def _execute_grouped(self, spec: VisSpec, frame: DataFrame, prims: Any) -> ColumnTable:
         dim, measure = self._grouping_channels(spec)
         if dim is None:
             raise ExecutorError("bar/line requires a dimension axis")
@@ -298,7 +329,7 @@ class DataFrameExecutor(Executor):
         keys = [dim.field]
         if color is not None and color.field and color.field_type != "quantitative":
             keys.append(color.field)
-        grouped = self._groupby(frame, keys)
+        grouped = self._groupby(frame, keys, prims)
         if measure is None or measure.aggregate == "count" or not measure.field:
             table = ColumnTable.from_frame(grouped.size_frame("count"))
         elif len(keys) == 1:
@@ -315,7 +346,7 @@ class DataFrameExecutor(Executor):
     # ------------------------------------------------------------------
     # Choropleth: group-by aggregation on the geo column
     # ------------------------------------------------------------------
-    def _execute_geo(self, spec: VisSpec, frame: DataFrame) -> ColumnTable:
+    def _execute_geo(self, spec: VisSpec, frame: DataFrame, prims: Any) -> ColumnTable:
         geo = None
         for enc in spec.encodings:
             if enc.field_type == "geographic":
@@ -323,7 +354,7 @@ class DataFrameExecutor(Executor):
         if geo is None or geo.field not in frame:
             raise ExecutorError("geoshape requires a geographic field")
         measure = spec.color if spec.color is not None else spec.y
-        grouped = self._groupby(frame, [geo.field])
+        grouped = self._groupby(frame, [geo.field], prims)
         if measure is None or not measure.field or measure.aggregate == "count":
             return _series_table(grouped.size(), geo.field, "count")
         series = grouped[measure.field].agg(measure.aggregate or "mean")
@@ -332,7 +363,7 @@ class DataFrameExecutor(Executor):
     # ------------------------------------------------------------------
     # Scatter: selection on 2-3 columns (display-capped)
     # ------------------------------------------------------------------
-    def _execute_scatter(self, spec: VisSpec, frame: DataFrame) -> ColumnTable:
+    def _execute_scatter(self, spec: VisSpec, frame: DataFrame, prims: Any) -> ColumnTable:
         fields = [
             enc.field
             for enc in spec.encodings
@@ -350,15 +381,15 @@ class DataFrameExecutor(Executor):
     # ------------------------------------------------------------------
     # Heatmap: 2-D bin/group + count (+ group-by aggregation when colored)
     # ------------------------------------------------------------------
-    def _execute_heatmap(self, spec: VisSpec, frame: DataFrame) -> ColumnTable:
+    def _execute_heatmap(self, spec: VisSpec, frame: DataFrame, prims: Any) -> ColumnTable:
         x, y = spec.x, spec.y
         if x is None or y is None:
             raise ExecutorError("heatmap requires x and y")
         color = spec.color
         if x.field_type == "quantitative" and y.field_type == "quantitative":
-            return self._numeric_heatmap(spec, frame, x, y, color)
+            return self._numeric_heatmap(spec, frame, x, y, color, prims)
         keys = [x.field, y.field]
-        grouped = self._groupby(frame, keys)
+        grouped = self._groupby(frame, keys, prims)
         if color is not None and color.field and color.aggregate not in (None, "count"):
             return ColumnTable.from_frame(grouped.agg({color.field: color.aggregate}))
         return ColumnTable.from_frame(grouped.size_frame("count"))
@@ -370,9 +401,10 @@ class DataFrameExecutor(Executor):
         x: Encoding,
         y: Encoding,
         color: Encoding | None,
+        prims: Any,
     ) -> ColumnTable:
-        xv = _cache.to_float(frame, x.field)
-        yv = _cache.to_float(frame, y.field)
+        xv = prims.to_float(frame, x.field)
+        yv = prims.to_float(frame, y.field)
         ok = np.isfinite(xv) & np.isfinite(yv)
         xv, yv = xv[ok], yv[ok]
         if len(xv) == 0:
@@ -392,10 +424,53 @@ class DataFrameExecutor(Executor):
             "count": Column.from_data(n.astype(np.int64)),
         }
         if color is not None and color.field and color.field in frame:
-            cv = _cache.to_float(frame, color.field)[ok]
+            cv = prims.to_float(frame, color.field)[ok]
             sums, _, _ = np.histogram2d(xv, yv, bins=[xe, ye], weights=np.nan_to_num(cv))
             columns[color.field] = Column.from_data(sums[ix, iy] / n)
         return ColumnTable(columns)
+
+
+class _GroupPrimitives:
+    """One filter group's primitives, memoized for the group's lifetime.
+
+    The lookups of the computation cache that handlers make (``to_float``,
+    ``grouping``, ``bin_edges``), with the same values, for a batch-local
+    subframe no other batch can reach: one dict that dies with the group
+    instead of a process-wide slot.  Two helpers that race on one key both
+    compute it, and ``setdefault`` hands both the value stored first.
+    """
+
+    __slots__ = ("_memo",)
+
+    def __init__(self) -> None:
+        #: (section, key) -> value; no value is None.
+        self._memo: dict[tuple, Any] = {}
+
+    def _get(self, key: tuple, compute: Any) -> Any:
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo.setdefault(key, compute())
+        return value
+
+    def to_float(self, frame: DataFrame, name: str) -> np.ndarray:
+        return self._get(("floats", name), lambda: frame.column(name).to_float())
+
+    def _factorize(self, frame: DataFrame, name: str) -> tuple[np.ndarray, list[Any]]:
+        return self._get(("factorized", name), lambda: frame.column(name).factorize())
+
+    def grouping(self, frame: DataFrame, keys: tuple[str, ...]) -> _Grouping:
+        return self._get(
+            ("groupings", keys),
+            lambda: _Grouping(frame, keys, factorize=lambda k: self._factorize(frame, k)),
+        )
+
+    def bin_edges(
+        self, frame: DataFrame, name: str, bins: int, valid_values: np.ndarray
+    ) -> np.ndarray:
+        return self._get(
+            ("edges", name, int(bins)),
+            lambda: np.histogram_bin_edges(valid_values, bins=bins),
+        )
 
 
 def _series_table(series: Any, key: str, value_name: str) -> ColumnTable:

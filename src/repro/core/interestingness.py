@@ -42,9 +42,12 @@ def needs_executed_data(spec: VisSpec) -> bool:
     Rankers batch-execute exactly these specs up front (via
     ``Executor.execute_many``) so scoring never falls back to one-at-a-time
     execution; statistical scores (scatter, histogram) read columns
-    directly and need no processing.
+    directly and need no processing, and a filtered spec with no
+    dimension or value to compare (a filtered scatter) scores 0.0 unread.
     """
-    return bool(spec.filters) or spec.mark in _EXECUTED_MARKS
+    if spec.filters:
+        return _deviation_keys(spec) is not None
+    return spec.mark in _EXECUTED_MARKS
 
 
 def _clamp(x: float) -> float:
@@ -149,30 +152,58 @@ def _group_separation(frame: DataFrame, measure: str, color: str) -> float:
     return _clamp(between / total) if total > 0 else 0.0
 
 
-def _filter_deviation(
-    spec: VisSpec, frame: DataFrame, executor: Executor
-) -> float:
-    """SeeDB-style deviation: filtered vs unfiltered aggregate distribution."""
+def _deviation_keys(spec: VisSpec) -> tuple[str, str] | None:
+    """(dimension key, value key) a filter deviation compares, if both exist."""
+    dim_key = _dimension_key(spec)
+    val_key = _value_key(spec)
+    if dim_key is None or val_key is None:
+        return None
+    return dim_key, val_key
+
+
+def _reference(
+    spec: VisSpec, frame: DataFrame, executor: Executor, keys: tuple[str, str]
+) -> tuple[list[Any], np.ndarray] | None:
+    """The unfiltered distribution ``spec``'s filtered one is compared with."""
     reference = VisSpec(spec.mark, spec.encodings, filters=[])
     try:
         executor.execute(reference, frame)
     except Exception:
-        return 0.0
-    if not spec.data or not reference.data:
-        return 0.0
-    dim_key = _dimension_key(spec)
-    val_key = _value_key(spec)
-    if dim_key is None or val_key is None:
-        return 0.0
-    ref = _by_label(reference.data, dim_key, val_key)
-    fil = _by_label(spec.data, dim_key, val_key)
+        return None
+    if not reference.data:
+        return None
+    ref = _by_label(reference.data, *keys)
     labels = [k for k in ref if k is not None]
     if not labels:
+        return None
+    return labels, _normalize(np.array([ref[k] for k in labels], dtype=float))
+
+
+def _filter_deviation(
+    spec: VisSpec, frame: DataFrame, executor: Executor, references: dict
+) -> float:
+    """SeeDB-style deviation: filtered vs unfiltered aggregate distribution.
+
+    ``references`` maps a mark and its encodings to their unfiltered
+    reference (:func:`_reference`), so the candidates of one ranking call
+    that share a reference execute it once.
+    """
+    keys = _deviation_keys(spec)
+    if keys is None:
         return 0.0
-    ref_vec = np.array([ref[k] for k in labels], dtype=float)
-    fil_vec = np.array([fil.get(k, 0.0) for k in labels], dtype=float)
-    ref_vec = _normalize(ref_vec)
-    fil_vec = _normalize(fil_vec)
+    if spec.data is None:
+        executor.execute(spec, frame)
+    if not spec.data:
+        return 0.0
+    key = (spec.mark, tuple(spec.encodings))
+    if key not in references:
+        references[key] = _reference(spec, frame, executor, keys)
+    reference = references[key]
+    if reference is None:
+        return 0.0
+    labels, ref_vec = reference
+    fil = _by_label(spec.data, *keys)
+    fil_vec = _normalize(np.array([fil.get(k, 0.0) for k in labels], dtype=float))
     return _clamp(float(np.linalg.norm(ref_vec - fil_vec)) / math.sqrt(2))
 
 
@@ -220,17 +251,21 @@ def score_vis(
     spec: VisSpec,
     frame: DataFrame,
     executor: Executor,
+    references: "dict | None" = None,
 ) -> float:
     """Score one visualization on (a sample of) ``frame``.
 
     The executor is used when the score needs processed data (count bars and
-    filter deviation); statistical scores read columns directly.
+    filter deviation); statistical scores read columns directly.  A ranker
+    passes one ``references`` dict per frame it scores on, so filtered
+    candidates share their unfiltered references (see
+    :func:`_filter_deviation`); without one, each call executes its own.
     """
     try:
         if spec.filters:
-            if spec.data is None:
-                executor.execute(spec, frame)
-            return _filter_deviation(spec, frame, executor)
+            return _filter_deviation(
+                spec, frame, executor, {} if references is None else references
+            )
 
         # This branch is only reached for unfiltered specs (the filtered
         # case returned above), so the frame is already the full subset.

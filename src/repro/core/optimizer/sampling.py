@@ -157,8 +157,9 @@ def _exact_scored(
         else:
             fresh.append(cand)
     _prefetch_for_scoring(fresh, frame, executor)
+    references: dict = {}
     for cand in fresh:
-        exact[id(cand)] = score_vis(cand.spec, frame, executor)  # check: ignore[unstable-key]
+        exact[id(cand)] = score_vis(cand.spec, frame, executor, references)  # check: ignore[unstable-key]
     if exact_out is not None:
         exact_out.update(exact)
     return [(exact[id(cand)], cand) for cand in candidates]  # check: ignore[unstable-key]
@@ -175,7 +176,9 @@ def rank_candidates(
 
     When ``config.early_pruning`` holds and the cost-model guard passes,
     scores are approximated on the sample first (pass 1) and only the
-    survivors are recomputed exactly (pass 2).
+    survivors are recomputed exactly (pass 2).  Each pass hands
+    ``score_vis`` one dict of unfiltered references, so filtered
+    candidates that share a reference execute it once per pass.
 
     ``prior`` maps ``candidate_key(spec)`` to reused state for candidates
     whose inputs the caller found unchanged since a previous pass (see
@@ -226,8 +229,11 @@ def rank_candidates(
                 cand.spec.data = None
                 fresh.append(cand)
         _prefetch_for_scoring(fresh, sample, executor)
+        references: dict = {}
         for cand in fresh:
-            approx_by_id[id(cand)] = score_vis(cand.spec, sample, executor)  # check: ignore[unstable-key]
+            approx_by_id[id(cand)] = score_vis(  # check: ignore[unstable-key]
+                cand.spec, sample, executor, references
+            )
         approx: list[tuple[float, CompiledVis]] = [
             (approx_by_id[id(cand)], cand) for cand in candidates  # check: ignore[unstable-key]
         ]

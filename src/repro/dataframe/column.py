@@ -368,10 +368,31 @@ class Column:
         out.values = -out.values
         return out
 
-    def _compare(self, other: Any, op: Callable[[Any, Any], Any]) -> "Column":
+    def _compare(
+        self,
+        other: Any,
+        op: Callable[[Any, Any], Any],
+        ufunc: "np.ufunc | None" = None,
+    ) -> "Column":
+        """``op`` per row, missing rows False (and missing in the result).
+
+        A text column compares its objects one row at a time, a failing
+        row reading False.  ``ufunc`` is ``op`` as an elementwise numpy call
+        (``np.equal`` for ``==``): against a scalar it compares the whole
+        object array at once, each element with the same rich comparison,
+        and falls back to the row loop if any element refuses.
+        """
         if self.dtype is DATETIME and isinstance(other, str):
             other = np.datetime64(other, "ns")
         if self.dtype is STRING:
+            if ufunc is not None and np.isscalar(other):
+                try:
+                    out = ufunc(self.values, other)
+                except (TypeError, ValueError):
+                    pass
+                else:
+                    out[self.mask] = False
+                    return Column(out, self.mask.copy(), BOOL)
             n = len(self)
             out = np.zeros(n, dtype=bool)
             right = other.values if isinstance(other, Column) else None
@@ -389,10 +410,10 @@ class Column:
         return self._binary(other, op, BOOL)
 
     def __eq__(self, other: Any) -> "Column":  # type: ignore[override]
-        return self._compare(other, lambda a, b: a == b)
+        return self._compare(other, lambda a, b: a == b, np.equal)
 
     def __ne__(self, other: Any) -> "Column":  # type: ignore[override]
-        return self._compare(other, lambda a, b: a != b)
+        return self._compare(other, lambda a, b: a != b, np.not_equal)
 
     def __lt__(self, other: Any) -> "Column":
         return self._compare(other, lambda a, b: a < b)

@@ -46,12 +46,33 @@ def _infer_cell(text: str) -> Any:
 def _parse_cells(texts: Sequence[str]) -> list[Any]:
     """``[_infer_cell(t) for t in texts]``, converting the column at once.
 
-    A column of ints is one ``map(int, ...)``.  A column of finite floats
-    is one ``map(float, ...)``; only its integral values can be texts
-    ``int`` accepts (``"3"``, ``"-0"``), and those take ``int`` as
-    ``_infer_cell`` would.  Anything else (missing markers, words,
-    ``inf``) is inferred once per distinct text, so equal text cells
-    share one ``str``.
+    A column of numbers is one conversion (:func:`_parse_numbers`), and so
+    is a column of numbers and missing markers: the markers (found among
+    the distinct texts) are masked, the other texts converted, and
+    ``None`` put back.  Anything else (words, ``inf``) is inferred once
+    per distinct text, so equal text cells share one ``str``.
+    """
+    values = _parse_numbers(texts)
+    if values is not None:
+        return values
+    distinct = set(texts)
+    markers = {text for text in distinct if text.strip().lower() in _MISSING}
+    if markers:
+        values = _parse_numbers([text for text in texts if text not in markers])
+        if values is not None:
+            parsed = iter(values)
+            return [None if text in markers else next(parsed) for text in texts]
+    table = {text: _infer_cell(text) for text in distinct}
+    return list(map(table.__getitem__, texts))
+
+
+def _parse_numbers(texts: Sequence[str]) -> list[Any] | None:
+    """``_infer_cell`` of each text if all are numbers, else None.
+
+    Ints are one ``map(int, ...)``.  Finite floats are one
+    ``map(float, ...)``; only their integral values can be texts ``int``
+    accepts (``"3"``, ``"-0"``), and those take ``int`` as ``_infer_cell``
+    would.
     """
     try:
         return list(map(int, texts))
@@ -60,18 +81,16 @@ def _parse_cells(texts: Sequence[str]) -> list[Any]:
     try:
         values = list(map(float, texts))
     except ValueError:
-        pass
-    else:
-        floats = np.array(values)
-        if np.isfinite(floats).all():
-            for i in np.flatnonzero(floats == np.floor(floats)).tolist():
-                try:
-                    values[i] = int(texts[i])
-                except ValueError:  # "3.0", "1e3", or past int's digit limit
-                    pass
-            return values
-    table = {text: _infer_cell(text) for text in set(texts)}
-    return list(map(table.__getitem__, texts))
+        return None
+    floats = np.array(values)
+    if not np.isfinite(floats).all():
+        return None
+    for i in np.flatnonzero(floats == np.floor(floats)).tolist():
+        try:
+            values[i] = int(texts[i])
+        except ValueError:  # "3.0", "1e3", or past int's digit limit
+            pass
+    return values
 
 
 def _build_column(cells: list[Any], parse_dates: bool) -> Column:

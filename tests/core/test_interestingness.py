@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import LuxDataFrame, Vis
+from repro import LuxDataFrame, Vis, config
+from repro.core.actions.filter_action import FilterAction
 from repro.core.executor.df_exec import DataFrameExecutor
 from repro.core.interestingness import (
     _dispersion,
@@ -18,6 +19,7 @@ from repro.core.interestingness import (
     _unevenness,
     score_vis,
 )
+from repro.core.optimizer.sampling import rank_candidates
 
 
 @pytest.fixture
@@ -176,3 +178,93 @@ class TestScoreVis:
         spec = VisSpec("bar", [Encoding("x", "missing_col", "nominal")])
         frame = LuxDataFrame({"a": [1]})
         assert score_vis(spec, frame, executor) == 0.0
+
+
+def cold_read_frame() -> LuxDataFrame:
+    """The payload-digest test's ``cold_read`` frame: 500 rows, six normal
+    measures and three nominal dimensions, each column permuted by seed 1."""
+    rng = np.random.default_rng(0)
+    columns = {f"q{i}": rng.normal(0.0, 1.0, 500).tolist() for i in range(6)}
+    for name, card in {"d0": 6, "d1": 12, "d2": 24}.items():
+        columns[name] = [f"v{i % card}" for i in range(500)]
+    shuffle = np.random.default_rng(1)
+    return LuxDataFrame(
+        {name: [values[i] for i in shuffle.permutation(500)] for name, values in columns.items()}
+    )
+
+
+COLD_READ_INTENTS = [["q0"], ["d0"], ["q1", "d1"], ["q2", "q3"], []]
+
+
+@pytest.fixture
+def executed(monkeypatch) -> list:
+    """(mark, encodings, filters, frame) of every ``DataFrameExecutor.execute``."""
+    calls: list = []
+    execute = DataFrameExecutor.execute
+
+    def spy(self, spec, frame):
+        calls.append((spec.mark, tuple(spec.encodings), tuple(spec.filters), frame))
+        return execute(self, spec, frame)
+
+    monkeypatch.setattr(DataFrameExecutor, "execute", spy)
+    return calls
+
+
+class TestSharedReferences:
+    """Filter candidates share their unfiltered reference per ranking call."""
+
+    def test_each_reference_executes_once_per_ranking_call(self, executed):
+        frame = cold_read_frame()
+        frame.intent = ["q1", "d1"]
+        candidates = FilterAction().candidates(frame)
+        assert len(candidates) == 26
+        rank_candidates(candidates, frame)
+        references = {(c.spec.mark, tuple(c.spec.encodings)) for c in candidates}
+        assert len(references) == 1
+        assert [(mark, encodings, filters) for mark, encodings, filters, _ in executed] == [
+            (mark, encodings, ()) for mark, encodings in references
+        ]
+
+    def test_once_per_frame_scored_on(self, executed):
+        """With pruning, pass 1 scores on the sample and pass 2 on the frame."""
+        config.sampling_start = 100
+        config.sampling_cap = 80
+        config.top_k = 3
+        frame = cold_read_frame()
+        frame.intent = ["q0"]
+        candidates = FilterAction().candidates(frame)
+        rank_candidates(candidates, frame)
+        frames = [f for _, _, filters, f in executed]
+        assert len(frames) == 2 and all(not filters for _, _, filters, _ in executed)
+        assert len(frames[0]) == 80 and frames[1] is frame
+
+    def test_filtered_scatters_execute_nothing(self, executed):
+        frame = cold_read_frame()
+        frame.intent = ["q2", "q3"]
+        candidates = FilterAction().candidates(frame)
+        assert {c.spec.mark for c in candidates} == {"point"}
+        shown = rank_candidates(candidates, frame)
+        assert executed == []
+        assert all(vis.score == 0.0 for vis in shown)
+
+    def test_shared_references_score_bit_identically(self):
+        """Every Filter candidate under the five ``cold_read`` intents."""
+        frame = cold_read_frame()
+        executor = DataFrameExecutor()
+        checked = nonzero = 0
+        for intent in COLD_READ_INTENTS:
+            frame.intent = intent
+            action = FilterAction()
+            if not action.applies_to(frame):
+                continue
+            alone = [score_vis(c.spec, frame, executor) for c in action.candidates(frame)]
+            references: dict = {}
+            shared = [
+                score_vis(c.spec, frame, executor, references)
+                for c in action.candidates(frame)
+            ]
+            assert np.array(shared).tobytes() == np.array(alone).tobytes(), intent
+            checked += len(alone)
+            nonzero += sum(score > 0 for score in alone)
+        assert checked > 0 and nonzero > 0
+

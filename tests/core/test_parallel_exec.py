@@ -115,6 +115,42 @@ class TestParallelEquivalence:
         config.parallel_execute = False
         assert DataFrameExecutor._helpers(n_specs, frame) == 0
 
+    def test_helpers_share_one_filter_groups_memo(self, frame):
+        """Stress: four helpers drain one filter group's specs, racing on
+        its memo's keys under a 10 us switch interval; every round equals
+        serial."""
+        q = "quantitative"
+        where = [("q2", ">", 0.0)]
+
+        def group_specs() -> list[VisSpec]:
+            specs = [
+                VisSpec("bar", [
+                    Encoding("y", d, "nominal"),
+                    Encoding("x", m, q, aggregate=agg),
+                ], filters=where)
+                for d in ("d0", "d1") for m in ("q0", "q1") for agg in ("mean", "sum")
+            ]
+            specs += [
+                VisSpec("histogram", [
+                    Encoding("x", m, q, bin=True, bin_size=10),
+                    Encoding("y", "", q, aggregate="count"),
+                ], filters=where)
+                for m in ("q0", "q1", "q0")
+            ]
+            return specs
+
+        config.parallel_execute = False
+        expected = DataFrameExecutor().execute_many(group_specs(), frame)
+        config.parallel_execute = True
+        config.action_pool_workers = 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(10):
+                assert DataFrameExecutor().execute_many(group_specs(), frame) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_parallel_error_propagates(self, frame):
         config.parallel_execute = True
         config.action_pool_workers = 4

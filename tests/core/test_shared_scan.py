@@ -120,6 +120,56 @@ class TestExecuteManyEquivalence:
             assert a == b, f"mismatch for {spec!r}"
             assert spec.data is b
 
+    def test_filter_groups_run_on_projected_plain_subframes(self, employees):
+        """A filter group's subframe is a plain frame of the group's encoded
+        columns and filtered rows; its primitives stay out of the cache."""
+        q = "quantitative"
+        filters = [("Department", "=", "Sales")]
+        group = [
+            VisSpec("bar", [
+                Encoding("y", "Education", "nominal"),
+                Encoding("x", "Age", q, aggregate="mean"),
+            ], filters=filters),
+            VisSpec("histogram", [
+                Encoding("x", "Age", q, bin=True, bin_size=10),
+                Encoding("y", "", q, aggregate="count"),
+            ], filters=filters),
+        ]
+        ex = DataFrameExecutor()
+        sub, prims = ex._group_frame(employees, group)
+        whole = ex.apply_filters(employees, filters)
+        assert type(sub) is DataFrame
+        assert sub.columns == ["Education", "Age"]
+        assert len(sub) == len(whole)
+        for name in sub.columns:
+            assert sub.column(name).equals(whole.column(name))
+        assert prims is not computation_cache
+        assert computation_cache.stats()["frames"] == 1  # the mask's, on employees
+        config.computation_cache = False
+        assert ex._group_frame(employees, group)[1] is computation_cache
+
+    def test_a_filter_pass_takes_no_cache_slot(self, employees, monkeypatch):
+        """Filter candidates look up primitives on the frame alone: every
+        frame that asks for a slot during the pass is kept alive here, and
+        the slot count still does not move."""
+        from repro.core.actions.filter_action import FilterAction
+
+        employees.intent = ["Age"]
+        computation_cache.to_float(employees, "Age")
+        before = computation_cache.stats()["frames"]
+        asked = []
+        slot = ComputationCache._slot
+
+        def spy(self, frame):
+            asked.append(frame)
+            return slot(self, frame)
+
+        monkeypatch.setattr(ComputationCache, "_slot", spy)
+        shown = FilterAction().generate(employees)
+        assert len(shown) > 0
+        assert all(frame is employees for frame in asked)
+        assert computation_cache.stats()["frames"] == before
+
     def test_execute_many_with_cache_disabled(self, employees):
         specs = _all_mark_specs()
         config.computation_cache = False

@@ -2,8 +2,9 @@
 
 ``read_csv`` gathers rows in chunks, transposes each chunk once and
 parses each column's texts with one call (``io._parse_cells``): one
-``map(int, ...)``, or one ``map(float, ...)`` with ints put back, or
-``_infer_cell`` once per distinct text.  The row loop it replaced, which
+``map(int, ...)``, or one ``map(float, ...)`` with ints put back (either
+after masking missing markers), or ``_infer_cell`` once per distinct
+text.  The row loop it replaced, which
 called ``_infer_cell`` on every cell before ``_build_column``, is kept
 here as the reference.  CSV texts are drawn from ints and floats in
 their odd spellings, missing markers, words that ``float`` reads
@@ -115,6 +116,19 @@ FAMILIES = [
     st.one_of(INTS, FLOATS, MARKERS, WORDS, HUGE, DATES, EMPTY),
 ]
 COLUMNS = st.sampled_from(FAMILIES).flatmap(lambda texts: st.lists(texts, max_size=14))
+
+
+@st.composite
+def numbers_with_markers(draw) -> list[str]:
+    """Ints, floats or both, with a marker in every ``every``-th cell:
+    dense (every cell) to sparse (one in 20), padded and in any case."""
+    numbers = draw(st.sampled_from([INTS, FLOATS, st.one_of(INTS, FLOATS)]))
+    texts = draw(st.lists(numbers, min_size=1, max_size=40))
+    every = draw(st.integers(1, 20))
+    start = draw(st.integers(0, every - 1))
+    for i in range(start, len(texts), every):
+        texts[i] = draw(MARKERS)
+    return texts
 NAMES = st.lists(st.sampled_from(["a", "b", "a.1", " c ", ""]), min_size=1, max_size=4)
 #: What happens to a data row: kept, cut short, left blank, or made too long.
 SHAPES = st.sampled_from(["keep"] * 6 + ["short", "blank", "long"])
@@ -186,6 +200,31 @@ def test_parse_cells_matches_infer_cell(texts):
     want = typed([io._infer_cell(t) for t in texts])
     assert typed(io._parse_cells(texts)) == want
     assert typed(io._parse_cells(tuple(texts))) == want
+
+
+@given(texts=numbers_with_markers())
+@settings(max_examples=300, deadline=None)
+def test_numbers_with_markers_match_infer_cell(texts):
+    assert typed(io._parse_cells(texts)) == typed([io._infer_cell(t) for t in texts])
+
+
+def test_markers_keep_numbers_on_the_column_path():
+    """Sparse and dense markers, padded, upper-case and literal ``nan``,
+    leave a number column's parse one conversion: no cell is inferred."""
+    rng = np.random.default_rng(3)
+    floats = [repr(v) for v in rng.normal(0.0, 1.0, 1_000).tolist()]
+    ints = [str(v) for v in rng.integers(-50, 50, 1_000).tolist()]
+    markers = ["", " NA ", "NaN", "nan", "N/A", "NULL", "None", " - ", "\tna"]
+    for numbers in (floats, ints):
+        for every in (100, 3, 1):
+            texts = [
+                markers[i % len(markers)] if i % every == 0 else text
+                for i, text in enumerate(numbers)
+            ]
+            want = typed([io._infer_cell(t) for t in texts])
+            with mock.patch.object(io, "_infer_cell", side_effect=AssertionError):
+                got = typed(io._parse_cells(texts))
+            assert got == want, every
 
 
 @given(text=csv_texts(), chunk=st.integers(1, 5), parse_dates=st.booleans())

@@ -3,8 +3,10 @@
 ``dtypes.infer_dtype`` and ``dtypes.coerce`` decide from a list's
 distinct types and build each container in one comprehension;
 ``Column.unique``, ``nunique`` and ``value_counts`` count in C;
-``io._build_column`` checks its cells' types once.  The per-cell loops
-they replaced are kept here, comments aside, as the reference.  Lists
+``io._build_column`` checks its cells' types once; a text column's
+``==`` and ``!=`` against a scalar compare the object array in one numpy
+call (``Column._compare``).  The per-cell loops they replaced are kept
+here, comments aside, as the reference.  Lists
 are drawn from missing markers, extreme floats, bools, large ints, numpy
 scalars, numeric and other strings, datetimes and mixes of them all.
 For every target dtype the two must agree on the dtype, the mask, the
@@ -15,6 +17,7 @@ element of an object array) and the type of any exception raised.
 from __future__ import annotations
 
 import datetime as dt
+import operator
 import warnings
 
 import numpy as np
@@ -141,6 +144,23 @@ def loop_value_counts(col):
         key = v.item() if hasattr(v, "item") and col.dtype is not DATETIME else v
         counts[key] = counts.get(key, 0) + 1
     return sorted(counts.items(), key=lambda kv: -kv[1])
+
+
+def loop_compare(col, other, op):
+    n = len(col)
+    out = np.zeros(n, dtype=bool)
+    right = other.values if isinstance(other, Column) else None
+    mask = col.mask | (other.mask if isinstance(other, Column) else False)
+    for i in range(n):
+        if mask if isinstance(mask, bool) else mask[i]:
+            continue
+        rv = right[i] if right is not None else other
+        try:
+            out[i] = bool(op(col.values[i], rv))
+        except TypeError:
+            out[i] = False
+    m = mask if isinstance(mask, np.ndarray) else col.mask.copy()
+    return Column(out, m.copy(), BOOL)
 
 
 def loop_build_column(cells, parse_dates):
@@ -343,3 +363,52 @@ def test_nan_only_floats_do_not_make_an_int_list_float():
     assert dtypes.infer_dtype([True, np.float32("nan")]) is BOOL
     assert dtypes.infer_dtype([np.datetime64("2020-01-01"), NAN]) is DATETIME
     assert dtypes.infer_dtype([1, NAN, 0.5]) is FLOAT64
+
+
+TEXT_CELLS = st.one_of(
+    st.none(),
+    st.sampled_from(["a", "b", "", "Brooklyn", "1", np.str_("a"), np.str_("b")]),
+    st.text(max_size=2),
+)
+#: What a text column is compared with: values it may hold (as ``str``
+#: and ``np.str_``), values it cannot hold, and non-text scalars.
+SCALARS = st.one_of(
+    st.sampled_from(["a", "b", "", "absent", np.str_("a"), np.str_("zz")]),
+    st.text(max_size=2),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.sampled_from([2**70, np.int64(1), np.float64("nan"), b"a", None, dt.date(2020, 1, 1)]),
+)
+COMPARISONS = [operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge]
+
+
+@given(cells=st.lists(TEXT_CELLS, max_size=12), other=SCALARS, data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_text_comparisons_match_the_loop(cells, other, data):
+    """Object columns from cells, and numpy unicode arrays under any mask."""
+    col = Column.from_data(cells, STRING)
+    text = [c for c in cells if c is not None]
+    mask = data.draw(hnp.arrays(np.bool_, len(text)))
+    unicode = Column(np.array(text, dtype=str), mask, STRING)
+    for column in (col, unicode):
+        for op in COMPARISONS:
+            got = outcome(op, column, other)
+            want = outcome(loop_compare, column, other, op)
+            assert got[0] == want[0], (op, got, want)
+            if got[0] == "raised":
+                assert got[1] is want[1], op
+                continue
+            assert got[1].dtype is want[1].dtype is BOOL
+            assert got[1].values.dtype == want[1].values.dtype == np.bool_
+            assert got[1].values.tobytes() == want[1].values.tobytes(), op
+            assert got[1].mask.tobytes() == want[1].mask.tobytes(), op
+
+
+def test_text_equality_clears_missing_rows():
+    values = np.array(["a", None, "a", "b"], dtype=object)
+    col = Column(values, np.array([False, True, True, False]), STRING)
+    assert (col == "a").values.tolist() == [True, False, False, False]
+    assert (col != "a").values.tolist() == [False, False, False, True]
+    assert (col != "a").mask.tolist() == [False, True, True, False]
+

@@ -1,13 +1,18 @@
 """Stateful differential oracle for the always-on service.
 
 A hypothesis state machine drives one watched session through random
-mutations — column edits, schema changes, row-set changes, intent and
+mutations — column edits, schema changes, row-set changes, intent
+(measures, dimensions, filter clauses) and
 type-override changes — interleaved with config flips (incremental
 precompute, the computation cache), reader flips (bytes as the wire
 reads them, or dicts), store wipes and snapshot restarts (save, restore
 into a fresh manager, continue on the restored session).
 One machine keeps the shipped debounce and sends bursts of writes through
 the service dispatcher, so writes land on armed timers and running passes.
+One runs a frame of a few dozen mostly nominal columns under a
+one-measure intent, so the Filter action's many filter groups (each a
+projected, batch-local subframe) and their shared unfiltered reference
+are under the oracle.
 After every step, once the precompute engine is idle, the served
 recommendations must equal those of a *cold* ``LuxDataFrame`` rebuilt
 from the session frame's current columns, intent and type overrides:
@@ -53,6 +58,7 @@ from repro.service.shard import ShardService
 from repro.vis import vegalite
 
 ROWS = 240
+WIDE_ROWS = 120
 
 
 def make_frame() -> LuxDataFrame:
@@ -70,6 +76,16 @@ def make_frame() -> LuxDataFrame:
             "d1": rng.choice(["u", "v"], ROWS).tolist(),
         }
     )
+
+
+def make_wide_frame() -> LuxDataFrame:
+    """Three measures, an int column and 24 dimensions of two to five values."""
+    rng = np.random.default_rng(12)
+    data = {f"q{i}": np.round(rng.normal(i, 1, WIDE_ROWS), 4) for i in range(3)}
+    data["i0"] = rng.integers(0, 20, WIDE_ROWS)
+    for j in range(24):
+        data[f"d{j}"] = rng.choice(list("abcde")[: 2 + j % 4], WIDE_ROWS).tolist()
+    return LuxDataFrame(data)
 
 
 def cold_actions(frame: LuxDataFrame, intent: list, overrides: dict) -> dict:
@@ -109,6 +125,9 @@ def holds_dict(entry) -> bool:
 
 
 class ServiceOracle(RuleBasedStateMachine):
+    #: The session's frame, and the intent it starts with.
+    FRAME = staticmethod(make_frame)
+    INTENT: list = []
     #: Config overrides the session is created with.
     OVERRIDES: dict = {}
     #: The result store's byte budget (None: the configured one).
@@ -144,7 +163,10 @@ class ServiceOracle(RuleBasedStateMachine):
 
     @initialize()
     def start(self) -> None:
-        self.session = self.manager.create(make_frame(), overrides=self.OVERRIDES)
+        self.session = self.manager.create(self.FRAME(), overrides=self.OVERRIDES)
+        if self.INTENT:
+            self.intent = list(self.INTENT)
+            self.session.set_intent(self.intent)
         self.moved = True
 
     def new_manager(self) -> SessionManager:
@@ -178,7 +200,8 @@ class ServiceOracle(RuleBasedStateMachine):
 
     def free_columns(self) -> list[str]:
         """Columns the intent does not reference (safe to drop or rename)."""
-        return [c for c in self.frame.columns if c not in self.intent]
+        used = {clause.split("=")[0] for clause in self.intent}
+        return [c for c in self.frame.columns if c not in used]
 
     # ------------------------------------------------------------------
     @rule(data=st.data())
@@ -247,6 +270,18 @@ class ServiceOracle(RuleBasedStateMachine):
     def set_intent(self, data) -> None:
         name = data.draw(st.sampled_from(self.columns(("quantitative", "nominal"))))
         self.intent = [name]
+        self.session.set_intent(self.intent)
+        self.moved = True
+
+    @precondition(lambda self: self.columns(("quantitative",)) and self.columns(("nominal",)))
+    @rule(data=st.data())
+    def set_filtered_intent(self, data) -> None:
+        """A measure under a filter clause: the current vis and every
+        candidate that keeps the clause share one filtered subframe."""
+        measure = data.draw(st.sampled_from(self.columns(("quantitative",))))
+        name = data.draw(st.sampled_from(self.columns(("nominal",))))
+        value = data.draw(st.sampled_from(self.frame.metadata[name].unique_values))
+        self.intent = [measure, f"{name}={value}"]
         self.session.set_intent(self.intent)
         self.moved = True
 
@@ -454,10 +489,23 @@ class DebouncedOracle(ServiceOracle):
         self.moved = True
 
 
+class WideOracle(ServiceOracle):
+    """The same oracle over a few dozen mostly nominal columns, starting
+    under a one-measure intent.
+
+    The Filter action then ranks one candidate per dimension value, each
+    its own filter group, all sharing one unfiltered reference.
+    """
+
+    FRAME = staticmethod(make_wide_frame)
+    INTENT = ["q0"]
+
+
 TestServiceOracle = ServiceOracle.TestCase
 TestOverrideOracle = OverrideOracle.TestCase
 TestTinyStoreOracle = TinyStoreOracle.TestCase
 TestDebouncedOracle = DebouncedOracle.TestCase
+TestWideOracle = WideOracle.TestCase
 TestTinyStoreOracle.settings = settings(
     settings.default, max_examples=max(1, settings.default.max_examples // 6)
 )
