@@ -18,9 +18,11 @@ through ``harness.py``:
 
 - parallel results must be bit-identical to serial results;
 - cache memory must respect ``config.computation_cache_budget_mb``;
-- the cache speedup must not regress against the committed baseline
-  (``benchmarks/baselines/BENCH_shared_scan.json``), falling back to the
-  historical 1.5x floor when no comparable baseline exists;
+- the cache speedup must clear the historical 1.5x floor on every run;
+- against a comparable committed baseline
+  (``benchmarks/baselines/BENCH_shared_scan.json``) the cached and the
+  uncached pass are each held to their own trajectory, so a faster
+  uncached ablation cannot fail the gate;
 - on hosts with >= 4 cores, the parallel condition must clear 1.5x over
   the serial cached path (and its baseline trajectory when one was
   recorded on a >= 4-core host).
@@ -55,8 +57,7 @@ from repro.vis.spec import VisSpec  # noqa: E402
 N_MEASURES = 6
 N_DIMS = 3
 
-#: Historical absolute floor (the PR-1 acceptance bar), used when no
-#: comparable baseline entry exists.
+#: Historical absolute floor on the cache speedup (the PR-1 acceptance bar).
 CACHE_FLOOR = 1.5
 
 #: Acceptance bar for the parallel condition on multi-core hosts.
@@ -153,7 +154,11 @@ def metrics(report: dict) -> list[harness.Metric]:
     The cache budget is a ceiling only when one is set, and the parallel
     condition is gated only when it fans out over two or more workers.
     """
-    declared = [harness.Metric("speedups.cache", "higher", fallback=CACHE_FLOOR)]
+    declared = [
+        harness.Metric("speedups.cache", "higher", tolerance=None, floor=CACHE_FLOOR),
+        harness.Metric("timings_ms.serial_cached", "lower"),
+        harness.Metric("timings_ms.serial_uncached", "lower"),
+    ]
     budget = report["cache_budget_bytes"]
     if budget:
         declared.append(harness.Metric("cache_bytes", "lower", tolerance=None, floor=budget))

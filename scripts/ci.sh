@@ -28,7 +28,7 @@ python -m ruff format --check .
 
 echo "== static analysis (tools/check) =="
 # Repo-specific invariant gate: lock discipline, mutation-delta
-# completeness, footprint coverage, config/SQL hygiene, identity-key and
+# completeness, action keying decisions, config/SQL hygiene, identity-key and
 # route-auth rules.  Stdlib-only, so it can never be skipped for a
 # missing dependency.  The JSON report is uploaded as a CI artifact.
 python -m tools.check src --json CHECK_report.json

@@ -1,6 +1,6 @@
 """Recommendation actions (Table 1) and the action registry."""
 
-from .base import Action, CandidateFootprint, Footprint
+from .base import Action, KeyedCandidates
 from .correlation import CorrelationAction
 from .current import CurrentVisAction
 from .enhance import EnhanceAction
@@ -25,9 +25,7 @@ from .univariate import (
 __all__ = [
     "Action",
     "ActionRegistry",
-    "CandidateFootprint",
     "CorrelationAction",
-    "Footprint",
     "CurrentVisAction",
     "CustomAction",
     "DistributionAction",
@@ -36,6 +34,7 @@ __all__ = [
     "GeneralizeAction",
     "GeographicAction",
     "IndexAction",
+    "KeyedCandidates",
     "OccurrenceAction",
     "PreAggregateAction",
     "PreFilterAction",

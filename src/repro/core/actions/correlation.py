@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 from ..clause import Clause
 from ..compiler import CompiledVis
 from ..metadata import Metadata
-from .base import Action, Footprint
+from .base import Action
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..frame import LuxDataFrame
@@ -28,6 +28,7 @@ class CorrelationAction(Action):
         "Show scatterplots between quantitative attributes, "
         "ranked by Pearson correlation."
     )
+    keyed = True
 
     def applies_to(self, ldf: "LuxDataFrame") -> bool:
         return len(ldf.metadata.measures) >= 2 and not ldf.empty
@@ -46,9 +47,3 @@ class CorrelationAction(Action):
     def search_space_size(self, metadata: Metadata) -> int:
         m = len(metadata.measures)
         return m * (m - 1) // 2
-
-    def footprint(self, ldf: "LuxDataFrame", metadata: Metadata) -> Footprint:
-        # Pairs of quantitative attributes: intent never enters the space.
-        # Candidate entries let a single-measure mutation re-score only
-        # the pairs touching that measure.
-        return Footprint(candidates=self.candidate_footprints(ldf, metadata))

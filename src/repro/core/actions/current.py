@@ -6,7 +6,7 @@ from typing import TYPE_CHECKING
 
 from ..compiler import CompiledVis
 from ..metadata import Metadata
-from .base import Action, Footprint, intent_has_wildcard
+from .base import Action
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..frame import LuxDataFrame
@@ -18,6 +18,8 @@ class CurrentVisAction(Action):
     name = "Current Vis"
     description = "The visualization(s) specified by the current intent."
     ranked = False
+    keyed = True
+    reads_intent = True
 
     def applies_to(self, ldf: "LuxDataFrame") -> bool:
         return bool([c for c in ldf.intent if c.is_axis])
@@ -31,11 +33,3 @@ class CurrentVisAction(Action):
     def estimated_cost(self, metadata: Metadata) -> float:
         # Always scheduled first: it is what the user explicitly asked for.
         return 0.0
-
-    def footprint(self, ldf: "LuxDataFrame", metadata: Metadata) -> Footprint:
-        # The intent's own vis (unknown under wildcards).
-        if intent_has_wildcard(ldf):
-            return Footprint(candidates=None)
-        return Footprint(
-            candidates=self.candidate_footprints(ldf, metadata, intent=True)
-        )

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 from ..clause import Clause
 from ..compiler import CompiledVis
 from ..metadata import Metadata
-from .base import Action, Footprint, intent_has_wildcard
+from .base import Action
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..frame import LuxDataFrame
@@ -18,6 +18,8 @@ __all__ = ["EnhanceAction"]
 class EnhanceAction(Action):
     name = "Enhance"
     description = "Augment the current visualization with one more attribute."
+    keyed = True
+    reads_intent = True
 
     def applies_to(self, ldf: "LuxDataFrame") -> bool:
         axes = [c for c in ldf.intent if c.is_axis]
@@ -40,13 +42,3 @@ class EnhanceAction(Action):
 
     def search_space_size(self, metadata: Metadata) -> int:
         return max(len(metadata.attributes) - 1, 0)
-
-    def footprint(self, ldf: "LuxDataFrame", metadata: Metadata) -> Footprint:
-        # Pairs the intent with every other attribute: per-candidate
-        # entries confine a single-column change to the candidates
-        # actually plotting it.
-        if intent_has_wildcard(ldf):
-            return Footprint(candidates=None)
-        return Footprint(
-            candidates=self.candidate_footprints(ldf, metadata, intent=True)
-        )

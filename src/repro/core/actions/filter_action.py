@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 from ..clause import Clause
 from ..compiler import CompiledVis
 from ..metadata import Metadata
-from .base import Action, Footprint, intent_has_wildcard
+from .base import Action
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..frame import LuxDataFrame
@@ -28,6 +28,8 @@ MAX_VALUES_PER_ATTRIBUTE = 10
 class FilterAction(Action):
     name = "Filter"
     description = "Apply a different filter to the current visualization."
+    keyed = True
+    reads_intent = True
 
     def applies_to(self, ldf: "LuxDataFrame") -> bool:
         return bool([c for c in ldf.intent if c.is_axis])
@@ -70,14 +72,3 @@ class FilterAction(Action):
         for attr in metadata.columns_of_type("nominal", "geographic"):
             total += min(metadata[attr].cardinality, MAX_VALUES_PER_ATTRIBUTE)
         return total
-
-    def footprint(self, ldf: "LuxDataFrame", metadata: Metadata) -> Footprint:
-        # Candidate filters enumerate every categorical attribute's values;
-        # the charts themselves plot the intent's columns.  Per-candidate
-        # entries name each clause's filter attribute, so a change to one
-        # categorical column reruns only the clauses filtering on it.
-        if intent_has_wildcard(ldf):
-            return Footprint(candidates=None)
-        return Footprint(
-            candidates=self.candidate_footprints(ldf, metadata, intent=True)
-        )

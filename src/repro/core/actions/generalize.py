@@ -6,7 +6,7 @@ from typing import TYPE_CHECKING
 
 from ..compiler import CompiledVis
 from ..metadata import Metadata
-from .base import Action, Footprint, intent_has_wildcard
+from .base import Action
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..frame import LuxDataFrame
@@ -18,6 +18,8 @@ class GeneralizeAction(Action):
     name = "Generalize"
     description = "Remove one attribute or filter to broaden the analysis."
     ranked = False  # displayed in removal order, mirroring the intent
+    keyed = True
+    reads_intent = True
 
     def applies_to(self, ldf: "LuxDataFrame") -> bool:
         intent = ldf.intent
@@ -43,11 +45,3 @@ class GeneralizeAction(Action):
 
     def search_space_size(self, metadata: Metadata) -> int:
         return 3
-
-    def footprint(self, ldf: "LuxDataFrame", metadata: Metadata) -> Footprint:
-        # Drops clauses from the intent: only the intent's columns appear.
-        if intent_has_wildcard(ldf):
-            return Footprint(candidates=None)
-        return Footprint(
-            candidates=self.candidate_footprints(ldf, metadata, intent=True)
-        )

@@ -15,7 +15,7 @@ from ..compiler import CompiledVis
 from ..config import config
 from ..metadata import Metadata
 from ..vislist import VisList
-from .base import Action, Footprint
+from .base import Action
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..frame import LuxDataFrame
@@ -32,6 +32,7 @@ class PreAggregateAction(Action):
     name = "Pre-aggregate"
     description = "Visualize the aggregate values produced by a recent groupby."
     ranked = False
+    keyed = True
 
     def applies_to(self, ldf: "LuxDataFrame") -> bool:
         if ldf.empty or not ldf.history.was_aggregated:
@@ -56,10 +57,6 @@ class PreAggregateAction(Action):
     def search_space_size(self, metadata: Metadata) -> int:
         return len(metadata.measures)
 
-    def footprint(self, ldf: "LuxDataFrame", metadata: Metadata) -> Footprint:
-        # First dimension (the grouping key) against every measure.
-        return Footprint(candidates=self.candidate_footprints(ldf, metadata))
-
 
 class PreFilterAction(Action):
     """Visualize the unfiltered parent when the current frame is tiny."""
@@ -70,6 +67,9 @@ class PreFilterAction(Action):
         "overview of the pre-filter dataframe instead."
     )
     ranked = True
+    #: Ranked against the parent frame, whose column stamps this frame's
+    #: metadata does not carry, so it reruns whole.
+    keyed = False
 
     def applies_to(self, ldf: "LuxDataFrame") -> bool:
         if len(ldf) > SMALL_FRAME_ROWS or not ldf.history.was_filtered:
@@ -101,10 +101,3 @@ class PreFilterAction(Action):
 
     def search_space_size(self, metadata: Metadata) -> int:
         return len(metadata.attributes)
-
-    def footprint(self, ldf: "LuxDataFrame", metadata: Metadata) -> Footprint:
-        # Computed against the *parent* frame, whose column stamps this
-        # frame's metadata does not carry: stay conservative, at whole-
-        # action granularity (candidates=None — reusing individual vis
-        # against an unobserved parent would serve stale charts).
-        return Footprint(candidates=None)

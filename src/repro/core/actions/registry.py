@@ -45,8 +45,8 @@ class CustomAction(Action):
 
     #: A UDF's inputs are opaque — it may read any column and the intent —
     #: so the incremental engine must rerun it on every change.  Stated
-    #: explicitly rather than inherited silently (tools/check `footprint`).
-    footprint_unknown = True
+    #: explicitly rather than inherited silently (tools/check `action-keys`).
+    keyed = False
 
     def __init__(
         self,

@@ -20,7 +20,7 @@ from ...vis.table import ColumnTable
 from ..compiler import CompiledVis
 from ..config import config
 from ..metadata import Metadata
-from .base import Action, CandidateFootprint, Footprint
+from .base import Action
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..frame import LuxDataFrame
@@ -48,6 +48,9 @@ class IndexAction(Action):
     name = "Index"
     description = "Visualize values grouped by the dataframe's index."
     ranked = False
+    #: Enumeration builds every chart's data, and a row-wise series plots
+    #: synthetic fields, so it reruns whole.
+    keyed = False
 
     def applies_to(self, ldf: "LuxDataFrame") -> bool:
         if ldf.empty or ldf.index.is_default:
@@ -110,15 +113,3 @@ class IndexAction(Action):
     def estimated_cost(self, metadata: Metadata) -> float:
         # Pre-aggregated frames are tiny; this action is always cheap.
         return float(len(metadata.measures)) * max(metadata.n_rows, 1)
-
-    def footprint(self, ldf: "LuxDataFrame", metadata: Metadata) -> Footprint:
-        # Plots every numeric storage column against the labelled index.
-        # Candidate enumeration builds the chart tables, but applies_to caps
-        # the frame at 1000 rows so per-pass entry building stays cheap.
-        # A row-wise series plots synthetic "column"/"value" fields built
-        # from every numeric column, so its entry names those columns.
-        entries = self.candidate_footprints(ldf, metadata)
-        numeric = _numeric_columns(ldf)
-        if entries is not None and _columns_look_temporal(numeric):
-            entries = [CandidateFootprint(e.vis_key, numeric) for e in entries]
-        return Footprint(candidates=entries)

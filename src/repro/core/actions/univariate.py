@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 from ..clause import Clause
 from ..compiler import CompiledVis
 from ..metadata import Metadata
-from .base import Action, Footprint
+from .base import Action
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..frame import LuxDataFrame
@@ -30,6 +30,7 @@ class _UnivariateAction(Action):
     """Shared machinery: one candidate per column of the target type."""
 
     data_type = ""
+    keyed = True
 
     def _columns(self, metadata: Metadata) -> list[str]:
         return metadata.columns_of_type(self.data_type)
@@ -46,10 +47,6 @@ class _UnivariateAction(Action):
 
     def search_space_size(self, metadata: Metadata) -> int:
         return len(self._columns(metadata))
-
-    def footprint(self, ldf: "LuxDataFrame", metadata: Metadata) -> Footprint:
-        # One chart per column of the target type; intent never enters.
-        return Footprint(candidates=self.candidate_footprints(ldf, metadata))
 
 
 class DistributionAction(_UnivariateAction):

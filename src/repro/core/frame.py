@@ -304,9 +304,10 @@ class LuxDataFrame(DataFrame):
         stored = getattr(meta, "_overrides", {})
         stored.update(types)
         meta._overrides = stored
-        # A type override changes what the named columns *mean* (action
-        # footprints shift) without touching their data: the delta names
-        # them so delta-aware consumers rerun exactly the affected actions.
+        # A type override changes what the named columns *mean* (which
+        # candidates the actions enumerate over them) without touching
+        # their data: the delta names them so delta-aware consumers rerun
+        # exactly the affected actions.
         self._expire_recommendation_state(
             observe.Delta(
                 columns_changed=frozenset(types),

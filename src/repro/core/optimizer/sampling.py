@@ -13,7 +13,6 @@ from typing import Sequence
 import numpy as np
 
 from ...dataframe import DataFrame
-from ...vis.spec import candidate_key
 from ..compiler import CompiledVis
 from ..config import config
 from ..executor.base import get_executor
@@ -171,6 +170,7 @@ def rank_candidates(
     k: int | None = None,
     prior: "dict[str, CandidatePrior] | None" = None,
     records: "dict[str, dict] | None" = None,
+    keys: "Sequence[str] | None" = None,
 ) -> VisList:
     """Rank candidates by interestingness and return the processed top-k.
 
@@ -180,29 +180,27 @@ def rank_candidates(
     ``score_vis`` one dict of unfiltered references, so filtered
     candidates that share a reference execute it once per pass.
 
-    ``prior`` maps ``candidate_key(spec)`` to reused state for candidates
-    whose inputs the caller found unchanged since a previous pass (see
-    ``CandidatePrior``); their scores — and, for the displayed top-k, their
-    processed Vis objects — are reused instead of recomputed.  Reused
-    values are merged with freshly computed ones in enumeration order, so
-    the two-pass algorithm (including stable-sort tie behavior) is
-    bit-identical to a cold run.  ``records``, when given, is filled with
-    one ``{"approx", "score", "displayed"}`` dict per candidate key so the
-    caller can seed the next pass's prior.
+    ``keys`` holds each candidate's ``candidate_key(spec)``, in order; the
+    caller, which keyed the candidates when it enumerated them, must pass
+    it with ``prior`` or ``records``.  ``prior`` maps a key to reused
+    state for candidates whose inputs the caller found unchanged since a
+    previous pass (see ``CandidatePrior``); their scores — and, for the
+    displayed top-k, their processed Vis objects — are reused instead of
+    recomputed.  Reused values are merged with freshly computed ones in
+    enumeration order, so the two-pass algorithm (including stable-sort
+    tie behavior) is bit-identical to a cold run.  ``records``, when
+    given, is filled with one ``{"approx", "score", "displayed"}`` dict
+    per candidate key so the caller can seed the next pass's prior.
     """
     k = k if k is not None else config.top_k
     executor = get_executor()
     n = len(frame)
     sample = get_sample(frame)
 
-    keys: list[str] | None = None
-    if prior is not None or records is not None:
-        keys = [candidate_key(cand.spec) for cand in candidates]
-    prior_map = prior or {}
     prior_by_id: dict[int, CandidatePrior] = {}
-    if keys is not None and prior_map:
+    if prior:
         for key, cand in zip(keys, candidates):
-            p = prior_map.get(key)
+            p = prior.get(key)
             if p is not None:
                 prior_by_id[id(cand)] = p  # check: ignore[unstable-key]
 
@@ -272,7 +270,7 @@ def rank_candidates(
             vis = Vis.from_compiled(cand, source=frame, score=score, process=False)
         visualizations.append(vis)
 
-    if records is not None and keys is not None:
+    if records is not None:
         displayed = {id(cand) for _, cand in top}  # check: ignore[unstable-key]
         for key, cand in zip(keys, candidates):
             records[key] = {

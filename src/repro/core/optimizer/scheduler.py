@@ -18,7 +18,7 @@ from ..errors import PassCancelled
 from ..metadata import Metadata
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..actions.base import Action
+    from ..actions.base import Action, KeyedCandidates
     from ..vislist import VisList
 
 __all__ = ["RecommendationSet", "drain_all", "schedule_actions"]
@@ -138,8 +138,7 @@ def run_actions(
     ldf,
     metadata: Metadata,
     cancel: "threading.Event | None" = None,
-    priors: "dict[str, dict] | None" = None,
-    records: "dict[str, dict] | None" = None,
+    keyed: "dict[str, KeyedCandidates] | None" = None,
     done: "dict[str, VisList] | None" = None,
 ) -> RecommendationSet:
     """Execute actions in scheduled order, synchronously or streaming.
@@ -152,16 +151,17 @@ def run_actions(
     point is returning control immediately; staleness is handled by the
     version checks of whoever consumes the results).
 
-    ``priors`` maps action name to ``vis_key -> CandidatePrior`` state
-    reused from a previous pass and ``records`` maps action name to an
-    output dict of per-candidate
-    score records — actions present in either run through
-    :meth:`~repro.core.actions.base.Action.generate_cached` (bit-identical
-    to ``generate``); absent actions run plainly.  Each per-action record
-    dict is written by exactly one worker, so the streaming path needs no
-    extra locking.  ``done`` maps action name to a VisList the caller
-    already holds for this exact state (the precompute engine's reused
-    results); those actions are published as they are, not generated.
+    ``keyed`` maps action name to the action's candidates as the caller
+    (the precompute engine) enumerated and keyed them, with the state it
+    reuses and the records it collects
+    (:class:`~repro.core.actions.base.KeyedCandidates`): those actions
+    run through :meth:`~repro.core.actions.base.Action.generate_cached`
+    (bit-identical to ``generate``), which neither enumerates nor keys
+    again; absent actions run plainly.  Each per-action record dict is
+    written by exactly one worker, so the streaming path needs no extra
+    locking.  ``done`` maps action name to a VisList the caller already
+    holds for this exact state (the precompute engine's reused results);
+    those actions are published as they are, not generated.
     """
     ordered = schedule_actions(actions, metadata)
     result = RecommendationSet()
@@ -174,10 +174,7 @@ def run_actions(
         if done is not None and action.name in done:
             return done[action.name]
         return _generate_safely(
-            action,
-            ldf,
-            priors.get(action.name) if priors is not None else None,
-            records.get(action.name) if records is not None else None,
+            action, ldf, keyed.get(action.name) if keyed is not None else None
         )
 
     if not config.streaming:
@@ -202,10 +199,7 @@ def run_actions(
 
 
 def _generate_safely(
-    action: "Action",
-    ldf,
-    prior: "dict | None" = None,
-    records: "dict | None" = None,
+    action: "Action", ldf, keyed: "KeyedCandidates | None" = None
 ) -> "VisList":
     """Run one action, containing failures (§10.3 failproofing).
 
@@ -216,8 +210,8 @@ def _generate_safely(
     published result is the empty tab.
     """
     try:
-        if prior is not None or records is not None:
-            return action.generate_cached(ldf, prior or {}, records)
+        if keyed is not None:
+            return action.generate_cached(ldf, keyed)
         return action.generate(ldf)
     except Exception as exc:
         import warnings
@@ -225,8 +219,8 @@ def _generate_safely(
         from ..errors import LuxWarning
         from ..vislist import VisList
 
-        if records is not None:
-            records.clear()
+        if keyed is not None:
+            keyed.records.clear()
         warnings.warn(
             f"action {action.name!r} failed ({exc}); showing an empty tab.",
             LuxWarning,

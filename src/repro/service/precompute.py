@@ -43,31 +43,38 @@ Incremental recomputation (``config.incremental_precompute``)
 -------------------------------------------------------------
 Reuse is keyed by content.  The engine keeps one table per watched
 session: the results of its last published pass, keyed by what they were
-computed from.  A pass enumerates every applicable action's candidates
-(the :class:`~repro.core.actions.base.CandidateFootprint` entries its
-footprint declares) and keys each one by a tuple of
+computed from.  A pass enumerates the candidates of every applicable
+keyed action (:attr:`~repro.core.actions.base.Action.keyed`) once, and
+keys each one by a tuple of
 
-- the action name and the candidate's ``vis_key``;
-- ``(column, stamp)`` for each column the candidate reads, the stamp
-  being :attr:`~repro.core.metadata.Metadata.column_versions`;
-- the frame's intent epoch, for candidates that depend on intent;
+- the action name and the candidate's ``vis_key``
+  (:func:`~repro.vis.spec.candidate_key` of its compiled spec);
+- ``(column, stamp)`` for each column the candidate reads (its spec's
+  fields and filter attributes), the stamp being
+  :attr:`~repro.core.metadata.Metadata.column_versions`;
+- the frame's intent epoch, for an action that reads the intent
+  (:attr:`~repro.core.actions.base.Action.reads_intent`);
 - a digest of the effective config (``incremental_precompute`` aside).
 
 An action's key is the tuple of its candidates' keys in enumeration
 order.  An action whose key is in the table is not run: its VisList
 and stored bytes are published as they are (provenance ``carried``,
-original ``computed_at``).  Any other action runs with the table's hits
-as :class:`~repro.core.optimizer.sampling.CandidatePrior` state — their
-sample and exact scores are reused, and a displayed hit also brings its
-Vis and its wire bytes — so only the misses are executed, scored and
-written; an action whose displayed Vis were partly reused lands as
-``mixed`` with a per-vis origin map.
+original ``computed_at``).  Any other keyed action runs on the
+candidates the pass enumerated, with their keys and the table's hits as
+:class:`~repro.core.optimizer.sampling.CandidatePrior` state (one
+:class:`~repro.core.actions.base.KeyedCandidates` per action), so
+nothing enumerates or keys them again.  The hits' sample and exact
+scores are reused, and a displayed hit also brings its Vis and its wire
+bytes, so only the misses are executed, scored and written; an action
+whose displayed Vis were partly reused lands as ``mixed`` with a per-vis
+origin map.
 Because every input of a result is in its key, a hit is bit-identical to
 what a cold pass would recompute, and there is no delta to accumulate
-between passes.  An action without candidate entries (an unknown read
-set, or duplicate ``vis_key``) gets no key and reruns whole.  With the
-switch off a pass looks nothing up but still records its results, so
-switching it back on reuses them.
+between passes.  An action that is not keyed, whose enumeration raised,
+that enumerated two candidates with one ``vis_key``, or that reads an
+intent holding an attribute wildcard gets no key and reruns whole.
+With the switch off a pass looks nothing up but still records its
+results, so switching it back on reuses them.
 
 A completed pass lands in the :class:`~repro.service.store.ResultStore`
 as one unit, replacing the session's previous pass there, at the version
@@ -130,6 +137,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator
 
 from ..core import pool, telemetry
+from ..core.actions.base import KeyedCandidates, intent_has_wildcard
 from ..core.actions.registry import default_registry
 from ..core.config import config
 from ..core.errors import LuxError, LuxWarning, PassCancelled
@@ -140,6 +148,7 @@ from ..core.optimizer.scheduler import (
     schedule_actions,
 )
 from ..dataframe import observe
+from ..vis.spec import candidate_key
 from .session import encode_pass
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -249,64 +258,66 @@ def _config_digest() -> str:
     return hashlib.blake2b(text, digest_size=16).hexdigest()
 
 
-def _action_key(
+def _enumerate(
     action: "Action", frame: Any, metadata: Any, digest: str
-) -> "tuple | None":
-    """The tuple of the action's candidate keys, in enumeration order.
+) -> "tuple[tuple, KeyedCandidates] | None":
+    """The action's key, and its candidates with each one's ``vis_key``.
 
-    None when the action declares no candidate entries, an entry's read
-    set is unknown, or two entries share a ``vis_key``: such an action
+    The action's key is the tuple of its candidates' keys, in
+    enumeration order.  None when the action is not keyed, reads an
+    intent holding an attribute wildcard, raised while enumerating, or
+    enumerated two candidates with one ``vis_key``: such an action
     reruns whole.
     """
+    if not action.keyed or (action.reads_intent and intent_has_wildcard(frame)):
+        return None
     try:
-        entries = action.footprint(frame, metadata).candidates()
-    except Exception:  # a broken declaration degrades to "rerun"
+        candidates = action.candidates(frame)
+    except Exception:  # rerun whole: the run reports the failure
         return None
-    if entries is None or any(e.columns is None for e in entries):
-        return None
-    if len({e.vis_key for e in entries}) != len(entries):
+    vis_keys = [candidate_key(cand.spec) for cand in candidates]
+    if len(set(vis_keys)) != len(vis_keys):
         return None
     stamps = metadata.column_versions
-    epoch = frame._intent_epoch
-    return tuple(
-        (
-            action.name,
-            e.vis_key,
-            frozenset((c, stamps.get(c)) for c in e.columns),
-            epoch if e.intent else None,
-            digest,
-        )
-        for e in entries
-    )
+    epoch = frame._intent_epoch if action.reads_intent else None
+    key = []
+    for vis_key, cand in zip(vis_keys, candidates):
+        reads = {str(c) for c in cand.spec.fields()}
+        reads.update(str(attr) for attr, _, _ in cand.spec.filters)
+        columns = frozenset((c, stamps.get(c)) for c in reads)
+        key.append((action.name, vis_key, columns, epoch, digest))
+    return tuple(key), KeyedCandidates(candidates, vis_keys, {}, {})
 
 
 def _lookup(
-    table: "dict[str, _ActionResult] | None", keys: "dict[str, tuple | None]"
-) -> "tuple[dict[str, _ActionResult], dict[str, dict[str, _Candidate]]]":
-    """Action-key hits, and the candidate hits of every other keyed action
-    (``action name -> {vis_key: candidate result}``).
+    table: "dict[str, _ActionResult] | None",
+    enumerated: "dict[str, tuple[tuple, KeyedCandidates] | None]",
+) -> "tuple[dict[str, _ActionResult], dict[str, KeyedCandidates]]":
+    """Action-key hits, and the candidates every other keyed action runs.
 
-    A candidate key names its action, so only that action's previous
-    result can hold it.
+    Such an action's prior is filled with its candidate hits (``vis_key
+    -> candidate result``).  A candidate key names its action, so only
+    that action's previous result can hold it.
     """
     hits: dict[str, _ActionResult] = {}
-    priors: dict[str, dict[str, _Candidate]] = {}
-    for name, key in keys.items():
-        prev = table.get(name) if table is not None else None
-        if key is None or prev is None:
+    keyed: dict[str, KeyedCandidates] = {}
+    for name, entry in enumerated.items():
+        if entry is None:
             continue
-        if prev.key == key:
+        key, run = entry
+        prev = table.get(name) if table is not None else None
+        if prev is not None and prev.key == key:
             hits[name] = prev
             continue
-        current = set(key)
-        found = {
-            k[1]: candidate
-            for k, candidate in zip(prev.key, prev.candidates)
-            if candidate is not None and k in current
-        }
-        if found:
-            priors[name] = found
-    return hits, priors
+        if prev is not None:
+            current = set(key)
+            run.prior.update(
+                (k[1], candidate)
+                for k, candidate in zip(prev.key, prev.candidates)
+                if candidate is not None and k in current
+            )
+        keyed[name] = run
+    return hits, keyed
 
 
 def _record(
@@ -315,7 +326,7 @@ def _record(
     blob: bytes,
     slices: "list[memoryview]",
     spec_keys: "list[str]",
-    recmap: "dict[str, dict] | None",
+    run: "KeyedCandidates | None",
     computed_at: float,
 ) -> "_ActionResult | None":
     """The table entry of one executed action, or None if it has no key.
@@ -324,13 +335,13 @@ def _record(
     either.  A displayed candidate keeps its Vis and its slice of the
     action's bytes, found by the spec's key.
     """
-    if key is None or recmap is None or (key and not recmap):
+    if key is None or run is None or (key and not run.records):
         return None
     visible = [vis for vis in vislist if vis.spec is not None]
     displayed = {spec_key: (vis, view) for vis, spec_key, view in zip(visible, spec_keys, slices)}
     candidates: list[_Candidate | None] = []
     for k in key:
-        rec = recmap.get(k[1])
+        rec = run.records.get(k[1])
         if rec is None:
             candidates.append(None)
             continue
@@ -753,27 +764,25 @@ class PrecomputeEngine:
                         default_registry.applicable(frame), metadata
                     )
                     digest = _config_digest()
-                    keys = {
-                        a.name: _action_key(a, frame, metadata, digest)
+                    enumerated = {
+                        a.name: _enumerate(a, frame, metadata, digest)
                         for a in ordered
+                    }
+                    keys = {
+                        name: None if entry is None else entry[0]
+                        for name, entry in enumerated.items()
                     }
                     if not config.incremental_precompute:
                         table = None  # look nothing up; still record
-                    hits, priors = _lookup(table, keys)
+                    hits, keyed = _lookup(table, enumerated)
                     pass_span.attrs["rerun"] = len(keys) - len(hits)
                     pass_span.attrs["carried"] = len(hits)
-                    records: dict[str, dict] = {
-                        name: {}
-                        for name, key in keys.items()
-                        if key is not None and name not in hits
-                    }
                     recs = run_actions(
                         ordered,
                         frame,
                         metadata,
                         cancel=cancel,
-                        priors=priors or None,
-                        records=records or None,
+                        keyed=keyed or None,
                         done={n: r.vislist for n, r in hits.items()} or None,
                     )
                     fresh = {
@@ -781,7 +790,7 @@ class PrecomputeEngine:
                         for name, *written in encode_pass(
                             recs,
                             [n for n in recs.keys() if n not in hits],
-                            priors,
+                            {name: run.prior for name, run in keyed.items()},
                             cancel,
                             frame,
                         )
@@ -805,7 +814,7 @@ class PrecomputeEngine:
                 self._bump("stale")
                 return "stale"
             phase_t0 = time.perf_counter()
-            self._publish(session, version, recs, keys, hits, priors, records, fresh)
+            self._publish(session, version, recs, keys, hits, keyed, fresh)
             if self._snapshots is not None:
                 # Still under session.lock (reentrant), so the snapshot
                 # captures exactly the state this pass published; save()
@@ -831,8 +840,7 @@ class PrecomputeEngine:
         recs: RecommendationSet,
         keys: "dict[str, tuple | None]",
         hits: "dict[str, _ActionResult]",
-        priors: "dict[str, dict[str, _Candidate]]",
-        records: "dict[str, dict]",
+        keyed: "dict[str, KeyedCandidates]",
         fresh: "dict[str, tuple[bytes, list[memoryview], list[Any], list[str]]]",
     ) -> None:
         """Land one completed pass: store, view, memo and table.
@@ -879,7 +887,7 @@ class PrecomputeEngine:
                     _decode_action(len(recs[name]), slices, reused, spec_keys, previous),
                 )
             result = _record(
-                keys.get(name), recs[name], blob, slices, spec_keys, records.get(name), now
+                keys.get(name), recs[name], blob, slices, spec_keys, keyed.get(name), now
             )
             if result is not None:
                 table[name] = result
@@ -890,14 +898,14 @@ class PrecomputeEngine:
             frame = session.frame
             frame._recs_cache = recs
             frame._recs_version = version
-        reused = sum(len(found) for found in priors.values())
-        keyed = sum(len(keys[name]) for name in records)
+        reused = sum(len(run.prior) for run in keyed.values())
+        enumerated = sum(len(keys[name]) for name in keyed)
         with self._lock:
             if session.id in self._unsubscribe:
                 self._tables[session.id] = table
             self._counters["actions_rerun"] += len(keys) - len(hits)
             self._counters["actions_carried"] += len(hits)
-            self._counters["candidates_rerun"] += keyed - reused
+            self._counters["candidates_rerun"] += enumerated - reused
             self._counters["candidates_carried"] += reused + sum(
                 len(hit.key) for hit in hits.values()
             )

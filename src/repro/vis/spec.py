@@ -36,8 +36,8 @@ def candidate_key(spec: "VisSpec") -> str:
 
     The key is deterministic across processes (pure function of mark,
     encodings, and filter signature — no ids, no hashes of live objects),
-    so candidate-level footprints, store entries, and provenance maps can
-    all refer to the same vis by the same short token.
+    so the precompute engine's candidate keys, store entries, and
+    provenance maps can all refer to the same vis by the same short token.
     """
     raw = repr(spec.signature()).encode("utf-8")
     return hashlib.blake2b(raw, digest_size=8).hexdigest()

@@ -19,6 +19,7 @@ from repro.core.optimizer.cost_model import (
 )
 from repro.core.optimizer.sampling import CandidatePrior, get_sample, rank_candidates
 from repro.core.optimizer.scheduler import run_actions, schedule_actions
+from repro.vis.spec import candidate_key
 
 
 @pytest.fixture
@@ -150,13 +151,14 @@ class TestRankCandidates:
         def candidates():
             return OccurrenceAction().candidates(frame)
 
+        keys = [candidate_key(cand.spec) for cand in candidates()]
         config.early_pruning = False
         records: dict = {}
-        rank_candidates(candidates(), frame, k=6, records=records)
+        rank_candidates(candidates(), frame, k=6, records=records, keys=keys)
         priors = {key: CandidatePrior(score=r["score"]) for key, r in records.items()}
         config.early_pruning = True
         cold = rank_candidates(candidates(), frame, k=3)
-        warm = rank_candidates(candidates(), frame, k=3, prior=priors)
+        warm = rank_candidates(candidates(), frame, k=3, prior=priors, keys=keys)
         assert [v.spec.data for v in warm] == [v.spec.data for v in cold]
         assert all(sum(r["count"] for r in v.spec.data) == n for v in warm)
 

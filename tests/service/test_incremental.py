@@ -16,13 +16,28 @@ The acceptance-critical properties of the engine's content-keyed reuse:
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from repro import LuxDataFrame, config
+from repro.core.actions import (
+    CorrelationAction,
+    CurrentVisAction,
+    CustomAction,
+    EnhanceAction,
+    FilterAction,
+    GeneralizeAction,
+    IndexAction,
+    OccurrenceAction,
+    PreFilterAction,
+    default_registry,
+)
 from repro.service import ResultStore, SessionManager
+from repro.service import precompute
 from repro.service.wire import encode
+from repro.vis.spec import candidate_key
 
 
 def make_frame(n: int = 2_000, seed: int = 0) -> LuxDataFrame:
@@ -271,10 +286,11 @@ class TestIncrementalFallbacks:
         manager.close(session.id)
         assert session.id not in manager.engine._tables
 
-    def test_row_series_key_names_every_plotted_column(self, manager):
+    def test_row_series_reruns_on_a_plotted_edit(self, manager):
         # A pivoted frame's row-wise series plots synthetic column/value
-        # fields; before its entry named the numeric columns it read, an
-        # edit to one of them was served from the stale previous chart.
+        # fields built from every numeric column.  Index is not keyed, so
+        # an edit to one of those columns reruns it whole instead of
+        # serving the stale previous chart.
         dates = [f"2020-01-{d:02d}" for d in range(1, 6)]
         data = {"state": ["CA"], **{d: [float(i)] for i, d in enumerate(dates)}}
         session = settled_session(manager, LuxDataFrame(data).set_index("state"))
@@ -298,6 +314,128 @@ class TestIncrementalFallbacks:
         # Occurrence did not read q0 and is carried.
         assert origins["Occurrence"] == "carried"
         assert origins["Correlation"] == "precompute"
+
+
+def spy_enumeration(monkeypatch) -> dict:
+    """``action name -> [candidates() calls, candidates returned]``."""
+    calls: dict = {}
+    owners = {
+        next(k for k in type(a).__mro__ if "candidates" in vars(k)) for a in default_registry
+    }
+    for owner in owners:
+
+        def counted(self, ldf, original=vars(owner)["candidates"]):
+            entry = calls.setdefault(self.name, [0, 0])
+            entry[0] += 1
+            out = original(self, ldf)
+            entry[1] += len(out)
+            return out
+
+        monkeypatch.setattr(owner, "candidates", counted)
+    return calls
+
+
+def spy_keying(monkeypatch) -> dict:
+    """``module name -> candidate_key calls``, over every module binding it."""
+    calls: dict = {}
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "candidate_key", None) is candidate_key:
+
+            def counted(spec, name=name):
+                calls[name] = calls.get(name, 0) + 1
+                return candidate_key(spec)
+
+            monkeypatch.setattr(module, "candidate_key", counted)
+    return calls
+
+
+class TestOneEnumerationPerPass:
+    """A background pass enumerates and keys each action's candidates once."""
+
+    def test_each_applicable_action_enumerates_once(self, manager, monkeypatch):
+        session = settled_session(manager, intent=["q0", "d0"])
+        calls = spy_enumeration(monkeypatch)
+        session.mutate("q1", session.frame["q1"].to_list()[::-1])
+        assert manager.engine.wait_idle(60)
+        records, _ = manager.store.get_pass(session.id, session.version)
+        assert {name: n for name, (n, _) in calls.items()} == {name: 1 for name in records}
+        # Carried actions enumerate to be keyed; rerun ones rank those candidates.
+        origins = {record["origin"] for record in records.values()}
+        assert origins == {"carried", "mixed", "precompute"}
+
+    def test_the_engine_keys_each_candidate_once(self, manager, monkeypatch):
+        session = settled_session(manager, intent=["q0", "d0"])
+        enumerated = spy_enumeration(monkeypatch)
+        keyed = spy_keying(monkeypatch)
+        session.mutate("q1", session.frame["q1"].to_list()[::-1])
+        assert manager.engine.wait_idle(60)
+        records, _ = manager.store.get_pass(session.id, session.version)
+        written = [
+            json.loads(bytes(record["payload"]))["specs"]
+            for record in records.values()
+            if record["origin"] != "carried"
+        ]
+        # The engine keys what it enumerated; the writer keys what it writes.
+        assert keyed == {
+            "repro.service.precompute": sum(n for _, n in enumerated.values()),
+            "repro.service.session": sum(len(specs) for specs in written),
+        }
+
+    def test_an_action_whose_enumeration_raised_reruns_whole(self, manager, monkeypatch):
+        session = settled_session(manager)
+        raised: list = []
+        original = CorrelationAction.candidates
+
+        def flaky(self, ldf):
+            if not raised:
+                raised.append(ldf._data_version)
+                raise RuntimeError("enumeration failed once")
+            return original(self, ldf)
+
+        monkeypatch.setattr(CorrelationAction, "candidates", flaky)
+        calls = spy_enumeration(monkeypatch)
+        session.mutate("d0", session.frame["d0"].to_list()[::-1])
+        assert manager.engine.wait_idle(60)
+        response = session.recommendations(compute=False)
+        # No column Correlation reads moved, yet it ran again, enumerating
+        # inside generate; the other actions enumerated once.
+        assert raised == [session.frame._data_version]
+        assert origins_of(response)["Correlation"] == "precompute"
+        assert calls["Correlation"][0] == 2
+        assert {n for name, (n, _) in calls.items() if name != "Correlation"} == {1}
+        manager.store.drop_session(session.id)
+        session.frame.expire_recommendations()
+        assert session.recommendations()["actions"] == response["actions"]
+
+    def test_which_actions_are_keyed(self):
+        frame = make_frame(200)
+        custom = CustomAction("Custom", lambda ldf: None)
+        unkeyed = [IndexAction(), PreFilterAction(), custom]
+        intent_readers = [CurrentVisAction(), EnhanceAction(), FilterAction(), GeneralizeAction()]
+
+        def keys(action):
+            entry = precompute._enumerate(action, frame, frame.metadata, "digest")
+            return None if entry is None else entry[0]
+
+        frame.intent = ["q0", "?"]
+        assert [keys(a) for a in unkeyed + intent_readers] == [None] * 7
+        assert keys(CorrelationAction()) is not None
+        # A value wildcard leaves the intent readers keyed.
+        frame.intent = ["q0", "d0=?"]
+        assert all(keys(a) for a in intent_readers)
+        assert [keys(a) for a in unkeyed] == [None] * 3
+
+    def test_a_candidate_key_names_its_reads_and_the_intent_epoch(self):
+        frame = make_frame(200)
+        frame.intent = ["q0"]
+        stamps = frame.metadata.column_versions
+        for action, epoch in ((FilterAction(), frame._intent_epoch), (OccurrenceAction(), None)):
+            key, run = precompute._enumerate(action, frame, frame.metadata, "digest")
+            assert run.keys == [candidate_key(c.spec) for c in run.candidates]
+            for k, cand in zip(key, run.candidates):
+                reads = set(cand.spec.fields()) | {attr for attr, _, _ in cand.spec.filters}
+                columns = frozenset((c, stamps.get(c)) for c in reads)
+                assert k == (action.name, candidate_key(cand.spec), columns, epoch, "digest")
 
 
 class TestCarryForwardStore:

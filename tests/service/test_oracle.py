@@ -2,7 +2,7 @@
 
 A hypothesis state machine drives one watched session through random
 mutations — column edits, schema changes, row-set changes, intent
-(measures, dimensions, filter clauses) and
+(measures, dimensions, filter clauses, attribute and value wildcards) and
 type-override changes — interleaved with config flips (incremental
 precompute, the computation cache), reader flips (bytes as the wire
 reads them, or dicts), store wipes and snapshot restarts (save, restore
@@ -282,6 +282,21 @@ class ServiceOracle(RuleBasedStateMachine):
         name = data.draw(st.sampled_from(self.columns(("nominal",))))
         value = data.draw(st.sampled_from(self.frame.metadata[name].unique_values))
         self.intent = [measure, f"{name}={value}"]
+        self.session.set_intent(self.intent)
+        self.moved = True
+
+    @precondition(lambda self: self.columns(("quantitative",)))
+    @rule(data=st.data())
+    def set_wildcard_intent(self, data) -> None:
+        """An attribute wildcard makes the intent-reading actions rerun
+        whole; a value wildcard leaves them keyed."""
+        measure = data.draw(st.sampled_from(self.columns(("quantitative",))))
+        shapes = [["?"], [measure, "?"]]
+        dimensions = self.columns(("nominal",))
+        if dimensions:
+            name = data.draw(st.sampled_from(dimensions))
+            shapes.append([measure, f"{name}=?"])
+        self.intent = data.draw(st.sampled_from(shapes))
         self.session.set_intent(self.intent)
         self.moved = True
 

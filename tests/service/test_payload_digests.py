@@ -8,6 +8,9 @@ passes and compared with ``payload_digests.json``:
   passes);
 - the ``edit_read`` shape: 2,000 rows, after its first background pass and
   after reversing ``q0`` and then ``d0`` (incremental passes);
+- the same 2,000 rows under the intent ``["q1", "d1"]``, after its first
+  background pass and after reversing ``d1`` and then ``q4``, so the
+  intent-driven actions' incremental passes are pinned too;
 - the five synthetic load scenarios at 300 rows;
 - the 20k-row service benchmark frame, which is sampled.
 
@@ -51,6 +54,8 @@ MEASURES = [f"q{i}" for i in range(6)]
 DIMENSIONS = {"d0": 6, "d1": 12, "d2": 24}
 INTENTS: list[list[str]] = [["q0"], ["d0"], ["q1", "d1"], ["q2", "q3"], []]
 EDITS = ["q0", "d0"]
+EDIT_INTENT = ["q1", "d1"]
+INTENT_EDITS = ["d1", "q4"]
 
 
 def versions() -> dict[str, str]:
@@ -142,6 +147,16 @@ def run_passes() -> Iterator[tuple[str, dict[str, bytes], list[tuple[Any, Any]]]
                 case = f"edit_read/{name}"
                 yield case, stored_pass(manager, session), displayed(session)
 
+            frame = read_csv_string(to_csv(columns), frame_cls=LuxDataFrame)
+            session = manager.create(frame, intent=EDIT_INTENT)
+            assert manager.engine.wait_idle(120)
+            prefix = "edit_read/" + "+".join(EDIT_INTENT)
+            yield f"{prefix}/first", stored_pass(manager, session), displayed(session)
+            for name in INTENT_EDITS:
+                session.mutate(name, columns[name][::-1])
+                assert manager.engine.wait_idle(120)
+                yield f"{prefix}/{name}", stored_pass(manager, session), displayed(session)
+
             for name in sorted(SCENARIOS):
                 session = manager.create(
                     make_scenario(name, n_rows=300), overrides={"precompute": False}
@@ -181,7 +196,8 @@ def test_stored_bytes_match_the_golden_digests(passes):
 
 
 def test_every_shape_displays_specs(passes):
-    assert len(passes) == len(INTENTS) + 1 + len(EDITS) + len(SCENARIOS) + 1
+    edit_read = 1 + len(EDITS) + 1 + len(INTENT_EDITS)
+    assert len(passes) == len(INTENTS) + edit_read + len(SCENARIOS) + 1
     for case, (payloads, specs) in passes.items():
         assert payloads and specs, case
 

@@ -240,14 +240,14 @@ def test_a_pass_cancelled_in_its_metadata_phase_enumerates_nothing(manager, monk
         return scan(frame, name)
 
     enumerated: list = []  # the frame version of each candidate enumeration
-    action_key = precompute_module._action_key
+    enumerate_action = precompute_module._enumerate
 
-    def recording_action_key(action, frame, metadata, digest):
+    def recording_enumerate(action, frame, metadata, digest):
         enumerated.append(frame._data_version)
-        return action_key(action, frame, metadata, digest)
+        return enumerate_action(action, frame, metadata, digest)
 
     monkeypatch.setattr(metadata_module, "compute_attribute_meta", parking_scan)
-    monkeypatch.setattr(precompute_module, "_action_key", recording_action_key)
+    monkeypatch.setattr(precompute_module, "_enumerate", recording_enumerate)
     before = _passes(manager.engine)
     arm.set()
     values = session.frame["q0"].to_list()[::-1]

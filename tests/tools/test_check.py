@@ -29,7 +29,7 @@ RULE_FIXTURES = {
     "guarded-by": "guarded_by",
     "result-under-lock": "result_under_lock",
     "mutation-delta": "mutation_delta",
-    "footprint": "footprint",
+    "action-keys": "action_keys",
     "config-mutation": "config_mutation",
     "sql-hygiene": "sql_hygiene",
     "unstable-key": "unstable_key",
@@ -93,6 +93,13 @@ class TestRegressions:
         assert all(
             "_evict" in v.message or v.line >= 20 for v in report.violations
         )
+
+
+class TestActionKeys:
+    def test_every_undecided_or_contradicted_action_fires(self):
+        report = check_file(FIXTURES / "action_keys_bad.py", select={"action-keys"})
+        named = sorted(v.message.split("'")[1] for v in report.violations)
+        assert named == ["KeyedOverrideAction", "MysteryAction", "RekeyedAction"]
 
 
 class TestSuppressions:

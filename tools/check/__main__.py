@@ -19,7 +19,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="tools.check",
         description=(
             "AST-based checker for this repo's concurrency and invariant "
-            "contracts (guarded-by locks, mutation deltas, footprints, "
+            "contracts (guarded-by locks, mutation deltas, action keys, "
             "overlay-only config, SQL hygiene, identity keying, route auth)"
         ),
     )

@@ -1,7 +1,7 @@
 """Rule registry: one instance per rule, in reporting order."""
 
+from .action_keys import ActionKeysRule
 from .config_mutation import ConfigMutationRule
-from .footprint import FootprintRule
 from .guarded_by import GuardedByRule, ResultUnderLockRule
 from .mutation_delta import MutationDeltaRule
 from .one_writer import OneWriterRule
@@ -14,7 +14,7 @@ ALL_RULES = [
     GuardedByRule(),
     ResultUnderLockRule(),
     MutationDeltaRule(),
-    FootprintRule(),
+    ActionKeysRule(),
     ConfigMutationRule(),
     SqlHygieneRule(),
     UnstableKeyRule(),
